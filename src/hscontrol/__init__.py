@@ -77,7 +77,6 @@ from .lq import (
     LQSolution,
     WellPosednessCertificate,
     completing_square_check,
-    completing_square_residual,
     eval_cost_pathwise,
     excess_cost,
     expected_cost,

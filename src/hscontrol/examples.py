@@ -16,7 +16,6 @@ computed and reference values side by side.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
@@ -427,16 +426,10 @@ def nash_value_surface(sys2: TwoInputSystem, x0: HVector, gammas, rhos):
     j1 = np.zeros((gammas.size, rhos.size))
     j2 = np.zeros_like(j1)
 
-    def cell(idx):
-        i, j = idx
+    for i, j in product(range(gammas.size), range(rhos.size)):
         sol = solve_coupled_riccati(sys2, GameParams(gammas[i], rhos[j]), x0)
-        return i, j, sol.j1, sol.j2
-
-    cells = list(product(range(gammas.size), range(rhos.size)))
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        for i, j, a, b in pool.map(cell, cells):
-            j1[i, j] = a
-            j2[i, j] = b
+        j1[i, j] = sol.j1
+        j2[i, j] = sol.j2
     return j1, j2
 
 

@@ -17,6 +17,9 @@ uniformly positive.  At each step the stationarity conditions K1 = -R1^-1 G1
 and K2 = -R2^-1 G2 are jointly affine in (K1, K2) and are solved exactly as
 one stacked linear system.
 
+Both recursions carry their iterates in Gram form W P, so the weighted
+adjoints of a step are plain transposes.
+
 The level-gamma attenuation design is the zero-sum case rho = gamma (where
 P1 + P2 vanishes identically), and the mixed design is rho = 0.
 """
@@ -40,9 +43,11 @@ from .operators import (
     SelfAdjointCert,
     _cert_from_eigs,
     _selfadjoint_eigs,
-    _unsframe,
+    congruence,
+    coordinate_operators,
+    gram,
+    gram_inverse,
     positivity_tolerance,
-    weighted_symmetrize,
 )
 from .riccati import STATUS_DOMAIN_FAILURE, STATUS_SOLVED
 from .sim import sign_paths
@@ -67,10 +72,6 @@ class GameParams:
             raise DimensionError("rho must be a nonnegative finite real")
 
 
-def _wadj(m: np.ndarray, w_cod: np.ndarray, w_dom: np.ndarray) -> np.ndarray:
-    return m.T * (w_cod[None, :] / w_dom[:, None])
-
-
 def _positive_inverse(mat, w, kappa_max, k, label):
     eigvals, eigvecs, resid = _selfadjoint_eigs(mat, w)
     cert = _cert_from_eigs(eigvals, resid)
@@ -83,7 +84,7 @@ def _positive_inverse(mat, w, kappa_max, k, label):
         raise GameDomainError(
             k, f"{label} at step {k}: condition number {cert.cond:.3e} exceeds {kappa_max:.1e}"
         )
-    inv = _unsframe((eigvecs / eigvals[None, :]) @ eigvecs.T, w, w)
+    inv = gram_inverse(eigvals, eigvecs, w) * w[None, :]
     return inv, cert
 
 
@@ -127,7 +128,7 @@ def _solve_coupling(r1, s12, s21, r2, g1, g2, r1_inv, r2_inv, k):
 
 @dataclass
 class _GameStep:
-    p1: np.ndarray
+    p1: np.ndarray  # Gram forms W P1(k), W P2(k)
     p2: np.ndarray
     k1: np.ndarray
     k2: np.ndarray
@@ -141,51 +142,45 @@ class _GameStep:
 def _cross_step_arrays(
     sys2: TwoInputSystem,
     params: GameParams,
-    x1n: np.ndarray,
-    x2n: np.ndarray,
+    g1n: np.ndarray,
+    g2n: np.ndarray,
     k: int,
     kappa_max: float,
 ) -> _GameStep:
-    wh = sys2.state_space.weights
+    """One step on the Gram forms W P1', W P2'; returns the new Gram forms."""
     wv = sys2.disturbance_space.weights
     wu = sys2.control_space.weights
-    wz = sys2.output_space.weights
-    am, cm = sys2.a(k).matrix, sys2.c(k).matrix
-    b1m, d1m = sys2.b1(k).matrix, sys2.d1(k).matrix
-    b2m, d2m = sys2.b2(k).matrix, sys2.d2(k).matrix
-    cbm = sys2.cbar(k).matrix
-    b1adj = _wadj(b1m, wh, wv)
-    d1adj = _wadj(d1m, wh, wv)
-    b2adj = _wadj(b2m, wh, wu)
-    d2adj = _wadj(d2m, wh, wu)
+    a, c = sys2.a(k), sys2.c(k)
+    b1, d1 = sys2.b1(k), sys2.d1(k)
+    b2, d2 = sys2.b2(k), sys2.d2(k)
 
-    r1 = (params.gamma**2) * np.eye(wv.size) + b1adj @ x1n @ b1m + d1adj @ x1n @ d1m
-    r1 = weighted_symmetrize(r1, wv)
-    r2 = np.eye(wu.size) + b2adj @ x2n @ b2m + d2adj @ x2n @ d2m
-    r2 = weighted_symmetrize(r2, wu)
+    r1g = (params.gamma**2) * np.diag(wv) + congruence(b1, g1n, b1) + congruence(d1, g1n, d1)
+    r1g = 0.5 * (r1g + r1g.T)
+    r2g = np.diag(wu) + congruence(b2, g2n, b2) + congruence(d2, g2n, d2)
+    r2g = 0.5 * (r2g + r2g.T)
+    r1, r2 = r1g / wv[:, None], r2g / wu[:, None]
     r1_inv, cert1 = _positive_inverse(r1, wv, kappa_max, k, "disturbance weight")
     r2_inv, cert2 = _positive_inverse(r2, wu, kappa_max, k, "control weight")
 
-    s12 = b1adj @ x1n @ b2m + d1adj @ x1n @ d2m
-    s21 = b2adj @ x2n @ b1m + d2adj @ x2n @ d1m
-    g1 = b1adj @ x1n @ am + d1adj @ x1n @ cm
-    g2 = b2adj @ x2n @ am + d2adj @ x2n @ cm
+    s12 = (congruence(b1, g1n, b2) + congruence(d1, g1n, d2)) / wv[:, None]
+    s21 = (congruence(b2, g2n, b1) + congruence(d2, g2n, d1)) / wu[:, None]
+    g1 = (congruence(b1, g1n, a) + congruence(d1, g1n, c)) / wv[:, None]
+    g2 = (congruence(b2, g2n, a) + congruence(d2, g2n, c)) / wu[:, None]
     k1, k2, resid = _solve_coupling(r1, s12, s21, r2, g1, g2, r1_inv, r2_inv, k)
 
-    acl2 = am + b2m @ k2
-    ccl2 = cm + d2m @ k2
-    acl1 = am + b1m @ k1
-    ccl1 = cm + d1m @ k1
-    cbar_sq = _wadj(cbm, wz, wh) @ cbm
-    k1adj = _wadj(k1, wv, wh)
-    k2adj = _wadj(k2, wu, wh)
-    p1 = _wadj(acl2, wh, wh) @ x1n @ acl2 + _wadj(ccl2, wh, wh) @ x1n @ ccl2
-    p1 += -k2adj @ k2 - cbar_sq - k1adj @ r1 @ k1
-    p2 = _wadj(acl1, wh, wh) @ x2n @ acl1 + _wadj(ccl1, wh, wh) @ x2n @ ccl1
-    p2 += -(params.rho**2) * (k1adj @ k1) + cbar_sq - k2adj @ r2 @ k2
+    am, cm = a.matrix, c.matrix
+    acl2 = am + b2.matrix @ k2
+    ccl2 = cm + d2.matrix @ k2
+    acl1 = am + b1.matrix @ k1
+    ccl1 = cm + d1.matrix @ k1
+    cbar_sq = gram(sys2.cbar(k))
+    p1 = acl2.T @ g1n @ acl2 + ccl2.T @ g1n @ ccl2
+    p1 -= k2.T @ (wu[:, None] * k2) + cbar_sq + k1.T @ r1g @ k1
+    p2 = acl1.T @ g2n @ acl1 + ccl1.T @ g2n @ ccl1
+    p2 += -(params.rho**2) * (k1.T @ (wv[:, None] * k1)) + cbar_sq - k2.T @ r2g @ k2
     return _GameStep(
-        weighted_symmetrize(p1, wh),
-        weighted_symmetrize(p2, wh),
+        0.5 * (p1 + p1.T),
+        0.5 * (p2 + p2.T),
         k1,
         k2,
         r1,
@@ -205,13 +200,16 @@ def cross_coupled_step(
     kappa_max: float = KAPPA_MAX_DEFAULT,
 ) -> tuple[Operator, Operator, Operator, Operator]:
     """One backward step of the coupled pair: (K1, K2, P1(k), P2(k))."""
-    res = _cross_step_arrays(sys2, params, p1_next.matrix, p2_next.matrix, k, kappa_max)
     hs, vs, us = sys2.state_space, sys2.disturbance_space, sys2.control_space
+    wh = hs.weights[:, None]
+    res = _cross_step_arrays(
+        sys2, params, wh * p1_next.matrix, wh * p2_next.matrix, k, kappa_max
+    )
     return (
         DenseOperator(res.k1, hs, vs),
         DenseOperator(res.k2, hs, us),
-        DenseOperator(res.p1, hs),
-        DenseOperator(res.p2, hs),
+        DenseOperator(res.p1 / wh, hs),
+        DenseOperator(res.p2 / wh, hs),
     )
 
 
@@ -266,10 +264,8 @@ def solve_coupled_riccati(
     steps = sys2.steps
     hs, vs, us = sys2.state_space, sys2.disturbance_space, sys2.control_space
     dh = hs.dim
-    p1_mats: list[np.ndarray | None] = [None] * (steps + 1)
-    p2_mats: list[np.ndarray | None] = [None] * (steps + 1)
-    p1_mats[steps] = np.zeros((dh, dh))
-    p2_mats[steps] = np.zeros((dh, dh))
+    grams1: list[np.ndarray | None] = [None] * steps + [np.zeros((dh, dh))]
+    grams2: list[np.ndarray | None] = [None] * steps + [np.zeros((dh, dh))]
     v_gains: list[Operator | None] = [None] * steps
     u_gains: list[Operator | None] = [None] * steps
     r1_ops: list[Operator | None] = [None] * steps
@@ -282,14 +278,14 @@ def solve_coupled_riccati(
     worst_resid = 0.0
     for k in range(steps - 1, -1, -1):
         try:
-            res = _cross_step_arrays(sys2, params, p1_mats[k + 1], p2_mats[k + 1], k, kappa_max)
+            res = _cross_step_arrays(sys2, params, grams1[k + 1], grams2[k + 1], k, kappa_max)
         except GameDomainError as err:
             status = STATUS_DOMAIN_FAILURE
             failing = err.step
             detail = str(err)
             break
-        p1_mats[k] = res.p1
-        p2_mats[k] = res.p2
+        grams1[k] = res.p1
+        grams2[k] = res.p2
         v_gains[k] = DenseOperator(res.k1, hs, vs)
         u_gains[k] = DenseOperator(res.k2, hs, us)
         r1_ops[k] = DenseOperator(res.r1, vs)
@@ -297,8 +293,8 @@ def solve_coupled_riccati(
         certs1[k] = res.cert1
         certs2[k] = res.cert2
         worst_resid = max(worst_resid, res.coupling_residual)
-    p1_ops = [DenseOperator(m, hs) if m is not None else None for m in p1_mats]
-    p2_ops = [DenseOperator(m, hs) if m is not None else None for m in p2_mats]
+    p1_ops = coordinate_operators(grams1, hs)
+    p2_ops = coordinate_operators(grams2, hs)
     sol = CoupledSolution(
         params,
         status,

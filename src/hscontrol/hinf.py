@@ -16,6 +16,9 @@ the gain being below gamma exactly when every p3 stays uniformly positive.
 The recursion is continued through indefinite p3 as long as it remains
 boundedly invertible, so the p3 spectra are reported for every step even at
 infeasible levels; only a conditioning breakdown stops the walk early.
+
+As in the Riccati pass, iterates are carried in Gram form W Y, so the weighted
+adjoints of a step are plain transposes.
 """
 
 from __future__ import annotations
@@ -32,45 +35,42 @@ from .operators import (
     SelfAdjointCert,
     _cert_from_eigs,
     _selfadjoint_eigs,
-    _unsframe,
+    congruence,
+    coordinate_operators,
+    gram,
+    gram_inverse,
     opnorm,
     positivity_tolerance,
-    weighted_symmetrize,
 )
 from .sim import ENUMERATION_MAX_STEPS, Policy, run_batch, sign_paths, simulate
 from .spaces import HVector, zero_vector
 from .systems import DisturbedSystem
 
 
-def _wadj(m: np.ndarray, w_cod: np.ndarray, w_dom: np.ndarray) -> np.ndarray:
-    return m.T * (w_cod[None, :] / w_dom[:, None])
+def _feedthrough_gram(dsys: DisturbedSystem, gamma: float, k: int) -> np.ndarray:
+    """Gram form W_v (gamma^2 I - Dbar* Dbar) at step k."""
+    return (gamma**2) * np.diag(dsys.disturbance_space.weights) - gram(dsys.dbar(k))
 
 
-def _pi_arrays(dsys: DisturbedSystem, x_next: np.ndarray, gamma: float, k: int):
-    wh = dsys.state_space.weights
-    wv = dsys.disturbance_space.weights
-    wz = dsys.output_space.weights
-    am, b1m = dsys.a(k).matrix, dsys.b1(k).matrix
-    cm, d1m = dsys.c(k).matrix, dsys.d1(k).matrix
-    cbm, dbm = dsys.cbar(k).matrix, dsys.dbar(k).matrix
-    aadj = _wadj(am, wh, wh)
-    cadj = _wadj(cm, wh, wh)
-    b1adj = _wadj(b1m, wh, wv)
-    d1adj = _wadj(d1m, wh, wv)
-    p1 = aadj @ x_next @ am + cadj @ x_next @ cm - _wadj(cbm, wz, wh) @ cbm
-    p2 = b1adj @ x_next @ am + d1adj @ x_next @ cm
-    p3 = (gamma**2) * np.eye(wv.size) - _wadj(dbm, wz, wv) @ dbm
-    p3 += b1adj @ x_next @ b1m + d1adj @ x_next @ d1m
-    return weighted_symmetrize(p1, wh), p2, weighted_symmetrize(p3, wv)
+def _pi_arrays(dsys: DisturbedSystem, gram_next: np.ndarray, gamma: float, k: int):
+    """Gram forms of (p1, p2, p3) for the next iterate W_h X; p1 and p3 symmetrized."""
+    a, c = dsys.a(k), dsys.c(k)
+    b1, d1 = dsys.b1(k), dsys.d1(k)
+    p1 = congruence(a, gram_next, a) + congruence(c, gram_next, c) - gram(dsys.cbar(k))
+    p2 = congruence(b1, gram_next, a) + congruence(d1, gram_next, c)
+    p3 = _feedthrough_gram(dsys, gamma, k)
+    p3 += congruence(b1, gram_next, b1) + congruence(d1, gram_next, d1)
+    return 0.5 * (p1 + p1.T), p2, 0.5 * (p3 + p3.T)
 
 
 def attenuation_terms(
     dsys: DisturbedSystem, y_next: Operator, gamma: float, k: int
 ) -> tuple[Operator, Operator, Operator]:
     """The triple (p1, p2, p3) at step k for the given next iterate."""
-    p1, p2, p3 = _pi_arrays(dsys, y_next.matrix, gamma, k)
     hs, vs = dsys.state_space, dsys.disturbance_space
-    return DenseOperator(p1, hs), DenseOperator(p2, hs, vs), DenseOperator(p3, vs)
+    wh, wv = hs.weights[:, None], vs.weights[:, None]
+    p1, p2, p3 = _pi_arrays(dsys, wh * y_next.matrix, gamma, k)
+    return DenseOperator(p1 / wh, hs), DenseOperator(p2 / wv, hs, vs), DenseOperator(p3 / wv, vs)
 
 
 def backward_f_equation(
@@ -84,19 +84,13 @@ def backward_f_equation(
     """
     if len(f_gains) != dsys.steps:
         raise DimensionError("need one disturbance gain per step")
-    wh = dsys.state_space.weights
-    wv = dsys.disturbance_space.weights
-    y = np.zeros((dsys.state_space.dim, dsys.state_space.dim))
-    out = [None] * (dsys.steps + 1)
-    out[dsys.steps] = DenseOperator(y, dsys.state_space)
+    grams = [None] * dsys.steps + [np.zeros((dsys.state_space.dim, dsys.state_space.dim))]
     for k in range(dsys.steps - 1, -1, -1):
-        p1, p2, p3 = _pi_arrays(dsys, y, gamma, k)
+        p1, p2, p3 = _pi_arrays(dsys, grams[k + 1], gamma, k)
         f = f_gains[k].matrix
-        fadj = _wadj(f, wv, wh)
-        y = p1 + fadj @ p2 + _wadj(p2, wv, wh) @ f + fadj @ p3 @ f
-        y = weighted_symmetrize(y, wh)
-        out[k] = DenseOperator(y, dsys.state_space)
-    return out
+        y = p1 + f.T @ p2 + p2.T @ f + f.T @ p3 @ f
+        grams[k] = 0.5 * (y + y.T)
+    return coordinate_operators(grams, dsys.state_space)
 
 
 @dataclass
@@ -138,18 +132,16 @@ def brl_check(
     """
     steps = dsys.steps
     hs, vs = dsys.state_space, dsys.disturbance_space
-    y_mats: list[np.ndarray | None] = [None] * (steps + 1)
-    y_mats[steps] = np.zeros((hs.dim, hs.dim))
+    wv = vs.weights
+    grams: list[np.ndarray | None] = [None] * steps + [np.zeros((hs.dim, hs.dim))]
     certs: list[SelfAdjointCert | None] = [None] * steps
     gains: list[Operator | None] = [None] * steps
-    y_ops: list[Operator | None] = [None] * (steps + 1)
-    y_ops[steps] = DenseOperator(y_mats[steps], hs)
     feasible = True
     failing = None
     completed = True
     for k in range(steps - 1, -1, -1):
-        p1, p2, p3 = _pi_arrays(dsys, y_mats[k + 1], gamma, k)
-        eigvals, eigvecs, resid = _selfadjoint_eigs(p3, vs.weights)
+        p1, p2, p3 = _pi_arrays(dsys, grams[k + 1], gamma, k)
+        eigvals, eigvecs, resid = _selfadjoint_eigs(p3 / wv[:, None], wv)
         cert = _cert_from_eigs(eigvals, resid)
         certs[k] = cert
         positive = cert.min_eig > positivity_tolerance(cert.norm)
@@ -163,12 +155,11 @@ def brl_check(
             # no bounded inverse: the iterate below this step is undefined
             completed = False
             break
-        p3_inv = _unsframe((eigvecs / eigvals[None, :]) @ eigvecs.T, vs.weights, vs.weights)
-        f = -p3_inv @ p2
+        f = -gram_inverse(eigvals, eigvecs, wv) @ p2
         gains[k] = DenseOperator(f, hs, vs)
-        y = p1 - _wadj(p2, vs.weights, hs.weights) @ p3_inv @ p2
-        y_mats[k] = weighted_symmetrize(y, hs.weights)
-        y_ops[k] = DenseOperator(y_mats[k], hs)
+        y = p1 + p2.T @ f
+        grams[k] = 0.5 * (y + y.T)
+    y_ops = coordinate_operators(grams, hs)
     return BoundedRealRun(gamma, feasible, failing, completed, y_ops, certs, gains)
 
 
@@ -188,32 +179,27 @@ def eval_perturbation(
     return [HVector(dsys.output_space, bundle.outputs[k]) for k in range(dsys.steps)]
 
 
+def _feedthrough_eigs(dsys: DisturbedSystem, gamma: float, k: int):
+    """Orthonormal-frame spectrum and symmetrization residual of gamma^2 I - Dbar*Dbar."""
+    wv = dsys.disturbance_space.weights
+    m = _feedthrough_gram(dsys, gamma, k)
+    eigvals, _, resid = _selfadjoint_eigs(0.5 * (m + m.T) / wv[:, None], wv)
+    return eigvals, resid
+
+
 def feedthrough_margin(dsys: DisturbedSystem, gamma: float) -> float:
     """Smallest eigenvalue of gamma^2 I - Dbar*Dbar over all steps.
 
     A nonpositive margin already rules out feasibility at this level, no
     recursion needed.
     """
-    wv = dsys.disturbance_space.weights
-    wz = dsys.output_space.weights
-    worst = np.inf
-    for k in range(dsys.steps):
-        dbm = dsys.dbar(k).matrix
-        m = (gamma**2) * np.eye(wv.size) - _wadj(dbm, wz, wv) @ dbm
-        eigvals, _, _ = _selfadjoint_eigs(weighted_symmetrize(m, wv), wv)
-        worst = min(worst, float(eigvals[0]))
-    return worst
+    return min(float(_feedthrough_eigs(dsys, gamma, k)[0][0]) for k in range(dsys.steps))
 
 
 def check_uniform_positivity(dsys: DisturbedSystem, gamma: float) -> bool:
     """True iff gamma^2 I - Dbar*Dbar stays uniformly positive at every step."""
-    wv = dsys.disturbance_space.weights
-    wz = dsys.output_space.weights
     for k in range(dsys.steps):
-        dbm = dsys.dbar(k).matrix
-        m = (gamma**2) * np.eye(wv.size) - _wadj(dbm, wz, wv) @ dbm
-        eigvals, _, resid = _selfadjoint_eigs(weighted_symmetrize(m, wv), wv)
-        cert = _cert_from_eigs(eigvals, resid)
+        cert = _cert_from_eigs(*_feedthrough_eigs(dsys, gamma, k))
         if cert.min_eig <= positivity_tolerance(cert.norm):
             return False
     return True

@@ -129,13 +129,6 @@ def completing_square_check(
     return SquareCompletionCheck(lhs, rhs, abs(lhs - rhs))
 
 
-def completing_square_residual(
-    problem: LQProblem, solution: LQSolution, policy: Policy
-) -> float:
-    """Absolute gap |E[J(u)] - (<P(0)x0,x0> + E[excess])| for one policy."""
-    return completing_square_check(problem, solution, policy).residual
-
-
 @dataclass(frozen=True)
 class WellPosednessCertificate:
     """One-sided answer to "is the minimum finite and attained".

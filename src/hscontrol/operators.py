@@ -13,6 +13,11 @@ codomain, so the pairing <A x, y> = <x, A* y> holds to round-off everywhere.
 Spectral queries (minimum eigenvalue, condition number, positive inversion) are
 evaluated in the symmetric frame S = W^(1/2) M W^(-1/2), which represents the
 operator with respect to an orthonormal basis of the weighted space.
+
+Every variant also supplies the right product X @ M of a coordinate array with
+its matrix.  Structured variants compute it natively (scaling or slicing
+columns), which keeps the congruences of the backward recursions at O(n^2) for
+them; dense and composite variants multiply by their cached matrix.
 """
 
 from __future__ import annotations
@@ -72,6 +77,10 @@ class Operator:
         cols = [self.apply_array(col) for col in np.eye(self.domain.dim)]
         return np.column_stack(cols) if cols else np.zeros((self.codomain.dim, 0))
 
+    def rmatmul(self, x: np.ndarray) -> np.ndarray:
+        """The right product x @ M for a 2-D array x with codomain.dim columns."""
+        return x @ self.matrix
+
     def adjoint(self) -> "Operator":
         return AdjointOperator(self)
 
@@ -103,6 +112,9 @@ class ZeroOperator(Operator):
     def _build_matrix(self):
         return np.zeros((self.codomain.dim, self.domain.dim))
 
+    def rmatmul(self, x):
+        return np.zeros((x.shape[0], self.domain.dim))
+
     def adjoint(self):
         return ZeroOperator(self.codomain, self.domain)
 
@@ -116,6 +128,9 @@ class IdentityOperator(Operator):
 
     def _build_matrix(self):
         return np.eye(self.domain.dim)
+
+    def rmatmul(self, x):
+        return np.array(x, dtype=float)
 
     def adjoint(self):
         return self
@@ -133,6 +148,9 @@ class ScaledOperator(Operator):
 
     def _build_matrix(self):
         return self.factor * self.inner_op.matrix
+
+    def rmatmul(self, x):
+        return self.factor * self.inner_op.rmatmul(x)
 
     def adjoint(self):
         return ScaledOperator(self.factor, self.inner_op.adjoint())
@@ -174,6 +192,9 @@ class DiagonalOperator(Operator):
     def _build_matrix(self):
         return np.diag(self.entries)
 
+    def rmatmul(self, x):
+        return x * self.entries[None, :]
+
     def adjoint(self):
         return self
 
@@ -201,6 +222,12 @@ class RightShiftOperator(Operator):
     def _build_matrix(self):
         return np.eye(self.codomain.dim, self.domain.dim, k=-1)
 
+    def rmatmul(self, x):
+        out = np.zeros((x.shape[0], self.domain.dim))
+        keep = min(self.domain.dim, self.codomain.dim - 1)
+        out[:, :keep] = x[:, 1 : keep + 1]
+        return out
+
 
 class FillingOperator(Operator):
     """Copy the leading ``count`` coordinates into the codomain, zero the rest."""
@@ -224,6 +251,11 @@ class FillingOperator(Operator):
         idx = np.arange(self.count)
         m[idx, idx] = 1.0
         return m
+
+    def rmatmul(self, x):
+        out = np.zeros((x.shape[0], self.domain.dim))
+        out[:, : self.count] = x[:, : self.count]
+        return out
 
 
 class GaussianConvolutionOperator(Operator):
@@ -284,6 +316,9 @@ class HeatSemigroupOperator(Operator):
 
     def _build_matrix(self):
         return np.diag(self.factors)
+
+    def rmatmul(self, x):
+        return x * self.factors[None, :]
 
     def adjoint(self):
         return self
@@ -369,6 +404,22 @@ def apply(op: Operator, x: HVector) -> HVector:
     return op.apply(x)
 
 
+def congruence(left: Operator, g: np.ndarray, right: Operator) -> np.ndarray:
+    """L^T G R for a coordinate array G, from two right products."""
+    return right.rmatmul(left.rmatmul(g.T).T)
+
+
+def gram(op: Operator) -> np.ndarray:
+    """M^T W M for the codomain weights W: the Gram form W_dom (op* op)."""
+    return op.rmatmul(op.matrix.T * op.codomain.weights[None, :])
+
+
+def coordinate_operators(grams: list[np.ndarray | None], space: Space) -> list[Operator | None]:
+    """Operators for Gram-form iterates W P, each turned into coordinates in place."""
+    w = space.weights[:, None]
+    return [None if g is None else DenseOperator(np.divide(g, w, out=g), space) for g in grams]
+
+
 def opnorm(op: Operator) -> float:
     """Operator norm with respect to the weighted inner products."""
     s = _sframe(op.matrix, op.codomain.weights, op.domain.weights)
@@ -409,6 +460,17 @@ def _cert_from_eigs(eigvals: np.ndarray, resid: float) -> SelfAdjointCert:
     big = float(np.max(np.abs(eigvals)))
     cond = np.inf if small == 0.0 else big / small
     return SelfAdjointCert(lo, hi, cond, resid)
+
+
+def gram_inverse(eigvals: np.ndarray, eigvecs: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(W M)^-1 for a self-adjoint M, from the eigenpairs of its symmetric frame.
+
+    With S = W^(1/2) M W^(-1/2) = V diag(eigvals) V^T this is U diag(1/eigvals) U^T
+    for U = W^(-1/2) V, so it maps the Gram form W b of a right-hand side to
+    the coordinates of M^-1 b.
+    """
+    u = eigvecs / np.sqrt(w)[:, None]
+    return (u / eigvals[None, :]) @ u.T
 
 
 def min_eig_selfadjoint(op: Operator) -> SelfAdjointCert:

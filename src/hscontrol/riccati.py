@@ -13,6 +13,11 @@ A step is inside the recursion domain when Rk has a bounded inverse on the
 truncation, meaning it is invertible with condition number at most
 ``kappa_max``.  No sign is required for domain membership; the solved status
 additionally demands that every Rk is uniformly positive.
+
+The pass carries each iterate in Gram form W P, with W the state weights.  It
+is symmetric whenever P is self-adjoint, so every weighted adjoint in a step
+becomes a plain transpose.  Weights enter only the small completion terms,
+which are certified in the orthonormal frame, and the returned coordinates.
 """
 
 from __future__ import annotations
@@ -29,11 +34,12 @@ from .operators import (
     SelfAdjointCert,
     _cert_from_eigs,
     _selfadjoint_eigs,
-    _unsframe,
     block_selfadjoint_cert,
+    congruence,
+    coordinate_operators,
+    gram_inverse,
     min_eig_selfadjoint,
     positivity_tolerance,
-    weighted_symmetrize,
 )
 from .spaces import HVector, inner
 from .systems import ControlledSystem, CostSpec
@@ -43,64 +49,56 @@ STATUS_DOMAIN_FAILURE = "domain_failure"
 STATUS_NOT_UNIFORMLY_POSITIVE = "not_uniformly_positive"
 
 
-def _wadj(m: np.ndarray, w_cod: np.ndarray, w_dom: np.ndarray) -> np.ndarray:
-    # coordinate matrix of the weighted adjoint
-    return m.T * (w_cod[None, :] / w_dom[:, None])
-
-
 @dataclass
 class _StepArrays:
-    p: np.ndarray
+    gram: np.ndarray  # W P(k), the new iterate in Gram form
     rk: np.ndarray
     gk: np.ndarray
     gain: np.ndarray
     cert: SelfAdjointCert
 
 
-def _completion_arrays(system: ControlledSystem, cost: CostSpec, pn: np.ndarray, k: int):
-    wh = system.state_space.weights
+def _completion_arrays(system: ControlledSystem, cost: CostSpec, gram_next: np.ndarray, k: int):
+    """Gram forms W_u Rk (symmetrized) and W_u G for the next iterate W_h P."""
     wu = system.control_space.weights
-    am, bm = system.a(k).matrix, system.b(k).matrix
-    cm, dm = system.c(k).matrix, system.d(k).matrix
-    badj = _wadj(bm, wh, wu)
-    dadj = _wadj(dm, wh, wu)
-    rk = cost.r(k).matrix + badj @ pn @ bm + dadj @ pn @ dm
-    rk = weighted_symmetrize(rk, wu)
-    gk = cost.l(k).matrix + badj @ pn @ am + dadj @ pn @ cm
-    return rk, gk
+    b, d = system.b(k), system.d(k)
+    rk = wu[:, None] * cost.r(k).matrix
+    rk += congruence(b, gram_next, b) + congruence(d, gram_next, d)
+    gk = wu[:, None] * cost.l(k).matrix
+    gk += congruence(b, gram_next, system.a(k)) + congruence(d, gram_next, system.c(k))
+    return 0.5 * (rk + rk.T), gk
 
 
 def _step_arrays(
     system: ControlledSystem,
     cost: CostSpec,
-    pn: np.ndarray,
+    gram_next: np.ndarray,
     k: int,
     kappa_max: float,
 ) -> _StepArrays:
     wh = system.state_space.weights
     wu = system.control_space.weights
-    rk, gk = _completion_arrays(system, cost, pn, k)
+    rk_gram, gk_gram = _completion_arrays(system, cost, gram_next, k)
+    rk = rk_gram / wu[:, None]
     eigvals, eigvecs, resid = _selfadjoint_eigs(rk, wu)
     cert = _cert_from_eigs(eigvals, resid)
     if not np.isfinite(cert.cond) or cert.cond > kappa_max:
         raise DomainError(k, f"step {k}: completion term has condition {cert.cond:.3e}")
-    rinv = _unsframe((eigvecs / eigvals[None, :]) @ eigvecs.T, wu, wu)
-    gain = -rinv @ gk
-    am, cm = system.a(k).matrix, system.c(k).matrix
-    aadj = _wadj(am, wh, wh)
-    cadj = _wadj(cm, wh, wh)
-    p = cost.m(k).matrix + aadj @ pn @ am + cadj @ pn @ cm
-    p = p - _wadj(gk, wu, wh) @ rinv @ gk
-    return _StepArrays(weighted_symmetrize(p, wh), rk, gk, gain, cert)
+    gain = -gram_inverse(eigvals, eigvecs, wu) @ gk_gram
+    a, c = system.a(k), system.c(k)
+    g = wh[:, None] * cost.m(k).matrix
+    g += congruence(a, gram_next, a) + congruence(c, gram_next, c) + gk_gram.T @ gain
+    return _StepArrays(0.5 * (g + g.T), rk, gk_gram / wu[:, None], gain, cert)
 
 
 def completion_terms(
     system: ControlledSystem, cost: CostSpec, p_next: Operator, k: int
 ) -> tuple[Operator, Operator]:
     """The pair (Rk, G) entering the step-k completion of squares."""
-    rk, gk = _completion_arrays(system, cost, p_next.matrix, k)
+    wh, wu = system.state_space.weights, system.control_space.weights
+    rk, gk = _completion_arrays(system, cost, wh[:, None] * p_next.matrix, k)
     us, hs = system.control_space, system.state_space
-    return DenseOperator(rk, us), DenseOperator(gk, hs, us)
+    return DenseOperator(rk / wu[:, None], us), DenseOperator(gk / wu[:, None], hs, us)
 
 
 def riccati_step(
@@ -111,9 +109,10 @@ def riccati_step(
     kappa_max: float = KAPPA_MAX_DEFAULT,
 ) -> tuple[Operator, Operator]:
     """One backward step; returns (P(k), gain K(k)) or raises DomainError."""
-    res = _step_arrays(system, cost, p_next.matrix, k, kappa_max)
     hs, us = system.state_space, system.control_space
-    return DenseOperator(res.p, hs), DenseOperator(res.gain, hs, us)
+    wh = hs.weights[:, None]
+    res = _step_arrays(system, cost, wh * p_next.matrix, k, kappa_max)
+    return DenseOperator(res.gram / wh, hs), DenseOperator(res.gain, hs, us)
 
 
 @dataclass
@@ -159,8 +158,8 @@ def solve_backward_riccati(
     """
     steps = system.steps
     hs, us = system.state_space, system.control_space
-    p_mats: list[np.ndarray | None] = [None] * (steps + 1)
-    p_mats[steps] = cost.terminal.matrix
+    grams: list[np.ndarray | None] = [None] * (steps + 1)
+    grams[steps] = hs.weights[:, None] * cost.terminal.matrix
     gains: list[Operator | None] = [None] * steps
     rk_ops: list[Operator | None] = [None] * steps
     gk_ops: list[Operator | None] = [None] * steps
@@ -169,12 +168,12 @@ def solve_backward_riccati(
     failing = None
     for k in range(steps - 1, -1, -1):
         try:
-            res = _step_arrays(system, cost, p_mats[k + 1], k, kappa_max)
+            res = _step_arrays(system, cost, grams[k + 1], k, kappa_max)
         except DomainError as err:
             status = STATUS_DOMAIN_FAILURE
             failing = err.step
             break
-        p_mats[k] = res.p
+        grams[k] = res.gram
         gains[k] = DenseOperator(res.gain, hs, us)
         rk_ops[k] = DenseOperator(res.rk, us)
         gk_ops[k] = DenseOperator(res.gk, hs, us)
@@ -186,9 +185,7 @@ def solve_backward_riccati(
                 status = STATUS_NOT_UNIFORMLY_POSITIVE
                 failing = k
                 break
-    p_ops: list[Operator | None] = [
-        DenseOperator(m, hs) if m is not None else None for m in p_mats
-    ]
+    p_ops = coordinate_operators(grams, hs)
     return RiccatiSolution(status, failing, p_ops, gains, rk_ops, gk_ops, certs)
 
 

@@ -44,6 +44,8 @@ class Space:
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (self.dim,):
             raise DimensionError("weight vector length does not match dimension")
+        if not np.all(np.isfinite(w)):
+            raise DimensionError("weights: quadrature weights must be finite")
         if np.any(w <= 0.0):
             raise DimensionError("quadrature weights must be strictly positive")
         object.__setattr__(self, "weights", w)
@@ -128,6 +130,8 @@ class HVector:
             raise DimensionError(
                 f"coordinate vector of shape {c.shape} does not fit a space of dimension {self.space.dim}"
             )
+        if not np.all(np.isfinite(c)):
+            raise DimensionError("coords: vector coordinates must be finite")
         object.__setattr__(self, "coords", c)
 
     def __eq__(self, other):

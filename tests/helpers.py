@@ -2,7 +2,9 @@
 
 Every generator takes an explicit numpy Generator so runs are
 reproducible.  Dimensions and horizons stay small enough that exact
-two-point noise enumeration is cheap.
+two-point noise enumeration is cheap.  With ``weighted`` set, every space
+gets random positive quadrature weights instead of unit weights, so that a
+weight left out of a recursion shows up in the independent checks.
 """
 
 from __future__ import annotations
@@ -10,6 +12,22 @@ from __future__ import annotations
 import numpy as np
 
 import hscontrol as hc
+
+
+def space(rng, dim, weighted=False):
+    """Unit-weight R^dim, or R^dim with weights drawn from [1/4, 4]."""
+    if not weighted:
+        return hc.euclidean(dim)
+    weights = np.exp(rng.uniform(np.log(0.25), np.log(4.0), dim))
+    return hc.Space(hc.spaces.KIND_EUCLIDEAN, dim, weights)
+
+
+def assert_pinned(got, want, rtol=1e-10):
+    """Coordinate arrays agree to rtol relative to the size of ``want``."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    scale = 1.0 + np.max(np.abs(want), initial=0.0)
+    assert np.max(np.abs(got - want), initial=0.0) <= rtol * scale
 
 
 def dense(rng, dom, cod, scale=1.0):
@@ -20,12 +38,12 @@ def family(rng, dom, cod, steps, scale=1.0):
     return [dense(rng, dom, cod, scale) for _ in range(steps)]
 
 
-def random_controlled(rng, dim_max=6, horizon_max=6, noisy=True):
+def random_controlled(rng, dim_max=6, horizon_max=6, noisy=True, weighted=False):
     dim = int(rng.integers(1, dim_max + 1))
     du = int(rng.integers(1, dim + 1))
     horizon = int(rng.integers(0, horizon_max + 1))
-    hs = hc.euclidean(dim)
-    us = hc.euclidean(du)
+    hs = space(rng, dim, weighted)
+    us = space(rng, du, weighted)
     steps = horizon + 1
     s = 0.9 / np.sqrt(dim)
     a = family(rng, hs, hs, steps, s)
@@ -40,23 +58,28 @@ def random_controlled(rng, dim_max=6, horizon_max=6, noisy=True):
 
 
 def random_psd_cost(rng, system):
-    """Stage blocks [[M, L*], [L, R]] >= 0 with R > 0 and a PSD terminal."""
+    """Stage blocks [[M, L*], [L, R]] >= 0 with R > 0 and a PSD terminal.
+
+    Each block is drawn as a symmetric PSD Gram form W X and divided by the
+    weights, which makes it self-adjoint for the weighted inner product.
+    """
     hs = system.state_space
     us = system.control_space
     dim, du = hs.dim, us.dim
+    wh, wu = hs.weights[:, None], us.weights[:, None]
     m, l, r = [], [], []
     for _ in range(system.steps):
         g = rng.standard_normal((dim + du, dim + du)) / np.sqrt(dim + du)
         w = g @ g.T
-        m.append(hc.DenseOperator(w[:dim, :dim], hs))
-        l.append(hc.DenseOperator(w[dim:, :dim], hs, us))
-        r.append(hc.DenseOperator(w[dim:, dim:] + 0.1 * np.eye(du), us))
+        m.append(hc.DenseOperator(w[:dim, :dim] / wh, hs))
+        l.append(hc.DenseOperator(w[dim:, :dim] / wu, hs, us))
+        r.append(hc.DenseOperator((w[dim:, dim:] + 0.1 * np.eye(du)) / wu, us))
     gt = rng.standard_normal((dim, dim)) / np.sqrt(dim)
-    terminal = hc.DenseOperator(gt @ gt.T, hs)
+    terminal = hc.DenseOperator((gt @ gt.T) / wh, hs)
     return hc.CostSpec(system, m, l, r, terminal)
 
 
-def random_solved_problem(rng, dim_max=6, horizon_max=6, allow_indefinite=True):
+def random_solved_problem(rng, dim_max=6, horizon_max=6, allow_indefinite=True, weighted=False):
     """A random LQ problem whose Riccati recursion is known to solve.
 
     Half the draws shift the state weight down so the stage cost is
@@ -64,7 +87,7 @@ def random_solved_problem(rng, dim_max=6, horizon_max=6, allow_indefinite=True):
     uniform positivity, so every returned problem has status "solved".
     """
     for _ in range(50):
-        system = random_controlled(rng, dim_max, horizon_max)
+        system = random_controlled(rng, dim_max, horizon_max, weighted=weighted)
         cost = random_psd_cost(rng, system)
         if allow_indefinite and rng.random() < 0.5:
             hs = system.state_space
@@ -100,15 +123,16 @@ def split_output_families(rng, hs, in_space, steps, state_rows, in_rows, zs,
     return cbar, dbar
 
 
-def random_disturbed(rng, dim_max=6, horizon_max=6, noisy=True, with_feedthrough=True):
+def random_disturbed(rng, dim_max=6, horizon_max=6, noisy=True, with_feedthrough=True,
+                     weighted=False):
     dim = int(rng.integers(1, dim_max + 1))
     dv = int(rng.integers(1, dim + 1))
     horizon = int(rng.integers(0, horizon_max + 1))
-    hs = hc.euclidean(dim)
-    vs = hc.euclidean(dv)
+    hs = space(rng, dim, weighted)
+    vs = space(rng, dv, weighted)
     p = dim
     q = dv if with_feedthrough else 0
-    zs = hc.euclidean(p + max(q, 1) if q else p + 1)
+    zs = space(rng, p + max(q, 1) if q else p + 1, weighted)
     steps = horizon + 1
     s = 0.8 / np.sqrt(dim)
     a = family(rng, hs, hs, steps, s)
@@ -125,7 +149,8 @@ def random_disturbed(rng, dim_max=6, horizon_max=6, noisy=True, with_feedthrough
     return hc.DisturbedSystem(hs, vs, zs, horizon, a, b1, c, d1, cbar, dbar)
 
 
-def random_two_input(rng, dim_max=4, horizon_max=5, noisy=True, controlled=True):
+def random_two_input(rng, dim_max=4, horizon_max=5, noisy=True, controlled=True,
+                     weighted=False):
     """Two-input plant with orthonormal control feedthrough columns.
 
     With ``controlled`` false the control channel is zeroed out, which
@@ -135,10 +160,10 @@ def random_two_input(rng, dim_max=4, horizon_max=5, noisy=True, controlled=True)
     dv = int(rng.integers(1, 3))
     du = int(rng.integers(1, 3))
     horizon = int(rng.integers(1, horizon_max + 1))
-    hs = hc.euclidean(dim)
-    vs = hc.euclidean(dv)
-    us = hc.euclidean(du)
-    zs = hc.euclidean(dim + du)
+    hs = space(rng, dim, weighted)
+    vs = space(rng, dv, weighted)
+    us = space(rng, du, weighted)
+    zs = space(rng, dim + du, weighted)
     steps = horizon + 1
     s = 0.8 / np.sqrt(dim)
     a = family(rng, hs, hs, steps, s)
@@ -162,7 +187,7 @@ def random_two_input(rng, dim_max=4, horizon_max=5, noisy=True, controlled=True)
         cm[:dim] = rng.standard_normal((dim, dim))
         cbar.append(hc.DenseOperator(cm, hs, zs))
     gm = np.zeros((zs.dim, du))
-    gm[dim:] = np.eye(du)
+    gm[dim:] = np.diag(np.sqrt(us.weights / zs.weights[dim:]))  # Gbar* Gbar = I
     gbar = hc.DenseOperator(gm, us, zs)
     return hc.TwoInputSystem(hs, vs, us, zs, horizon, a, b1, b2, c, d1, d2, cbar, gbar)
 
@@ -187,10 +212,10 @@ def feasible_design(sys2, ladder=GAMMA_LADDER):
     return None
 
 
-def solvable_game(rng, horizon_max=5, rho_choices=(0.0, 0.5, 1.0)):
+def solvable_game(rng, horizon_max=5, rho_choices=(0.0, 0.5, 1.0), weighted=False):
     """A random plant, level, and start with a solved coupled recursion."""
     for _ in range(50):
-        sys2 = random_two_input(rng, horizon_max=horizon_max)
+        sys2 = random_two_input(rng, horizon_max=horizon_max, weighted=weighted)
         rho = float(rng.choice(rho_choices))
         x0 = random_x0(rng, sys2.state_space)
         for gamma in GAMMA_LADDER:

@@ -152,6 +152,17 @@ def test_parse_failure_exit(tmp_path):
     assert code == EXIT_BAD_INPUT
 
 
+def test_non_finite_start_state_exit(tmp_path, capsys):
+    x0 = tmp_path / "x0.json"
+    x0.write_text('{"coords": [NaN, 0.0]}')
+    out = tmp_path / "run"
+    code = main(["lq-solve", "--system", DEMO_SYSTEM, "--cost", DEMO_COST,
+                 "--x0", str(x0), "--out", str(out)])
+    assert code == EXIT_BAD_INPUT
+    assert "coords" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_missing_file_exit(tmp_path):
     code = main(["hinf-norm", "--system", str(tmp_path / "none.json")])
     assert code == EXIT_BAD_INPUT

@@ -5,6 +5,7 @@ import hscontrol as hc
 from hscontrol.examples import build_coupled_game, closed_game_forms
 from helpers import (
     GAMMA_LADDER,
+    assert_pinned,
     feasible_design,
     open_loop_view,
     random_two_input,
@@ -87,11 +88,12 @@ def test_nash_equilibrium_on_rank_one_game(rank_one_game):
 
 def test_nash_equilibrium_on_random_games():
     rng = np.random.default_rng(0)
-    for _ in range(5):
-        sys2, params, x0, sol = solvable_game(rng)
-        report = hc.verify_nash_equilibrium(sys2, params, sol, x0, deviations=20)
-        assert report.worst_j1_margin >= -1e-8
-        assert report.worst_j2_margin >= -1e-8
+    for weighted in (False, True):
+        for _ in range(5):
+            sys2, params, x0, sol = solvable_game(rng, weighted=weighted)
+            report = hc.verify_nash_equilibrium(sys2, params, sol, x0, deviations=20)
+            assert report.worst_j1_margin >= -1e-8
+            assert report.worst_j2_margin >= -1e-8
 
 
 def test_audit_refuses_unsolved_game(rank_one_game):
@@ -128,14 +130,15 @@ def test_design_closed_loop_passes_gain_check():
 
 def test_design_zero_sum_iterate_consistency():
     rng = np.random.default_rng(2)
-    sys2 = random_two_input(rng)
-    hit = feasible_design(sys2)
-    assert hit is not None
-    gamma, design = hit
-    sol = design.solution
-    for k in range(len(sol.p1)):
-        assert np.max(np.abs(sol.p1[k].matrix + sol.p2[k].matrix)) < 1e-9
-        assert np.max(np.abs(design.p[k].matrix - sol.p2[k].matrix)) < 1e-12
+    for weighted in (False, True):
+        sys2 = random_two_input(rng, weighted=weighted)
+        hit = feasible_design(sys2)
+        assert hit is not None
+        gamma, design = hit
+        sol = design.solution
+        for k in range(len(sol.p1)):
+            assert np.max(np.abs(sol.p1[k].matrix + sol.p2[k].matrix)) < 1e-9
+            assert np.max(np.abs(design.p[k].matrix - sol.p2[k].matrix)) < 1e-12
 
 
 def test_design_infeasible_below_open_loop_norm():
@@ -205,3 +208,32 @@ def test_game_costs_consistent_with_energies(rank_one_game):
     j1, j2 = hc.game_costs(sys2, params, x0, sched_v, sched_u)
     assert j1 == pytest.approx(sol.j1, rel=1e-8, abs=1e-8)
     assert j2 == pytest.approx(sol.j2, rel=1e-8, abs=1e-8)
+
+
+def test_cross_coupled_step_pins_the_coupled_pass_on_weighted_spaces():
+    rng = np.random.default_rng(13)
+    adj = hc.adjoint
+    for _ in range(3):
+        sys2, params, x0, sol = solvable_game(rng, weighted=True)
+        vs, us = sys2.disturbance_space, sys2.control_space
+        for k in range(sys2.steps):
+            p1n, p2n = sol.p1[k + 1], sol.p2[k + 1]
+            k1, k2, p1, p2 = hc.cross_coupled_step(sys2, params, k, p1n, p2n)
+            assert_pinned(k1.matrix, sol.v_gains[k].matrix)
+            assert_pinned(k2.matrix, sol.u_gains[k].matrix)
+            assert_pinned(p1.matrix, sol.p1[k].matrix)
+            assert_pinned(p2.matrix, sol.p2[k].matrix)
+            # stationarity and the player-1 iterate through the operator algebra
+            a, c, cbar = sys2.a(k), sys2.c(k), sys2.cbar(k)
+            b1, d1, b2, d2 = sys2.b1(k), sys2.d1(k), sys2.b2(k), sys2.d2(k)
+            r1 = (hc.IdentityOperator(vs).scaled(params.gamma**2)
+                  + adj(b1) @ p1n @ b1 + adj(d1) @ p1n @ d1)
+            r2 = hc.IdentityOperator(us) + adj(b2) @ p2n @ b2 + adj(d2) @ p2n @ d2
+            assert_pinned(r1.matrix, sol.r1[k].matrix)
+            assert_pinned(r2.matrix, sol.r2[k].matrix)
+            g1 = adj(b1) @ p1n @ (a + b2 @ k2) + adj(d1) @ p1n @ (c + d2 @ k2)
+            assert_pinned((r1 @ k1).matrix, -g1.matrix)
+            acl2, ccl2 = a + b2 @ k2, c + d2 @ k2
+            p1_ref = (adj(acl2) @ p1n @ acl2 + adj(ccl2) @ p1n @ ccl2
+                      + (adj(k2) @ k2 + adj(cbar) @ cbar + adj(k1) @ r1 @ k1).scaled(-1.0))
+            assert_pinned(p1.matrix, p1_ref.matrix)

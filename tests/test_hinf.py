@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import hscontrol as hc
-from helpers import random_disturbed
+from helpers import assert_pinned, random_disturbed
 
 
 def unit_delay(dim=3, horizon=4):
@@ -77,13 +77,14 @@ def test_feasibility_iff_above_norm_noise_free():
 
 def test_bisection_matches_oracle_noise_free():
     rng = np.random.default_rng(4)
-    for _ in range(10):
-        dsys = random_disturbed(rng, noisy=False)
-        norm = hc.deterministic_norm_oracle(dsys).value
-        if norm < 1e-3:
-            continue
-        est = hc.hinf_norm(dsys, tol=1e-7)
-        assert abs(est.value - norm) <= 1e-5
+    for weighted in (False, True):
+        for _ in range(10):
+            dsys = random_disturbed(rng, noisy=False, weighted=weighted)
+            norm = hc.deterministic_norm_oracle(dsys).value
+            if norm < 1e-3:
+                continue
+            est = hc.hinf_norm(dsys, tol=1e-7)
+            assert abs(est.value - norm) <= 1e-5
 
 
 def test_oracle_witness_attains_the_norm():
@@ -237,3 +238,30 @@ def test_hinf_norm_accepts_explicit_bracket():
     est = hc.hinf_norm(dsys, lo=0.0, hi=8.0, tol=1e-8)
     assert est.value == pytest.approx(1.0, abs=1e-6)
     assert est.lo <= est.value <= est.hi
+
+
+def test_attenuation_terms_pin_the_level_recursion_on_weighted_spaces():
+    rng = np.random.default_rng(12)
+    adj = hc.adjoint
+    for _ in range(3):
+        dsys = random_disturbed(rng, weighted=True)
+        gamma = 1.5 * hc.hinf_norm(dsys, tol=1e-4).value + 0.1
+        run = hc.brl_check(dsys, gamma)
+        assert run.feasible
+        for k in range(dsys.steps):
+            yn = run.y[k + 1]
+            p1, p2, p3 = hc.attenuation_terms(dsys, yn, gamma, k)
+            assert hc.min_eig_selfadjoint(p3).min_eig == pytest.approx(
+                run.min_pi3_eig(k), rel=1e-10, abs=1e-12)
+            assert_pinned(hc.schur_complement(p1, p2, p3).matrix, run.y[k].matrix)
+            assert_pinned(-(hc.invert_positive(p3) @ p2).matrix, run.worst_gains[k].matrix)
+            # the same terms through the operator algebra, weighted adjoints included
+            a, b1, c, d1 = dsys.a(k), dsys.b1(k), dsys.c(k), dsys.d1(k)
+            cbar, dbar = dsys.cbar(k), dsys.dbar(k)
+            p1_ref = adj(a) @ yn @ a + adj(c) @ yn @ c + (adj(cbar) @ cbar).scaled(-1.0)
+            p2_ref = adj(b1) @ yn @ a + adj(d1) @ yn @ c
+            p3_ref = (hc.IdentityOperator(dsys.disturbance_space).scaled(gamma**2)
+                      + (adj(dbar) @ dbar).scaled(-1.0) + adj(b1) @ yn @ b1 + adj(d1) @ yn @ d1)
+            assert_pinned(p1.matrix, p1_ref.matrix)
+            assert_pinned(p2.matrix, p2_ref.matrix)
+            assert_pinned(p3.matrix, p3_ref.matrix)

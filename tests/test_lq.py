@@ -42,11 +42,12 @@ def test_single_step_optimum_known_in_closed_form():
 
 def test_value_matches_exact_enumeration():
     rng = np.random.default_rng(0)
-    for _ in range(10):
-        problem = random_solved_problem(rng)
-        sol = hc.solve_lq(problem)
-        res = hc.expected_cost(problem, hc.optimal_policy(problem, sol))
-        assert res.value == pytest.approx(sol.value, rel=1e-10, abs=1e-10)
+    for weighted in (False, True):
+        for _ in range(10):
+            problem = random_solved_problem(rng, weighted=weighted)
+            sol = hc.solve_lq(problem)
+            res = hc.expected_cost(problem, hc.optimal_policy(problem, sol))
+            assert res.value == pytest.approx(sol.value, rel=1e-10, abs=1e-10)
 
 
 def test_optimal_policy_beats_perturbations():
@@ -74,7 +75,7 @@ def test_completing_square_residual_small_for_any_policy():
                         inputs=[rng.standard_normal(du)
                                 for _ in range(problem.system.steps)])
         expected = hc.expected_cost(problem, pol).value
-        resid = hc.completing_square_residual(problem, sol, pol)
+        resid = hc.completing_square_check(problem, sol, pol).residual
         assert resid <= 1e-8 * (1.0 + abs(expected))
 
 

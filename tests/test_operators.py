@@ -40,6 +40,33 @@ def operator_zoo(rng):
     ]
 
 
+def product_zoo():
+    rng = np.random.default_rng(7)
+    a = hc.DenseOperator(rng.standard_normal((LINE.dim, LINE.dim)), LINE)
+    b = hc.DiagonalOperator(rng.standard_normal(LINE.dim), LINE)
+    return operator_zoo(rng) + [
+        hc.FillingOperator(SEQ_BIG, SEQ, count=3),
+        hc.ScaledOperator(0.5, hc.RightShiftOperator(SEQ, SEQ_BIG)),
+        a + b,
+        a @ b,
+        hc.AdjointOperator(a),
+    ]
+
+
+@pytest.mark.parametrize("op", product_zoo(), ids=repr)
+def test_native_right_product_matches_matrix(op):
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((3, op.codomain.dim))
+    want = x @ op.matrix
+    got = op.rmatmul(x)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-14 * (1.0 + np.max(np.abs(want)))
+    g = rng.standard_normal((op.codomain.dim, op.codomain.dim))
+    want = op.matrix.T @ g @ op.matrix
+    got = hc.operators.congruence(op, g, op)
+    assert np.max(np.abs(got - want)) <= 1e-13 * (1.0 + np.max(np.abs(want)))
+
+
 def test_adjoint_pairing_all_variants():
     rng = np.random.default_rng(0)
     for op in operator_zoo(rng):

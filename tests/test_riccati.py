@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import hscontrol as hc
-from helpers import random_controlled, random_psd_cost, random_x0
+from helpers import assert_pinned, random_controlled, random_psd_cost, random_x0
 
 
 def scalar_problem(rng, horizon):
@@ -199,3 +199,29 @@ def test_completion_terms_shapes():
     assert rk.codomain == system.control_space
     assert gk.domain == system.state_space
     assert gk.codomain == system.control_space
+
+
+def test_step_exports_pin_the_full_pass_on_weighted_spaces():
+    rng = np.random.default_rng(7)
+    adj = hc.adjoint
+    for _ in range(3):
+        system = random_controlled(rng, dim_max=5, horizon_max=4, weighted=True)
+        cost = random_psd_cost(rng, system)
+        sol = hc.solve_backward_riccati(system, cost)
+        assert sol.solved
+        for k in range(system.steps):
+            pn = sol.p[k + 1]
+            rk, gk = hc.completion_terms(system, cost, pn, k)
+            p, gain = hc.riccati_step(system, cost, pn, k)
+            assert_pinned(rk.matrix, sol.rk[k].matrix)
+            assert_pinned(gk.matrix, sol.gk[k].matrix)
+            assert_pinned(p.matrix, sol.p[k].matrix)
+            assert_pinned(gain.matrix, sol.gains[k].matrix)
+            # the same step through the operator algebra, weighted adjoints included
+            a, b, c, d = system.a(k), system.b(k), system.c(k), system.d(k)
+            rk_ref = cost.r(k) + adj(b) @ pn @ b + adj(d) @ pn @ d
+            gk_ref = cost.l(k) + adj(b) @ pn @ a + adj(d) @ pn @ c
+            m_ref = cost.m(k) + adj(a) @ pn @ a + adj(c) @ pn @ c
+            assert_pinned(rk.matrix, rk_ref.matrix)
+            assert_pinned(gk.matrix, gk_ref.matrix)
+            assert_pinned(p.matrix, hc.schur_complement(m_ref, gk_ref, rk_ref).matrix)

@@ -85,3 +85,17 @@ def test_bad_space_parameters_rejected():
         hc.l2_line(half_width=1.0, spacing=0.0)
     with pytest.raises(hc.DimensionError):
         hc.euclidean(0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_weights_rejected(bad):
+    weights = np.ones(3)
+    weights[1] = bad
+    with pytest.raises(hc.DimensionError, match="weights"):
+        hc.Space("euclidean", 3, weights)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_coordinates_rejected(bad):
+    with pytest.raises(hc.DimensionError, match="coords"):
+        hc.HVector(hc.euclidean(3), np.array([0.0, bad, 1.0]))
