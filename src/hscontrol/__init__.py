@@ -91,7 +91,6 @@ from .hinf import (
     attenuation_terms,
     backward_f_equation,
     brl_check,
-    check_uniform_positivity,
     deterministic_norm_oracle,
     eval_perturbation,
     feedthrough_margin,
@@ -118,7 +117,6 @@ from .sim import (
     MonteCarloExpectation,
     Policy,
     Trajectory,
-    TrajectoryBundle,
     draw_noise_paths,
     enumerate_expectation,
     monte_carlo_expectation,
@@ -127,7 +125,6 @@ from .sim import (
     rollout,
     sign_paths,
     simulate,
-    zero_policy,
 )
 from .examples import EXAMPLE_IDS, ExampleReport, run_example
 from .serialize import (

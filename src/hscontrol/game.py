@@ -41,12 +41,10 @@ from .operators import (
     DenseOperator,
     Operator,
     SelfAdjointCert,
-    _cert_from_eigs,
-    _selfadjoint_eigs,
+    certified_inverse,
     congruence,
     coordinate_operators,
     gram,
-    gram_inverse,
     positivity_tolerance,
 )
 from .riccati import STATUS_DOMAIN_FAILURE, STATUS_SOLVED
@@ -70,22 +68,6 @@ class GameParams:
             raise DimensionError("gamma must be a positive finite real")
         if not (0.0 <= self.rho < np.inf):
             raise DimensionError("rho must be a nonnegative finite real")
-
-
-def _positive_inverse(mat, w, kappa_max, k, label):
-    eigvals, eigvecs, resid = _selfadjoint_eigs(mat, w)
-    cert = _cert_from_eigs(eigvals, resid)
-    tol = positivity_tolerance(cert.norm)
-    if cert.min_eig <= tol:
-        raise GameDomainError(
-            k, f"{label} at step {k}: minimum eigenvalue {cert.min_eig:.6e} is not above {tol:.3e}"
-        )
-    if cert.cond > kappa_max:
-        raise GameDomainError(
-            k, f"{label} at step {k}: condition number {cert.cond:.3e} exceeds {kappa_max:.1e}"
-        )
-    inv = gram_inverse(eigvals, eigvecs, w) * w[None, :]
-    return inv, cert
 
 
 def _solve_coupling(r1, s12, s21, r2, g1, g2, r1_inv, r2_inv, k):
@@ -159,8 +141,21 @@ def _cross_step_arrays(
     r2g = np.diag(wu) + congruence(b2, g2n, b2) + congruence(d2, g2n, d2)
     r2g = 0.5 * (r2g + r2g.T)
     r1, r2 = r1g / wv[:, None], r2g / wu[:, None]
-    r1_inv, cert1 = _positive_inverse(r1, wv, kappa_max, k, "disturbance weight")
-    r2_inv, cert2 = _positive_inverse(r2, wu, kappa_max, k, "control weight")
+    certs, inverses = [], []
+    for mat, w, label in ((r1, wv, "disturbance weight"), (r2, wu, "control weight")):
+        cert, inverse = certified_inverse(mat, w, kappa_max)
+        tol = positivity_tolerance(cert.norm)
+        if cert.min_eig <= tol:
+            raise GameDomainError(
+                k, f"{label} at step {k}: minimum eigenvalue {cert.min_eig:.6e} is not above {tol:.3e}"
+            )
+        if inverse is None:
+            raise GameDomainError(
+                k, f"{label} at step {k}: condition number {cert.cond:.3e} exceeds {kappa_max:.1e}"
+            )
+        certs.append(cert)
+        inverses.append(inverse * w[None, :])
+    (cert1, cert2), (r1_inv, r2_inv) = certs, inverses
 
     s12 = (congruence(b1, g1n, b2) + congruence(d1, g1n, d2)) / wv[:, None]
     s21 = (congruence(b2, g2n, b1) + congruence(d2, g2n, d1)) / wu[:, None]

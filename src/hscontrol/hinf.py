@@ -15,10 +15,12 @@ with (X the next iterate)
 the gain being below gamma exactly when every p3 stays uniformly positive.
 The recursion is continued through indefinite p3 as long as it remains
 boundedly invertible, so the p3 spectra are reported for every step even at
-infeasible levels; only a conditioning breakdown stops the walk early.
+infeasible levels; only a conditioning breakdown stops the walk early, and a
+level whose walk stops there is infeasible.
 
-As in the Riccati pass, iterates are carried in Gram form W Y, so the weighted
-adjoints of a step are plain transposes.
+This is the LQ Riccati recursion of ``riccati`` on the disturbance channel,
+with M = -Cbar*Cbar, L = 0, R = gamma^2 I - Dbar*Dbar and a zero terminal
+weight: p1 - p2* p3^-1 p2 is Q - G* Rk^-1 G, and the level test runs that pass.
 """
 
 from __future__ import annotations
@@ -33,15 +35,12 @@ from .operators import (
     DenseOperator,
     Operator,
     SelfAdjointCert,
-    _cert_from_eigs,
-    _selfadjoint_eigs,
-    congruence,
     coordinate_operators,
     gram,
-    gram_inverse,
+    min_eig_selfadjoint,
     opnorm,
-    positivity_tolerance,
 )
+from .riccati import StageWeights, _backward_pass, _completion_arrays
 from .sim import ENUMERATION_MAX_STEPS, Policy, run_batch, sign_paths, simulate
 from .spaces import HVector, zero_vector
 from .systems import DisturbedSystem
@@ -52,15 +51,10 @@ def _feedthrough_gram(dsys: DisturbedSystem, gamma: float, k: int) -> np.ndarray
     return (gamma**2) * np.diag(dsys.disturbance_space.weights) - gram(dsys.dbar(k))
 
 
-def _pi_arrays(dsys: DisturbedSystem, gram_next: np.ndarray, gamma: float, k: int):
-    """Gram forms of (p1, p2, p3) for the next iterate W_h X; p1 and p3 symmetrized."""
-    a, c = dsys.a(k), dsys.c(k)
-    b1, d1 = dsys.b1(k), dsys.d1(k)
-    p1 = congruence(a, gram_next, a) + congruence(c, gram_next, c) - gram(dsys.cbar(k))
-    p2 = congruence(b1, gram_next, a) + congruence(d1, gram_next, c)
-    p3 = _feedthrough_gram(dsys, gamma, k)
-    p3 += congruence(b1, gram_next, b1) + congruence(d1, gram_next, d1)
-    return 0.5 * (p1 + p1.T), p2, 0.5 * (p3 + p3.T)
+def _level_weights(dsys: DisturbedSystem, gamma: float) -> StageWeights:
+    """The LQ weights M = -Cbar*Cbar, L = 0, R = gamma^2 I - Dbar*Dbar in Gram form."""
+    zero = np.zeros((dsys.disturbance_space.dim, dsys.state_space.dim))
+    return lambda k: (-gram(dsys.cbar(k)), zero, _feedthrough_gram(dsys, gamma, k))
 
 
 def attenuation_terms(
@@ -69,7 +63,8 @@ def attenuation_terms(
     """The triple (p1, p2, p3) at step k for the given next iterate."""
     hs, vs = dsys.state_space, dsys.disturbance_space
     wh, wv = hs.weights[:, None], vs.weights[:, None]
-    p1, p2, p3 = _pi_arrays(dsys, wh * y_next.matrix, gamma, k)
+    view, weights = dsys.as_controlled(), _level_weights(dsys, gamma)
+    p1, p3, p2 = _completion_arrays(view, weights, wh * y_next.matrix, k)
     return DenseOperator(p1 / wh, hs), DenseOperator(p2 / wv, hs, vs), DenseOperator(p3 / wv, vs)
 
 
@@ -84,9 +79,10 @@ def backward_f_equation(
     """
     if len(f_gains) != dsys.steps:
         raise DimensionError("need one disturbance gain per step")
+    view, weights = dsys.as_controlled(), _level_weights(dsys, gamma)
     grams = [None] * dsys.steps + [np.zeros((dsys.state_space.dim, dsys.state_space.dim))]
     for k in range(dsys.steps - 1, -1, -1):
-        p1, p2, p3 = _pi_arrays(dsys, grams[k + 1], gamma, k)
+        p1, p3, p2 = _completion_arrays(view, weights, grams[k + 1], k)
         f = f_gains[k].matrix
         y = p1 + f.T @ p2 + p2.T @ f + f.T @ p3 @ f
         grams[k] = 0.5 * (y + y.T)
@@ -97,10 +93,11 @@ def backward_f_equation(
 class BoundedRealRun:
     """Record of one feasibility sweep at a fixed level.
 
-    ``feasible`` requires every p3 to be uniformly positive.  When it is not,
-    ``failing_step`` is the largest step whose p3 is non-positive or not
-    boundedly invertible (the first one met walking backward).  Iterates and
-    worst-case gains below a conditioning breakdown are None.
+    ``feasible`` requires the walk to reach step 0 with every p3 uniformly
+    positive and boundedly invertible.  When it is not, ``failing_step`` is
+    the largest step whose p3 is non-positive or not boundedly invertible (the
+    first one met walking backward).  Iterates and worst-case gains below the
+    step where the walk stopped are None.
     """
 
     gamma: float
@@ -126,41 +123,24 @@ def brl_check(
 ) -> BoundedRealRun:
     """Decide whether the disturbance gain is below gamma.
 
+    The level recursion is the LQ Riccati pass on the disturbance channel
+    with the weights of ``_level_weights`` and a zero terminal weight, so Y(k)
+    is P(k), p3 is Rk and the worst-case gain is the LQ gain.
     ``stop_at_failure`` abandons the walk at the first non-positive p3, which
     is enough for bisection; by default the walk continues through indefinite
     but invertible p3 so every step's spectrum gets reported.
     """
-    steps = dsys.steps
-    hs, vs = dsys.state_space, dsys.disturbance_space
-    wv = vs.weights
-    grams: list[np.ndarray | None] = [None] * steps + [np.zeros((hs.dim, hs.dim))]
-    certs: list[SelfAdjointCert | None] = [None] * steps
-    gains: list[Operator | None] = [None] * steps
-    feasible = True
-    failing = None
-    completed = True
-    for k in range(steps - 1, -1, -1):
-        p1, p2, p3 = _pi_arrays(dsys, grams[k + 1], gamma, k)
-        eigvals, eigvecs, resid = _selfadjoint_eigs(p3 / wv[:, None], wv)
-        cert = _cert_from_eigs(eigvals, resid)
-        certs[k] = cert
-        positive = cert.min_eig > positivity_tolerance(cert.norm)
-        if not positive and feasible:
-            feasible = False
-            failing = k
-        if not positive and stop_at_failure:
-            completed = False
-            break
-        if not np.isfinite(cert.cond) or cert.cond > kappa_max:
-            # no bounded inverse: the iterate below this step is undefined
-            completed = False
-            break
-        f = -gram_inverse(eigvals, eigvecs, wv) @ p2
-        gains[k] = DenseOperator(f, hs, vs)
-        y = p1 + p2.T @ f
-        grams[k] = 0.5 * (y + y.T)
-    y_ops = coordinate_operators(grams, hs)
-    return BoundedRealRun(gamma, feasible, failing, completed, y_ops, certs, gains)
+    dim = dsys.state_space.dim
+    sol = _backward_pass(
+        dsys.as_controlled(),
+        _level_weights(dsys, gamma),
+        np.zeros((dim, dim)),
+        kappa_max,
+        stop_at_nonpositive=stop_at_failure,
+    )
+    failing = sol.nonpositive if sol.nonpositive is not None else sol.breakdown
+    completed = sol.p[0] is not None
+    return BoundedRealRun(gamma, failing is None, failing, completed, sol.p, sol.rk_certs, sol.gains)
 
 
 def eval_perturbation(
@@ -179,30 +159,18 @@ def eval_perturbation(
     return [HVector(dsys.output_space, bundle.outputs[k]) for k in range(dsys.steps)]
 
 
-def _feedthrough_eigs(dsys: DisturbedSystem, gamma: float, k: int):
-    """Orthonormal-frame spectrum and symmetrization residual of gamma^2 I - Dbar*Dbar."""
-    wv = dsys.disturbance_space.weights
-    m = _feedthrough_gram(dsys, gamma, k)
-    eigvals, _, resid = _selfadjoint_eigs(0.5 * (m + m.T) / wv[:, None], wv)
-    return eigvals, resid
-
-
 def feedthrough_margin(dsys: DisturbedSystem, gamma: float) -> float:
     """Smallest eigenvalue of gamma^2 I - Dbar*Dbar over all steps.
 
     A nonpositive margin already rules out feasibility at this level, no
     recursion needed.
     """
-    return min(float(_feedthrough_eigs(dsys, gamma, k)[0][0]) for k in range(dsys.steps))
-
-
-def check_uniform_positivity(dsys: DisturbedSystem, gamma: float) -> bool:
-    """True iff gamma^2 I - Dbar*Dbar stays uniformly positive at every step."""
-    for k in range(dsys.steps):
-        cert = _cert_from_eigs(*_feedthrough_eigs(dsys, gamma, k))
-        if cert.min_eig <= positivity_tolerance(cert.norm):
-            return False
-    return True
+    vs = dsys.disturbance_space
+    wv = vs.weights[:, None]
+    return min(
+        min_eig_selfadjoint(DenseOperator(_feedthrough_gram(dsys, gamma, k) / wv, vs)).min_eig
+        for k in range(dsys.steps)
+    )
 
 
 @dataclass(frozen=True)

@@ -443,42 +443,45 @@ class SelfAdjointCert:
 
 
 def _selfadjoint_eigs(m: np.ndarray, w: np.ndarray, rtol: float = SYM_RTOL):
+    """Certificate and eigenpairs of a self-adjoint coordinate matrix, in the symmetric frame."""
     s = _sframe(m, w, w)
     scale = 1.0 + np.linalg.norm(s, "fro")
     resid = np.linalg.norm(s - s.T, "fro") / scale
     if resid > rtol:
         raise NotSelfAdjointError(f"symmetrization residual {resid:.3e} exceeds {rtol:.1e}")
-    sym = 0.5 * (s + s.T)
-    eigvals, eigvecs = np.linalg.eigh(sym)
-    return eigvals, eigvecs, resid
-
-
-def _cert_from_eigs(eigvals: np.ndarray, resid: float) -> SelfAdjointCert:
-    lo = float(eigvals[0])
-    hi = float(eigvals[-1])
+    eigvals, eigvecs = np.linalg.eigh(0.5 * (s + s.T))
     small = float(np.min(np.abs(eigvals)))
     big = float(np.max(np.abs(eigvals)))
     cond = np.inf if small == 0.0 else big / small
-    return SelfAdjointCert(lo, hi, cond, resid)
+    return SelfAdjointCert(float(eigvals[0]), float(eigvals[-1]), cond, resid), eigvals, eigvecs
 
 
-def gram_inverse(eigvals: np.ndarray, eigvecs: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """(W M)^-1 for a self-adjoint M, from the eigenpairs of its symmetric frame.
+def certified_inverse(
+    m: np.ndarray, w: np.ndarray, kappa_max: float
+) -> tuple[SelfAdjointCert, np.ndarray | None]:
+    """Spectral certificate of a self-adjoint M, and (W M)^-1 when cond <= kappa_max.
 
-    With S = W^(1/2) M W^(-1/2) = V diag(eigvals) V^T this is U diag(1/eigvals) U^T
-    for U = W^(-1/2) V, so it maps the Gram form W b of a right-hand side to
-    the coordinates of M^-1 b.
+    ``m`` holds the coordinates of M for the weights ``w``.  The inverse is
+    None when the condition number exceeds ``kappa_max`` (the truncation
+    surrogate for a bounded inverse).  No sign is required: each caller
+    applies its own positivity rule to the certificate.
+
+    With S = W^(1/2) M W^(-1/2) = V diag(eigvals) V^T the inverse is
+    U diag(1/eigvals) U^T for U = W^(-1/2) V, so it maps the Gram form W b of a
+    right-hand side to the coordinates of M^-1 b.
     """
+    cert, eigvals, eigvecs = _selfadjoint_eigs(m, w)
+    if not cert.cond <= kappa_max:
+        return cert, None
     u = eigvecs / np.sqrt(w)[:, None]
-    return (u / eigvals[None, :]) @ u.T
+    return cert, (u / eigvals[None, :]) @ u.T
 
 
 def min_eig_selfadjoint(op: Operator) -> SelfAdjointCert:
     """Minimum eigenvalue and conditioning of a self-adjoint square operator."""
     if not op.is_square():
         raise DimensionError("spectral certificate requires a square operator")
-    eigvals, _, resid = _selfadjoint_eigs(op.matrix, op.domain.weights)
-    return _cert_from_eigs(eigvals, resid)
+    return _selfadjoint_eigs(op.matrix, op.domain.weights)[0]
 
 
 def positivity_tolerance(cert_norm: float) -> float:
@@ -502,15 +505,13 @@ def invert_positive(op: Operator, kappa_max: float = KAPPA_MAX_DEFAULT) -> Opera
     if not op.is_square():
         raise DimensionError("only square operators can be inverted")
     w = op.domain.weights
-    eigvals, eigvecs, resid = _selfadjoint_eigs(op.matrix, w)
-    cert = _cert_from_eigs(eigvals, resid)
+    cert, inverse = certified_inverse(op.matrix, w, kappa_max)
     tol = positivity_tolerance(cert.norm)
     if cert.min_eig <= tol:
         raise NotPositiveError(f"minimum eigenvalue {cert.min_eig:.3e} is not above {tol:.3e}")
-    if cert.cond > kappa_max:
+    if inverse is None:
         raise IllConditionedError(f"condition number {cert.cond:.3e} exceeds cap {kappa_max:.1e}")
-    inv_s = (eigvecs / eigvals[None, :]) @ eigvecs.T
-    return DenseOperator(_unsframe(inv_s, w, w), op.domain)
+    return DenseOperator(inverse * w[None, :], op.domain)
 
 
 def invert_selfadjoint(op: Operator, kappa_max: float = KAPPA_MAX_DEFAULT) -> Operator:
@@ -523,14 +524,12 @@ def invert_selfadjoint(op: Operator, kappa_max: float = KAPPA_MAX_DEFAULT) -> Op
     if not op.is_square():
         raise DimensionError("only square operators can be inverted")
     w = op.domain.weights
-    eigvals, eigvecs, resid = _selfadjoint_eigs(op.matrix, w)
-    cert = _cert_from_eigs(eigvals, resid)
-    if not np.isfinite(cert.cond) or cert.cond > kappa_max:
+    cert, inverse = certified_inverse(op.matrix, w, kappa_max)
+    if inverse is None:
         raise IllConditionedError(
             f"condition number {cert.cond:.3e} exceeds cap {kappa_max:.1e}"
         )
-    inv_s = (eigvecs / eigvals[None, :]) @ eigvecs.T
-    return DenseOperator(_unsframe(inv_s, w, w), op.domain)
+    return DenseOperator(inverse * w[None, :], op.domain)
 
 
 def weighted_symmetrize(m: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -556,5 +555,4 @@ def block_selfadjoint_cert(m11: Operator, m21: Operator, m22: Operator) -> SelfA
     bottom = np.hstack([m21.matrix, m22.matrix])
     block = np.vstack([top, bottom])
     w = np.concatenate([m11.domain.weights, m22.domain.weights])
-    eigvals, _, resid = _selfadjoint_eigs(block, w)
-    return _cert_from_eigs(eigvals, resid)
+    return _selfadjoint_eigs(block, w)[0]

@@ -18,11 +18,14 @@ The pass carries each iterate in Gram form W P, with W the state weights.  It
 is symmetric whenever P is self-adjoint, so every weighted adjoint in a step
 becomes a plain transpose.  Weights enter only the small completion terms,
 which are certified in the orthonormal frame, and the returned coordinates.
+The pass takes its stage weights in that Gram form too, so the bounded-real
+test of ``hinf`` runs the same pass on its level weights.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -32,12 +35,10 @@ from .operators import (
     DenseOperator,
     Operator,
     SelfAdjointCert,
-    _cert_from_eigs,
-    _selfadjoint_eigs,
     block_selfadjoint_cert,
+    certified_inverse,
     congruence,
     coordinate_operators,
-    gram_inverse,
     min_eig_selfadjoint,
     positivity_tolerance,
 )
@@ -49,46 +50,34 @@ STATUS_DOMAIN_FAILURE = "domain_failure"
 STATUS_NOT_UNIFORMLY_POSITIVE = "not_uniformly_positive"
 
 
-@dataclass
-class _StepArrays:
-    gram: np.ndarray  # W P(k), the new iterate in Gram form
-    rk: np.ndarray
-    gk: np.ndarray
-    gain: np.ndarray
-    cert: SelfAdjointCert
+# k -> Gram forms (W_h M, W_u L, W_u R) of the stage weights of a pass
+StageWeights = Callable[[int], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
-def _completion_arrays(system: ControlledSystem, cost: CostSpec, gram_next: np.ndarray, k: int):
-    """Gram forms W_u Rk (symmetrized) and W_u G for the next iterate W_h P."""
-    wu = system.control_space.weights
-    b, d = system.b(k), system.d(k)
-    rk = wu[:, None] * cost.r(k).matrix
-    rk += congruence(b, gram_next, b) + congruence(d, gram_next, d)
-    gk = wu[:, None] * cost.l(k).matrix
-    gk += congruence(b, gram_next, system.a(k)) + congruence(d, gram_next, system.c(k))
-    return 0.5 * (rk + rk.T), gk
+def _cost_weights(system: ControlledSystem, cost: CostSpec) -> StageWeights:
+    wh = system.state_space.weights[:, None]
+    wu = system.control_space.weights[:, None]
+    return lambda k: (wh * cost.m(k).matrix, wu * cost.l(k).matrix, wu * cost.r(k).matrix)
 
 
-def _step_arrays(
-    system: ControlledSystem,
-    cost: CostSpec,
-    gram_next: np.ndarray,
-    k: int,
-    kappa_max: float,
-) -> _StepArrays:
-    wh = system.state_space.weights
-    wu = system.control_space.weights
-    rk_gram, gk_gram = _completion_arrays(system, cost, gram_next, k)
-    rk = rk_gram / wu[:, None]
-    eigvals, eigvecs, resid = _selfadjoint_eigs(rk, wu)
-    cert = _cert_from_eigs(eigvals, resid)
-    if not np.isfinite(cert.cond) or cert.cond > kappa_max:
-        raise DomainError(k, f"step {k}: completion term has condition {cert.cond:.3e}")
-    gain = -gram_inverse(eigvals, eigvecs, wu) @ gk_gram
-    a, c = system.a(k), system.c(k)
-    g = wh[:, None] * cost.m(k).matrix
-    g += congruence(a, gram_next, a) + congruence(c, gram_next, c) + gk_gram.T @ gain
-    return _StepArrays(0.5 * (g + g.T), rk, gk_gram / wu[:, None], gain, cert)
+def _completion_arrays(system: ControlledSystem, weights: StageWeights, gram_next: np.ndarray, k: int):
+    """Gram forms W_h Q, W_u Rk (symmetrized) and W_u G for the next iterate W_h P.
+
+    Q = M + A*PA + C*PC is the state part of the step, P(k) = Q - G* Rk^-1 G.
+    """
+    m, l, r = weights(k)
+    a, b, c, d = system.a(k), system.b(k), system.c(k), system.d(k)
+    q = m + (congruence(a, gram_next, a) + congruence(c, gram_next, c))
+    rk = r + (congruence(b, gram_next, b) + congruence(d, gram_next, d))
+    gk = l + (congruence(b, gram_next, a) + congruence(d, gram_next, c))
+    return q, 0.5 * (rk + rk.T), gk
+
+
+def _advance(q: np.ndarray, gk: np.ndarray, rk_inverse: np.ndarray):
+    """Gain -Rk^-1 G and the new Gram iterate W_h (Q - G* Rk^-1 G), symmetrized."""
+    gain = -rk_inverse @ gk
+    g = q + gk.T @ gain
+    return gain, 0.5 * (g + g.T)
 
 
 def completion_terms(
@@ -96,7 +85,7 @@ def completion_terms(
 ) -> tuple[Operator, Operator]:
     """The pair (Rk, G) entering the step-k completion of squares."""
     wh, wu = system.state_space.weights, system.control_space.weights
-    rk, gk = _completion_arrays(system, cost, wh[:, None] * p_next.matrix, k)
+    _, rk, gk = _completion_arrays(system, _cost_weights(system, cost), wh[:, None] * p_next.matrix, k)
     us, hs = system.control_space, system.state_space
     return DenseOperator(rk / wu[:, None], us), DenseOperator(gk / wu[:, None], hs, us)
 
@@ -110,29 +99,46 @@ def riccati_step(
 ) -> tuple[Operator, Operator]:
     """One backward step; returns (P(k), gain K(k)) or raises DomainError."""
     hs, us = system.state_space, system.control_space
-    wh = hs.weights[:, None]
-    res = _step_arrays(system, cost, wh * p_next.matrix, k, kappa_max)
-    return DenseOperator(res.gram / wh, hs), DenseOperator(res.gain, hs, us)
+    wh, wu = hs.weights[:, None], us.weights
+    q, rk, gk = _completion_arrays(system, _cost_weights(system, cost), wh * p_next.matrix, k)
+    cert, rk_inverse = certified_inverse(rk / wu[:, None], wu, kappa_max)
+    if rk_inverse is None:
+        raise DomainError(k, f"step {k}: completion term has condition {cert.cond:.3e}")
+    gain, g = _advance(q, gk, rk_inverse)
+    return DenseOperator(g / wh, hs), DenseOperator(gain, hs, us)
 
 
 @dataclass
 class RiccatiSolution:
-    """Backward pass record.
+    """Backward pass record, indexed by step.
 
-    ``p[k]`` is defined for every step the recursion reached; on a domain
-    failure at step k0, entries 0..k0 are None and ``failing_step`` is k0 (the
-    largest step outside the domain, hit first when walking backward).  With
-    all steps in the domain but some completion term not uniformly positive,
-    the status reports the largest offending step instead.
+    ``p[k]`` is defined for every step the recursion reached.  ``breakdown``
+    is the step whose completion term has no bounded inverse, where the walk
+    stopped, and ``nonpositive`` the largest step whose completion term is not
+    uniformly positive; either is None when there is no such step.  On a
+    domain failure at step k0, entries 0..k0 are None and ``failing_step`` is
+    k0 (the largest step outside the domain, hit first when walking
+    backward).  With all steps in the domain but some completion term not
+    uniformly positive, the status reports the largest offending step instead.
     """
 
-    status: str
-    failing_step: int | None
     p: list[Operator | None]
     gains: list[Operator | None]
     rk: list[Operator | None]
     gk: list[Operator | None]
     rk_certs: list[SelfAdjointCert | None]
+    breakdown: int | None
+    nonpositive: int | None
+
+    @property
+    def status(self) -> str:
+        if self.breakdown is not None:
+            return STATUS_DOMAIN_FAILURE
+        return STATUS_SOLVED if self.nonpositive is None else STATUS_NOT_UNIFORMLY_POSITIVE
+
+    @property
+    def failing_step(self) -> int | None:
+        return self.breakdown if self.breakdown is not None else self.nonpositive
 
     @property
     def solved(self) -> bool:
@@ -143,6 +149,49 @@ class RiccatiSolution:
         if self.p[0] is None:
             raise DomainError(self.failing_step, "recursion never reached step 0")
         return inner(self.p[0].apply(x0), x0)
+
+
+def _backward_pass(
+    system: ControlledSystem,
+    weights: StageWeights,
+    terminal_gram: np.ndarray,
+    kappa_max: float,
+    stop_at_nonpositive: bool = False,
+) -> RiccatiSolution:
+    """Walk backward from the terminal Gram form W_h P(N+1) towards step 0.
+
+    Each step certifies its completion term; the walk stops where that term
+    has no bounded inverse, and with ``stop_at_nonpositive`` also at the first
+    term that is not uniformly positive.  Indefinite but invertible terms are
+    otherwise walked through, so every reached step reports its spectrum.
+    """
+    steps = system.steps
+    hs, us = system.state_space, system.control_space
+    wu = us.weights
+    grams: list[np.ndarray | None] = [None] * steps + [terminal_gram]
+    gains: list[Operator | None] = [None] * steps
+    rk_ops: list[Operator | None] = [None] * steps
+    gk_ops: list[Operator | None] = [None] * steps
+    certs: list[SelfAdjointCert | None] = [None] * steps
+    breakdown = nonpositive = None
+    for k in range(steps - 1, -1, -1):
+        q, rk, gk = _completion_arrays(system, weights, grams[k + 1], k)
+        rk /= wu[:, None]
+        cert, rk_inverse = certified_inverse(rk, wu, kappa_max)
+        certs[k] = cert
+        if nonpositive is None and cert.min_eig <= positivity_tolerance(cert.norm):
+            nonpositive = k
+            if stop_at_nonpositive:
+                break
+        if rk_inverse is None:
+            breakdown = k
+            break
+        gain, grams[k] = _advance(q, gk, rk_inverse)
+        gains[k] = DenseOperator(gain, hs, us)
+        rk_ops[k] = DenseOperator(rk, us)
+        gk_ops[k] = DenseOperator(gk / wu[:, None], hs, us)
+    p_ops = coordinate_operators(grams, hs)
+    return RiccatiSolution(p_ops, gains, rk_ops, gk_ops, certs, breakdown, nonpositive)
 
 
 def solve_backward_riccati(
@@ -156,37 +205,8 @@ def solve_backward_riccati(
     inverse, stopping the recursion; "not_uniformly_positive" when the
     recursion completes but a completion term dips to or below the tolerance.
     """
-    steps = system.steps
-    hs, us = system.state_space, system.control_space
-    grams: list[np.ndarray | None] = [None] * (steps + 1)
-    grams[steps] = hs.weights[:, None] * cost.terminal.matrix
-    gains: list[Operator | None] = [None] * steps
-    rk_ops: list[Operator | None] = [None] * steps
-    gk_ops: list[Operator | None] = [None] * steps
-    certs: list[SelfAdjointCert | None] = [None] * steps
-    status = STATUS_SOLVED
-    failing = None
-    for k in range(steps - 1, -1, -1):
-        try:
-            res = _step_arrays(system, cost, grams[k + 1], k, kappa_max)
-        except DomainError as err:
-            status = STATUS_DOMAIN_FAILURE
-            failing = err.step
-            break
-        grams[k] = res.gram
-        gains[k] = DenseOperator(res.gain, hs, us)
-        rk_ops[k] = DenseOperator(res.rk, us)
-        gk_ops[k] = DenseOperator(res.gk, hs, us)
-        certs[k] = res.cert
-    if status != STATUS_DOMAIN_FAILURE:
-        for k in range(steps - 1, -1, -1):
-            cert = certs[k]
-            if cert.min_eig <= positivity_tolerance(cert.norm):
-                status = STATUS_NOT_UNIFORMLY_POSITIVE
-                failing = k
-                break
-    p_ops = coordinate_operators(grams, hs)
-    return RiccatiSolution(status, failing, p_ops, gains, rk_ops, gk_ops, certs)
+    terminal = system.state_space.weights[:, None] * cost.terminal.matrix
+    return _backward_pass(system, _cost_weights(system, cost), terminal, kappa_max)
 
 
 @dataclass(frozen=True)

@@ -58,7 +58,20 @@ def _number(obj, key: str, what: str, default=None) -> float:
         val = _require(obj, key, what)
     if not isinstance(val, (int, float)) or isinstance(val, bool):
         raise ParseError(f"{what}: key {key!r} must be a number")
-    return float(val)
+    return float(_finite_array(val, f"key {key!r}", what))
+
+
+def _finite_array(values, key: str, what: str) -> np.ndarray:
+    """Float coordinates from JSON; NaN, Infinity and out-of-range literals are refused."""
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{what}: {key} is not numeric") from exc
+    except OverflowError as exc:
+        raise ParseError(f"{what}: {key} is out of the floating-point range") from exc
+    if not np.all(np.isfinite(arr)):
+        raise ParseError(f"{what}: {key} is not finite")
+    return arr
 
 
 def space_from_json(obj, what: str = "space") -> Space:
@@ -100,25 +113,19 @@ def operator_from_json(obj, domain: Space, codomain: Space, what: str = "operato
         entries = _require(obj, "entries", what)
         if not isinstance(entries, list) or len(entries) != domain.dim:
             raise ParseError(f"{what}: diagonal needs {domain.dim} entries")
-        return DiagonalOperator(np.asarray(entries, dtype=float), domain)
+        return DiagonalOperator(_finite_array(entries, "entries", what), domain)
     if variant == "gaussian_convolution":
         return GaussianConvolutionOperator(domain, _number(obj, "kernel_width", what, 1.0))
     if variant == "heat_semigroup":
         return HeatSemigroupOperator(domain, _number(obj, "alpha", what), _number(obj, "tau", what))
     if variant == "filling":
-        count = obj.get("count")
-        if count is not None:
-            count = int(count)
+        count = None if obj.get("count") is None else int(_number(obj, "count", what))
         return FillingOperator(domain, codomain, count)
     if variant == "scaled":
         inner = operator_from_json(_require(obj, "of", what), domain, codomain, what)
         return ScaledOperator(_number(obj, "factor", what), inner)
     if variant == "dense":
-        matrix = _require(obj, "matrix", what)
-        try:
-            m = np.asarray(matrix, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"{what}: matrix is not numeric") from exc
+        m = _finite_array(_require(obj, "matrix", what), "matrix", what)
         if m.shape != (codomain.dim, domain.dim):
             raise ParseError(
                 f"{what}: matrix shape {m.shape} does not match "
@@ -293,11 +300,7 @@ def vector_from_json(obj, space: Space, what: str = "vector") -> HVector:
         raise ParseError(f"{what}: coords must be a list")
     if len(coords) != space.dim:
         raise ParseError(f"{what}: expected {space.dim} coordinates, got {len(coords)}")
-    try:
-        c = np.asarray(coords, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{what}: coords are not numeric") from exc
-    return HVector(space, c)
+    return HVector(space, _finite_array(coords, "coords", what))
 
 
 def vector_to_json(x: HVector) -> dict:

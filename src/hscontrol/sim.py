@@ -76,17 +76,19 @@ class Policy:
         return u
 
 
-def zero_policy(system: ControlledSystem) -> Policy:
-    return Policy(system)
-
-
 @dataclass
 class Trajectory:
-    """One realized path: states k=0..N+1, controls and noises k=0..N."""
+    """One realized path: states k=0..N+1, controls and noises k=0..N.
+
+    ``outputs`` holds z(k) for k = 0..N when the system has a regulated
+    output map, ``cost`` the pathwise cost when a cost spec was attached.
+    """
 
     states: np.ndarray
     controls: np.ndarray
     noises: np.ndarray
+    outputs: np.ndarray | None = None
+    cost: float | None = None
 
 
 def replication_rng(seed: int, r: int) -> np.random.Generator:
@@ -127,41 +129,26 @@ def rollout(system: ControlledSystem, policy: Policy, x0: HVector, noises: np.nd
     return Trajectory(states, controls, noises)
 
 
-@dataclass
-class TrajectoryBundle:
-    """Trajectory plus whatever extras the system carries.
-
-    ``outputs`` holds z(k) for k = 0..N when the system has a regulated
-    output map, ``cost`` the pathwise cost when a cost spec was attached.
-    """
-
-    states: np.ndarray
-    controls: np.ndarray
-    noises: np.ndarray
-    outputs: np.ndarray | None = None
-    cost: float | None = None
-
-
 def simulate(
     system: ControlledSystem | DisturbedSystem,
     policy: Policy,
     x0: HVector,
     noises: np.ndarray,
     cost: CostSpec | None = None,
-) -> TrajectoryBundle:
+) -> Trajectory:
     """Run one noise path, collecting states, inputs, outputs, and cost."""
     controlled = system.as_controlled() if isinstance(system, DisturbedSystem) else system
     traj = rollout(controlled, policy, x0, noises)
-    outputs = None
     if isinstance(system, DisturbedSystem):
-        outputs = np.zeros((system.steps, system.output_space.dim))
+        traj.outputs = np.zeros((system.steps, system.output_space.dim))
         for k in range(system.steps):
-            outputs[k] = (
+            traj.outputs[k] = (
                 system.cbar(k).matrix @ traj.states[k]
                 + system.dbar(k).matrix @ traj.controls[k]
             )
-    value = pathwise_cost(cost, traj) if cost is not None else None
-    return TrajectoryBundle(traj.states, traj.controls, traj.noises, outputs, value)
+    if cost is not None:
+        traj.cost = pathwise_cost(cost, traj)
+    return traj
 
 
 def _quad(w: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -163,6 +163,31 @@ def test_non_finite_start_state_exit(tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("out_flag", [False, True])
+@pytest.mark.parametrize("bad_file", ["system", "cost"])
+def test_non_finite_number_exit(tmp_path, capsys, bad_file, out_flag):
+    # NaN in a dense matrix, or a literal beyond the float range in a factor
+    system_text = Path(DEMO_SYSTEM).read_text()
+    cost_text = Path(DEMO_COST).read_text()
+    if bad_file == "system":
+        system = json.loads(system_text)
+        system["a"]["matrix"][0][1] = float("nan")
+        system_text, field = json.dumps(system), "matrix"
+    else:
+        cost = json.loads(cost_text)
+        cost["r"] = {"variant": "scaled", "factor": 1.0, "of": {"variant": "identity"}}
+        cost_text, field = json.dumps(cost).replace('"factor": 1.0', '"factor": 1e400'), "factor"
+    (tmp_path / "system.json").write_text(system_text)
+    (tmp_path / "cost.json").write_text(cost_text)
+    out = tmp_path / "run"
+    argv = ["lq-solve", "--system", str(tmp_path / "system.json"),
+            "--cost", str(tmp_path / "cost.json"), "--x0", DEMO_X0]
+    code = main(argv + (["--out", str(out)] if out_flag else []))
+    assert code == EXIT_BAD_INPUT
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_file_exit(tmp_path):
     code = main(["hinf-norm", "--system", str(tmp_path / "none.json")])
     assert code == EXIT_BAD_INPUT

@@ -213,16 +213,47 @@ def test_feedthrough_margin_and_uniform_positivity():
     dsys = unit_delay()
     # Dbar = 0 so the margin is exactly gamma^2
     assert hc.feedthrough_margin(dsys, 2.0) == pytest.approx(4.0)
-    assert hc.check_uniform_positivity(dsys, 2.0)
+    assert hc.brl_check(dsys, 2.0).feasible
     hs = dsys.state_space
     dbar = hc.IdentityOperator(hs)
     zero = hc.ZeroOperator(hs)
     withd = hc.DisturbedSystem(hs, hs, hs, 2, zero, hc.IdentityOperator(hs),
                                zero, zero, zero, dbar)
     assert hc.feedthrough_margin(withd, 2.0) == pytest.approx(3.0)
-    assert not hc.check_uniform_positivity(withd, 0.999)
+    assert hc.feedthrough_margin(withd, 0.999) <= 0.0
+    assert not hc.brl_check(withd, 0.999).feasible
     # gamma below the feedthrough norm can never be feasible
     assert not hc.brl_check(withd, 0.9).feasible
+
+
+def test_conditioning_breakdown_is_infeasible():
+    # at kappa_max = 1.5 the last p3 of the shift network at gamma = 1.2 has
+    # condition 3.27, so the walk stops before step 0 and proves nothing
+    dsys = hc.examples.build_shift_network(16)
+    run = hc.brl_check(dsys, 1.2, kappa_max=1.5)
+    assert not run.completed
+    assert not run.feasible
+    assert run.failing_step == dsys.horizon
+    assert run.min_pi3_eig(dsys.horizon) > 0.0
+    assert run.y[0] is None
+    # a capped bisection may only err upward from the gain 3 sqrt(5) / 4
+    est = hc.hinf_norm(dsys, tol=1e-6, kappa_max=1.5)
+    assert est.value >= 3.0 * np.sqrt(5.0) / 4.0 - 1e-6
+
+
+def test_nonpositive_step_above_a_breakdown_is_the_failing_step():
+    # gamma = 1/2: p3(1) = gamma^2 - |Dbar(1)|^2 = -3/4 is invertible but
+    # negative, Y(1) = -Cbar*Cbar = -1, and p3(0) = gamma^2 + (1/2)^2 Y(1) = 0
+    hs, zs = hc.euclidean(1), hc.euclidean(2)
+    zero = hc.ZeroOperator(hs)
+    cbar = hc.DenseOperator(np.array([[1.0], [0.0]]), hs, zs)
+    dbar = [hc.ZeroOperator(hs, zs), hc.DenseOperator(np.array([[0.0], [1.0]]), hs, zs)]
+    dsys = hc.DisturbedSystem(hs, hs, zs, 1, zero, hc.IdentityOperator(hs).scaled(0.5),
+                              zero, zero, cbar, dbar)
+    run = hc.brl_check(dsys, 0.5)
+    assert run.min_pi3_eig(1) < 0.0 and run.min_pi3_eig(0) == 0.0
+    assert not run.completed and not run.feasible
+    assert run.failing_step == 1
 
 
 def test_hinf_norm_bracket_validation():

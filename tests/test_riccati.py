@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import hscontrol as hc
-from helpers import assert_pinned, random_controlled, random_psd_cost, random_x0
+from helpers import assert_pinned, random_controlled, random_disturbed, random_psd_cost, random_x0
 
 
 def scalar_problem(rng, horizon):
@@ -225,3 +225,32 @@ def test_step_exports_pin_the_full_pass_on_weighted_spaces():
             assert_pinned(rk.matrix, rk_ref.matrix)
             assert_pinned(gk.matrix, gk_ref.matrix)
             assert_pinned(p.matrix, hc.schur_complement(m_ref, gk_ref, rk_ref).matrix)
+
+
+def test_level_cost_pass_is_the_bounded_real_recursion():
+    # the level-gamma test is this LQ problem on the disturbance channel:
+    # M = -Cbar*Cbar, L = 0, R = gamma^2 I - Dbar*Dbar, zero terminal weight
+    rng = np.random.default_rng(8)
+    adj = hc.adjoint
+    for weighted in (False, True):
+        for _ in range(5):
+            dsys = random_disturbed(rng, weighted=weighted)
+            gain = hc.hinf_norm(dsys, tol=1e-6).value
+            view = dsys.as_controlled()
+            hs, vs = dsys.state_space, dsys.disturbance_space
+            for gamma in (0.8 * gain, 1.2 * gain):
+                cost = hc.CostSpec(
+                    view,
+                    [(adj(dsys.cbar(k)) @ dsys.cbar(k)).scaled(-1.0) for k in range(dsys.steps)],
+                    hc.ZeroOperator(hs, vs),
+                    [hc.IdentityOperator(vs).scaled(gamma**2)
+                     + (adj(dsys.dbar(k)) @ dsys.dbar(k)).scaled(-1.0) for k in range(dsys.steps)],
+                    hc.ZeroOperator(hs),
+                )
+                sol = hc.solve_backward_riccati(view, cost)
+                run = hc.brl_check(dsys, gamma)
+                assert run.feasible == sol.solved
+                for k in range(dsys.steps + 1):
+                    assert (sol.p[k] is None) == (run.y[k] is None)
+                    if run.y[k] is not None:
+                        assert_pinned(sol.p[k].matrix, run.y[k].matrix)

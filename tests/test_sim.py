@@ -36,19 +36,19 @@ def x0_one():
 
 def test_rollout_starts_at_x0():
     sys_ = scalar_system(3, a=0.5)
-    traj = hc.rollout(sys_, hc.zero_policy(sys_), x0_one(), np.zeros(4))
+    traj = hc.rollout(sys_, hc.Policy(sys_), x0_one(), np.zeros(4))
     assert traj.states[0, 0] == 1.0
 
 
 def test_identity_dynamics_hold_state():
     sys_ = scalar_system(5, a=1.0)
-    traj = hc.rollout(sys_, hc.zero_policy(sys_), x0_one(), np.zeros(6))
+    traj = hc.rollout(sys_, hc.Policy(sys_), x0_one(), np.zeros(6))
     assert np.allclose(traj.states, 1.0)
 
 
 def test_doubling_dynamics():
     sys_ = scalar_system(3, a=2.0)
-    traj = hc.rollout(sys_, hc.zero_policy(sys_), x0_one(), np.zeros(4))
+    traj = hc.rollout(sys_, hc.Policy(sys_), x0_one(), np.zeros(4))
     assert np.allclose(traj.states.ravel(), [1.0, 2.0, 4.0, 8.0, 16.0])
 
 
@@ -71,7 +71,7 @@ def test_terminal_only_noise_expectation_is_one():
     # x(1) = noise * x(0); E <x(1), x(1)> = 1 for unit x0
     sys_ = scalar_system(0, a=0.0, c=1.0)
     cost = unit_cost(sys_, m=0.0, r=0.0, s=1.0)
-    res = hc.enumerate_expectation(sys_, cost, hc.zero_policy(sys_), x0_one())
+    res = hc.enumerate_expectation(sys_, cost, hc.Policy(sys_), x0_one())
     assert res.value == pytest.approx(1.0, abs=1e-14)
     assert res.paths == 2
 
@@ -104,7 +104,7 @@ def test_simulate_bundle_reports_outputs_and_cost():
 def test_monte_carlo_deterministic_functional_has_zero_half_width():
     sys_ = scalar_system(2, a=2.0)
     cost = unit_cost(sys_)
-    mc = hc.monte_carlo_expectation(sys_, cost, hc.zero_policy(sys_), x0_one(),
+    mc = hc.monte_carlo_expectation(sys_, cost, hc.Policy(sys_), x0_one(),
                                     reps=64, seed=0)
     assert mc.half_width == 0.0
     assert mc.std_error == 0.0
@@ -113,13 +113,13 @@ def test_monte_carlo_deterministic_functional_has_zero_half_width():
 def test_monte_carlo_seed_determinism():
     sys_ = scalar_system(3, a=0.8, c=0.6)
     cost = unit_cost(sys_)
-    a = hc.monte_carlo_expectation(sys_, cost, hc.zero_policy(sys_), x0_one(),
+    a = hc.monte_carlo_expectation(sys_, cost, hc.Policy(sys_), x0_one(),
                                    reps=500, seed=7)
-    b = hc.monte_carlo_expectation(sys_, cost, hc.zero_policy(sys_), x0_one(),
+    b = hc.monte_carlo_expectation(sys_, cost, hc.Policy(sys_), x0_one(),
                                    reps=500, seed=7)
     assert a.mean == b.mean
     assert a.half_width == b.half_width
-    c = hc.monte_carlo_expectation(sys_, cost, hc.zero_policy(sys_), x0_one(),
+    c = hc.monte_carlo_expectation(sys_, cost, hc.Policy(sys_), x0_one(),
                                    reps=500, seed=8)
     assert c.mean != a.mean
 
@@ -138,7 +138,7 @@ def test_monte_carlo_covers_enumerated_value():
         sys_ = random_controlled(rng, dim_max=3, horizon_max=4)
         cost = random_psd_cost(rng, sys_)
         x0 = random_x0(rng, sys_.state_space)
-        pol = hc.zero_policy(sys_)
+        pol = hc.Policy(sys_)
         exact = hc.enumerate_expectation(sys_, cost, pol, x0).value
         mc = hc.monte_carlo_expectation(sys_, cost, pol, x0, reps=4000, seed=500 + i)
         if abs(mc.mean - exact) <= mc.half_width:
@@ -151,7 +151,7 @@ def test_rademacher_noise_matches_gaussian_in_second_moments():
     # moments, so two-point noise and any unit-variance noise agree exactly
     sys_ = scalar_system(4, a=0.9, c=0.7)
     cost = unit_cost(sys_)
-    pol = hc.zero_policy(sys_)
+    pol = hc.Policy(sys_)
     exact = hc.enumerate_expectation(sys_, cost, pol, x0_one()).value
     mc = hc.monte_carlo_expectation(sys_, cost, pol, x0_one(), reps=200000,
                                     seed=11, noise_kind="rademacher")
@@ -191,18 +191,18 @@ def test_replication_streams_are_order_independent():
 def test_enumeration_path_count_and_limit():
     sys_ = scalar_system(2, a=1.0, c=0.5)
     cost = unit_cost(sys_)
-    res = hc.enumerate_expectation(sys_, cost, hc.zero_policy(sys_), x0_one())
+    res = hc.enumerate_expectation(sys_, cost, hc.Policy(sys_), x0_one())
     assert res.paths == 8
     long_sys = scalar_system(hc.ENUMERATION_MAX_STEPS, a=1.0, c=0.5)
     with pytest.raises(hc.EnumerationLimitError):
         hc.enumerate_expectation(long_sys, unit_cost(long_sys),
-                                 hc.zero_policy(long_sys), x0_one())
+                                 hc.Policy(long_sys), x0_one())
 
 
 def test_enumeration_matches_manual_average():
     sys_ = scalar_system(1, a=1.0, c=1.0)
     cost = unit_cost(sys_, m=0.0, r=0.0, s=1.0)
-    pol = hc.zero_policy(sys_)
+    pol = hc.Policy(sys_)
     res = hc.enumerate_expectation(sys_, cost, pol, x0_one())
     total = 0.0
     for s0 in (-1.0, 1.0):
