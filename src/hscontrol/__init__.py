@@ -101,7 +101,6 @@ from .game import (
     CoupledSolution,
     DesignResult,
     GameParams,
-    InputSchedule,
     MixedDesignResult,
     NashReport,
     cross_coupled_step,
@@ -120,9 +119,7 @@ from .sim import (
     draw_noise_paths,
     enumerate_expectation,
     monte_carlo_expectation,
-    pathwise_cost,
     replication_rng,
-    rollout,
     sign_paths,
     simulate,
 )

@@ -6,7 +6,8 @@ summary.txt, and any figure or trajectory CSVs.  Identical inputs produce
 byte-identical outputs.
 
 Exit codes are stable: 0 success, 2 bad input (parse or model-assumption
-failure), 3 solver infeasibility, 4 resolution or enumeration limits.
+failure, or a size above the caps of ``serialize``), 3 solver infeasibility,
+4 resolution, enumeration or memory limits.
 """
 
 from __future__ import annotations
@@ -310,6 +311,9 @@ def main(argv=None) -> int:
         return EXIT_BAD_INPUT
     except (ResolutionError, EnumerationLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_LIMITS
+    except MemoryError:
+        print("error: out of memory; reduce the dimensions or the horizon", file=sys.stderr)
         return EXIT_LIMITS
     except ControlError as exc:
         print(f"error: {exc}", file=sys.stderr)

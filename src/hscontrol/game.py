@@ -1,27 +1,26 @@
 """Two-player dynamic game on a noise-driven two-input system.
 
 Player 1 picks the disturbance v and pays gamma^2 |v|^2 - |z|^2; player 2
-picks the control u and pays |z|^2 - rho^2 |v|^2.  A linear feedback Nash
-equilibrium exists exactly when two coupled backward recursions
+picks the control u and pays |z|^2 - rho^2 |v|^2.  On the stacked input
+w = (v, u) the plant is ``sys2.as_controlled()``, with B = [B1 B2] and
+D = [D1 D2], and as |z|^2 = |Cbar x|^2 + |u|^2 each index is an indefinite
+LQ stage cost there:
 
-    P1(k) = Acl2* P1' Acl2 + Ccl2* P1' Ccl2 - K2*K2 - Cbar*Cbar - K1* R1 K1
-    P2(k) = Acl1* P2' Acl1 + Ccl1* P2' Ccl1 - rho^2 K1*K1 + Cbar*Cbar - K2* R2 K2
+    player 1:  M = -Cbar*Cbar,  L = 0,  R = diag(gamma^2 I, -I),
+    player 2:  M =  Cbar*Cbar,  L = 0,  R = diag(-rho^2 I, I).
 
-(primes denoting next iterates, Acl-i the dynamics closed by the other
-player's gain) run to step 0 with both effective weights
+A feedback Nash step is the Riccati completion of ``riccati`` on that view
+with each player's weights.  Player 1's v rows give R1, s12 and G1, player
+2's u rows give R2, s21 and G2, and the two stationarity conditions
+R1 K1 + s12 K2 = -G1 and s21 K1 + R2 K2 = -G2 are solved as one stacked
+linear system.  Each new iterate is Q + G* K + K* G + K* Rk K, the player's
+cost along w = K x with K = [K1; K2].  A linear feedback Nash equilibrium
+exists exactly when the walk reaches step 0 with R1 and R2 uniformly
+positive.  Iterates are carried in Gram form W P, as in ``riccati``.
 
-    R1 = gamma^2 I + B1* P1' B1 + D1* P1' D1,
-    R2 = I + B2* P2' B2 + D2* P2' D2
-
-uniformly positive.  At each step the stationarity conditions K1 = -R1^-1 G1
-and K2 = -R2^-1 G2 are jointly affine in (K1, K2) and are solved exactly as
-one stacked linear system.
-
-Both recursions carry their iterates in Gram form W P, so the weighted
-adjoints of a step are plain transposes.
-
-The level-gamma attenuation design is the zero-sum case rho = gamma (where
-P1 + P2 vanishes identically), and the mixed design is rho = 0.
+The level-gamma attenuation design is the zero-sum case rho = gamma, where
+the players' weights are exact negatives and P1 + P2 vanishes exactly; the
+mixed design is rho = 0.
 """
 
 from __future__ import annotations
@@ -42,15 +41,20 @@ from .operators import (
     Operator,
     SelfAdjointCert,
     certified_inverse,
-    congruence,
     coordinate_operators,
     gram,
     positivity_tolerance,
 )
-from .riccati import STATUS_DOMAIN_FAILURE, STATUS_SOLVED
-from .sim import sign_paths
-from .spaces import HVector
-from .systems import TwoInputSystem, closed_loop, DisturbedSystem
+from .riccati import (
+    STATUS_DOMAIN_FAILURE,
+    STATUS_SOLVED,
+    StageWeights,
+    _closed_gram,
+    _completion_arrays,
+)
+from .sim import Policy, run_batch, sign_paths
+from .spaces import HVector, inner, zero_vector
+from .systems import ControlledSystem, DisturbedSystem, TwoInputSystem, closed_loop
 
 FIXED_POINT_TOL = 1e-12
 FIXED_POINT_MAX_ITERS = 500
@@ -121,9 +125,20 @@ class _GameStep:
     coupling_residual: float
 
 
+def _player_weights(sys2: TwoInputSystem, params: GameParams) -> tuple[StageWeights, StageWeights]:
+    """Gram-form stage weights (W_h M, W_w L, W_w R) of both players on the stacked input."""
+    wv, wu = sys2.disturbance_space.weights, sys2.control_space.weights
+    zero = np.zeros((wv.size + wu.size, sys2.state_space.dim))
+    r1 = np.diag(np.concatenate([(params.gamma**2) * wv, -wu]))
+    r2 = np.diag(np.concatenate([-(params.rho**2) * wv, wu]))
+    cbar_sq = [gram(op) for op in sys2.cbar]
+    return (lambda k: (-cbar_sq[k], zero, r1)), (lambda k: (cbar_sq[k], zero, r2))
+
+
 def _cross_step_arrays(
     sys2: TwoInputSystem,
-    params: GameParams,
+    view: ControlledSystem,
+    weights: tuple[StageWeights, StageWeights],
     g1n: np.ndarray,
     g2n: np.ndarray,
     k: int,
@@ -132,15 +147,10 @@ def _cross_step_arrays(
     """One step on the Gram forms W P1', W P2'; returns the new Gram forms."""
     wv = sys2.disturbance_space.weights
     wu = sys2.control_space.weights
-    a, c = sys2.a(k), sys2.c(k)
-    b1, d1 = sys2.b1(k), sys2.d1(k)
-    b2, d2 = sys2.b2(k), sys2.d2(k)
-
-    r1g = (params.gamma**2) * np.diag(wv) + congruence(b1, g1n, b1) + congruence(d1, g1n, d1)
-    r1g = 0.5 * (r1g + r1g.T)
-    r2g = np.diag(wu) + congruence(b2, g2n, b2) + congruence(d2, g2n, d2)
-    r2g = 0.5 * (r2g + r2g.T)
-    r1, r2 = r1g / wv[:, None], r2g / wu[:, None]
+    v, u = slice(None, wv.size), slice(wv.size, None)
+    q1, rk1, gk1 = _completion_arrays(view, weights[0], g1n, k)
+    q2, rk2, gk2 = _completion_arrays(view, weights[1], g2n, k)
+    r1, r2 = rk1[v, v] / wv[:, None], rk2[u, u] / wu[:, None]
     certs, inverses = [], []
     for mat, w, label in ((r1, wv, "disturbance weight"), (r2, wu, "control weight")):
         cert, inverse = certified_inverse(mat, w, kappa_max)
@@ -157,33 +167,12 @@ def _cross_step_arrays(
         inverses.append(inverse * w[None, :])
     (cert1, cert2), (r1_inv, r2_inv) = certs, inverses
 
-    s12 = (congruence(b1, g1n, b2) + congruence(d1, g1n, d2)) / wv[:, None]
-    s21 = (congruence(b2, g2n, b1) + congruence(d2, g2n, d1)) / wu[:, None]
-    g1 = (congruence(b1, g1n, a) + congruence(d1, g1n, c)) / wv[:, None]
-    g2 = (congruence(b2, g2n, a) + congruence(d2, g2n, c)) / wu[:, None]
+    s12, s21 = rk1[v, u] / wv[:, None], rk2[u, v] / wu[:, None]
+    g1, g2 = gk1[v] / wv[:, None], gk2[u] / wu[:, None]
     k1, k2, resid = _solve_coupling(r1, s12, s21, r2, g1, g2, r1_inv, r2_inv, k)
-
-    am, cm = a.matrix, c.matrix
-    acl2 = am + b2.matrix @ k2
-    ccl2 = cm + d2.matrix @ k2
-    acl1 = am + b1.matrix @ k1
-    ccl1 = cm + d1.matrix @ k1
-    cbar_sq = gram(sys2.cbar(k))
-    p1 = acl2.T @ g1n @ acl2 + ccl2.T @ g1n @ ccl2
-    p1 -= k2.T @ (wu[:, None] * k2) + cbar_sq + k1.T @ r1g @ k1
-    p2 = acl1.T @ g2n @ acl1 + ccl1.T @ g2n @ ccl1
-    p2 += -(params.rho**2) * (k1.T @ (wv[:, None] * k1)) + cbar_sq - k2.T @ r2g @ k2
-    return _GameStep(
-        0.5 * (p1 + p1.T),
-        0.5 * (p2 + p2.T),
-        k1,
-        k2,
-        r1,
-        r2,
-        cert1,
-        cert2,
-        resid,
-    )
+    gain = np.vstack([k1, k2])
+    p1, p2 = _closed_gram(q1, gk1, rk1, gain), _closed_gram(q2, gk2, rk2, gain)
+    return _GameStep(p1, p2, k1, k2, r1, r2, cert1, cert2, resid)
 
 
 def cross_coupled_step(
@@ -197,8 +186,9 @@ def cross_coupled_step(
     """One backward step of the coupled pair: (K1, K2, P1(k), P2(k))."""
     hs, vs, us = sys2.state_space, sys2.disturbance_space, sys2.control_space
     wh = hs.weights[:, None]
+    view, weights = sys2.as_controlled(), _player_weights(sys2, params)
     res = _cross_step_arrays(
-        sys2, params, wh * p1_next.matrix, wh * p2_next.matrix, k, kappa_max
+        sys2, view, weights, wh * p1_next.matrix, wh * p2_next.matrix, k, kappa_max
     )
     return (
         DenseOperator(res.k1, hs, vs),
@@ -271,9 +261,10 @@ def solve_coupled_riccati(
     failing = None
     detail = None
     worst_resid = 0.0
+    view, weights = sys2.as_controlled(), _player_weights(sys2, params)
     for k in range(steps - 1, -1, -1):
         try:
-            res = _cross_step_arrays(sys2, params, grams1[k + 1], grams2[k + 1], k, kappa_max)
+            res = _cross_step_arrays(sys2, view, weights, grams1[k + 1], grams2[k + 1], k, kappa_max)
         except GameDomainError as err:
             status = STATUS_DOMAIN_FAILURE
             failing = err.step
@@ -307,64 +298,40 @@ def solve_coupled_riccati(
         x0=x0,
     )
     if sol.solved and x0 is not None:
-        from .spaces import inner
-
         sol.j1 = inner(sol.p1[0].apply(x0), x0)
         sol.j2 = inner(sol.p2[0].apply(x0), x0)
     return sol
 
 
-@dataclass
-class InputSchedule:
-    """Affine input v(k) = K(k) x(k) + f(k) for one player."""
+def game_energies(sys2: TwoInputSystem, x0: HVector, policy: Policy) -> tuple[float, float]:
+    """Exact (E sum |z|^2, E sum |v|^2) under two-point noise enumeration.
 
-    gains: list[Operator] | None = None
-    offsets: list[np.ndarray] | None = None
-
-    def batch(self, k: int, x: np.ndarray, dim: int) -> np.ndarray:
-        out = np.zeros((x.shape[0], dim))
-        if self.gains is not None:
-            out += x @ self.gains[k].matrix.T
-        if self.offsets is not None:
-            out += np.asarray(self.offsets[k], dtype=float)[None, :]
-        return out
-
-
-def game_energies(
-    sys2: TwoInputSystem,
-    x0: HVector,
-    v_schedule: InputSchedule,
-    u_schedule: InputSchedule,
-) -> tuple[float, float]:
-    """Exact (E sum |z|^2, E sum |v|^2) under two-point noise enumeration."""
-    steps = sys2.steps
-    paths = sign_paths(steps)
+    ``policy`` is an affine law for the stacked input (v, u) of
+    ``sys2.as_controlled()``.
+    """
+    dv, du = sys2.disturbance_space.dim, sys2.control_space.dim
+    view = policy.system
+    if view.state_space != sys2.state_space or view.control_space.dim != dv + du:
+        raise DimensionError("policy does not act on the stacked input (v, u) of the system")
     wv = sys2.disturbance_space.weights
     wz = sys2.output_space.weights
-    x = np.tile(x0.coords, (paths.shape[0], 1))
-    ez = np.zeros(paths.shape[0])
-    ev = np.zeros(paths.shape[0])
-    for k in range(steps):
-        v = v_schedule.batch(k, x, sys2.disturbance_space.dim)
-        u = u_schedule.batch(k, x, sys2.control_space.dim)
+
+    def stage(k, x, w):
+        v, u = w[:, :dv], w[:, dv:]
         z = x @ sys2.cbar(k).matrix.T + u @ sys2.gbar(k).matrix.T
-        ez += np.einsum("pi,pi->p", z * wz[None, :], z)
-        ev += np.einsum("pi,pi->p", v * wv[None, :], v)
-        drift = x @ sys2.a(k).matrix.T + v @ sys2.b1(k).matrix.T + u @ sys2.b2(k).matrix.T
-        diff = x @ sys2.c(k).matrix.T + v @ sys2.d1(k).matrix.T + u @ sys2.d2(k).matrix.T
-        x = drift + paths[:, k][:, None] * diff
-    return float(np.mean(ez)), float(np.mean(ev))
+        ez = np.einsum("pi,pi->p", z * wz[None, :], z)
+        ev = np.einsum("pi,pi->p", v * wv[None, :], v)
+        return np.column_stack([ez, ev])
+
+    vals = run_batch(view, policy, x0, sign_paths(sys2.steps), stage)
+    return float(np.mean(vals[:, 0])), float(np.mean(vals[:, 1]))
 
 
 def game_costs(
-    sys2: TwoInputSystem,
-    params: GameParams,
-    x0: HVector,
-    v_schedule: InputSchedule,
-    u_schedule: InputSchedule,
+    sys2: TwoInputSystem, params: GameParams, x0: HVector, policy: Policy
 ) -> tuple[float, float]:
-    """Exact (J1, J2) index pair for arbitrary affine strategies."""
-    ez, ev = game_energies(sys2, x0, v_schedule, u_schedule)
+    """Exact (J1, J2) index pair for an affine law on the stacked input (v, u)."""
+    ez, ev = game_energies(sys2, x0, policy)
     j1 = (params.gamma**2) * ev - ez
     j2 = ez - (params.rho**2) * ev
     return j1, j2
@@ -404,24 +371,22 @@ def verify_nash_equilibrium(
     """
     if not solution.solved:
         raise GameDomainError(solution.failing_step or 0, "cannot audit an unsolved game")
-    star_v = InputSchedule(gains=list(solution.v_gains))
-    star_u = InputSchedule(gains=list(solution.u_gains))
-    j1_star, j2_star = game_costs(sys2, params, x0, star_v, star_u)
+    view = sys2.as_controlled()
+    gains = [
+        DenseOperator(np.vstack([kv.matrix, ku.matrix]), sys2.state_space, view.control_space)
+        for kv, ku in zip(solution.v_gains, solution.u_gains)
+    ]
+    j1_star, j2_star = game_costs(sys2, params, x0, Policy(view, gains))
     rng = np.random.default_rng(seed)
     steps = sys2.steps
-    dv = sys2.disturbance_space.dim
-    du = sys2.control_space.dim
-    worst1 = np.inf
-    worst2 = np.inf
+    dv, du = sys2.disturbance_space.dim, sys2.control_space.dim
+    zv, zu = np.zeros(dv), np.zeros(du)
+    worst1 = worst2 = np.inf
     for _ in range(deviations):
-        v_off = [scale * rng.standard_normal(dv) for _ in range(steps)]
-        u_off = [scale * rng.standard_normal(du) for _ in range(steps)]
-        j1_dev, _ = game_costs(
-            sys2, params, x0, InputSchedule(list(solution.v_gains), v_off), star_u
-        )
-        _, j2_dev = game_costs(
-            sys2, params, x0, star_v, InputSchedule(list(solution.u_gains), u_off)
-        )
+        v_off = [np.concatenate([scale * rng.standard_normal(dv), zu]) for _ in range(steps)]
+        u_off = [np.concatenate([zv, scale * rng.standard_normal(du)]) for _ in range(steps)]
+        j1_dev, _ = game_costs(sys2, params, x0, Policy(view, gains, v_off))
+        _, j2_dev = game_costs(sys2, params, x0, Policy(view, gains, u_off))
         worst1 = min(worst1, j1_dev - j1_star)
         worst2 = min(worst2, j2_dev - j2_star)
     return NashReport(
@@ -454,15 +419,13 @@ def hinf_design(
     side condition is raised with the failing step and eigenvalue detail,
     since it certifies that no linear feedback achieves this level.
     """
-    from .spaces import zero_vector
-
     params = GameParams(gamma=gamma, rho=gamma)
     sol = solve_coupled_riccati(sys2, params, zero_vector(sys2.state_space), kappa_max)
     if not sol.solved:
         raise DesignInfeasibleError(sol.failing_step, sol.failing_detail)
-    u_gains = [g for g in sol.u_gains]
+    u_gains = list(sol.u_gains)
     return DesignResult(
-        gamma, [p for p in sol.p2], u_gains, list(sol.v_gains), closed_loop(sys2, u_gains), sol
+        gamma, list(sol.p2), u_gains, list(sol.v_gains), closed_loop(sys2, u_gains), sol
     )
 
 

@@ -40,7 +40,7 @@ from .operators import (
     min_eig_selfadjoint,
     opnorm,
 )
-from .riccati import StageWeights, _backward_pass, _completion_arrays
+from .riccati import StageWeights, _backward_pass, _closed_gram, _completion_arrays
 from .sim import ENUMERATION_MAX_STEPS, Policy, run_batch, sign_paths, simulate
 from .spaces import HVector, zero_vector
 from .systems import DisturbedSystem
@@ -83,9 +83,7 @@ def backward_f_equation(
     grams = [None] * dsys.steps + [np.zeros((dsys.state_space.dim, dsys.state_space.dim))]
     for k in range(dsys.steps - 1, -1, -1):
         p1, p3, p2 = _completion_arrays(view, weights, grams[k + 1], k)
-        f = f_gains[k].matrix
-        y = p1 + f.T @ p2 + p2.T @ f + f.T @ p3 @ f
-        grams[k] = 0.5 * (y + y.T)
+        grams[k] = _closed_gram(p1, p2, p3, f_gains[k].matrix)
     return coordinate_operators(grams, dsys.state_space)
 
 

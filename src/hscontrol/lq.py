@@ -12,16 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
+from .errors import DomainError
 from .operators import KAPPA_MAX_DEFAULT, Operator
 from .sim import (
     ExactExpectation,
     Policy,
     enumerate_expectation,
-    pathwise_cost,
-    rollout,
     run_batch,
     sign_paths,
+    simulate,
 )
 from .spaces import HVector
 from .systems import ControlledSystem, CostSpec
@@ -79,12 +78,8 @@ def expected_cost(problem: LQProblem, policy: Policy) -> ExactExpectation:
 
 def eval_cost_pathwise(problem: LQProblem, controls, noises) -> float:
     """Cost of one open-loop control sequence along one noise path."""
-    controls = [np.asarray(u, dtype=float) for u in controls]
-    if len(controls) != problem.system.steps:
-        raise DimensionError("need one control per step")
     policy = Policy(problem.system, inputs=controls)
-    traj = rollout(problem.system, policy, problem.x0, np.asarray(noises, dtype=float))
-    return pathwise_cost(problem.cost, traj)
+    return simulate(problem.system, policy, problem.x0, noises, problem.cost).cost
 
 
 def excess_cost(problem: LQProblem, solution: LQSolution, policy: Policy) -> float:

@@ -80,6 +80,12 @@ def _advance(q: np.ndarray, gk: np.ndarray, rk_inverse: np.ndarray):
     return gain, 0.5 * (g + g.T)
 
 
+def _closed_gram(q: np.ndarray, gk: np.ndarray, rk: np.ndarray, gain: np.ndarray) -> np.ndarray:
+    """Gram iterate W_h (Q + G* K + K* G + K* Rk K), the cost along u = K x, symmetrized."""
+    y = q + gain.T @ gk + gk.T @ gain + gain.T @ rk @ gain
+    return 0.5 * (y + y.T)
+
+
 def completion_terms(
     system: ControlledSystem, cost: CostSpec, p_next: Operator, k: int
 ) -> tuple[Operator, Operator]:
@@ -103,7 +109,10 @@ def riccati_step(
     q, rk, gk = _completion_arrays(system, _cost_weights(system, cost), wh * p_next.matrix, k)
     cert, rk_inverse = certified_inverse(rk / wu[:, None], wu, kappa_max)
     if rk_inverse is None:
-        raise DomainError(k, f"step {k}: completion term has condition {cert.cond:.3e}")
+        raise DomainError(
+            k, f"step {k}: completion term has condition number {cert.cond:.3e} "
+            f"above kappa_max {kappa_max:.3e}"
+        )
     gain, g = _advance(q, gk, rk_inverse)
     return DenseOperator(g / wh, hs), DenseOperator(gain, hs, us)
 

@@ -43,6 +43,12 @@ from .spaces import (
 )
 from .systems import ControlledSystem, CostSpec, DisturbedSystem, TwoInputSystem
 
+# Size caps, checked before anything is allocated.  The recursions keep one
+# dense dim x dim iterate per step, so the caps bound that memory by
+# (MAX_HORIZON + 1) * MAX_DIM**2 * 8 bytes = 256 * 1024**2 * 8 B = 2 GiB.
+MAX_DIM = 1024  # every space dimension: dim, modes, or l2_line grid points
+MAX_HORIZON = 255
+
 
 def _require(obj, key: str, what: str):
     if not isinstance(obj, dict):
@@ -74,16 +80,28 @@ def _finite_array(values, key: str, what: str) -> np.ndarray:
     return arr
 
 
+def _capped(obj, key: str, what: str, cap: int, default=None) -> int:
+    val = int(_number(obj, key, what, default))
+    if val > cap:
+        raise ParseError(f"{what}: {key} {val} exceeds the cap {cap}")
+    return val
+
+
 def space_from_json(obj, what: str = "space") -> Space:
     kind = _require(obj, "kind", what)
     if kind == KIND_ELL2:
-        return ell2(int(_number(obj, "dim", what, 64)))
+        return ell2(_capped(obj, "dim", what, MAX_DIM, 64))
     if kind == KIND_EUCLIDEAN:
-        return euclidean(int(_number(obj, "dim", what)))
+        return euclidean(_capped(obj, "dim", what, MAX_DIM))
     if kind == KIND_L2_LINE:
-        return l2_line(_number(obj, "half_width", what, 10.0), _number(obj, "spacing", what, 0.05))
+        half_width = _number(obj, "half_width", what, 10.0)
+        spacing = _number(obj, "spacing", what, 0.05)
+        if spacing > 0.0 and 2.0 * half_width / spacing + 1.0 > MAX_DIM:
+            raise ParseError(f"{what}: spacing {spacing!r} gives more than {MAX_DIM} grid points")
+        return l2_line(half_width, spacing)
     if kind == KIND_L2_INTERVAL:
-        return l2_interval(_number(obj, "length", what, 1.0), int(_number(obj, "modes", what, 64)))
+        modes = _capped(obj, "modes", what, MAX_DIM, 64)
+        return l2_interval(_number(obj, "length", what, 1.0), modes)
     raise ParseError(f"{what}: unknown space kind {kind!r}")
 
 
@@ -174,7 +192,7 @@ def family_to_json(family) -> dict | list:
 
 def system_from_json(obj):
     kind = _require(obj, "type", "system")
-    horizon = int(_number(obj, "horizon", "system"))
+    horizon = _capped(obj, "horizon", "system", MAX_HORIZON)
     steps = horizon + 1
     if kind == "controlled":
         hs = space_from_json(_require(obj, "state_space", "system"), "state_space")

@@ -110,25 +110,6 @@ def draw_noise_paths(kind: str, seed: int, reps: int, steps: int) -> np.ndarray:
     return out
 
 
-def rollout(system: ControlledSystem, policy: Policy, x0: HVector, noises: np.ndarray) -> Trajectory:
-    """Run one path of the state recursion under the given noise factors."""
-    if x0.space != system.state_space:
-        raise DimensionError("initial state does not live on the state space")
-    noises = np.asarray(noises, dtype=float)
-    if noises.shape != (system.steps,):
-        raise DimensionError("need one noise factor per step")
-    states = np.zeros((system.steps + 1, system.state_space.dim))
-    controls = np.zeros((system.steps, system.control_space.dim))
-    states[0] = x0.coords
-    for k in range(system.steps):
-        u = policy.control_batch(k, states[k][None, :])[0]
-        controls[k] = u
-        drift = system.a(k).matrix @ states[k] + system.b(k).matrix @ u
-        diff = system.c(k).matrix @ states[k] + system.d(k).matrix @ u
-        states[k + 1] = drift + noises[k] * diff
-    return Trajectory(states, controls, noises)
-
-
 def simulate(
     system: ControlledSystem | DisturbedSystem,
     policy: Policy,
@@ -138,16 +119,28 @@ def simulate(
 ) -> Trajectory:
     """Run one noise path, collecting states, inputs, outputs, and cost."""
     controlled = system.as_controlled() if isinstance(system, DisturbedSystem) else system
-    traj = rollout(controlled, policy, x0, noises)
+    steps = controlled.steps
+    noises = np.asarray(noises, dtype=float)
+    if noises.shape != (steps,):
+        raise DimensionError("need one noise factor per step")
+    states = np.zeros((steps + 1, controlled.state_space.dim))
+    traj = Trajectory(states, np.zeros((steps, controlled.control_space.dim)), noises)
     if isinstance(system, DisturbedSystem):
-        traj.outputs = np.zeros((system.steps, system.output_space.dim))
-        for k in range(system.steps):
-            traj.outputs[k] = (
-                system.cbar(k).matrix @ traj.states[k]
-                + system.dbar(k).matrix @ traj.controls[k]
-            )
+        traj.outputs = np.zeros((steps, system.output_space.dim))
+
+    def stage(k, x, u):
+        states[k], traj.controls[k] = x[0], u[0]
+        if traj.outputs is not None:
+            traj.outputs[k] = system.cbar(k).matrix @ x[0] + system.dbar(k).matrix @ u[0]
+        return np.zeros(1) if cost is None else stage_cost_batch(cost, k, x, u)
+
+    def terminal(x):
+        states[-1] = x[0]
+        return np.zeros(1) if cost is None else terminal_cost_batch(cost, x)
+
+    total = run_batch(controlled, policy, x0, noises[None, :], stage, terminal)
     if cost is not None:
-        traj.cost = pathwise_cost(cost, traj)
+        traj.cost = float(total[0])
     return traj
 
 
@@ -170,13 +163,6 @@ def terminal_cost_batch(cost: CostSpec, x: np.ndarray) -> np.ndarray:
     return _quad(wh, x @ cost.terminal.matrix.T, x)
 
 
-def pathwise_cost(cost: CostSpec, traj: Trajectory) -> float:
-    total = 0.0
-    for k in range(traj.controls.shape[0]):
-        total += float(stage_cost_batch(cost, k, traj.states[k][None, :], traj.controls[k][None, :])[0])
-    return total + float(terminal_cost_batch(cost, traj.states[-1][None, :])[0])
-
-
 def run_batch(
     system: ControlledSystem,
     policy: Policy,
@@ -188,8 +174,9 @@ def run_batch(
     """Accumulate a per-path functional over many noise paths at once.
 
     ``stage(k, X, U)`` receives (paths, dim) state and control batches and
-    returns one value per path; the optional ``terminal`` sees the final
-    state batch.  States are advanced in place, so memory stays at one batch.
+    returns one value, or one row of values, per path; the optional
+    ``terminal`` sees the final state batch.  States are advanced in place,
+    so memory stays at one batch.  This is the only state-advancing loop.
     """
     if x0.space != system.state_space:
         raise DimensionError("initial state does not live on the state space")
@@ -197,7 +184,7 @@ def run_batch(
     if noise_paths.ndim != 2 or noise_paths.shape[1] != system.steps:
         raise DimensionError("noise paths must be (reps, steps)")
     x = np.tile(x0.coords, (noise_paths.shape[0], 1))
-    total = np.zeros(noise_paths.shape[0])
+    total = 0.0  # takes the shape of the first stage's values
     for k in range(system.steps):
         u = policy.control_batch(k, x)
         total += stage(k, x, u)

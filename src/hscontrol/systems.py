@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import AssumptionError, DimensionError, NotSelfAdjointError
-from .operators import Operator, ZeroOperator, _sframe
-from .spaces import Space
+from .operators import DenseOperator, Operator, ZeroOperator, _sframe
+from .spaces import KIND_EUCLIDEAN, Space
 
 ASSUMPTION_TOL = 1e-12
 SELFADJOINT_TOL = 1e-10
@@ -110,9 +110,12 @@ class CostSpec:
         if terminal.domain != hs or terminal.codomain != hs:
             raise DimensionError("terminal weight must act on the state space")
         self.terminal = terminal
+        checked = set()  # ids of operators already checked; a shared one is checked once
         for k in range(steps):
-            _check_selfadjoint(self.m(k), f"M({k})")
-            _check_selfadjoint(self.r(k), f"R({k})")
+            for name, op in (("M", self.m(k)), ("R", self.r(k))):
+                if id(op) not in checked:
+                    checked.add(id(op))
+                    _check_selfadjoint(op, f"{name}({k})")
         _check_selfadjoint(terminal, "terminal weight")
 
 
@@ -240,6 +243,22 @@ class TwoInputSystem:
     @property
     def steps(self) -> int:
         return self.horizon + 1
+
+    def as_controlled(self) -> ControlledSystem:
+        """View the stacked input (v, u) as the control input of the recursion.
+
+        The input space is v + u with weights concat(w_v, w_u), and the input
+        maps are B = [B1 B2] and D = [D1 D2].
+        """
+        hs, vs, us = self.state_space, self.disturbance_space, self.control_space
+        ws = Space(KIND_EUCLIDEAN, vs.dim + us.dim, np.concatenate([vs.weights, us.weights]))
+
+        def stack(left: OperatorFamily, right: OperatorFamily) -> list[Operator]:
+            pairs = zip(left, right)
+            return [DenseOperator(np.hstack([p.matrix, q.matrix]), ws, hs) for p, q in pairs]
+
+        b, d = stack(self.b1, self.b2), stack(self.d1, self.d2)
+        return ControlledSystem(hs, ws, self.horizon, list(self.a), b, list(self.c), d)
 
 
 def closed_loop(system: TwoInputSystem, control_gains: list[Operator]) -> DisturbedSystem:

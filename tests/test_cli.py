@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 import hscontrol as hc
 import hscontrol.serialize as ser
+from hscontrol import cli
 from hscontrol.cli import EXIT_BAD_INPUT, EXIT_INFEASIBLE, EXIT_LIMITS, EXIT_OK, main
 
 
@@ -186,6 +188,37 @@ def test_non_finite_number_exit(tmp_path, capsys, bad_file, out_flag):
     assert code == EXIT_BAD_INPUT
     assert field in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_oversized_spec_refused_at_parse_time(tmp_path, capsys):
+    # a 2 KB spec asking for a 200000-dim state space: refused by the size
+    # cap before any array is built, instead of dying in the allocator
+    spec = json.loads(Path(SHIFT).read_text())
+    spec["state_space"]["dim"] = 200000
+    (tmp_path / "big.json").write_text(json.dumps(spec))
+    out = tmp_path / "run"
+    tracemalloc.start()
+    try:
+        code = main(["brl-check", "--system", str(tmp_path / "big.json"), "--gamma", "1.7",
+                     "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert "state_space: dim 200000 exceeds the cap" in err
+    assert peak < 1 << 20
+    assert not out.exists()
+
+
+def test_memory_error_exits_with_limits(monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "brl_check", exhausted)
+    code = main(["brl-check", "--system", SHIFT, "--gamma", "1.7"])
+    assert code == EXIT_LIMITS
+    assert "out of memory" in capsys.readouterr().err
 
 
 def test_missing_file_exit(tmp_path):

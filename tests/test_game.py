@@ -63,10 +63,11 @@ def test_zero_sum_specialization(rank_one_game, gamma):
     sys2, x0 = rank_one_game
     sol = hc.solve_coupled_riccati(sys2, hc.GameParams(gamma, gamma), x0)
     assert sol.solved
+    # at rho = gamma the two players' weights are exact negatives, so the
+    # iterates cancel to the last bit, not just to round-off
     for k in range(len(sol.p1)):
-        total = sol.p1[k].matrix + sol.p2[k].matrix
-        assert np.max(np.abs(total)) < 1e-10
-    assert sol.j1 + sol.j2 == pytest.approx(0.0, abs=1e-10)
+        assert np.array_equal(sol.p1[k].matrix + sol.p2[k].matrix, np.zeros((DIM, DIM)))
+    assert sol.j1 + sol.j2 == 0.0
 
 
 def test_coupling_residual_small(rank_one_game):
@@ -137,8 +138,9 @@ def test_design_zero_sum_iterate_consistency():
         gamma, design = hit
         sol = design.solution
         for k in range(len(sol.p1)):
-            assert np.max(np.abs(sol.p1[k].matrix + sol.p2[k].matrix)) < 1e-9
+            assert not np.any(sol.p1[k].matrix + sol.p2[k].matrix)
             assert np.max(np.abs(design.p[k].matrix - sol.p2[k].matrix)) < 1e-12
+        assert sol.j1 + sol.j2 == 0.0
 
 
 def test_design_infeasible_below_open_loop_norm():
@@ -203,9 +205,11 @@ def test_game_costs_consistent_with_energies(rank_one_game):
     sys2, x0 = rank_one_game
     params = hc.GameParams(2.0, 0.5)
     sol = hc.solve_coupled_riccati(sys2, params, x0)
-    sched_v = hc.InputSchedule(gains=list(sol.v_gains))
-    sched_u = hc.InputSchedule(gains=list(sol.u_gains))
-    j1, j2 = hc.game_costs(sys2, params, x0, sched_v, sched_u)
+    view = sys2.as_controlled()
+    gains = [hc.DenseOperator(np.vstack([kv.matrix, ku.matrix]), sys2.state_space,
+                              view.control_space)
+             for kv, ku in zip(sol.v_gains, sol.u_gains)]
+    j1, j2 = hc.game_costs(sys2, params, x0, hc.Policy(view, gains))
     assert j1 == pytest.approx(sol.j1, rel=1e-8, abs=1e-8)
     assert j2 == pytest.approx(sol.j2, rel=1e-8, abs=1e-8)
 
@@ -237,3 +241,63 @@ def test_cross_coupled_step_pins_the_coupled_pass_on_weighted_spaces():
             p1_ref = (adj(acl2) @ p1n @ acl2 + adj(ccl2) @ p1n @ ccl2
                       + (adj(k2) @ k2 + adj(cbar) @ cbar + adj(k1) @ r1 @ k1).scaled(-1.0))
             assert_pinned(p1.matrix, p1_ref.matrix)
+
+
+def test_stacked_view_of_two_input_system():
+    rng = np.random.default_rng(17)
+    sys2 = random_two_input(rng, weighted=True)
+    view = sys2.as_controlled()
+    vs, us = sys2.disturbance_space, sys2.control_space
+    assert view.state_space == sys2.state_space
+    assert view.horizon == sys2.horizon
+    assert np.array_equal(view.control_space.weights, np.concatenate([vs.weights, us.weights]))
+    for k in range(sys2.steps):
+        assert view.a(k) is sys2.a(k) and view.c(k) is sys2.c(k)
+        assert np.array_equal(view.b(k).matrix, np.hstack([sys2.b1(k).matrix, sys2.b2(k).matrix]))
+        assert np.array_equal(view.d(k).matrix, np.hstack([sys2.d1(k).matrix, sys2.d2(k).matrix]))
+
+
+def test_game_costs_refuses_policy_off_the_stacked_input(rank_one_game):
+    sys2, x0 = rank_one_game
+    off_view = hc.ControlledSystem(sys2.state_space, sys2.control_space, sys2.horizon,
+                                   list(sys2.a), list(sys2.b2), list(sys2.c), list(sys2.d2))
+    with pytest.raises(hc.DimensionError):
+        hc.game_costs(sys2, hc.GameParams(2.0), x0, hc.Policy(off_view))
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_each_player_recursion_is_a_plain_pass(weighted):
+    """With the other player's gain closed, each player runs an ordinary pass.
+
+    Player 1 facing u = K2 x runs the bounded-real test of the closed loop:
+    its output is Cbar + Gbar K2, so M = -Cbar*Cbar - K2*K2 and R = gamma^2 I.
+    Player 2 facing v = K1 x runs the LQ pass on the v-closed plant with
+    M = Cbar*Cbar - rho^2 K1*K1, R = I and a zero terminal weight.
+    """
+    rng = np.random.default_rng(23 + weighted)
+    adj = hc.adjoint
+    for _ in range(3):
+        sys2, params, x0, sol = solvable_game(rng, weighted=weighted)
+        hs, us = sys2.state_space, sys2.control_space
+        run = hc.brl_check(hc.closed_loop(sys2, sol.u_gains), params.gamma)
+        assert run.feasible
+        k1 = sol.v_gains
+        v_closed = hc.ControlledSystem(
+            hs, us, sys2.horizon,
+            [sys2.a(k) + sys2.b1(k) @ k1[k] for k in range(sys2.steps)],
+            list(sys2.b2),
+            [sys2.c(k) + sys2.d1(k) @ k1[k] for k in range(sys2.steps)],
+            list(sys2.d2),
+        )
+        m = [adj(sys2.cbar(k)) @ sys2.cbar(k) + (adj(k1[k]) @ k1[k]).scaled(-params.rho**2)
+             for k in range(sys2.steps)]
+        cost = hc.CostSpec(v_closed, m, hc.ZeroOperator(hs, us), hc.IdentityOperator(us),
+                           hc.ZeroOperator(hs))
+        lq = hc.solve_backward_riccati(v_closed, cost)
+        assert lq.solved
+        for k in range(sys2.steps + 1):
+            assert_pinned(sol.p1[k].matrix, run.y[k].matrix)
+            assert_pinned(sol.p2[k].matrix, lq.p[k].matrix)
+        for k in range(sys2.steps):
+            assert_pinned(sol.v_gains[k].matrix, run.worst_gains[k].matrix)
+            assert_pinned(sol.u_gains[k].matrix, lq.gains[k].matrix)

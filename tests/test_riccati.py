@@ -148,6 +148,24 @@ def test_domain_failure_reported_with_step():
     assert sol.p[0] is None
 
 
+def test_step_refusal_names_step_condition_and_cap():
+    # Rk = R = diag(1, 1e-3) has condition number 1e3, above a cap of 10
+    hs = hc.euclidean(1)
+    us = hc.euclidean(2)
+    system = hc.ControlledSystem(hs, us, 1, hc.IdentityOperator(hs), hc.ZeroOperator(us, hs),
+                                 hc.ZeroOperator(hs), hc.ZeroOperator(us, hs))
+    cost = hc.CostSpec(system, hc.IdentityOperator(hs), hc.ZeroOperator(hs, us),
+                       hc.DiagonalOperator(np.array([1.0, 1e-3]), us), hc.IdentityOperator(hs))
+    with pytest.raises(hc.DomainError) as err:
+        hc.riccati_step(system, cost, cost.terminal, 1, kappa_max=10.0)
+    assert err.value.step == 1
+    assert str(err.value) == (
+        "step 1: completion term has condition number 1.000e+03 above kappa_max 1.000e+01"
+    )
+    p, _ = hc.riccati_step(system, cost, cost.terminal, 1, kappa_max=1e3)
+    assert p.matrix[0, 0] == 2.0
+
+
 def test_failing_step_is_largest_failing_index():
     # same degenerate completion term at every step: the recursion
     # stops immediately at k = N, the first step it visits

@@ -134,6 +134,28 @@ def test_malformed_specs_raise_parse_error(blob):
         hc.system_from_json(blob)
 
 
+@pytest.mark.parametrize("field, blob", [
+    ("dim", {**MINIMAL_SCALAR, "control_space": {"kind": "euclidean", "dim": ser.MAX_DIM + 1}}),
+    ("dim", {**MINIMAL_SCALAR, "state_space": {"kind": "ell2", "dim": 1e300}}),
+    ("modes", {**MINIMAL_SCALAR, "state_space": {"kind": "l2_interval", "modes": 10**6}}),
+    ("spacing", {**MINIMAL_SCALAR,
+                 "state_space": {"kind": "l2_line", "half_width": 1.0, "spacing": 1e-9}}),
+    ("horizon", {**MINIMAL_SCALAR, "horizon": ser.MAX_HORIZON + 1}),
+])
+def test_sizes_above_the_caps_are_parse_errors(field, blob):
+    with pytest.raises(hc.ParseError, match=field):
+        hc.system_from_json(blob)
+
+
+def test_sizes_at_the_caps_parse():
+    blob = {**MINIMAL_SCALAR, "horizon": ser.MAX_HORIZON,
+            "state_space": {"kind": "ell2", "dim": ser.MAX_DIM},
+            "b": {"variant": "zero"}}
+    system = hc.system_from_json(blob)
+    assert system.state_space.dim == ser.MAX_DIM
+    assert system.steps == ser.MAX_HORIZON + 1
+
+
 def test_load_json_missing_file(tmp_path):
     with pytest.raises(hc.ParseError):
         ser.load_json(tmp_path / "nope.json")

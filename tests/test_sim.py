@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import hscontrol as hc
-from helpers import random_controlled, random_psd_cost, random_x0
+from helpers import random_controlled, random_disturbed, random_psd_cost, random_x0
 
 
 HS = hc.euclidean(1)
@@ -36,19 +36,19 @@ def x0_one():
 
 def test_rollout_starts_at_x0():
     sys_ = scalar_system(3, a=0.5)
-    traj = hc.rollout(sys_, hc.Policy(sys_), x0_one(), np.zeros(4))
+    traj = hc.simulate(sys_, hc.Policy(sys_), x0_one(), np.zeros(4))
     assert traj.states[0, 0] == 1.0
 
 
 def test_identity_dynamics_hold_state():
     sys_ = scalar_system(5, a=1.0)
-    traj = hc.rollout(sys_, hc.Policy(sys_), x0_one(), np.zeros(6))
+    traj = hc.simulate(sys_, hc.Policy(sys_), x0_one(), np.zeros(6))
     assert np.allclose(traj.states, 1.0)
 
 
 def test_doubling_dynamics():
     sys_ = scalar_system(3, a=2.0)
-    traj = hc.rollout(sys_, hc.Policy(sys_), x0_one(), np.zeros(4))
+    traj = hc.simulate(sys_, hc.Policy(sys_), x0_one(), np.zeros(4))
     assert np.allclose(traj.states.ravel(), [1.0, 2.0, 4.0, 8.0, 16.0])
 
 
@@ -59,7 +59,8 @@ def test_rollout_satisfies_recurrence():
     inputs = [rng.standard_normal(sys_.control_space.dim) for _ in range(sys_.steps)]
     noises = rng.standard_normal(sys_.steps)
     pol = hc.Policy(sys_, inputs=inputs)
-    traj = hc.rollout(sys_, pol, x0, noises)
+    traj = hc.simulate(sys_, pol, x0, noises)
+    assert np.array_equal(traj.controls, np.array(inputs))
     for k in range(sys_.steps):
         drift = sys_.a(k).matrix @ traj.states[k] + sys_.b(k).matrix @ traj.controls[k]
         diff = sys_.c(k).matrix @ traj.states[k] + sys_.d(k).matrix @ traj.controls[k]
@@ -84,8 +85,7 @@ def test_enumeration_equals_single_path_when_noise_free():
     pol = hc.Policy(sys_, inputs=[rng.standard_normal(sys_.control_space.dim)
                                   for _ in range(sys_.steps)])
     res = hc.enumerate_expectation(sys_, cost, pol, x0)
-    traj = hc.rollout(sys_, pol, x0, np.zeros(sys_.steps))
-    direct = hc.pathwise_cost(cost, traj)
+    direct = hc.simulate(sys_, pol, x0, np.zeros(sys_.steps), cost=cost).cost
     assert res.value == pytest.approx(direct, rel=1e-12)
 
 
@@ -97,8 +97,31 @@ def test_simulate_bundle_reports_outputs_and_cost():
     bundle = hc.simulate(sys_, pol, x0_one(), np.zeros(3), cost=cost)
     assert bundle.states.shape == (4, 1)
     assert bundle.outputs is None
-    assert bundle.cost == pytest.approx(
-        hc.pathwise_cost(cost, hc.rollout(sys_, pol, x0_one(), np.zeros(3))))
+    # x = 1, 0.6, 0.5, 0.25 under u = 0.1, 0.2, 0: sum of x^2 + u^2, then x(3)^2
+    states = [1.0, 0.6, 0.5, 0.25]
+    assert np.allclose(bundle.states.ravel(), states, rtol=1e-15, atol=0.0)
+    expect = sum(x * x for x in states[:3]) + 0.1**2 + 0.2**2 + states[3] ** 2
+    assert bundle.cost == pytest.approx(expect, rel=1e-14)
+    assert hc.simulate(sys_, pol, x0_one(), np.zeros(3)).cost is None
+
+
+def test_simulate_disturbed_outputs_follow_the_output_map():
+    rng = np.random.default_rng(4)
+    dsys = random_disturbed(rng, weighted=True)
+    x0 = random_x0(rng, dsys.state_space)
+    inputs = [rng.standard_normal(dsys.disturbance_space.dim) for _ in range(dsys.steps)]
+    pol = hc.Policy(dsys.as_controlled(), inputs=inputs)
+    traj = hc.simulate(dsys, pol, x0, rng.standard_normal(dsys.steps))
+    for k in range(dsys.steps):
+        expect = dsys.cbar(k).matrix @ traj.states[k] + dsys.dbar(k).matrix @ inputs[k]
+        assert np.max(np.abs(traj.outputs[k] - expect)) < 1e-12
+
+
+def test_simulate_needs_one_noise_factor_per_step():
+    sys_ = scalar_system(2, a=0.5)
+    for noises in (np.zeros(2), np.zeros(4), np.zeros((1, 3)), 0.0):
+        with pytest.raises(hc.DimensionError):
+            hc.simulate(sys_, hc.Policy(sys_), x0_one(), noises)
 
 
 def test_monte_carlo_deterministic_functional_has_zero_half_width():
@@ -207,8 +230,7 @@ def test_enumeration_matches_manual_average():
     total = 0.0
     for s0 in (-1.0, 1.0):
         for s1 in (-1.0, 1.0):
-            traj = hc.rollout(sys_, pol, x0_one(), np.array([s0, s1]))
-            total += hc.pathwise_cost(cost, traj)
+            total += hc.simulate(sys_, pol, x0_one(), np.array([s0, s1]), cost=cost).cost
     assert res.value == pytest.approx(total / 4.0, rel=1e-14)
 
 
@@ -216,7 +238,7 @@ def test_gain_policy_feeds_back_state():
     sys_ = scalar_system(1, a=1.0, b=1.0)
     gain = hc.DenseOperator(np.array([[-0.5]]), HS, US)
     pol = hc.Policy(sys_, gains=[gain, gain])
-    traj = hc.rollout(sys_, pol, x0_one(), np.zeros(2))
+    traj = hc.simulate(sys_, pol, x0_one(), np.zeros(2))
     assert traj.controls[0, 0] == pytest.approx(-0.5)
     assert traj.states[1, 0] == pytest.approx(0.5)
     assert traj.controls[1, 0] == pytest.approx(-0.25)

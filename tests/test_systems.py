@@ -60,6 +60,27 @@ def test_cost_spec_rejects_nonselfadjoint_weights():
                     hc.IdentityOperator(US), hc.IdentityOperator(HS))
 
 
+def test_cost_spec_checks_every_distinct_weight():
+    # distinct self-adjoint objects at steps 0 and 1 must not stop the
+    # check before the non-self-adjoint weight at step 2
+    sys_ = hc.ControlledSystem(
+        HS, US, 2,
+        hc.IdentityOperator(HS), hc.ZeroOperator(US, HS),
+        hc.ZeroOperator(HS), hc.ZeroOperator(US, HS),
+    )
+    skew = hc.DenseOperator(np.array([[1.0, 1.0, 0.0],
+                                      [-1.0, 1.0, 0.0],
+                                      [0.0, 0.0, 1.0]]), HS)
+    m = [hc.IdentityOperator(HS), hc.DenseOperator(np.eye(3), HS), skew]
+    with pytest.raises(hc.NotSelfAdjointError, match=r"^M\(2\):"):
+        hc.CostSpec(sys_, m, hc.ZeroOperator(HS, US),
+                    hc.IdentityOperator(US), hc.IdentityOperator(HS))
+    # one shared operator is still checked, and named at its first step
+    with pytest.raises(hc.NotSelfAdjointError, match=r"^M\(0\):"):
+        hc.CostSpec(sys_, skew, hc.ZeroOperator(HS, US),
+                    hc.IdentityOperator(US), hc.IdentityOperator(HS))
+
+
 def test_disturbed_system_rejects_nonorthogonal_feedthrough():
     rng = np.random.default_rng(0)
     a = hc.IdentityOperator(HS)
