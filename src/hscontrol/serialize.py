@@ -80,8 +80,15 @@ def _finite_array(values, key: str, what: str) -> np.ndarray:
     return arr
 
 
+def _integer(obj, key: str, what: str, default=None) -> int:
+    val = _number(obj, key, what, default)
+    if not val.is_integer():
+        raise ParseError(f"{what}: {key} {val!r} is not an integer")
+    return int(val)
+
+
 def _capped(obj, key: str, what: str, cap: int, default=None) -> int:
-    val = int(_number(obj, key, what, default))
+    val = _integer(obj, key, what, default)
     if val > cap:
         raise ParseError(f"{what}: {key} {val} exceeds the cap {cap}")
     return val
@@ -137,7 +144,7 @@ def operator_from_json(obj, domain: Space, codomain: Space, what: str = "operato
     if variant == "heat_semigroup":
         return HeatSemigroupOperator(domain, _number(obj, "alpha", what), _number(obj, "tau", what))
     if variant == "filling":
-        count = None if obj.get("count") is None else int(_number(obj, "count", what))
+        count = None if obj.get("count") is None else _integer(obj, "count", what)
         return FillingOperator(domain, codomain, count)
     if variant == "scaled":
         inner = operator_from_json(_require(obj, "of", what), domain, codomain, what)

@@ -4,7 +4,9 @@ Two ways to attach a number to E[J]:
 
 * exact enumeration over all sign paths of two-point (Rademacher) noise,
   which matches the analytic value to round-off because the noise enters
-  each step linearly and only second moments survive;
+  each step linearly and only second moments survive.  Paths that share a
+  noise prefix share their state, so N steps advance about 2^(N+1) state
+  rows rather than N·2^N;
 * Monte Carlo with independent per-replication streams, which works for any
   noise kind and reports a 95 percent confidence half-width.
 
@@ -173,27 +175,59 @@ def run_batch(
 ) -> np.ndarray:
     """Accumulate a per-path functional over many noise paths at once.
 
-    ``stage(k, X, U)`` receives (paths, dim) state and control batches and
-    returns one value, or one row of values, per path; the optional
-    ``terminal`` sees the final state batch.  States are advanced in place,
-    so memory stays at one batch.  This is the only state-advancing loop.
+    x(k) depends only on the first k noise factors, so paths that share
+    that prefix share the state.  Each distinct state is advanced once:
+    ``stage(k, X, U)`` receives (states, dim) state and control batches
+    holding at most one row per path, and returns one value, or one row of
+    values, per state; the optional ``terminal`` sees the distinct final
+    states.  The result holds one total per row of ``noise_paths``, in
+    input order.  The 2^N sign paths of N steps cost 2^(N+1) - 1 state
+    rows instead of (N+1)·2^N.  This is the only state-advancing loop.
     """
     if x0.space != system.state_space:
         raise DimensionError("initial state does not live on the state space")
     noise_paths = np.asarray(noise_paths, dtype=float)
     if noise_paths.ndim != 2 or noise_paths.shape[1] != system.steps:
         raise DimensionError("noise paths must be (reps, steps)")
-    x = np.tile(x0.coords, (noise_paths.shape[0], 1))
+    reps, steps = noise_paths.shape
+    # Sorting the rows (column 0 first) makes paths with a common prefix
+    # adjacent; a path starts a new state wherever ``fresh`` is set.
+    order = np.lexsort(noise_paths.T[::-1])
+    fresh = np.zeros(reps, dtype=bool)
+    fresh[:1] = True
+    owner = np.zeros(reps, dtype=np.intp)  # sorted row -> its distinct state
+    x = np.tile(x0.coords, (min(reps, 1), 1))
     total = 0.0  # takes the shape of the first stage's values
-    for k in range(system.steps):
+    for k in range(steps):
         u = policy.control_batch(k, x)
-        total += stage(k, x, u)
-        drift = x @ system.a(k).matrix.T + u @ system.b(k).matrix.T
-        diff = x @ system.c(k).matrix.T + u @ system.d(k).matrix.T
-        x = drift + noise_paths[:, k][:, None] * diff
+        total += stage(k, x, u)[owner]
+        drift = x @ system.a(k).matrix.T
+        drift += u @ system.b(k).matrix.T
+        diff = x @ system.c(k).matrix.T
+        diff += u @ system.d(k).matrix.T
+        del x, u
+        noise = noise_paths[order, k]
+        fresh[1:] |= noise[1:] != noise[:-1]
+        firsts = np.flatnonzero(fresh)
+        factors = noise[firsts][:, None]
+        if firsts.size == drift.shape[0]:
+            # no prefix splits: every state has one successor
+            diff *= factors
+            drift += diff
+            x = drift
+        else:
+            parents = owner[firsts]
+            diff = diff[parents]
+            diff *= factors
+            x = drift[parents]
+            x += diff
+            owner = np.cumsum(fresh) - 1
+        del drift, diff
     if terminal is not None:
-        total += terminal(x)
-    return total
+        total += terminal(x)[owner]
+    out = np.empty_like(total)
+    out[order] = total
+    return out
 
 
 def sign_paths(steps: int) -> np.ndarray:

@@ -12,7 +12,16 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import AssumptionError, DimensionError, NotSelfAdjointError
-from .operators import DenseOperator, Operator, ZeroOperator, _sframe
+from .operators import (
+    DenseOperator,
+    DiagonalOperator,
+    HeatSemigroupOperator,
+    IdentityOperator,
+    Operator,
+    ScaledOperator,
+    ZeroOperator,
+    _sframe,
+)
 from .spaces import KIND_EUCLIDEAN, Space
 
 ASSUMPTION_TOL = 1e-12
@@ -55,6 +64,15 @@ def _check_selfadjoint(op: Operator, what: str, tol: float = SELFADJOINT_TOL) ->
     resid = np.linalg.norm(s - s.T, "fro") / (1.0 + np.linalg.norm(s, "fro"))
     if resid > tol:
         raise NotSelfAdjointError(f"{what}: symmetrization residual {resid:.3e} exceeds {tol:.1e}")
+
+
+def _selfadjoint_by_construction(op: Operator) -> bool:
+    """True when the operator's type alone makes it self-adjoint; builds no matrix."""
+    while isinstance(op, ScaledOperator):
+        op = op.inner_op
+    if isinstance(op, ZeroOperator):
+        return op.domain == op.codomain
+    return isinstance(op, (IdentityOperator, DiagonalOperator, HeatSemigroupOperator))
 
 
 class ControlledSystem:
@@ -113,10 +131,11 @@ class CostSpec:
         checked = set()  # ids of operators already checked; a shared one is checked once
         for k in range(steps):
             for name, op in (("M", self.m(k)), ("R", self.r(k))):
-                if id(op) not in checked:
+                if id(op) not in checked and not _selfadjoint_by_construction(op):
                     checked.add(id(op))
                     _check_selfadjoint(op, f"{name}({k})")
-        _check_selfadjoint(terminal, "terminal weight")
+        if not _selfadjoint_by_construction(terminal):
+            _check_selfadjoint(terminal, "terminal weight")
 
 
 def _check_orthogonality(left: Operator, right: Operator, what: str) -> None:

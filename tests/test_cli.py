@@ -211,6 +211,18 @@ def test_oversized_spec_refused_at_parse_time(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_non_integer_size_exit(tmp_path, capsys):
+    spec = json.loads(Path(SHIFT).read_text())
+    spec["state_space"]["dim"] = 2.7
+    (tmp_path / "frac.json").write_text(json.dumps(spec))
+    out = tmp_path / "run"
+    code = main(["brl-check", "--system", str(tmp_path / "frac.json"), "--gamma", "1.7",
+                 "--out", str(out)])
+    assert code == EXIT_BAD_INPUT
+    assert "dim 2.7 is not an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_memory_error_exits_with_limits(monkeypatch, capsys):
     def exhausted(*args, **kwargs):
         raise MemoryError

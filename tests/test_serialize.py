@@ -156,6 +156,26 @@ def test_sizes_at_the_caps_parse():
     assert system.steps == ser.MAX_HORIZON + 1
 
 
+@pytest.mark.parametrize("field, parse", [
+    ("dim", lambda: ser.space_from_json({"kind": "euclidean", "dim": 2.7})),
+    ("modes", lambda: ser.space_from_json({"kind": "l2_interval", "modes": 4.5})),
+    ("horizon", lambda: hc.system_from_json({**MINIMAL_SCALAR, "horizon": 1.9})),
+    ("count", lambda: ser.operator_from_json({"variant": "filling", "count": 2.5},
+                                            hc.euclidean(3), hc.euclidean(4))),
+])
+def test_non_integer_sizes_are_parse_errors(field, parse):
+    with pytest.raises(hc.ParseError, match=field):
+        parse()
+
+
+def test_integral_float_sizes_parse():
+    assert ser.space_from_json({"kind": "euclidean", "dim": 3.0}).dim == 3
+    assert hc.system_from_json({**MINIMAL_SCALAR, "horizon": 2.0}).horizon == 2
+    op = ser.operator_from_json({"variant": "filling", "count": 2.0},
+                               hc.euclidean(3), hc.euclidean(4))
+    assert op.count == 2
+
+
 def test_load_json_missing_file(tmp_path):
     with pytest.raises(hc.ParseError):
         ser.load_json(tmp_path / "nope.json")

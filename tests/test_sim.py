@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import hscontrol as hc
+from hscontrol.sim import run_batch, stage_cost_batch, terminal_cost_batch
 from helpers import random_controlled, random_disturbed, random_psd_cost, random_x0
 
 
@@ -242,3 +243,85 @@ def test_gain_policy_feeds_back_state():
     assert traj.controls[0, 0] == pytest.approx(-0.5)
     assert traj.states[1, 0] == pytest.approx(0.5)
     assert traj.controls[1, 0] == pytest.approx(-0.25)
+
+
+def per_path_totals(system, gains, inputs, x0, paths, stage, terminal=None):
+    """Reference totals: a plain loop that advances one path at a time."""
+    totals = []
+    for noise in paths:
+        x, total = x0.coords.copy(), 0.0
+        for k in range(system.steps):
+            u = gains[k] @ x + inputs[k]
+            total = total + stage(k, x[None, :], u[None, :])[0]
+            drift = system.a(k).matrix @ x + system.b(k).matrix @ u
+            x = drift + noise[k] * (system.c(k).matrix @ x + system.d(k).matrix @ u)
+        if terminal is not None:
+            total = total + terminal(x[None, :])[0]
+        totals.append(total)
+    return np.array(totals)
+
+
+def noise_batches(rng, steps):
+    signs = hc.sign_paths(steps)
+    duplicated = np.vstack([signs, signs[rng.integers(0, len(signs), 5)]])
+    yield signs
+    yield duplicated[rng.permutation(len(duplicated))]
+    yield rng.standard_normal((40, steps))
+    yield rng.standard_normal((1, steps))
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_run_batch_matches_per_path_recursion(weighted):
+    rng = np.random.default_rng(20 + weighted)
+    for _ in range(6):
+        sys_ = random_controlled(rng, horizon_max=5, weighted=weighted)
+        hs, us = sys_.state_space, sys_.control_space
+        cost = random_psd_cost(rng, sys_)
+        x0 = random_x0(rng, hs)
+        gains = [0.3 * rng.standard_normal((us.dim, hs.dim)) for _ in range(sys_.steps)]
+        inputs = [rng.standard_normal(us.dim) for _ in range(sys_.steps)]
+        pol = hc.Policy(sys_, [hc.DenseOperator(g, hs, us) for g in gains], inputs)
+
+        def scalar_stage(k, x, u):
+            return stage_cost_batch(cost, k, x, u)
+
+        def terminal(x):
+            return terminal_cost_batch(cost, x)
+
+        def pair_stage(k, x, u):
+            return np.column_stack([np.einsum("pi,pi->p", x * hs.weights, x),
+                                    np.einsum("pi,pi->p", u * us.weights, u)])
+
+        for paths in noise_batches(rng, sys_.steps):
+            got = run_batch(sys_, pol, x0, paths, scalar_stage, terminal)
+            want = per_path_totals(sys_, gains, inputs, x0, paths, scalar_stage, terminal)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+            got = run_batch(sys_, pol, x0, paths, pair_stage)
+            want = per_path_totals(sys_, gains, inputs, x0, paths, pair_stage)
+            assert got.shape == (len(paths), 2)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        empty = np.empty((0, sys_.steps))
+        assert run_batch(sys_, pol, x0, empty, scalar_stage, terminal).shape == (0,)
+        assert run_batch(sys_, pol, x0, empty, pair_stage).shape == (0, 2)
+
+
+def test_run_batch_advances_each_distinct_prefix_once():
+    def rows_seen(paths):
+        sys_ = scalar_system(paths.shape[1] - 1, a=0.9, c=0.5)
+        seen = []
+
+        def stage(k, x, u):
+            seen.append(x.shape[0])
+            return np.zeros(x.shape[0])
+
+        def terminal(x):
+            seen.append(x.shape[0])
+            return np.zeros(x.shape[0])
+
+        run_batch(sys_, hc.Policy(sys_), x0_one(), paths, stage, terminal)
+        return seen
+
+    assert rows_seen(hc.sign_paths(10)) == [2**k for k in range(11)]
+    reps = 64
+    gauss = hc.draw_noise_paths("gaussian", seed=2, reps=reps, steps=10)
+    assert rows_seen(gauss) == [1] + [reps] * 10

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import hscontrol as hc
+from hscontrol import systems
 from helpers import random_two_input
 
 
@@ -78,6 +79,51 @@ def test_cost_spec_checks_every_distinct_weight():
     # one shared operator is still checked, and named at its first step
     with pytest.raises(hc.NotSelfAdjointError, match=r"^M\(0\):"):
         hc.CostSpec(sys_, skew, hc.ZeroOperator(HS, US),
+                    hc.IdentityOperator(US), hc.IdentityOperator(HS))
+
+
+def test_weights_selfadjoint_by_construction_skip_the_check():
+    # each exempt type, on a weighted space, still passes the check it skips
+    rng = np.random.default_rng(3)
+    w = np.exp(rng.uniform(np.log(0.25), np.log(4.0), 3))
+    hs = hc.Space(hc.spaces.KIND_EUCLIDEAN, 3, w)
+    rod = hc.Space(hc.spaces.KIND_L2_INTERVAL, 3, w, length=1.0)
+    diag = hc.DiagonalOperator(rng.standard_normal(3), hs)
+    heat = hc.HeatSemigroupOperator(rod, 0.3, 0.1)
+    exempt = [
+        hc.IdentityOperator(hs), diag, heat, hc.ZeroOperator(hs),
+        hc.ScaledOperator(-2.0, diag), hc.ScaledOperator(0.5, hc.ScaledOperator(3.0, heat)),
+        hc.ScaledOperator(2.0, hc.ZeroOperator(rod)),
+    ]
+    for op in exempt:
+        assert systems._selfadjoint_by_construction(op)
+        systems._check_selfadjoint(op, "M(0)")
+    for op in (hc.ZeroOperator(hs, hc.euclidean(3)), hc.DenseOperator(np.eye(3), hs),
+               hc.ScaledOperator(1.0, hc.DenseOperator(np.eye(3), hs))):
+        assert not systems._selfadjoint_by_construction(op)
+    # deciding it builds no matrix
+    us = hc.Space(hc.spaces.KIND_EUCLIDEAN, 2, w[:2])
+    sys_ = hc.ControlledSystem(hs, us, 1, hc.IdentityOperator(hs), hc.ZeroOperator(us, hs),
+                               hc.ZeroOperator(hs), hc.ZeroOperator(us, hs))
+    fresh = hc.DiagonalOperator(rng.standard_normal(3), hs)
+    m, r, s = hc.ScaledOperator(2.0, fresh), hc.IdentityOperator(us), hc.ZeroOperator(hs)
+    hc.CostSpec(sys_, m, hc.ZeroOperator(hs, us), r, s)
+    for op in (m, fresh, r, s):
+        assert getattr(op, "_matrix_cache", None) is None
+
+
+def test_scaled_nonselfadjoint_weight_still_refused():
+    sys_ = hc.ControlledSystem(
+        HS, US, 1,
+        hc.IdentityOperator(HS), hc.ZeroOperator(US, HS),
+        hc.ZeroOperator(HS), hc.ZeroOperator(US, HS),
+    )
+    skew = hc.DenseOperator(np.array([[1.0, 1.0, 0.0],
+                                      [-1.0, 1.0, 0.0],
+                                      [0.0, 0.0, 1.0]]), HS)
+    m = [hc.IdentityOperator(HS), hc.ScaledOperator(2.0, hc.ScaledOperator(0.5, skew))]
+    with pytest.raises(hc.NotSelfAdjointError, match=r"^M\(1\):"):
+        hc.CostSpec(sys_, m, hc.ZeroOperator(HS, US),
                     hc.IdentityOperator(US), hc.IdentityOperator(HS))
 
 
