@@ -200,6 +200,8 @@ def cmd_h2hinf_design(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.seed < 0:
+        raise ParseError(f"--seed must be non-negative, got {args.seed}")
     system = parse_system(args.system)
     if isinstance(system, TwoInputSystem):
         raise ParseError("simulate needs a controlled or disturbed system file")

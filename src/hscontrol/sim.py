@@ -12,10 +12,13 @@ Two ways to attach a number to E[J]:
 
 Replication r always draws from the stream spawned as (seed, r), so results
 do not depend on scheduling or on how many replications run in one call.
+The seed words of all those streams are computed in one vectorized pass;
+each stream is still, bit for bit, the one that ``(seed, r)`` spawns.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -98,17 +101,106 @@ def replication_rng(seed: int, r: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
 
 
+# numpy's SeedSequence hash (O'Neill's seed_seq_fe) on uint32 arrays.
+_POOL_WORDS = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_SEED_CHUNK = 1024  # replications seeded per vectorized pass
+
+_NOISE_DRAWS = {
+    NOISE_RADEMACHER: lambda rng, steps: rng.integers(0, 2, size=steps) * 2.0 - 1.0,
+    NOISE_GAUSSIAN: lambda rng, steps: rng.standard_normal(steps),
+}
+
+
+def _spawned_states(seed: int, spawn: np.ndarray) -> np.ndarray:
+    """Row i is ``SeedSequence(entropy=seed, spawn_key=(spawn[i],)).generate_state(4, np.uint64)``.
+
+    ``seed`` is a non-negative int and ``spawn`` a uint32 array.  The
+    entropy is the seed's 32-bit words, least significant first and padded
+    with zeros to the pool size, then the spawn word.
+    """
+    words = [seed & _MASK32]
+    while seed >> 32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    words += [0] * (_POOL_WORDS - len(words))
+    # one-element arrays, not scalars: array arithmetic wraps mod 2^32 silently
+    entropy = [np.array([w], dtype=np.uint32) for w in words] + [spawn]
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _MASK32
+        value = value * const
+        return value ^ value >> 16
+
+    def mix(x, y):
+        x = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return x ^ x >> 16
+
+    pool = [hashmix(w) for w in entropy[:_POOL_WORDS]]
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in entropy[_POOL_WORDS:]:
+        for dst in range(_POOL_WORDS):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    state = np.empty((spawn.size, 2 * _POOL_WORDS), dtype="<u4")
+    const = _INIT_B
+    for i in range(state.shape[1]):
+        value = pool[i % _POOL_WORDS] ^ const
+        const = const * _MULT_B & _MASK32
+        value = value * const
+        state[:, i] = value ^ value >> 16
+    return state.view("<u8").astype(np.uint64)
+
+
+def _nonnegative_int(name: str, value) -> int:
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise DimensionError(f"{name} must be an integer, got {value!r}") from None
+    if value < 0:
+        raise DimensionError(f"{name} must be non-negative, got {value}")
+    return value
+
+
 def draw_noise_paths(kind: str, seed: int, reps: int, steps: int) -> np.ndarray:
-    """(reps, steps) noise factors, one independent stream per replication."""
+    """(reps, steps) noise factors, one independent stream per replication.
+
+    Row r is what ``replication_rng(seed, r)`` draws, bit for bit: the seed
+    words of all the streams are computed in one vectorized pass, and each
+    is handed to its own PCG64.
+    """
+    draw = _NOISE_DRAWS.get(kind)
+    if draw is None:
+        raise DimensionError(f"unknown noise kind {kind!r}")
+    reps = _nonnegative_int("reps", reps)
+    steps = _nonnegative_int("steps", steps)
+    if reps > 1 << 32:
+        raise DimensionError(f"reps {reps} exceeds 2^32, the range of one spawn word")
+    seed = _nonnegative_int("seed", seed)
+    # imported here so that ``import hscontrol`` does not load numpy.random
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SpawnedState(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words  # PCG64 asks for exactly these 4 uint64 words
+
     out = np.empty((reps, steps))
-    for r in range(reps):
-        rng = replication_rng(seed, r)
-        if kind == NOISE_RADEMACHER:
-            out[r] = rng.integers(0, 2, size=steps) * 2.0 - 1.0
-        elif kind == NOISE_GAUSSIAN:
-            out[r] = rng.standard_normal(steps)
-        else:
-            raise DimensionError(f"unknown noise kind {kind!r}")
+    for start in range(0, reps, _SEED_CHUNK):
+        spawn = np.arange(start, min(start + _SEED_CHUNK, reps), dtype=np.uint32)
+        for r, words in enumerate(_spawned_states(seed, spawn), start):
+            out[r] = draw(Generator(PCG64(SpawnedState(words))), steps)
     return out
 
 

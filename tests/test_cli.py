@@ -223,6 +223,15 @@ def test_non_integer_size_exit(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_negative_seed_exit(tmp_path, capsys):
+    out = tmp_path / "run"
+    code = main(["simulate", "--system", DEMO_SYSTEM, "--cost", DEMO_COST,
+                 "--x0", DEMO_X0, "--seed", "-1", "--out", str(out)])
+    assert code == EXIT_BAD_INPUT
+    assert "--seed" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_memory_error_exits_with_limits(monkeypatch, capsys):
     def exhausted(*args, **kwargs):
         raise MemoryError

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import hscontrol as hc
+from hscontrol import sim
 from hscontrol.sim import run_batch, stage_cost_batch, terminal_cost_batch
 from helpers import random_controlled, random_disturbed, random_psd_cost, random_x0
 
@@ -325,3 +331,60 @@ def test_run_batch_advances_each_distinct_prefix_once():
     reps = 64
     gauss = hc.draw_noise_paths("gaussian", seed=2, reps=reps, steps=10)
     assert rows_seen(gauss) == [1] + [reps] * 10
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32 + 3, 2**70 + 9, 2**130 + 1])
+def test_spawned_states_match_seed_sequence(seed):
+    spawn = np.array([0, 1, 2, 1023, 1024, 2**31, 2**32 - 1], dtype=np.uint32)
+    want = [np.random.SeedSequence(entropy=seed, spawn_key=(int(r),)).generate_state(4, np.uint64)
+            for r in spawn]
+    got = sim._spawned_states(seed, spawn)
+    assert got.dtype == np.uint64
+    assert np.array_equal(got, np.array(want))
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "rademacher"])
+@pytest.mark.parametrize("reps", [0, 1, sim._SEED_CHUNK + 37])
+def test_noise_paths_are_the_replication_streams(kind, reps):
+    steps = 6
+    got = hc.draw_noise_paths(kind, seed=41, reps=reps, steps=steps)
+    want = np.empty((reps, steps))
+    for r in range(reps):
+        rng = hc.replication_rng(41, r)
+        if kind == "gaussian":
+            want[r] = rng.standard_normal(steps)
+        else:
+            want[r] = rng.integers(0, 2, size=steps) * 2.0 - 1.0
+    assert got.shape == (reps, steps)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**40), 1.0, 2.5, "3", None])
+def test_bad_seed_refused(seed):
+    with pytest.raises(hc.DimensionError, match="seed"):
+        hc.draw_noise_paths("gaussian", seed=seed, reps=2, steps=3)
+    sys_ = scalar_system(2, a=0.5, c=0.5)
+    with pytest.raises(hc.DimensionError, match="seed"):
+        hc.monte_carlo_expectation(sys_, unit_cost(sys_), hc.Policy(sys_), x0_one(),
+                                   reps=4, seed=seed)
+
+
+def test_noise_arguments_checked_before_any_work():
+    with pytest.raises(hc.DimensionError, match="cauchy"):
+        hc.draw_noise_paths("cauchy", seed=0, reps=0, steps=3)
+    with pytest.raises(hc.DimensionError, match="reps"):
+        hc.draw_noise_paths("gaussian", seed=0, reps=-1, steps=3)
+    with pytest.raises(hc.DimensionError, match="steps"):
+        hc.draw_noise_paths("gaussian", seed=0, reps=3, steps=-2)
+    with pytest.raises(hc.DimensionError, match="reps"):
+        hc.draw_noise_paths("gaussian", seed=0, reps=2.0, steps=3)
+    # a larger r would need a second spawn word; refused before allocating
+    with pytest.raises(hc.DimensionError, match="reps"):
+        hc.draw_noise_paths("gaussian", seed=0, reps=2**32 + 1, steps=0)
+
+
+def test_import_leaves_numpy_random_unloaded():
+    src = Path(hc.__file__).resolve().parents[1]
+    code = "import hscontrol, sys; assert 'numpy.random' not in sys.modules"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
