@@ -35,6 +35,7 @@ from .operators import (
     DenseOperator,
     Operator,
     SelfAdjointCert,
+    _sframe,
     coordinate_operators,
     gram,
     min_eig_selfadjoint,
@@ -223,6 +224,38 @@ def hinf_norm(
     return NormEstimate(0.5 * (lo + hi), iterations, lo, hi)
 
 
+_NOISE_RTOL = 1e-14
+# Frobenius bounds must clear the threshold by this factor, which absorbs
+# the round-off of the two norm computations they compare.
+_BOUND_MARGIN = 1.0 + 1e-8
+
+
+def _opnorm_bounds(op: Operator) -> tuple[float, float]:
+    """(lo, hi) around ``opnorm(op)``: |S|_F / sqrt(min(shape)) <= |S| <= |S|_F."""
+    s = _sframe(op.matrix, op.codomain.weights, op.domain.weights)
+    fro = float(np.linalg.norm(s))
+    return fro / np.sqrt(min(s.shape)), fro
+
+
+def _check_noise_free(dsys: DisturbedSystem) -> None:
+    """Refuse unless every C and D1 has norm at most 1e-14 (1 + scale).
+
+    scale = max_k |A(k)| + |B1(k)|.  Frobenius norms bound both sides, so a
+    refusal they prove needs no SVD; the exact norms run only when the bounds
+    leave the decision open, and the decision is the same either way.
+    """
+    steps = range(dsys.steps)
+    noise = [op for k in steps for op in (dsys.c(k), dsys.d1(k))]
+    scale_hi = max(_opnorm_bounds(dsys.a(k))[1] + _opnorm_bounds(dsys.b1(k))[1] for k in steps)
+    bound = _BOUND_MARGIN * _NOISE_RTOL * (1.0 + scale_hi)
+    noisy = any(_opnorm_bounds(op)[0] > bound for op in noise)
+    if not noisy:
+        scale = max(opnorm(dsys.a(k)) + opnorm(dsys.b1(k)) for k in steps)
+        noisy = any(opnorm(op) > _NOISE_RTOL * (1.0 + scale) for op in noise)
+    if noisy:
+        raise OracleScopeError("oracle only covers noise-free systems (C = D1 = 0)")
+
+
 @dataclass(frozen=True)
 class OracleNorm:
     value: float
@@ -237,10 +270,7 @@ def deterministic_norm_oracle(dsys: DisturbedSystem) -> OracleNorm:
     the gain, and the top right singular vector is a maximizing disturbance.
     Refuses systems with noise in the loop, where no such reduction exists.
     """
-    scale = max(opnorm(dsys.a(k)) + opnorm(dsys.b1(k)) for k in range(dsys.steps))
-    for k in range(dsys.steps):
-        if opnorm(dsys.c(k)) > 1e-14 * (1.0 + scale) or opnorm(dsys.d1(k)) > 1e-14 * (1.0 + scale):
-            raise OracleScopeError("oracle only covers noise-free systems (C = D1 = 0)")
+    _check_noise_free(dsys)
     steps = dsys.steps
     dv = dsys.disturbance_space.dim
     dz = dsys.output_space.dim

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import hscontrol as hc
-from helpers import assert_pinned, random_disturbed
+from hscontrol import hinf
+from helpers import assert_pinned, dense, random_disturbed, space
 
 
 def unit_delay(dim=3, horizon=4):
@@ -102,6 +103,58 @@ def test_oracle_refuses_noisy_systems():
     dsys = random_disturbed(rng, noisy=True)
     with pytest.raises(hc.OracleScopeError):
         hc.deterministic_norm_oracle(dsys)
+
+
+def scope_refused_by_exact_norms(dsys):
+    """The oracle's scope rule evaluated with an SVD for every norm."""
+    steps = range(dsys.steps)
+    scale = max(hc.opnorm(dsys.a(k)) + hc.opnorm(dsys.b1(k)) for k in steps)
+    return any(hc.opnorm(op) > 1e-14 * (1.0 + scale)
+               for k in steps for op in (dsys.c(k), dsys.d1(k)))
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_oracle_scope_decided_by_frobenius_bounds_first(weighted, monkeypatch):
+    """Bounds that prove C != 0 refuse with no SVD; the decision never changes.
+
+    With A = a I at dim 16, |A|_F = 4 |A|: C = 1e-13 I is provably noisy at
+    a = 1, left open by the bounds but noisy at a = 5, and within the
+    tolerance at a = 20.
+    """
+    rng = np.random.default_rng(30 + weighted)
+    hs, vs = space(rng, 16, weighted), space(rng, 2, weighted)
+    ident = hc.IdentityOperator(hs)
+
+    def plant(a, c):
+        return hc.DisturbedSystem(
+            hs, vs, hs, 2, hc.ScaledOperator(a, ident), dense(rng, vs, hs, 0.1), c,
+            hc.ZeroOperator(vs, hs), ident, hc.ZeroOperator(vs, hs),
+        )
+
+    svds = []
+
+    def counted_opnorm(op):
+        svds.append(op)
+        return hc.opnorm(op)
+
+    monkeypatch.setattr(hinf, "opnorm", counted_opnorm)
+    barely = hc.ScaledOperator(1e-13, ident)
+    cases = [
+        (plant(0.5, hc.ZeroOperator(hs)), False, True),
+        (plant(1.0, barely), True, False),
+        (plant(5.0, barely), True, True),
+        (plant(20.0, barely), False, True),
+        (plant(0.5, [dense(rng, hs, hs, 0.1) for _ in range(3)]), True, False),
+    ]
+    for dsys, refused, needs_svd in cases:
+        assert scope_refused_by_exact_norms(dsys) == refused
+        svds.clear()
+        if refused:
+            with pytest.raises(hc.OracleScopeError):
+                hc.deterministic_norm_oracle(dsys)
+        else:
+            hc.deterministic_norm_oracle(dsys)
+        assert bool(svds) == needs_svd
 
 
 def test_noisy_norm_is_at_least_the_noise_free_norm():

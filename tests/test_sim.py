@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 import hscontrol as hc
 from hscontrol import sim
 from hscontrol.sim import run_batch, stage_cost_batch, terminal_cost_batch
-from helpers import random_controlled, random_disturbed, random_psd_cost, random_x0
+from helpers import dense, random_controlled, random_disturbed, random_psd_cost, random_x0, space
 
 
 HS = hc.euclidean(1)
@@ -278,7 +279,18 @@ def noise_batches(rng, steps):
 
 @pytest.mark.parametrize("weighted", [False, True])
 def test_run_batch_matches_per_path_recursion(weighted):
-    rng = np.random.default_rng(20 + weighted)
+    check_run_batch_against_per_path(np.random.default_rng(20 + weighted), weighted)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("budget_rows", [1, 5, 16])
+def test_blocked_run_batch_matches_per_path_recursion(weighted, budget_rows, monkeypatch):
+    # blocks of max(1, budget_rows // dim) rows: a handful of rows, often one
+    monkeypatch.setattr(sim, "_BLOCK_BYTES", 8 * budget_rows)
+    check_run_batch_against_per_path(np.random.default_rng(40 + budget_rows), weighted)
+
+
+def check_run_batch_against_per_path(rng, weighted):
     for _ in range(6):
         sys_ = random_controlled(rng, horizon_max=5, weighted=weighted)
         hs, us = sys_.state_space, sys_.control_space
@@ -331,6 +343,130 @@ def test_run_batch_advances_each_distinct_prefix_once():
     reps = 64
     gauss = hc.draw_noise_paths("gaussian", seed=2, reps=reps, steps=10)
     assert rows_seen(gauss) == [1] + [reps] * 10
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, 64])
+def test_blocked_run_batch_advances_each_prefix_once_per_block(block_rows, monkeypatch):
+    """Rows at step k: at least the distinct k-prefixes, at most (blocks - 1) more."""
+    monkeypatch.setattr(sim, "_BLOCK_BYTES", 8 * block_rows)  # dim 1
+    rng = np.random.default_rng(block_rows)
+    signs = hc.sign_paths(8)
+    batches = [
+        signs,
+        np.vstack([signs, signs[rng.integers(0, len(signs), 9)]])[rng.permutation(len(signs) + 9)],
+        hc.draw_noise_paths("gaussian", seed=3, reps=50, steps=8),
+        hc.draw_noise_paths("rademacher", seed=3, reps=50, steps=8),
+    ]
+    for paths in batches:
+        sys_ = scalar_system(paths.shape[1] - 1, a=0.9, c=0.5)
+        seen = []
+
+        def stage(k, x, u):
+            seen.append(x.shape[0])
+            return np.zeros(x.shape[0])
+
+        def terminal(x):
+            seen.append(x.shape[0])
+            return np.zeros(x.shape[0])
+
+        # a block's rows all pass through every step before the next block starts
+        run_batch(sys_, hc.Policy(sys_), x0_one(), paths, stage, terminal)
+        blocks = -(-len(paths) // block_rows)
+        per_step = np.array(seen).reshape(blocks, paths.shape[1] + 1).sum(axis=0)
+        for k, rows in enumerate(per_step):
+            distinct = len(np.unique(paths[:, :k], axis=0)) if k else 1
+            assert distinct <= rows <= distinct + blocks - 1
+
+
+def test_run_batch_memory_is_bounded_per_block():
+    """Traced peak of one run over the 2^16 sign paths at dim 64.
+
+    The paths alone take 8.4 MB; a rollout over all rows at once holds
+    several (2^16, 64) float arrays of 33.5 MB each.
+    """
+    hs, us = hc.ell2(64), hc.euclidean(2)
+    rng = np.random.default_rng(5)
+    ident = hc.IdentityOperator(hs)
+    sys_ = hc.ControlledSystem(hs, us, 15, hc.ScaledOperator(0.5, ident), dense(rng, us, hs),
+                               hc.ScaledOperator(0.3, ident), hc.ZeroOperator(us, hs))
+    cost = unit_cost(sys_)
+    x0 = random_x0(rng, hs)
+    paths = hc.sign_paths(16)
+    tracemalloc.start()
+    try:
+        run_batch(sys_, hc.Policy(sys_), x0, paths,
+                  lambda k, x, u: stage_cost_batch(cost, k, x, u),
+                  lambda x: terminal_cost_batch(cost, x))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * paths.nbytes + 4 * 2**20
+
+
+def test_stage_costs_match_inner_products():
+    """Each row's stage and terminal cost against HVector inner products.
+
+    Weights of every structured kind, scaled, zero and dense, on weighted
+    spaces, with a non-symmetric dense cross weight L.
+    """
+    rng = np.random.default_rng(8)
+    n, m = 5, 3
+    hs = hc.Space(hc.spaces.KIND_L2_INTERVAL, n, np.exp(rng.uniform(-1.0, 1.0, n)), length=2.0)
+    us = space(rng, m, weighted=True)
+
+    def selfadjoint(sp):
+        g = rng.standard_normal((sp.dim, sp.dim))
+        return hc.DenseOperator((g + g.T) / sp.weights[:, None], sp)
+
+    def weights(sp):
+        ident = hc.IdentityOperator(sp)
+        ops = {
+            "identity": ident,
+            "diagonal": hc.DiagonalOperator(rng.standard_normal(sp.dim), sp),
+            "scaled": hc.ScaledOperator(-1.7, ident),
+            "zero": hc.ZeroOperator(sp),
+            "dense": selfadjoint(sp),
+            "scaled-dense": hc.ScaledOperator(0.6, selfadjoint(sp)),
+        }
+        if sp.kind == hc.spaces.KIND_L2_INTERVAL:
+            ops["heat"] = hc.HeatSemigroupOperator(sp, 0.3, 0.5)
+        return ops
+
+    zero = hc.ZeroOperator(hs)
+    sys_ = hc.ControlledSystem(hs, us, 0, zero, hc.ZeroOperator(us, hs), zero,
+                               hc.ZeroOperator(us, hs))
+    x = rng.standard_normal((4, n))
+    u = rng.standard_normal((4, m))
+    crosses = [dense(rng, hs, us), hc.ZeroOperator(hs, us)]
+    m_ops, r_ops = weights(hs), list(weights(us).values())
+    for i, (name, m_op) in enumerate(m_ops.items()):
+        for l_op in crosses:
+            r_op = r_ops[i % len(r_ops)]
+            cost = hc.CostSpec(sys_, m_op, l_op, r_op, m_op)
+            got = stage_cost_batch(cost, 0, x, u)
+            term = terminal_cost_batch(cost, x)
+            for p in range(len(x)):
+                xp, up = hc.HVector(hs, x[p]), hc.HVector(us, u[p])
+                want = (hc.inner(m_op.apply(xp), xp) + 2.0 * hc.inner(l_op.apply(xp), up)
+                        + hc.inner(r_op.apply(up), up))
+                assert got[p] == pytest.approx(want, rel=1e-12, abs=1e-12), name
+                assert term[p] == pytest.approx(hc.inner(m_op.apply(xp), xp),
+                                                rel=1e-12, abs=1e-12), name
+
+
+@pytest.mark.parametrize("seed, r, name", [
+    (-1, 0, "seed"), (None, 0, "seed"), (1.5, 0, "seed"),
+    (0, -1, "r"), (0, None, "r"), (0, 1.5, "r"), (0, 2**32, "r"),
+])
+def test_replication_rng_refuses_bad_arguments(seed, r, name):
+    with pytest.raises(hc.DimensionError, match=f"^{name} "):
+        hc.replication_rng(seed, r)
+
+
+def test_replication_rng_accepts_the_largest_spawn_word():
+    want = np.random.SeedSequence(entropy=2, spawn_key=(2**32 - 1,))
+    got = hc.replication_rng(2, 2**32 - 1).standard_normal(3)
+    assert np.array_equal(got, np.random.default_rng(want).standard_normal(3))
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2**32 + 3, 2**70 + 9, 2**130 + 1])
