@@ -42,8 +42,6 @@ from .operators import (
     SelfAdjointCert,
     SumOperator,
     ZeroOperator,
-    adjoint,
-    apply,
     block_selfadjoint_cert,
     invert_positive,
     invert_selfadjoint,
@@ -67,32 +65,25 @@ from .riccati import (
     STATUS_DOMAIN_FAILURE,
     STATUS_NOT_UNIFORMLY_POSITIVE,
     STATUS_SOLVED,
-    completion_terms,
     psd_cost_certificate,
-    riccati_step,
     solve_backward_riccati,
 )
 from .lq import (
     LQProblem,
     LQSolution,
-    WellPosednessCertificate,
     completing_square_check,
-    eval_cost_pathwise,
     excess_cost,
     expected_cost,
     optimal_policy,
     solve_lq,
-    well_posedness_certificate,
 )
 from .hinf import (
     BoundedRealRun,
     NormEstimate,
     OracleNorm,
-    attenuation_terms,
     backward_f_equation,
     brl_check,
     deterministic_norm_oracle,
-    eval_perturbation,
     feedthrough_margin,
     hinf_norm,
     perturbation_gain,
@@ -103,7 +94,6 @@ from .game import (
     GameParams,
     MixedDesignResult,
     NashReport,
-    cross_coupled_step,
     game_costs,
     h2hinf_design,
     hinf_design,

@@ -30,6 +30,7 @@ from .game import GameParams, h2hinf_design, hinf_design, solve_coupled_riccati
 from .hinf import brl_check, hinf_norm
 from .lq import LQProblem, optimal_policy, solve_lq
 from .serialize import (
+    MAX_DIM,
     canonical_json,
     operator_to_json,
     parse_cost,
@@ -246,6 +247,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_example(args) -> int:
+    if args.dim is not None and not 0 < args.dim <= MAX_DIM:
+        raise ParseError(f"--dim must be between 1 and {MAX_DIM}, got {args.dim}")
     report = run_example(args.id, out_dir=args.out, dim=args.dim)
     lines = [f"example = {report.example_id}"]
     for comp in report.comparisons:

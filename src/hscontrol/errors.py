@@ -38,7 +38,7 @@ class GameDomainError(SteppedError):
 
 
 class CouplingSingularError(SteppedError):
-    """The stacked gain-coupling system is singular and iteration diverged."""
+    """The stacked gain-coupling system is singular or leaves a residual above tolerance."""
 
 
 class DesignInfeasibleError(SteppedError):

@@ -504,12 +504,12 @@ def run_example(example_id: str, out_dir=None, dim: int | None = None) -> Exampl
     if example_id.startswith("ex2-case"):
         case = example_id.removeprefix("ex2-case")
         if case in ("1", "2", "3"):
-            kwargs = {"modes": dim} if dim else {}
+            kwargs = {"modes": dim} if dim is not None else {}
             return run_heat(int(case), out, **kwargs)
     if example_id == "ex3":
-        kwargs = {"dim": dim} if dim else {}
+        kwargs = {"dim": dim} if dim is not None else {}
         return run_shift_network(out, **kwargs)
     if example_id == "ex4":
-        kwargs = {"dim": dim} if dim else {}
+        kwargs = {"dim": dim} if dim is not None else {}
         return run_coupled_game(out, **kwargs)
     raise ParseError(f"unknown example id {example_id!r}; expected one of {', '.join(EXAMPLE_IDS)}")

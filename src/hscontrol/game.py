@@ -40,7 +40,7 @@ from .operators import (
     DenseOperator,
     Operator,
     SelfAdjointCert,
-    certified_inverse,
+    _selfadjoint_eigs,
     coordinate_operators,
     gram,
     positivity_tolerance,
@@ -54,10 +54,7 @@ from .riccati import (
 )
 from .sim import Policy, run_batch, sign_paths
 from .spaces import HVector, inner, zero_vector
-from .systems import ControlledSystem, DisturbedSystem, TwoInputSystem, closed_loop
-
-FIXED_POINT_TOL = 1e-12
-FIXED_POINT_MAX_ITERS = 500
+from .systems import DisturbedSystem, TwoInputSystem, closed_loop
 
 
 @dataclass(frozen=True)
@@ -68,61 +65,36 @@ class GameParams:
     rho: float = 0.0
 
     def __post_init__(self):
-        if not (0.0 < self.gamma < np.inf):
-            raise DimensionError("gamma must be a positive finite real")
-        if not (0.0 <= self.rho < np.inf):
-            raise DimensionError("rho must be a nonnegative finite real")
+        # the levels enter squared, so their squares must be finite too
+        if not (0.0 < self.gamma and self.gamma * self.gamma < np.inf):
+            raise DimensionError("gamma must be a positive finite real with a finite square")
+        if not (0.0 <= self.rho and self.rho * self.rho < np.inf):
+            raise DimensionError("rho must be a nonnegative finite real with a finite square")
 
 
-def _solve_coupling(r1, s12, s21, r2, g1, g2, r1_inv, r2_inv, k):
-    """Gains from the stacked affine stationarity system, with a fallback.
+def _solve_coupling(r1, s12, s21, r2, g1, g2, k):
+    """Gains K1, K2 from the stacked stationarity system, and its relative residual.
 
-    Solves [[r1, s12], [s21, r2]] [K1; K2] = -[g1; g2] directly; if the stack
-    is numerically singular, falls back to alternating substitution, which
-    uses only the (already certified) inverses of r1 and r2.
+    Solves [[r1, s12], [s21, r2]] [K1; K2] = -[g1; g2].  A stack that is
+    numerically singular, or whose solution leaves a residual above 1e-8, is
+    refused with CouplingSingularError.
     """
     dv = r1.shape[0]
-    lhs = np.block([[r1, s12], [s21, r2]])
-    rhs = -np.vstack([g1, g2])
     scale = 1.0 + max(np.linalg.norm(g1), np.linalg.norm(g2))
     try:
-        stacked = np.linalg.solve(lhs, rhs)
-        k1, k2 = stacked[:dv], stacked[dv:]
-        resid = max(
-            np.linalg.norm(r1 @ k1 + s12 @ k2 + g1),
-            np.linalg.norm(r2 @ k2 + s21 @ k1 + g2),
-        ) / scale
-        if np.isfinite(resid) and resid <= 1e-8:
-            return k1, k2, float(resid)
-    except np.linalg.LinAlgError:
-        pass
-    k1 = np.zeros_like(g1)
-    k2 = np.zeros_like(g2)
-    for _ in range(FIXED_POINT_MAX_ITERS):
-        k1_new = -r1_inv @ (g1 + s12 @ k2)
-        k2_new = -r2_inv @ (g2 + s21 @ k1_new)
-        change = max(np.max(np.abs(k1_new - k1)), np.max(np.abs(k2_new - k2)))
-        k1, k2 = k1_new, k2_new
-        if change <= FIXED_POINT_TOL * scale:
-            resid = max(
-                np.linalg.norm(r1 @ k1 + s12 @ k2 + g1),
-                np.linalg.norm(r2 @ k2 + s21 @ k1 + g2),
-            ) / scale
-            return k1, k2, float(resid)
-    raise CouplingSingularError(k, f"gain coupling at step {k} is singular and iteration stalled")
-
-
-@dataclass
-class _GameStep:
-    p1: np.ndarray  # Gram forms W P1(k), W P2(k)
-    p2: np.ndarray
-    k1: np.ndarray
-    k2: np.ndarray
-    r1: np.ndarray
-    r2: np.ndarray
-    cert1: SelfAdjointCert
-    cert2: SelfAdjointCert
-    coupling_residual: float
+        stacked = np.linalg.solve(np.block([[r1, s12], [s21, r2]]), -np.vstack([g1, g2]))
+    except np.linalg.LinAlgError as exc:
+        raise CouplingSingularError(k, f"gain coupling at step {k} is singular") from exc
+    k1, k2 = stacked[:dv], stacked[dv:]
+    resid = max(
+        np.linalg.norm(r1 @ k1 + s12 @ k2 + g1),
+        np.linalg.norm(r2 @ k2 + s21 @ k1 + g2),
+    ) / scale
+    if not resid <= 1e-8:
+        raise CouplingSingularError(
+            k, f"gain coupling at step {k} leaves residual {resid:.3e} above 1e-8"
+        )
+    return k1, k2, float(resid)
 
 
 def _player_weights(sys2: TwoInputSystem, params: GameParams) -> tuple[StageWeights, StageWeights]:
@@ -135,67 +107,19 @@ def _player_weights(sys2: TwoInputSystem, params: GameParams) -> tuple[StageWeig
     return (lambda k: (-cbar_sq[k], zero, r1)), (lambda k: (cbar_sq[k], zero, r2))
 
 
-def _cross_step_arrays(
-    sys2: TwoInputSystem,
-    view: ControlledSystem,
-    weights: tuple[StageWeights, StageWeights],
-    g1n: np.ndarray,
-    g2n: np.ndarray,
-    k: int,
-    kappa_max: float,
-) -> _GameStep:
-    """One step on the Gram forms W P1', W P2'; returns the new Gram forms."""
-    wv = sys2.disturbance_space.weights
-    wu = sys2.control_space.weights
-    v, u = slice(None, wv.size), slice(wv.size, None)
-    q1, rk1, gk1 = _completion_arrays(view, weights[0], g1n, k)
-    q2, rk2, gk2 = _completion_arrays(view, weights[1], g2n, k)
-    r1, r2 = rk1[v, v] / wv[:, None], rk2[u, u] / wu[:, None]
-    certs, inverses = [], []
-    for mat, w, label in ((r1, wv, "disturbance weight"), (r2, wu, "control weight")):
-        cert, inverse = certified_inverse(mat, w, kappa_max)
-        tol = positivity_tolerance(cert.norm)
-        if cert.min_eig <= tol:
-            raise GameDomainError(
-                k, f"{label} at step {k}: minimum eigenvalue {cert.min_eig:.6e} is not above {tol:.3e}"
-            )
-        if inverse is None:
-            raise GameDomainError(
-                k, f"{label} at step {k}: condition number {cert.cond:.3e} exceeds {kappa_max:.1e}"
-            )
-        certs.append(cert)
-        inverses.append(inverse * w[None, :])
-    (cert1, cert2), (r1_inv, r2_inv) = certs, inverses
-
-    s12, s21 = rk1[v, u] / wv[:, None], rk2[u, v] / wu[:, None]
-    g1, g2 = gk1[v] / wv[:, None], gk2[u] / wu[:, None]
-    k1, k2, resid = _solve_coupling(r1, s12, s21, r2, g1, g2, r1_inv, r2_inv, k)
-    gain = np.vstack([k1, k2])
-    p1, p2 = _closed_gram(q1, gk1, rk1, gain), _closed_gram(q2, gk2, rk2, gain)
-    return _GameStep(p1, p2, k1, k2, r1, r2, cert1, cert2, resid)
-
-
-def cross_coupled_step(
-    sys2: TwoInputSystem,
-    params: GameParams,
-    k: int,
-    p1_next: Operator,
-    p2_next: Operator,
-    kappa_max: float = KAPPA_MAX_DEFAULT,
-) -> tuple[Operator, Operator, Operator, Operator]:
-    """One backward step of the coupled pair: (K1, K2, P1(k), P2(k))."""
-    hs, vs, us = sys2.state_space, sys2.disturbance_space, sys2.control_space
-    wh = hs.weights[:, None]
-    view, weights = sys2.as_controlled(), _player_weights(sys2, params)
-    res = _cross_step_arrays(
-        sys2, view, weights, wh * p1_next.matrix, wh * p2_next.matrix, k, kappa_max
-    )
-    return (
-        DenseOperator(res.k1, hs, vs),
-        DenseOperator(res.k2, hs, us),
-        DenseOperator(res.p1 / wh, hs),
-        DenseOperator(res.p2 / wh, hs),
-    )
+def _certify_weight(mat: np.ndarray, w: np.ndarray, label: str, k: int, kappa_max: float):
+    """Certificate of a player's effective weight; GameDomainError unless it is in the domain."""
+    cert = _selfadjoint_eigs(mat, w)[0]
+    tol = positivity_tolerance(cert.norm)
+    if cert.min_eig <= tol:
+        raise GameDomainError(
+            k, f"{label} at step {k}: minimum eigenvalue {cert.min_eig:.6e} is not above {tol:.3e}"
+        )
+    if not cert.cond <= kappa_max:
+        raise GameDomainError(
+            k, f"{label} at step {k}: condition number {cert.cond:.3e} exceeds {kappa_max:.1e}"
+        )
+    return cert
 
 
 @dataclass
@@ -261,24 +185,28 @@ def solve_coupled_riccati(
     failing = None
     detail = None
     worst_resid = 0.0
+    wv, wu = vs.weights, us.weights
+    v, u = slice(None, vs.dim), slice(vs.dim, None)
     view, weights = sys2.as_controlled(), _player_weights(sys2, params)
     for k in range(steps - 1, -1, -1):
+        q1, rk1, gk1 = _completion_arrays(view, weights[0], grams1[k + 1], k)
+        q2, rk2, gk2 = _completion_arrays(view, weights[1], grams2[k + 1], k)
+        r1, r2 = rk1[v, v] / wv[:, None], rk2[u, u] / wu[:, None]
         try:
-            res = _cross_step_arrays(sys2, view, weights, grams1[k + 1], grams2[k + 1], k, kappa_max)
+            cert1 = _certify_weight(r1, wv, "disturbance weight", k, kappa_max)
+            cert2 = _certify_weight(r2, wu, "control weight", k, kappa_max)
         except GameDomainError as err:
-            status = STATUS_DOMAIN_FAILURE
-            failing = err.step
-            detail = str(err)
+            status, failing, detail = STATUS_DOMAIN_FAILURE, err.step, str(err)
             break
-        grams1[k] = res.p1
-        grams2[k] = res.p2
-        v_gains[k] = DenseOperator(res.k1, hs, vs)
-        u_gains[k] = DenseOperator(res.k2, hs, us)
-        r1_ops[k] = DenseOperator(res.r1, vs)
-        r2_ops[k] = DenseOperator(res.r2, us)
-        certs1[k] = res.cert1
-        certs2[k] = res.cert2
-        worst_resid = max(worst_resid, res.coupling_residual)
+        s12, s21 = rk1[v, u] / wv[:, None], rk2[u, v] / wu[:, None]
+        g1, g2 = gk1[v] / wv[:, None], gk2[u] / wu[:, None]
+        k1, k2, resid = _solve_coupling(r1, s12, s21, r2, g1, g2, k)
+        gain = np.vstack([k1, k2])
+        grams1[k], grams2[k] = _closed_gram(q1, gk1, rk1, gain), _closed_gram(q2, gk2, rk2, gain)
+        v_gains[k], u_gains[k] = DenseOperator(k1, hs, vs), DenseOperator(k2, hs, us)
+        r1_ops[k], r2_ops[k] = DenseOperator(r1, vs), DenseOperator(r2, us)
+        certs1[k], certs2[k] = cert1, cert2
+        worst_resid = max(worst_resid, resid)
     p1_ops = coordinate_operators(grams1, hs)
     p2_ops = coordinate_operators(grams2, hs)
     sol = CoupledSolution(

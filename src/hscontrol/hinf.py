@@ -42,8 +42,8 @@ from .operators import (
     opnorm,
 )
 from .riccati import StageWeights, _backward_pass, _closed_gram, _completion_arrays
-from .sim import ENUMERATION_MAX_STEPS, Policy, run_batch, sign_paths, simulate
-from .spaces import HVector, zero_vector
+from .sim import ENUMERATION_MAX_STEPS, Policy, run_batch, sign_paths
+from .spaces import zero_vector
 from .systems import DisturbedSystem
 
 
@@ -56,17 +56,6 @@ def _level_weights(dsys: DisturbedSystem, gamma: float) -> StageWeights:
     """The LQ weights M = -Cbar*Cbar, L = 0, R = gamma^2 I - Dbar*Dbar in Gram form."""
     zero = np.zeros((dsys.disturbance_space.dim, dsys.state_space.dim))
     return lambda k: (-gram(dsys.cbar(k)), zero, _feedthrough_gram(dsys, gamma, k))
-
-
-def attenuation_terms(
-    dsys: DisturbedSystem, y_next: Operator, gamma: float, k: int
-) -> tuple[Operator, Operator, Operator]:
-    """The triple (p1, p2, p3) at step k for the given next iterate."""
-    hs, vs = dsys.state_space, dsys.disturbance_space
-    wh, wv = hs.weights[:, None], vs.weights[:, None]
-    view, weights = dsys.as_controlled(), _level_weights(dsys, gamma)
-    p1, p3, p2 = _completion_arrays(view, weights, wh * y_next.matrix, k)
-    return DenseOperator(p1 / wh, hs), DenseOperator(p2 / wv, hs, vs), DenseOperator(p3 / wv, vs)
 
 
 def backward_f_equation(
@@ -129,6 +118,8 @@ def brl_check(
     is enough for bisection; by default the walk continues through indefinite
     but invertible p3 so every step's spectrum gets reported.
     """
+    if not np.isfinite(gamma * gamma):
+        raise DimensionError(f"gamma must be finite with a finite square, got {gamma!r}")
     dim = dsys.state_space.dim
     sol = _backward_pass(
         dsys.as_controlled(),
@@ -140,22 +131,6 @@ def brl_check(
     failing = sol.nonpositive if sol.nonpositive is not None else sol.breakdown
     completed = sol.p[0] is not None
     return BoundedRealRun(gamma, failing is None, failing, completed, sol.p, sol.rk_certs, sol.gains)
-
-
-def eval_perturbation(
-    dsys: DisturbedSystem, v_signal: list[np.ndarray], noises: np.ndarray
-) -> list[HVector]:
-    """Outputs z(k) produced by a disturbance sequence along one noise path.
-
-    The initial state is pinned at zero, matching how the perturbation map
-    is defined, so z depends on the disturbance and the noise alone.
-    """
-    if len(v_signal) != dsys.steps:
-        raise DimensionError("need one disturbance vector per step")
-    v_signal = [np.asarray(v, dtype=float) for v in v_signal]
-    policy = Policy(dsys.as_controlled(), inputs=v_signal)
-    bundle = simulate(dsys, policy, zero_vector(dsys.state_space), noises)
-    return [HVector(dsys.output_space, bundle.outputs[k]) for k in range(dsys.steps)]
 
 
 def feedthrough_margin(dsys: DisturbedSystem, gamma: float) -> float:
@@ -192,8 +167,14 @@ def hinf_norm(
     An infeasible level is a lower bound and a feasible one an upper bound,
     so the gain is bracketed and bisected to ``tol``.  When no upper bound is
     supplied, noise-free systems get twice the exact oracle value; otherwise
-    the level is doubled from 1 until feasible, capped at 2**20.
+    the level is doubled from 1 until feasible, capped at 2**20.  Bisection
+    also stops when the bracket has no float strictly inside it.
     """
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise DimensionError(f"tol must be a finite positive number, got {tol!r}")
+    for name, end in (("lo", lo), ("hi", hi)):
+        if end is not None and not np.isfinite(end):
+            raise DimensionError(f"{name} must be finite, got {end!r}")
     iterations = 0
 
     def feasible(level: float) -> bool:
@@ -217,6 +198,8 @@ def hinf_norm(
         raise BracketError(f"supplied upper bound {hi} is not feasible")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if feasible(mid):
             hi = mid
         else:

@@ -20,7 +20,6 @@ from .sim import (
     enumerate_expectation,
     run_batch,
     sign_paths,
-    simulate,
 )
 from .spaces import HVector
 from .systems import ControlledSystem, CostSpec
@@ -76,12 +75,6 @@ def expected_cost(problem: LQProblem, policy: Policy) -> ExactExpectation:
     return enumerate_expectation(problem.system, problem.cost, policy, problem.x0)
 
 
-def eval_cost_pathwise(problem: LQProblem, controls, noises) -> float:
-    """Cost of one open-loop control sequence along one noise path."""
-    policy = Policy(problem.system, inputs=controls)
-    return simulate(problem.system, policy, problem.x0, noises, problem.cost).cost
-
-
 def excess_cost(problem: LQProblem, solution: LQSolution, policy: Policy) -> float:
     """Exact E of the completed square sum_k <Rk (u - Kx), (u - Kx)>."""
     riccati = solution.riccati
@@ -122,29 +115,3 @@ def completing_square_check(
     lhs = expected_cost(problem, policy).value
     rhs = solution.value + excess_cost(problem, solution, policy)
     return SquareCompletionCheck(lhs, rhs, abs(lhs - rhs))
-
-
-@dataclass(frozen=True)
-class WellPosednessCertificate:
-    """One-sided answer to "is the minimum finite and attained".
-
-    A solved recursion proves well-posedness and pins the minimum; anything
-    short of that leaves the verdict at unknown rather than claiming failure.
-    """
-
-    verdict: str
-    bound: float | None
-    riccati_status: str
-
-    @property
-    def well_posed(self) -> bool:
-        return self.verdict == "well_posed"
-
-
-def well_posedness_certificate(
-    problem: LQProblem, kappa_max: float = KAPPA_MAX_DEFAULT
-) -> WellPosednessCertificate:
-    sol = solve_lq(problem, kappa_max)
-    if sol.solved:
-        return WellPosednessCertificate("well_posed", sol.value, sol.status)
-    return WellPosednessCertificate("unknown", None, sol.status)

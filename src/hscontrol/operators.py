@@ -396,14 +396,6 @@ class AdjointOperator(Operator):
         return self.inner_op
 
 
-def adjoint(op: Operator) -> Operator:
-    return op.adjoint()
-
-
-def apply(op: Operator, x: HVector) -> HVector:
-    return op.apply(x)
-
-
 def congruence(left: Operator, g: np.ndarray, right: Operator) -> np.ndarray:
     """L^T G R for a coordinate array G, from two right products."""
     return right.rmatmul(left.rmatmul(g.T).T)

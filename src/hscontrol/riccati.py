@@ -86,37 +86,6 @@ def _closed_gram(q: np.ndarray, gk: np.ndarray, rk: np.ndarray, gain: np.ndarray
     return 0.5 * (y + y.T)
 
 
-def completion_terms(
-    system: ControlledSystem, cost: CostSpec, p_next: Operator, k: int
-) -> tuple[Operator, Operator]:
-    """The pair (Rk, G) entering the step-k completion of squares."""
-    wh, wu = system.state_space.weights, system.control_space.weights
-    _, rk, gk = _completion_arrays(system, _cost_weights(system, cost), wh[:, None] * p_next.matrix, k)
-    us, hs = system.control_space, system.state_space
-    return DenseOperator(rk / wu[:, None], us), DenseOperator(gk / wu[:, None], hs, us)
-
-
-def riccati_step(
-    system: ControlledSystem,
-    cost: CostSpec,
-    p_next: Operator,
-    k: int,
-    kappa_max: float = KAPPA_MAX_DEFAULT,
-) -> tuple[Operator, Operator]:
-    """One backward step; returns (P(k), gain K(k)) or raises DomainError."""
-    hs, us = system.state_space, system.control_space
-    wh, wu = hs.weights[:, None], us.weights
-    q, rk, gk = _completion_arrays(system, _cost_weights(system, cost), wh * p_next.matrix, k)
-    cert, rk_inverse = certified_inverse(rk / wu[:, None], wu, kappa_max)
-    if rk_inverse is None:
-        raise DomainError(
-            k, f"step {k}: completion term has condition number {cert.cond:.3e} "
-            f"above kappa_max {kappa_max:.3e}"
-        )
-    gain, g = _advance(q, gk, rk_inverse)
-    return DenseOperator(g / wh, hs), DenseOperator(gain, hs, us)
-
-
 @dataclass
 class RiccatiSolution:
     """Backward pass record, indexed by step.

@@ -197,104 +197,69 @@ def family_to_json(family) -> dict | list:
     return stages
 
 
+# type -> (class, space keys, (family key, domain key, codomain key) ...), each
+# in the constructor's argument order; the keys are the attribute names
+_SYSTEM_LAYOUTS = {
+    "controlled": (
+        ControlledSystem,
+        ("state_space", "control_space"),
+        (
+            ("a", "state_space", "state_space"),
+            ("b", "control_space", "state_space"),
+            ("c", "state_space", "state_space"),
+            ("d", "control_space", "state_space"),
+        ),
+    ),
+    "disturbed": (
+        DisturbedSystem,
+        ("state_space", "disturbance_space", "output_space"),
+        (
+            ("a", "state_space", "state_space"),
+            ("b1", "disturbance_space", "state_space"),
+            ("c", "state_space", "state_space"),
+            ("d1", "disturbance_space", "state_space"),
+            ("cbar", "state_space", "output_space"),
+            ("dbar", "disturbance_space", "output_space"),
+        ),
+    ),
+    "two_input": (
+        TwoInputSystem,
+        ("state_space", "disturbance_space", "control_space", "output_space"),
+        (
+            ("a", "state_space", "state_space"),
+            ("b1", "disturbance_space", "state_space"),
+            ("b2", "control_space", "state_space"),
+            ("c", "state_space", "state_space"),
+            ("d1", "disturbance_space", "state_space"),
+            ("d2", "control_space", "state_space"),
+            ("cbar", "state_space", "output_space"),
+            ("gbar", "control_space", "output_space"),
+        ),
+    ),
+}
+
+
 def system_from_json(obj):
     kind = _require(obj, "type", "system")
     horizon = _capped(obj, "horizon", "system", MAX_HORIZON)
-    steps = horizon + 1
-    if kind == "controlled":
-        hs = space_from_json(_require(obj, "state_space", "system"), "state_space")
-        us = space_from_json(_require(obj, "control_space", "system"), "control_space")
-        return ControlledSystem(
-            hs,
-            us,
-            horizon,
-            family_from_json(_require(obj, "a", "system"), steps, hs, hs, "a"),
-            family_from_json(_require(obj, "b", "system"), steps, us, hs, "b"),
-            family_from_json(_require(obj, "c", "system"), steps, hs, hs, "c"),
-            family_from_json(_require(obj, "d", "system"), steps, us, hs, "d"),
-        )
-    if kind == "disturbed":
-        hs = space_from_json(_require(obj, "state_space", "system"), "state_space")
-        vs = space_from_json(_require(obj, "disturbance_space", "system"), "disturbance_space")
-        zs = space_from_json(_require(obj, "output_space", "system"), "output_space")
-        return DisturbedSystem(
-            hs,
-            vs,
-            zs,
-            horizon,
-            family_from_json(_require(obj, "a", "system"), steps, hs, hs, "a"),
-            family_from_json(_require(obj, "b1", "system"), steps, vs, hs, "b1"),
-            family_from_json(_require(obj, "c", "system"), steps, hs, hs, "c"),
-            family_from_json(_require(obj, "d1", "system"), steps, vs, hs, "d1"),
-            family_from_json(_require(obj, "cbar", "system"), steps, hs, zs, "cbar"),
-            family_from_json(_require(obj, "dbar", "system"), steps, vs, zs, "dbar"),
-        )
-    if kind == "two_input":
-        hs = space_from_json(_require(obj, "state_space", "system"), "state_space")
-        vs = space_from_json(_require(obj, "disturbance_space", "system"), "disturbance_space")
-        us = space_from_json(_require(obj, "control_space", "system"), "control_space")
-        zs = space_from_json(_require(obj, "output_space", "system"), "output_space")
-        return TwoInputSystem(
-            hs,
-            vs,
-            us,
-            zs,
-            horizon,
-            family_from_json(_require(obj, "a", "system"), steps, hs, hs, "a"),
-            family_from_json(_require(obj, "b1", "system"), steps, vs, hs, "b1"),
-            family_from_json(_require(obj, "b2", "system"), steps, us, hs, "b2"),
-            family_from_json(_require(obj, "c", "system"), steps, hs, hs, "c"),
-            family_from_json(_require(obj, "d1", "system"), steps, vs, hs, "d1"),
-            family_from_json(_require(obj, "d2", "system"), steps, us, hs, "d2"),
-            family_from_json(_require(obj, "cbar", "system"), steps, hs, zs, "cbar"),
-            family_from_json(_require(obj, "gbar", "system"), steps, us, zs, "gbar"),
-        )
-    raise ParseError(f"system: unknown type {kind!r}")
+    if kind not in _SYSTEM_LAYOUTS:
+        raise ParseError(f"system: unknown type {kind!r}")
+    cls, space_keys, families = _SYSTEM_LAYOUTS[kind]
+    spaces = {key: space_from_json(_require(obj, key, "system"), key) for key in space_keys}
+    ops = [
+        family_from_json(_require(obj, key, "system"), horizon + 1, spaces[dom], spaces[cod], key)
+        for key, dom, cod in families
+    ]
+    return cls(*spaces.values(), horizon, *ops)
 
 
 def system_to_json(system) -> dict:
-    if isinstance(system, ControlledSystem):
-        return {
-            "type": "controlled",
-            "state_space": space_to_json(system.state_space),
-            "control_space": space_to_json(system.control_space),
-            "horizon": system.horizon,
-            "a": family_to_json(system.a),
-            "b": family_to_json(system.b),
-            "c": family_to_json(system.c),
-            "d": family_to_json(system.d),
-        }
-    if isinstance(system, DisturbedSystem):
-        return {
-            "type": "disturbed",
-            "state_space": space_to_json(system.state_space),
-            "disturbance_space": space_to_json(system.disturbance_space),
-            "output_space": space_to_json(system.output_space),
-            "horizon": system.horizon,
-            "a": family_to_json(system.a),
-            "b1": family_to_json(system.b1),
-            "c": family_to_json(system.c),
-            "d1": family_to_json(system.d1),
-            "cbar": family_to_json(system.cbar),
-            "dbar": family_to_json(system.dbar),
-        }
-    if isinstance(system, TwoInputSystem):
-        return {
-            "type": "two_input",
-            "state_space": space_to_json(system.state_space),
-            "disturbance_space": space_to_json(system.disturbance_space),
-            "control_space": space_to_json(system.control_space),
-            "output_space": space_to_json(system.output_space),
-            "horizon": system.horizon,
-            "a": family_to_json(system.a),
-            "b1": family_to_json(system.b1),
-            "b2": family_to_json(system.b2),
-            "c": family_to_json(system.c),
-            "d1": family_to_json(system.d1),
-            "d2": family_to_json(system.d2),
-            "cbar": family_to_json(system.cbar),
-            "gbar": family_to_json(system.gbar),
-        }
+    for kind, (cls, space_keys, families) in _SYSTEM_LAYOUTS.items():
+        if isinstance(system, cls):
+            out = {"type": kind, "horizon": system.horizon}
+            out.update((key, space_to_json(getattr(system, key))) for key in space_keys)
+            out.update((key, family_to_json(getattr(system, key))) for key, _, _ in families)
+            return out
     raise ParseError(f"cannot serialize {type(system).__name__}")
 
 
@@ -337,9 +302,11 @@ def load_json(path):
     if not p.exists():
         raise ParseError(f"no such file: {p}")
     try:
-        return json.loads(p.read_text())
+        return json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{p}: invalid JSON ({exc})") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{p}: cannot read ({exc})") from exc
 
 
 def parse_system(path):

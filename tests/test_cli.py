@@ -211,6 +211,60 @@ def test_oversized_spec_refused_at_parse_time(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("dim", ["0", "-3", "200000"])
+def test_example_dim_outside_the_caps_refused(tmp_path, capsys, dim):
+    # --dim 0 used to run at the default size; 200000 would build dense
+    # iterates of hundreds of GB before any size check
+    out = tmp_path / "run"
+    tracemalloc.start()
+    try:
+        code = main(["example", "ex3", "--dim", dim, "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert f"--dim must be between 1 and {ser.MAX_DIM}, got {dim}" in captured.err
+    assert captured.out == ""
+    assert peak < 1 << 20
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["hinf-norm", "--system", SHIFT, "--tol-gamma", "0"], "tol"),
+    (["hinf-norm", "--system", SHIFT, "--tol-gamma", "nan"], "tol"),
+    (["brl-check", "--system", SHIFT, "--gamma", "nan"], "gamma"),
+    (["brl-check", "--system", SHIFT, "--gamma", "1e200"], "gamma"),
+    (["nash-solve", "--system", GAME, "--gamma", "1e200"], "gamma"),
+])
+def test_degenerate_level_arguments_exit(tmp_path, capsys, argv, name):
+    # a zero tolerance never ended, a NaN tolerance gave a wrong norm, a NaN
+    # level died in the eigensolver and 1e200 overflowed when squared
+    out = tmp_path / "run"
+    code = main(argv + ["--out", str(out)])
+    assert code == EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {name} must be ")
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["directory", "latin-1"])
+def test_unreadable_system_file_exit(tmp_path, capsys, kind):
+    path = tmp_path / "system.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes('{"type": "disturbed", "note": "caf\u00e9"}'.encode("latin-1"))
+    out = tmp_path / "run"
+    code = main(["brl-check", "--system", str(path), "--gamma", "1.7", "--out", str(out)])
+    assert code == EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert f"{path}: cannot read" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_non_integer_size_exit(tmp_path, capsys):
     spec = json.loads(Path(SHIFT).read_text())
     spec["state_space"]["dim"] = 2.7

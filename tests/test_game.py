@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import hscontrol as hc
+from hscontrol import game
 from hscontrol.examples import build_coupled_game, closed_game_forms
 from helpers import (
     GAMMA_LADDER,
@@ -199,6 +200,10 @@ def test_game_params_validation():
         hc.GameParams(gamma=0.0)
     with pytest.raises(hc.DimensionError):
         hc.GameParams(gamma=1.0, rho=-0.5)
+    # a level whose square overflows used to escape as OverflowError
+    for gamma, rho in ((1e200, 0.0), (2.0, 1e200), (np.nan, 0.0), (2.0, np.nan)):
+        with pytest.raises(hc.DimensionError, match="with a finite square"):
+            hc.GameParams(gamma=gamma, rho=rho)
 
 
 def test_game_costs_consistent_with_energies(rank_one_game):
@@ -216,31 +221,36 @@ def test_game_costs_consistent_with_energies(rank_one_game):
 
 def test_cross_coupled_step_pins_the_coupled_pass_on_weighted_spaces():
     rng = np.random.default_rng(13)
-    adj = hc.adjoint
     for _ in range(3):
         sys2, params, x0, sol = solvable_game(rng, weighted=True)
         vs, us = sys2.disturbance_space, sys2.control_space
         for k in range(sys2.steps):
             p1n, p2n = sol.p1[k + 1], sol.p2[k + 1]
-            k1, k2, p1, p2 = hc.cross_coupled_step(sys2, params, k, p1n, p2n)
-            assert_pinned(k1.matrix, sol.v_gains[k].matrix)
-            assert_pinned(k2.matrix, sol.u_gains[k].matrix)
-            assert_pinned(p1.matrix, sol.p1[k].matrix)
-            assert_pinned(p2.matrix, sol.p2[k].matrix)
+            k1, k2 = sol.v_gains[k], sol.u_gains[k]
             # stationarity and the player-1 iterate through the operator algebra
             a, c, cbar = sys2.a(k), sys2.c(k), sys2.cbar(k)
             b1, d1, b2, d2 = sys2.b1(k), sys2.d1(k), sys2.b2(k), sys2.d2(k)
             r1 = (hc.IdentityOperator(vs).scaled(params.gamma**2)
-                  + adj(b1) @ p1n @ b1 + adj(d1) @ p1n @ d1)
-            r2 = hc.IdentityOperator(us) + adj(b2) @ p2n @ b2 + adj(d2) @ p2n @ d2
+                  + b1.adjoint() @ p1n @ b1 + d1.adjoint() @ p1n @ d1)
+            r2 = hc.IdentityOperator(us) + b2.adjoint() @ p2n @ b2 + d2.adjoint() @ p2n @ d2
             assert_pinned(r1.matrix, sol.r1[k].matrix)
             assert_pinned(r2.matrix, sol.r2[k].matrix)
-            g1 = adj(b1) @ p1n @ (a + b2 @ k2) + adj(d1) @ p1n @ (c + d2 @ k2)
+            g1 = b1.adjoint() @ p1n @ (a + b2 @ k2) + d1.adjoint() @ p1n @ (c + d2 @ k2)
             assert_pinned((r1 @ k1).matrix, -g1.matrix)
             acl2, ccl2 = a + b2 @ k2, c + d2 @ k2
-            p1_ref = (adj(acl2) @ p1n @ acl2 + adj(ccl2) @ p1n @ ccl2
-                      + (adj(k2) @ k2 + adj(cbar) @ cbar + adj(k1) @ r1 @ k1).scaled(-1.0))
-            assert_pinned(p1.matrix, p1_ref.matrix)
+            p1_ref = (acl2.adjoint() @ p1n @ acl2 + ccl2.adjoint() @ p1n @ ccl2
+                      + (k2.adjoint() @ k2 + cbar.adjoint() @ cbar
+                         + k1.adjoint() @ r1 @ k1).scaled(-1.0))
+            assert_pinned(sol.p1[k].matrix, p1_ref.matrix)
+
+
+def test_singular_gain_coupling_is_refused_at_its_step():
+    # [[r1, s12], [s21, r2]] = [[1, 1], [1, 1]] has no inverse
+    one = np.array([[1.0]])
+    with pytest.raises(hc.CouplingSingularError) as err:
+        game._solve_coupling(one, one, one, one, one, one, 4)
+    assert err.value.step == 4
+    assert "step 4" in str(err.value)
 
 
 def test_stacked_view_of_two_input_system():
@@ -275,7 +285,6 @@ def test_each_player_recursion_is_a_plain_pass(weighted):
     M = Cbar*Cbar - rho^2 K1*K1, R = I and a zero terminal weight.
     """
     rng = np.random.default_rng(23 + weighted)
-    adj = hc.adjoint
     for _ in range(3):
         sys2, params, x0, sol = solvable_game(rng, weighted=weighted)
         hs, us = sys2.state_space, sys2.control_space
@@ -289,8 +298,8 @@ def test_each_player_recursion_is_a_plain_pass(weighted):
             [sys2.c(k) + sys2.d1(k) @ k1[k] for k in range(sys2.steps)],
             list(sys2.d2),
         )
-        m = [adj(sys2.cbar(k)) @ sys2.cbar(k) + (adj(k1[k]) @ k1[k]).scaled(-params.rho**2)
-             for k in range(sys2.steps)]
+        m = [sys2.cbar(k).adjoint() @ sys2.cbar(k)
+             + (k1[k].adjoint() @ k1[k]).scaled(-params.rho**2) for k in range(sys2.steps)]
         cost = hc.CostSpec(v_closed, m, hc.ZeroOperator(hs, us), hc.IdentityOperator(us),
                            hc.ZeroOperator(hs))
         lq = hc.solve_backward_riccati(v_closed, cost)

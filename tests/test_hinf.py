@@ -15,24 +15,30 @@ def unit_delay(dim=3, horizon=4):
                               ident, zero)
 
 
+def perturbation_outputs(dsys, v, noises):
+    """Outputs z(k) of a disturbance sequence along one noise path, from x(0) = 0."""
+    policy = hc.Policy(dsys.as_controlled(), inputs=v)
+    return hc.simulate(dsys, policy, hc.zero_vector(dsys.state_space), noises).outputs
+
+
 def test_eval_perturbation_zero_disturbance_gives_zero_output():
     rng = np.random.default_rng(0)
     dsys = random_disturbed(rng)
     dv = dsys.disturbance_space.dim
     v = [np.zeros(dv) for _ in range(dsys.steps)]
     noises = rng.standard_normal(dsys.steps)
-    outputs = hc.eval_perturbation(dsys, v, noises)
-    assert max(float(np.max(np.abs(z.coords))) for z in outputs) == 0.0
+    outputs = perturbation_outputs(dsys, v, noises)
+    assert float(np.max(np.abs(outputs))) == 0.0
 
 
 def test_eval_perturbation_unit_delay():
     dsys = unit_delay()
     rng = np.random.default_rng(1)
     v = [rng.standard_normal(3) for _ in range(dsys.steps)]
-    outputs = hc.eval_perturbation(dsys, v, np.zeros(dsys.steps))
-    assert np.allclose(outputs[0].coords, 0.0)
+    outputs = perturbation_outputs(dsys, v, np.zeros(dsys.steps))
+    assert np.allclose(outputs[0], 0.0)
     for k in range(1, dsys.steps):
-        assert np.allclose(outputs[k].coords, v[k - 1])
+        assert np.allclose(outputs[k], v[k - 1])
 
 
 def test_unit_delay_norm_is_one():
@@ -317,6 +323,31 @@ def test_hinf_norm_bracket_validation():
         hc.hinf_norm(dsys, lo=0.0, hi=0.5)  # supplied cap below the norm
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"tol": 0.0}, {"tol": -1e-6}, {"tol": np.nan}, {"tol": np.inf},
+    {"lo": np.nan}, {"hi": np.inf}, {"hi": np.nan},
+])
+def test_hinf_norm_refuses_degenerate_arguments(kwargs):
+    (name, _), = kwargs.items()
+    with pytest.raises(hc.DimensionError, match=f"^{name} must be "):
+        hc.hinf_norm(unit_delay(), **kwargs)
+
+
+@pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf, 1e200])
+def test_brl_check_refuses_non_finite_level(gamma):
+    with pytest.raises(hc.DimensionError, match="^gamma must be finite"):
+        hc.brl_check(unit_delay(), gamma)
+
+
+def test_hinf_norm_stops_at_adjacent_floats():
+    # a tolerance below the float spacing at the gain cannot be met; the
+    # bisection ends when no float lies strictly inside the bracket
+    est = hc.hinf_norm(unit_delay(), lo=0.0, hi=8.0, tol=1e-300)
+    assert est.hi == np.nextafter(est.lo, np.inf)
+    assert est.value == pytest.approx(1.0, abs=1e-8)
+    assert est.iterations < 100
+
+
 def test_hinf_norm_accepts_explicit_bracket():
     dsys = unit_delay()
     est = hc.hinf_norm(dsys, lo=0.0, hi=8.0, tol=1e-8)
@@ -326,7 +357,6 @@ def test_hinf_norm_accepts_explicit_bracket():
 
 def test_attenuation_terms_pin_the_level_recursion_on_weighted_spaces():
     rng = np.random.default_rng(12)
-    adj = hc.adjoint
     for _ in range(3):
         dsys = random_disturbed(rng, weighted=True)
         gamma = 1.5 * hc.hinf_norm(dsys, tol=1e-4).value + 0.1
@@ -334,18 +364,16 @@ def test_attenuation_terms_pin_the_level_recursion_on_weighted_spaces():
         assert run.feasible
         for k in range(dsys.steps):
             yn = run.y[k + 1]
-            p1, p2, p3 = hc.attenuation_terms(dsys, yn, gamma, k)
-            assert hc.min_eig_selfadjoint(p3).min_eig == pytest.approx(
-                run.min_pi3_eig(k), rel=1e-10, abs=1e-12)
-            assert_pinned(hc.schur_complement(p1, p2, p3).matrix, run.y[k].matrix)
-            assert_pinned(-(hc.invert_positive(p3) @ p2).matrix, run.worst_gains[k].matrix)
-            # the same terms through the operator algebra, weighted adjoints included
+            # the terms through the operator algebra, weighted adjoints included
             a, b1, c, d1 = dsys.a(k), dsys.b1(k), dsys.c(k), dsys.d1(k)
             cbar, dbar = dsys.cbar(k), dsys.dbar(k)
-            p1_ref = adj(a) @ yn @ a + adj(c) @ yn @ c + (adj(cbar) @ cbar).scaled(-1.0)
-            p2_ref = adj(b1) @ yn @ a + adj(d1) @ yn @ c
-            p3_ref = (hc.IdentityOperator(dsys.disturbance_space).scaled(gamma**2)
-                      + (adj(dbar) @ dbar).scaled(-1.0) + adj(b1) @ yn @ b1 + adj(d1) @ yn @ d1)
-            assert_pinned(p1.matrix, p1_ref.matrix)
-            assert_pinned(p2.matrix, p2_ref.matrix)
-            assert_pinned(p3.matrix, p3_ref.matrix)
+            p1 = (a.adjoint() @ yn @ a + c.adjoint() @ yn @ c
+                  + (cbar.adjoint() @ cbar).scaled(-1.0))
+            p2 = b1.adjoint() @ yn @ a + d1.adjoint() @ yn @ c
+            p3 = (hc.IdentityOperator(dsys.disturbance_space).scaled(gamma**2)
+                  + (dbar.adjoint() @ dbar).scaled(-1.0)
+                  + b1.adjoint() @ yn @ b1 + d1.adjoint() @ yn @ d1)
+            assert hc.min_eig_selfadjoint(p3).min_eig == pytest.approx(
+                run.pi3_certs[k].min_eig, rel=1e-10, abs=1e-12)
+            assert_pinned(run.y[k].matrix, hc.schur_complement(p1, p2, p3).matrix)
+            assert_pinned(run.worst_gains[k].matrix, -(hc.invert_positive(p3) @ p2).matrix)

@@ -24,17 +24,23 @@ def ones_problem():
     return hc.LQProblem(system, cost, hc.HVector(hs, np.array([1.0])))
 
 
+def pathwise_cost(problem, controls, noises):
+    """Cost of one open-loop control sequence along one noise path."""
+    policy = hc.Policy(problem.system, inputs=controls)
+    return hc.simulate(problem.system, policy, problem.x0, noises, problem.cost).cost
+
+
 def test_pathwise_cost_worked_example():
     # x(1) = 1 - 0.5 = 0.5; cost = 1*1 + 1*0.25 + 1*0.25 = 1.5
     problem = ones_problem()
-    value = hc.eval_cost_pathwise(problem, [np.array([-0.5])], np.array([0.0]))
+    value = pathwise_cost(problem, [np.array([-0.5])], np.array([0.0]))
     assert value == 1.5
 
 
 def test_pathwise_cost_requires_full_schedule():
     problem = ones_problem()
     with pytest.raises(hc.DimensionError):
-        hc.eval_cost_pathwise(problem, [], np.array([0.0]))
+        pathwise_cost(problem, [], np.array([0.0]))
 
 
 def test_single_step_optimum_known_in_closed_form():
@@ -121,11 +127,10 @@ def test_excess_cost_nonnegative_and_zero_at_optimum():
 def test_well_posedness_certificate_positive_case():
     rng = np.random.default_rng(4)
     problem = random_solved_problem(rng)
-    cert = hc.well_posedness_certificate(problem)
-    assert cert.verdict == "well_posed"
-    assert cert.well_posed
-    assert cert.riccati_status == "solved"
-    assert cert.bound == pytest.approx(hc.solve_lq(problem).value)
+    sol = hc.solve_lq(problem)
+    assert sol.solved
+    assert sol.status == "solved"
+    assert sol.value == pytest.approx(sol.riccati.value(problem.x0))
 
 
 def test_well_posedness_certificate_unknown_case():
@@ -138,11 +143,10 @@ def test_well_posedness_certificate_unknown_case():
     cost = hc.CostSpec(system, one, hc.ZeroOperator(hs, us),
                        hc.DenseOperator(np.array([[-1.0]]), us), one)
     problem = hc.LQProblem(system, cost, hc.HVector(hs, np.array([1.0])))
-    cert = hc.well_posedness_certificate(problem)
-    assert cert.verdict == "unknown"
-    assert not cert.well_posed
-    assert cert.bound is None
-    assert cert.riccati_status == "domain_failure"
+    sol = hc.solve_lq(problem)
+    assert not sol.solved
+    assert sol.value is None
+    assert sol.status == "domain_failure"
 
 
 def test_indefinite_state_weight_can_still_solve():

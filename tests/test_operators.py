@@ -6,13 +6,13 @@ import hscontrol as hc
 
 def pairing_residual(op, rng, trials=5):
     """max |<M x, y>_cod - <x, M* y>_dom| over random vectors."""
-    adj = hc.adjoint(op)
+    adj = op.adjoint()
     worst = 0.0
     for _ in range(trials):
         x = hc.HVector(op.domain, rng.standard_normal(op.domain.dim))
         y = hc.HVector(op.codomain, rng.standard_normal(op.codomain.dim))
-        lhs = hc.inner(hc.apply(op, x), y)
-        rhs = hc.inner(x, hc.apply(adj, y))
+        lhs = hc.inner(op.apply(x), y)
+        rhs = hc.inner(x, adj.apply(y))
         worst = max(worst, abs(lhs - rhs))
     return worst
 
@@ -84,24 +84,24 @@ def test_adjoint_pairing_composites():
 def test_double_adjoint_returns_original_matrix():
     rng = np.random.default_rng(2)
     op = hc.DenseOperator(rng.standard_normal((EUC.dim, LINE.dim)), LINE, EUC)
-    back = hc.adjoint(hc.adjoint(op))
+    back = op.adjoint().adjoint()
     assert np.allclose(back.matrix, op.matrix)
 
 
 def test_square_shift_drops_last_coordinate():
     op = hc.RightShiftOperator(SEQ)
     x = hc.HVector(SEQ, np.arange(1.0, 10.0))
-    y = hc.apply(op, x)
+    y = op.apply(x)
     assert np.allclose(y.coords, [0, 1, 2, 3, 4, 5, 6, 7, 8])
 
 
 def test_rectangular_shift_is_exact_isometry():
     op = hc.RightShiftOperator(SEQ, SEQ_BIG)
-    gram = hc.adjoint(op).matrix @ op.matrix
+    gram = op.adjoint().matrix @ op.matrix
     assert np.allclose(gram, np.eye(SEQ.dim))
     rng = np.random.default_rng(3)
     x = hc.HVector(SEQ, rng.standard_normal(SEQ.dim))
-    assert np.isclose(hc.norm(hc.apply(op, x)), hc.norm(x))
+    assert np.isclose(hc.norm(op.apply(x)), hc.norm(x))
 
 
 def test_shift_codomain_must_not_shrink():
@@ -112,7 +112,7 @@ def test_shift_codomain_must_not_shrink():
 def test_filling_embeds_leading_coordinates():
     op = hc.FillingOperator(EUC, SEQ, count=2)
     x = hc.HVector(EUC, np.array([1.0, 2.0, 3.0, 4.0]))
-    y = hc.apply(op, x)
+    y = op.apply(x)
     assert np.allclose(y.coords[:2], [1.0, 2.0])
     assert np.all(y.coords[2:] == 0.0)
     assert op.count == 2
@@ -218,7 +218,7 @@ def test_weighted_symmetrize_is_selfadjoint():
     sym = hc.weighted_symmetrize(m, LINE.weights)
     op = hc.DenseOperator(sym, LINE)
     assert pairing_residual(op, rng) < 1e-10
-    assert np.allclose(hc.adjoint(op).matrix, sym)
+    assert np.allclose(op.adjoint().matrix, sym)
     # idempotent on already self-adjoint input
     assert np.allclose(hc.weighted_symmetrize(sym, LINE.weights), sym)
 
@@ -261,4 +261,4 @@ def test_dimension_mismatch_rejected():
 def test_apply_checks_domain():
     op = hc.IdentityOperator(EUC)
     with pytest.raises(hc.DimensionError):
-        hc.apply(op, hc.HVector(SEQ, np.zeros(SEQ.dim)))
+        op.apply(hc.HVector(SEQ, np.zeros(SEQ.dim)))

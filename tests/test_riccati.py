@@ -93,17 +93,6 @@ def test_value_is_quadratic_in_x0():
     assert v2 == pytest.approx(4.0 * v1, rel=1e-12)
 
 
-def test_riccati_step_matches_full_recursion():
-    rng = np.random.default_rng(3)
-    system = random_controlled(rng, horizon_max=3)
-    cost = random_psd_cost(rng, system)
-    sol = hc.solve_backward_riccati(system, cost)
-    k = system.horizon
-    p_step, gain_step = hc.riccati_step(system, cost, sol.p[k + 1], k)
-    assert np.allclose(p_step.matrix, sol.p[k].matrix)
-    assert np.allclose(gain_step.matrix, sol.gains[k].matrix)
-
-
 def test_psd_data_always_solves():
     rng = np.random.default_rng(4)
     for _ in range(25):
@@ -156,14 +145,12 @@ def test_step_refusal_names_step_condition_and_cap():
                                  hc.ZeroOperator(hs), hc.ZeroOperator(us, hs))
     cost = hc.CostSpec(system, hc.IdentityOperator(hs), hc.ZeroOperator(hs, us),
                        hc.DiagonalOperator(np.array([1.0, 1e-3]), us), hc.IdentityOperator(hs))
-    with pytest.raises(hc.DomainError) as err:
-        hc.riccati_step(system, cost, cost.terminal, 1, kappa_max=10.0)
-    assert err.value.step == 1
-    assert str(err.value) == (
-        "step 1: completion term has condition number 1.000e+03 above kappa_max 1.000e+01"
-    )
-    p, _ = hc.riccati_step(system, cost, cost.terminal, 1, kappa_max=1e3)
-    assert p.matrix[0, 0] == 2.0
+    sol = hc.solve_backward_riccati(system, cost, kappa_max=10.0)
+    assert sol.breakdown == 1
+    assert sol.status == "domain_failure"
+    assert sol.rk_certs[1].cond == 1e3
+    sol = hc.solve_backward_riccati(system, cost, kappa_max=1e3)
+    assert sol.p[1].matrix[0, 0] == 2.0
 
 
 def test_failing_step_is_largest_failing_index():
@@ -212,7 +199,8 @@ def test_completion_terms_shapes():
     rng = np.random.default_rng(6)
     system = random_controlled(rng, dim_max=3, horizon_max=2)
     cost = random_psd_cost(rng, system)
-    rk, gk = hc.completion_terms(system, cost, cost.terminal, system.horizon)
+    sol = hc.solve_backward_riccati(system, cost)
+    rk, gk = sol.rk[system.horizon], sol.gk[system.horizon]
     assert rk.domain == system.control_space
     assert rk.codomain == system.control_space
     assert gk.domain == system.state_space
@@ -221,7 +209,6 @@ def test_completion_terms_shapes():
 
 def test_step_exports_pin_the_full_pass_on_weighted_spaces():
     rng = np.random.default_rng(7)
-    adj = hc.adjoint
     for _ in range(3):
         system = random_controlled(rng, dim_max=5, horizon_max=4, weighted=True)
         cost = random_psd_cost(rng, system)
@@ -229,27 +216,21 @@ def test_step_exports_pin_the_full_pass_on_weighted_spaces():
         assert sol.solved
         for k in range(system.steps):
             pn = sol.p[k + 1]
-            rk, gk = hc.completion_terms(system, cost, pn, k)
-            p, gain = hc.riccati_step(system, cost, pn, k)
-            assert_pinned(rk.matrix, sol.rk[k].matrix)
-            assert_pinned(gk.matrix, sol.gk[k].matrix)
-            assert_pinned(p.matrix, sol.p[k].matrix)
-            assert_pinned(gain.matrix, sol.gains[k].matrix)
-            # the same step through the operator algebra, weighted adjoints included
+            # the step through the operator algebra, weighted adjoints included
             a, b, c, d = system.a(k), system.b(k), system.c(k), system.d(k)
-            rk_ref = cost.r(k) + adj(b) @ pn @ b + adj(d) @ pn @ d
-            gk_ref = cost.l(k) + adj(b) @ pn @ a + adj(d) @ pn @ c
-            m_ref = cost.m(k) + adj(a) @ pn @ a + adj(c) @ pn @ c
-            assert_pinned(rk.matrix, rk_ref.matrix)
-            assert_pinned(gk.matrix, gk_ref.matrix)
-            assert_pinned(p.matrix, hc.schur_complement(m_ref, gk_ref, rk_ref).matrix)
+            rk_ref = cost.r(k) + b.adjoint() @ pn @ b + d.adjoint() @ pn @ d
+            gk_ref = cost.l(k) + b.adjoint() @ pn @ a + d.adjoint() @ pn @ c
+            m_ref = cost.m(k) + a.adjoint() @ pn @ a + c.adjoint() @ pn @ c
+            assert_pinned(sol.rk[k].matrix, rk_ref.matrix)
+            assert_pinned(sol.gk[k].matrix, gk_ref.matrix)
+            assert_pinned(sol.p[k].matrix, hc.schur_complement(m_ref, gk_ref, rk_ref).matrix)
+            assert_pinned(sol.gains[k].matrix, -(hc.invert_positive(rk_ref) @ gk_ref).matrix)
 
 
 def test_level_cost_pass_is_the_bounded_real_recursion():
     # the level-gamma test is this LQ problem on the disturbance channel:
     # M = -Cbar*Cbar, L = 0, R = gamma^2 I - Dbar*Dbar, zero terminal weight
     rng = np.random.default_rng(8)
-    adj = hc.adjoint
     for weighted in (False, True):
         for _ in range(5):
             dsys = random_disturbed(rng, weighted=weighted)
@@ -259,10 +240,10 @@ def test_level_cost_pass_is_the_bounded_real_recursion():
             for gamma in (0.8 * gain, 1.2 * gain):
                 cost = hc.CostSpec(
                     view,
-                    [(adj(dsys.cbar(k)) @ dsys.cbar(k)).scaled(-1.0) for k in range(dsys.steps)],
+                    [(dsys.cbar(k).adjoint() @ dsys.cbar(k)).scaled(-1.0) for k in range(dsys.steps)],
                     hc.ZeroOperator(hs, vs),
                     [hc.IdentityOperator(vs).scaled(gamma**2)
-                     + (adj(dsys.dbar(k)) @ dsys.dbar(k)).scaled(-1.0) for k in range(dsys.steps)],
+                     + (dsys.dbar(k).adjoint() @ dsys.dbar(k)).scaled(-1.0) for k in range(dsys.steps)],
                     hc.ZeroOperator(hs),
                 )
                 sol = hc.solve_backward_riccati(view, cost)
