@@ -44,7 +44,6 @@ from .operators import (
     ZeroOperator,
     block_selfadjoint_cert,
     invert_positive,
-    invert_selfadjoint,
     min_eig_selfadjoint,
     opnorm,
     positivity_tolerance,
@@ -92,7 +91,6 @@ from .game import (
     CoupledSolution,
     DesignResult,
     GameParams,
-    MixedDesignResult,
     NashReport,
     game_costs,
     h2hinf_design,

@@ -171,7 +171,7 @@ def cmd_hinf_design(args) -> int:
     report = {
         "command": "hinf-design",
         "gamma": args.gamma,
-        "control_gains": _gain_list(design.u_gains),
+        "control_gains": _gain_list(design.solution.u_gains),
         "closed_loop_feasible": verdict.feasible,
     }
     lines = [
@@ -189,11 +189,11 @@ def cmd_h2hinf_design(args) -> int:
     report = {
         "command": "h2hinf-design",
         "gamma": args.gamma,
-        "j2": design.j2,
-        "control_gains": _gain_list(design.u_gains),
+        "j2": design.solution.j2,
+        "control_gains": _gain_list(design.solution.u_gains),
         "diagnostic": design.diagnostic,
     }
-    lines = [f"gamma = {args.gamma!r}", f"j2 = {design.j2!r}"]
+    lines = [f"gamma = {args.gamma!r}", f"j2 = {design.solution.j2!r}"]
     if design.diagnostic:
         lines.append(f"note: {design.diagnostic}")
     _finish(args, report, lines)

@@ -324,55 +324,17 @@ def verify_nash_equilibrium(
 
 @dataclass
 class DesignResult:
-    """Attenuation-level synthesis output (zero-sum specialization).
+    """Attenuation-level synthesis output.
 
-    ``p`` is the single iterate sequence P = P2 = -P1; the closed-loop system
-    has the control absorbed and is ready for an independent gain check.
+    ``solution`` is the coupled pass the design comes from: its ``u_gains``
+    are the feedback, and ``closed`` is the system with that control absorbed,
+    ready for an independent gain check.  ``diagnostic`` is set when the
+    requested level of a mixed design is so large that the result must not be
+    read as a level-free least-energy design: the level still enters both
+    recursions and there is no valid limit.
     """
 
     gamma: float
-    p: list[Operator]
-    u_gains: list[Operator]
-    v_gains: list[Operator]
-    closed: DisturbedSystem
-    solution: CoupledSolution
-
-
-def hinf_design(
-    sys2: TwoInputSystem, gamma: float, kappa_max: float = KAPPA_MAX_DEFAULT
-) -> DesignResult:
-    """Feedback u = K2 x keeping the closed-loop disturbance gain below gamma.
-
-    Runs the zero-sum game at rho = gamma; infeasibility of either positivity
-    side condition is raised with the failing step and eigenvalue detail,
-    since it certifies that no linear feedback achieves this level.
-    """
-    params = GameParams(gamma=gamma, rho=gamma)
-    sol = solve_coupled_riccati(sys2, params, zero_vector(sys2.state_space), kappa_max)
-    if not sol.solved:
-        raise DesignInfeasibleError(sol.failing_step, sol.failing_detail)
-    u_gains = list(sol.u_gains)
-    return DesignResult(
-        gamma, list(sol.p2), u_gains, list(sol.v_gains), closed_loop(sys2, u_gains), sol
-    )
-
-
-@dataclass
-class MixedDesignResult:
-    """Joint attenuation / minimum-output-energy synthesis output.
-
-    ``j2`` is the output energy at the worst-case disturbance from x0.  The
-    ``diagnostic`` field is set when the requested level is so large that the
-    result must not be read as a level-free least-energy design: the level
-    still enters both recursions and there is no valid limit.
-    """
-
-    gamma: float
-    p1: list[Operator]
-    p2: list[Operator]
-    u_gains: list[Operator]
-    v_gains: list[Operator]
-    j2: float
     closed: DisturbedSystem
     solution: CoupledSolution
     diagnostic: str | None = None
@@ -381,18 +343,44 @@ class MixedDesignResult:
 H2_LEVEL_DIAGNOSTIC_THRESHOLD = 1e6
 
 
+def _design(
+    sys2: TwoInputSystem,
+    params: GameParams,
+    x0: HVector,
+    kappa_max: float,
+    diagnostic: str | None = None,
+) -> DesignResult:
+    """Solve the game, refuse an infeasible level, close the loop on u = K2 x."""
+    sol = solve_coupled_riccati(sys2, params, x0, kappa_max)
+    if not sol.solved:
+        raise DesignInfeasibleError(sol.failing_step, sol.failing_detail)
+    return DesignResult(params.gamma, closed_loop(sys2, sol.u_gains), sol, diagnostic)
+
+
+def hinf_design(
+    sys2: TwoInputSystem, gamma: float, kappa_max: float = KAPPA_MAX_DEFAULT
+) -> DesignResult:
+    """Feedback u = K2 x keeping the closed-loop disturbance gain below gamma.
+
+    Runs the zero-sum game at rho = gamma, where P2 = -P1; infeasibility of
+    either positivity side condition is raised with the failing step and
+    eigenvalue detail, since it certifies that no linear feedback achieves
+    this level.
+    """
+    params = GameParams(gamma=gamma, rho=gamma)
+    return _design(sys2, params, zero_vector(sys2.state_space), kappa_max)
+
+
 def h2hinf_design(
     sys2: TwoInputSystem,
     gamma: float,
     x0: HVector,
     kappa_max: float = KAPPA_MAX_DEFAULT,
-) -> MixedDesignResult:
+) -> DesignResult:
     """Control keeping the gain below gamma while minimizing output energy
-    against the worst-case disturbance; the game at rho = 0."""
+    against the worst-case disturbance; the game at rho = 0.  The output
+    energy from x0 is ``solution.j2``."""
     params = GameParams(gamma=gamma, rho=0.0)
-    sol = solve_coupled_riccati(sys2, params, x0, kappa_max)
-    if not sol.solved:
-        raise DesignInfeasibleError(sol.failing_step, sol.failing_detail)
     diagnostic = None
     if gamma >= H2_LEVEL_DIAGNOSTIC_THRESHOLD:
         diagnostic = (
@@ -400,15 +388,4 @@ def h2hinf_design(
             "a pure least-energy design is not obtained as a limit and this result "
             "must be read at the stated level only"
         )
-    u_gains = list(sol.u_gains)
-    return MixedDesignResult(
-        gamma,
-        list(sol.p1),
-        list(sol.p2),
-        u_gains,
-        list(sol.v_gains),
-        sol.j2,
-        closed_loop(sys2, u_gains),
-        sol,
-        diagnostic,
-    )
+    return _design(sys2, params, x0, kappa_max, diagnostic)

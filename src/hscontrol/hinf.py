@@ -165,10 +165,12 @@ def hinf_norm(
     """Disturbance gain by bisection on the feasibility predicate.
 
     An infeasible level is a lower bound and a feasible one an upper bound,
-    so the gain is bracketed and bisected to ``tol``.  When no upper bound is
-    supplied, noise-free systems get twice the exact oracle value; otherwise
-    the level is doubled from 1 until feasible, capped at 2**20.  Bisection
-    also stops when the bracket has no float strictly inside it.
+    so the gain is bracketed and bisected to ``tol``.  A supplied ``lo`` above
+    0 is tested and refused if feasible; level 0 never is, since there p3 is
+    -Dbar*Dbar at the last step.  When no upper bound is supplied, noise-free
+    systems get twice the exact oracle value; otherwise the level is doubled
+    from 1 until feasible, capped at 2**20.  Bisection also stops when the
+    bracket has no float strictly inside it.
     """
     if not (np.isfinite(tol) and tol > 0.0):
         raise DimensionError(f"tol must be a finite positive number, got {tol!r}")
@@ -184,6 +186,10 @@ def hinf_norm(
 
     if lo < 0.0:
         raise BracketError("lower bound must be nonnegative")
+    if hi is not None and lo >= hi:
+        raise BracketError(f"lower bound {lo} is not below upper bound {hi}")
+    if lo > 0.0 and feasible(lo):
+        raise BracketError(f"supplied lower bound {lo} is feasible")
     if hi is None:
         try:
             hi = max(2.0 * deterministic_norm_oracle(dsys).value, 1e-3)

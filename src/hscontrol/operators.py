@@ -7,12 +7,14 @@ Operators form a small expression language:
     GaussianConvolutionOperator, HeatSemigroupOperator,
     SumOperator, ComposeOperator, AdjointOperator
 
-Adjoints are taken symbolically per variant.  Only the dense variant computes
-its adjoint from its own matrix, using the quadrature weights of its domain and
-codomain, so the pairing <A x, y> = <x, A* y> holds to round-off everywhere.
-Spectral queries (minimum eigenvalue, condition number, positive inversion) are
-evaluated in the symmetric frame S = W^(1/2) M W^(-1/2), which represents the
-operator with respect to an orthonormal basis of the weighted space.
+Each variant defines only its coordinate matrix, and the rest is derived from
+it: ``apply`` multiplies by the cached matrix, and ``adjoint`` is the weighted
+transpose of ``AdjointOperator``, built from the quadrature weights of the
+domain and codomain, so the pairing <A x, y> = <x, A* y> holds to round-off
+everywhere.  Spectral queries (minimum eigenvalue, condition number, positive
+inversion) are evaluated in the symmetric frame S = W^(1/2) M W^(-1/2), which
+represents the operator with respect to an orthonormal basis of the weighted
+space.
 
 Every variant also supplies the right product X @ M of a coordinate array with
 its matrix.  Structured variants compute it natively (scaling or slicing
@@ -52,13 +54,16 @@ def _unsframe(s: np.ndarray, w_cod: np.ndarray, w_dom: np.ndarray) -> np.ndarray
 
 
 class Operator:
-    """Bounded linear map between two spaces.  Subclasses set domain/codomain."""
+    """Bounded linear map between two spaces.
+
+    Subclasses set domain/codomain and define ``_build_matrix``.
+    """
 
     domain: Space
     codomain: Space
 
     def apply_array(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return self.matrix @ x
 
     def apply(self, x: HVector) -> HVector:
         if x.space != self.domain:
@@ -72,10 +77,6 @@ class Operator:
             cached = self._build_matrix()
             self._matrix_cache = cached
         return cached
-
-    def _build_matrix(self) -> np.ndarray:
-        cols = [self.apply_array(col) for col in np.eye(self.domain.dim)]
-        return np.column_stack(cols) if cols else np.zeros((self.codomain.dim, 0))
 
     def rmatmul(self, x: np.ndarray) -> np.ndarray:
         """The right product x @ M for a 2-D array x with codomain.dim columns."""
@@ -94,9 +95,6 @@ class Operator:
     def __matmul__(self, other: "Operator") -> "Operator":
         return ComposeOperator(self, other)
 
-    def scaled(self, factor: float) -> "Operator":
-        return ScaledOperator(factor, self)
-
     def __repr__(self):
         return f"{type(self).__name__}({self.domain.dim}->{self.codomain.dim})"
 
@@ -106,34 +104,22 @@ class ZeroOperator(Operator):
         self.domain = domain
         self.codomain = domain if codomain is None else codomain
 
-    def apply_array(self, x):
-        return np.zeros(self.codomain.dim)
-
     def _build_matrix(self):
         return np.zeros((self.codomain.dim, self.domain.dim))
 
     def rmatmul(self, x):
         return np.zeros((x.shape[0], self.domain.dim))
 
-    def adjoint(self):
-        return ZeroOperator(self.codomain, self.domain)
-
 
 class IdentityOperator(Operator):
     def __init__(self, space: Space):
         self.domain = self.codomain = space
-
-    def apply_array(self, x):
-        return np.array(x, dtype=float)
 
     def _build_matrix(self):
         return np.eye(self.domain.dim)
 
     def rmatmul(self, x):
         return np.array(x, dtype=float)
-
-    def adjoint(self):
-        return self
 
 
 class ScaledOperator(Operator):
@@ -143,17 +129,11 @@ class ScaledOperator(Operator):
         self.domain = inner_op.domain
         self.codomain = inner_op.codomain
 
-    def apply_array(self, x):
-        return self.factor * self.inner_op.apply_array(x)
-
     def _build_matrix(self):
         return self.factor * self.inner_op.matrix
 
     def rmatmul(self, x):
         return self.factor * self.inner_op.rmatmul(x)
-
-    def adjoint(self):
-        return ScaledOperator(self.factor, self.inner_op.adjoint())
 
 
 class DenseOperator(Operator):
@@ -167,14 +147,6 @@ class DenseOperator(Operator):
             )
         self._matrix_cache = m
 
-    def apply_array(self, x):
-        return self.matrix @ x
-
-    def adjoint(self):
-        # Weighted transpose: W_dom^-1 M^T W_cod.
-        m = self.matrix.T * (self.codomain.weights[None, :] / self.domain.weights[:, None])
-        return DenseOperator(m, self.codomain, self.domain)
-
 
 class DiagonalOperator(Operator):
     """Coordinatewise multiplier on a single space; always self-adjoint."""
@@ -186,17 +158,11 @@ class DiagonalOperator(Operator):
         self.entries = e
         self.domain = self.codomain = space
 
-    def apply_array(self, x):
-        return self.entries * x
-
     def _build_matrix(self):
         return np.diag(self.entries)
 
     def rmatmul(self, x):
         return x * self.entries[None, :]
-
-    def adjoint(self):
-        return self
 
 
 class RightShiftOperator(Operator):
@@ -212,12 +178,6 @@ class RightShiftOperator(Operator):
         self.codomain = space if codomain is None else codomain
         if self.codomain.dim < space.dim:
             raise DimensionError("shift codomain cannot be smaller than its domain")
-
-    def apply_array(self, x):
-        out = np.zeros(self.codomain.dim)
-        keep = min(self.domain.dim, self.codomain.dim - 1)
-        out[1 : keep + 1] = x[:keep]
-        return out
 
     def _build_matrix(self):
         return np.eye(self.codomain.dim, self.domain.dim, k=-1)
@@ -240,11 +200,6 @@ class FillingOperator(Operator):
         if not 1 <= count <= min(domain.dim, codomain.dim):
             raise DimensionError("filling count must fit inside both spaces")
         self.count = int(count)
-
-    def apply_array(self, x):
-        out = np.zeros(self.codomain.dim)
-        out[: self.count] = x[: self.count]
-        return out
 
     def _build_matrix(self):
         m = np.zeros((self.codomain.dim, self.domain.dim))
@@ -282,12 +237,6 @@ class GaussianConvolutionOperator(Operator):
         kernel = np.exp(-(diff**2) / (2.0 * sig * sig)) / (sig * np.sqrt(2.0 * np.pi))
         return kernel * self.domain.weights[None, :]
 
-    def apply_array(self, x):
-        return self.matrix @ x
-
-    def adjoint(self):
-        return self
-
 
 class HeatSemigroupOperator(Operator):
     """Heat flow over one sampling interval on a spectral interval space.
@@ -311,17 +260,11 @@ class HeatSemigroupOperator(Operator):
         rates = self.alpha * (n * np.pi / self.domain.length) ** 2
         return np.exp(-rates * self.tau)
 
-    def apply_array(self, x):
-        return self.factors * x
-
     def _build_matrix(self):
         return np.diag(self.factors)
 
     def rmatmul(self, x):
         return x * self.factors[None, :]
-
-    def adjoint(self):
-        return self
 
 
 class SumOperator(Operator):
@@ -339,20 +282,11 @@ class SumOperator(Operator):
         self.domain = first.domain
         self.codomain = first.codomain
 
-    def apply_array(self, x):
-        out = self.terms[0].apply_array(x)
-        for t in self.terms[1:]:
-            out = out + t.apply_array(x)
-        return out
-
     def _build_matrix(self):
         out = self.terms[0].matrix.copy()
         for t in self.terms[1:]:
             out += t.matrix
         return out
-
-    def adjoint(self):
-        return SumOperator([t.adjoint() for t in self.terms])
 
 
 class ComposeOperator(Operator):
@@ -366,27 +300,22 @@ class ComposeOperator(Operator):
         self.domain = inner_op.domain
         self.codomain = outer.codomain
 
-    def apply_array(self, x):
-        return self.outer.apply_array(self.inner_op.apply_array(x))
-
     def _build_matrix(self):
         return self.outer.matrix @ self.inner_op.matrix
 
-    def adjoint(self):
-        return ComposeOperator(self.inner_op.adjoint(), self.outer.adjoint())
-
 
 class AdjointOperator(Operator):
-    """Weighted-transpose wrapper for variants without a closed-form adjoint."""
+    """The adjoint of any operator: the weighted transpose W_dom^-1 M^T W_cod.
+
+    This is the only adjoint in the module, so <A x, y> = <x, A* y> holds to
+    round-off for every variant, and the adjoint of an adjoint is the
+    original operator.
+    """
 
     def __init__(self, inner_op: Operator):
         self.inner_op = inner_op
         self.domain = inner_op.codomain
         self.codomain = inner_op.domain
-
-    def apply_array(self, y):
-        m = self.inner_op.matrix
-        return (m.T @ (self.inner_op.codomain.weights * y)) / self.inner_op.domain.weights
 
     def _build_matrix(self):
         m = self.inner_op.matrix
@@ -503,24 +432,6 @@ def invert_positive(op: Operator, kappa_max: float = KAPPA_MAX_DEFAULT) -> Opera
         raise NotPositiveError(f"minimum eigenvalue {cert.min_eig:.3e} is not above {tol:.3e}")
     if inverse is None:
         raise IllConditionedError(f"condition number {cert.cond:.3e} exceeds cap {kappa_max:.1e}")
-    return DenseOperator(inverse * w[None, :], op.domain)
-
-
-def invert_selfadjoint(op: Operator, kappa_max: float = KAPPA_MAX_DEFAULT) -> Operator:
-    """Invert a self-adjoint, possibly indefinite operator on the truncation.
-
-    Membership in the recursion domain only needs a bounded inverse, so the
-    sign of the spectrum is not restricted here; the condition cap plays the
-    role of the bounded-inverse requirement.
-    """
-    if not op.is_square():
-        raise DimensionError("only square operators can be inverted")
-    w = op.domain.weights
-    cert, inverse = certified_inverse(op.matrix, w, kappa_max)
-    if inverse is None:
-        raise IllConditionedError(
-            f"condition number {cert.cond:.3e} exceeds cap {kappa_max:.1e}"
-        )
     return DenseOperator(inverse * w[None, :], op.domain)
 
 

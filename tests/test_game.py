@@ -140,7 +140,6 @@ def test_design_zero_sum_iterate_consistency():
         sol = design.solution
         for k in range(len(sol.p1)):
             assert not np.any(sol.p1[k].matrix + sol.p2[k].matrix)
-            assert np.max(np.abs(design.p[k].matrix - sol.p2[k].matrix)) < 1e-12
         assert sol.j1 + sol.j2 == 0.0
 
 
@@ -177,7 +176,7 @@ def test_h2hinf_design_rank_one_values(rank_one_game):
     forms = closed_game_forms(2.0, 0.0, DIM)
     norm_sq = 2.0 * (1.0 - 2.0 ** -DIM)
     expect_j2 = 1.5 * norm_sq + forms["omega"][1]
-    assert res.j2 == pytest.approx(expect_j2, abs=1e-12)
+    assert res.solution.j2 == pytest.approx(expect_j2, abs=1e-12)
     run = hc.brl_check(res.closed, 2.0)
     assert run.feasible
 
@@ -230,7 +229,7 @@ def test_cross_coupled_step_pins_the_coupled_pass_on_weighted_spaces():
             # stationarity and the player-1 iterate through the operator algebra
             a, c, cbar = sys2.a(k), sys2.c(k), sys2.cbar(k)
             b1, d1, b2, d2 = sys2.b1(k), sys2.d1(k), sys2.b2(k), sys2.d2(k)
-            r1 = (hc.IdentityOperator(vs).scaled(params.gamma**2)
+            r1 = (hc.ScaledOperator(params.gamma**2, hc.IdentityOperator(vs))
                   + b1.adjoint() @ p1n @ b1 + d1.adjoint() @ p1n @ d1)
             r2 = hc.IdentityOperator(us) + b2.adjoint() @ p2n @ b2 + d2.adjoint() @ p2n @ d2
             assert_pinned(r1.matrix, sol.r1[k].matrix)
@@ -239,8 +238,8 @@ def test_cross_coupled_step_pins_the_coupled_pass_on_weighted_spaces():
             assert_pinned((r1 @ k1).matrix, -g1.matrix)
             acl2, ccl2 = a + b2 @ k2, c + d2 @ k2
             p1_ref = (acl2.adjoint() @ p1n @ acl2 + ccl2.adjoint() @ p1n @ ccl2
-                      + (k2.adjoint() @ k2 + cbar.adjoint() @ cbar
-                         + k1.adjoint() @ r1 @ k1).scaled(-1.0))
+                      + hc.ScaledOperator(-1.0, k2.adjoint() @ k2 + cbar.adjoint() @ cbar
+                                          + k1.adjoint() @ r1 @ k1))
             assert_pinned(sol.p1[k].matrix, p1_ref.matrix)
 
 
@@ -299,7 +298,8 @@ def test_each_player_recursion_is_a_plain_pass(weighted):
             list(sys2.d2),
         )
         m = [sys2.cbar(k).adjoint() @ sys2.cbar(k)
-             + (k1[k].adjoint() @ k1[k]).scaled(-params.rho**2) for k in range(sys2.steps)]
+             + hc.ScaledOperator(-params.rho**2, k1[k].adjoint() @ k1[k])
+             for k in range(sys2.steps)]
         cost = hc.CostSpec(v_closed, m, hc.ZeroOperator(hs, us), hc.IdentityOperator(us),
                            hc.ZeroOperator(hs))
         lq = hc.solve_backward_riccati(v_closed, cost)

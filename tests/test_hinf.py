@@ -307,7 +307,7 @@ def test_nonpositive_step_above_a_breakdown_is_the_failing_step():
     zero = hc.ZeroOperator(hs)
     cbar = hc.DenseOperator(np.array([[1.0], [0.0]]), hs, zs)
     dbar = [hc.ZeroOperator(hs, zs), hc.DenseOperator(np.array([[0.0], [1.0]]), hs, zs)]
-    dsys = hc.DisturbedSystem(hs, hs, zs, 1, zero, hc.IdentityOperator(hs).scaled(0.5),
+    dsys = hc.DisturbedSystem(hs, hs, zs, 1, zero, hc.ScaledOperator(0.5, hc.IdentityOperator(hs)),
                               zero, zero, cbar, dbar)
     run = hc.brl_check(dsys, 0.5)
     assert run.min_pi3_eig(1) < 0.0 and run.min_pi3_eig(0) == 0.0
@@ -321,6 +321,10 @@ def test_hinf_norm_bracket_validation():
         hc.hinf_norm(dsys, lo=-1.0)
     with pytest.raises(hc.BracketError):
         hc.hinf_norm(dsys, lo=0.0, hi=0.5)  # supplied cap below the norm
+    with pytest.raises(hc.BracketError, match="lower bound 5.0 is feasible"):
+        hc.hinf_norm(dsys, lo=5.0)  # a floor above the gain of 1
+    with pytest.raises(hc.BracketError, match="not below upper bound"):
+        hc.hinf_norm(dsys, lo=3.0, hi=2.0)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -368,10 +372,10 @@ def test_attenuation_terms_pin_the_level_recursion_on_weighted_spaces():
             a, b1, c, d1 = dsys.a(k), dsys.b1(k), dsys.c(k), dsys.d1(k)
             cbar, dbar = dsys.cbar(k), dsys.dbar(k)
             p1 = (a.adjoint() @ yn @ a + c.adjoint() @ yn @ c
-                  + (cbar.adjoint() @ cbar).scaled(-1.0))
+                  + hc.ScaledOperator(-1.0, cbar.adjoint() @ cbar))
             p2 = b1.adjoint() @ yn @ a + d1.adjoint() @ yn @ c
-            p3 = (hc.IdentityOperator(dsys.disturbance_space).scaled(gamma**2)
-                  + (dbar.adjoint() @ dbar).scaled(-1.0)
+            p3 = (hc.ScaledOperator(gamma**2, hc.IdentityOperator(dsys.disturbance_space))
+                  + hc.ScaledOperator(-1.0, dbar.adjoint() @ dbar)
                   + b1.adjoint() @ yn @ b1 + d1.adjoint() @ yn @ d1)
             assert hc.min_eig_selfadjoint(p3).min_eig == pytest.approx(
                 run.pi3_certs[k].min_eig, rel=1e-10, abs=1e-12)

@@ -69,15 +69,25 @@ def test_native_right_product_matches_matrix(op):
 
 def test_adjoint_pairing_all_variants():
     rng = np.random.default_rng(0)
-    for op in operator_zoo(rng):
-        assert pairing_residual(op, rng) < 1e-10, type(op).__name__
+    for op in product_zoo():
+        assert pairing_residual(op, rng) < 1e-10, repr(op)
+
+
+def test_apply_and_adjoint_are_derived_from_the_matrix():
+    # a variant defines its matrix (and maybe a native right product) only;
+    # Operator and AdjointOperator hold the one apply and the one adjoint
+    for cls in vars(hc.operators).values():
+        if (isinstance(cls, type) and issubclass(cls, hc.Operator)
+                and cls not in (hc.Operator, hc.AdjointOperator)):
+            assert not {"apply_array", "adjoint"} & set(vars(cls)), cls.__name__
+    assert not hasattr(hc.Operator, "scaled")
 
 
 def test_adjoint_pairing_composites():
     rng = np.random.default_rng(1)
     a = hc.DenseOperator(rng.standard_normal((LINE.dim, LINE.dim)), LINE)
     b = hc.DiagonalOperator(rng.standard_normal(LINE.dim), LINE)
-    for op in [a + b, a @ b, a.scaled(3.0), hc.AdjointOperator(a)]:
+    for op in [a + b, a @ b, hc.ScaledOperator(3.0, a), hc.AdjointOperator(a)]:
         assert pairing_residual(op, rng) < 1e-9, type(op).__name__
 
 
@@ -198,13 +208,14 @@ def test_invert_positive_inverse_property():
     assert np.allclose(inv.matrix @ op.matrix, np.eye(LINE.dim), atol=1e-8)
 
 
-def test_invert_selfadjoint_indefinite():
-    op = hc.DiagonalOperator(np.array([2.0, -3.0, 1.0, -1.0]), EUC)
-    inv = hc.invert_selfadjoint(op)
-    assert np.allclose(inv.matrix @ op.matrix, np.eye(4))
-    bad = hc.DiagonalOperator(np.array([1.0, 0.0, 1.0, 1.0]), EUC)
-    with pytest.raises(hc.IllConditionedError):
-        hc.invert_selfadjoint(bad)
+def test_certified_inverse_indefinite():
+    # no sign is required; only the condition cap refuses an inverse
+    entries = np.array([2.0, -3.0, 1.0, -1.0])
+    cert, inv = hc.operators.certified_inverse(np.diag(entries), EUC.weights, 1e12)
+    assert cert.min_eig == -3.0 and cert.max_eig == 2.0
+    assert np.allclose(inv @ np.diag(entries), np.eye(4))
+    cert, inv = hc.operators.certified_inverse(np.diag([1.0, 0.0, 1.0, 1.0]), EUC.weights, 1e12)
+    assert inv is None and cert.cond == np.inf
 
 
 def test_positivity_tolerance_scales_with_norm():

@@ -240,10 +240,12 @@ def test_level_cost_pass_is_the_bounded_real_recursion():
             for gamma in (0.8 * gain, 1.2 * gain):
                 cost = hc.CostSpec(
                     view,
-                    [(dsys.cbar(k).adjoint() @ dsys.cbar(k)).scaled(-1.0) for k in range(dsys.steps)],
+                    [hc.ScaledOperator(-1.0, dsys.cbar(k).adjoint() @ dsys.cbar(k))
+                     for k in range(dsys.steps)],
                     hc.ZeroOperator(hs, vs),
-                    [hc.IdentityOperator(vs).scaled(gamma**2)
-                     + (dsys.dbar(k).adjoint() @ dsys.dbar(k)).scaled(-1.0) for k in range(dsys.steps)],
+                    [hc.ScaledOperator(gamma**2, hc.IdentityOperator(vs))
+                     + hc.ScaledOperator(-1.0, dsys.dbar(k).adjoint() @ dsys.dbar(k))
+                     for k in range(dsys.steps)],
                     hc.ZeroOperator(hs),
                 )
                 sol = hc.solve_backward_riccati(view, cost)
