@@ -49,8 +49,10 @@ from .riccati import (
     STATUS_DOMAIN_FAILURE,
     STATUS_SOLVED,
     StageWeights,
+    StepScratch,
     _closed_gram,
     _completion_arrays,
+    _once_per_operator,
 )
 from .sim import Policy, run_batch, sign_paths
 from .spaces import HVector, inner, zero_vector
@@ -103,8 +105,9 @@ def _player_weights(sys2: TwoInputSystem, params: GameParams) -> tuple[StageWeig
     zero = np.zeros((wv.size + wu.size, sys2.state_space.dim))
     r1 = np.diag(np.concatenate([(params.gamma**2) * wv, -wu]))
     r2 = np.diag(np.concatenate([-(params.rho**2) * wv, wu]))
-    cbar_sq = [gram(op) for op in sys2.cbar]
-    return (lambda k: (-cbar_sq[k], zero, r1)), (lambda k: (cbar_sq[k], zero, r2))
+    cbar_sq = _once_per_operator(gram, sys2.cbar)
+    neg_cbar_sq = _once_per_operator(lambda op: -gram(op), sys2.cbar)
+    return (lambda k: (neg_cbar_sq[k], zero, r1)), (lambda k: (cbar_sq[k], zero, r2))
 
 
 def _certify_weight(mat: np.ndarray, w: np.ndarray, label: str, k: int, kappa_max: float):
@@ -188,9 +191,11 @@ def solve_coupled_riccati(
     wv, wu = vs.weights, us.weights
     v, u = slice(None, vs.dim), slice(vs.dim, None)
     view, weights = sys2.as_controlled(), _player_weights(sys2, params)
+    # both players' Q are alive at once, so each gets its own scratch
+    scratch1, scratch2 = StepScratch(dh), StepScratch(dh)
     for k in range(steps - 1, -1, -1):
-        q1, rk1, gk1 = _completion_arrays(view, weights[0], grams1[k + 1], k)
-        q2, rk2, gk2 = _completion_arrays(view, weights[1], grams2[k + 1], k)
+        q1, rk1, gk1 = _completion_arrays(view, weights[0], grams1[k + 1], k, scratch1)
+        q2, rk2, gk2 = _completion_arrays(view, weights[1], grams2[k + 1], k, scratch2)
         r1, r2 = rk1[v, v] / wv[:, None], rk2[u, u] / wu[:, None]
         try:
             cert1 = _certify_weight(r1, wv, "disturbance weight", k, kappa_max)
@@ -202,7 +207,8 @@ def solve_coupled_riccati(
         g1, g2 = gk1[v] / wv[:, None], gk2[u] / wu[:, None]
         k1, k2, resid = _solve_coupling(r1, s12, s21, r2, g1, g2, k)
         gain = np.vstack([k1, k2])
-        grams1[k], grams2[k] = _closed_gram(q1, gk1, rk1, gain), _closed_gram(q2, gk2, rk2, gain)
+        grams1[k] = _closed_gram(q1, gk1, rk1, gain, scratch1.spare)
+        grams2[k] = _closed_gram(q2, gk2, rk2, gain, scratch2.spare)
         v_gains[k], u_gains[k] = DenseOperator(k1, hs, vs), DenseOperator(k2, hs, us)
         r1_ops[k], r2_ops[k] = DenseOperator(r1, vs), DenseOperator(r2, us)
         certs1[k], certs2[k] = cert1, cert2

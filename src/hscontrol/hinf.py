@@ -41,21 +41,56 @@ from .operators import (
     min_eig_selfadjoint,
     opnorm,
 )
-from .riccati import StageWeights, _backward_pass, _closed_gram, _completion_arrays
+from .riccati import (
+    StageWeights,
+    StepScratch,
+    _backward_pass,
+    _closed_gram,
+    _completion_arrays,
+    _once_per_operator,
+)
 from .sim import ENUMERATION_MAX_STEPS, Policy, run_batch, sign_paths
 from .spaces import zero_vector
-from .systems import DisturbedSystem
+from .systems import ControlledSystem, DisturbedSystem
 
 
-def _feedthrough_gram(dsys: DisturbedSystem, gamma: float, k: int) -> np.ndarray:
-    """Gram form W_v (gamma^2 I - Dbar* Dbar) at step k."""
-    return (gamma**2) * np.diag(dsys.disturbance_space.weights) - gram(dsys.dbar(k))
+def _feedthrough_gram(wv: np.ndarray, dbar_sq: np.ndarray, gamma: float) -> np.ndarray:
+    """Gram form W_v (gamma^2 I - Dbar* Dbar) from W_v Dbar* Dbar."""
+    return (gamma**2) * np.diag(wv) - dbar_sq
 
 
-def _level_weights(dsys: DisturbedSystem, gamma: float) -> StageWeights:
-    """The LQ weights M = -Cbar*Cbar, L = 0, R = gamma^2 I - Dbar*Dbar in Gram form."""
-    zero = np.zeros((dsys.disturbance_space.dim, dsys.state_space.dim))
-    return lambda k: (-gram(dsys.cbar(k)), zero, _feedthrough_gram(dsys, gamma, k))
+@dataclass(frozen=True)
+class _LevelTerms:
+    """The part of the level test on one system that does not depend on gamma.
+
+    The controlled view, the Gram forms W_h (-Cbar*Cbar) and W_v Dbar*Dbar of
+    every step, each computed once per distinct operator, and the scratch of
+    the backward pass.  ``hinf_norm`` builds it once for all its tests.
+    """
+
+    view: ControlledSystem
+    neg_cbar_sq: list[np.ndarray]
+    dbar_sq: list[np.ndarray]
+    scratch: StepScratch
+
+    def weights(self, gamma: float) -> StageWeights:
+        """The LQ weights M = -Cbar*Cbar, L = 0, R = gamma^2 I - Dbar*Dbar in Gram form."""
+        vs = self.view.control_space
+        zero = np.zeros((vs.dim, self.view.state_space.dim))
+        return lambda k: (
+            self.neg_cbar_sq[k],
+            zero,
+            _feedthrough_gram(vs.weights, self.dbar_sq[k], gamma),
+        )
+
+
+def _level_terms(dsys: DisturbedSystem) -> _LevelTerms:
+    return _LevelTerms(
+        dsys.as_controlled(),
+        _once_per_operator(lambda op: -gram(op), dsys.cbar),
+        _once_per_operator(gram, dsys.dbar),
+        StepScratch(dsys.state_space.dim),
+    )
 
 
 def backward_f_equation(
@@ -69,11 +104,12 @@ def backward_f_equation(
     """
     if len(f_gains) != dsys.steps:
         raise DimensionError("need one disturbance gain per step")
-    view, weights = dsys.as_controlled(), _level_weights(dsys, gamma)
+    terms = _level_terms(dsys)
+    weights, scratch = terms.weights(gamma), terms.scratch
     grams = [None] * dsys.steps + [np.zeros((dsys.state_space.dim, dsys.state_space.dim))]
     for k in range(dsys.steps - 1, -1, -1):
-        p1, p3, p2 = _completion_arrays(view, weights, grams[k + 1], k)
-        grams[k] = _closed_gram(p1, p2, p3, f_gains[k].matrix)
+        p1, p3, p2 = _completion_arrays(terms.view, weights, grams[k + 1], k, scratch)
+        grams[k] = _closed_gram(p1, p2, p3, f_gains[k].matrix, scratch.spare)
     return coordinate_operators(grams, dsys.state_space)
 
 
@@ -85,14 +121,16 @@ class BoundedRealRun:
     positive and boundedly invertible.  When it is not, ``failing_step`` is
     the largest step whose p3 is non-positive or not boundedly invertible (the
     first one met walking backward).  Iterates and worst-case gains below the
-    step where the walk stopped are None.
+    step where the walk stopped are None.  ``completed`` tells whether the
+    walk reached step 0, and ``y`` is None on a stop-at-failure run, which
+    keeps no iterates.
     """
 
     gamma: float
     feasible: bool
     failing_step: int | None
     completed: bool
-    y: list[Operator | None]
+    y: list[Operator | None] | None
     pi3_certs: list[SelfAdjointCert | None]
     worst_gains: list[Operator | None]
 
@@ -108,28 +146,35 @@ def brl_check(
     gamma: float,
     kappa_max: float = KAPPA_MAX_DEFAULT,
     stop_at_failure: bool = False,
+    *,
+    terms: _LevelTerms | None = None,
 ) -> BoundedRealRun:
     """Decide whether the disturbance gain is below gamma.
 
     The level recursion is the LQ Riccati pass on the disturbance channel
-    with the weights of ``_level_weights`` and a zero terminal weight, so Y(k)
-    is P(k), p3 is Rk and the worst-case gain is the LQ gain.
+    with the weights of ``_LevelTerms.weights`` and a zero terminal weight, so
+    Y(k) is P(k), p3 is Rk and the worst-case gain is the LQ gain.
     ``stop_at_failure`` abandons the walk at the first non-positive p3, which
-    is enough for bisection; by default the walk continues through indefinite
-    but invertible p3 so every step's spectrum gets reported.
+    is enough for bisection, and keeps no iterates; by default the walk
+    continues through indefinite but invertible p3 so every step's spectrum
+    gets reported.  ``terms`` is the gamma-independent part of the test built
+    from ``dsys``; it is built here when None.
     """
     if not np.isfinite(gamma * gamma):
         raise DimensionError(f"gamma must be finite with a finite square, got {gamma!r}")
+    terms = _level_terms(dsys) if terms is None else terms
     dim = dsys.state_space.dim
     sol = _backward_pass(
-        dsys.as_controlled(),
-        _level_weights(dsys, gamma),
+        terms.view,
+        terms.weights(gamma),
         np.zeros((dim, dim)),
         kappa_max,
         stop_at_nonpositive=stop_at_failure,
+        scratch=terms.scratch,
     )
     failing = sol.nonpositive if sol.nonpositive is not None else sol.breakdown
-    completed = sol.p[0] is not None
+    # the walk stops at a breakdown, and with stop_at_failure at the first non-positive p3
+    completed = sol.breakdown is None and not (stop_at_failure and sol.nonpositive is not None)
     return BoundedRealRun(gamma, failing is None, failing, completed, sol.p, sol.rk_certs, sol.gains)
 
 
@@ -140,11 +185,12 @@ def feedthrough_margin(dsys: DisturbedSystem, gamma: float) -> float:
     recursion needed.
     """
     vs = dsys.disturbance_space
-    wv = vs.weights[:, None]
-    return min(
-        min_eig_selfadjoint(DenseOperator(_feedthrough_gram(dsys, gamma, k) / wv, vs)).min_eig
-        for k in range(dsys.steps)
-    )
+    wv = vs.weights
+    margins = [
+        DenseOperator(_feedthrough_gram(wv, sq, gamma) / wv[:, None], vs)
+        for sq in _once_per_operator(gram, dsys.dbar)
+    ]
+    return min(min_eig_selfadjoint(op).min_eig for op in margins)
 
 
 @dataclass(frozen=True)
@@ -177,17 +223,18 @@ def hinf_norm(
     for name, end in (("lo", lo), ("hi", hi)):
         if end is not None and not np.isfinite(end):
             raise DimensionError(f"{name} must be finite, got {end!r}")
-    iterations = 0
-
-    def feasible(level: float) -> bool:
-        nonlocal iterations
-        iterations += 1
-        return brl_check(dsys, level, kappa_max, stop_at_failure=True).feasible
-
     if lo < 0.0:
         raise BracketError("lower bound must be nonnegative")
     if hi is not None and lo >= hi:
         raise BracketError(f"lower bound {lo} is not below upper bound {hi}")
+    iterations = 0
+    terms = _level_terms(dsys)
+
+    def feasible(level: float) -> bool:
+        nonlocal iterations
+        iterations += 1
+        return brl_check(dsys, level, kappa_max, stop_at_failure=True, terms=terms).feasible
+
     if lo > 0.0 and feasible(lo):
         raise BracketError(f"supplied lower bound {lo} is feasible")
     if hi is None:

@@ -19,7 +19,9 @@ space.
 Every variant also supplies the right product X @ M of a coordinate array with
 its matrix.  Structured variants compute it natively (scaling or slicing
 columns), which keeps the congruences of the backward recursions at O(n^2) for
-them; dense and composite variants multiply by their cached matrix.
+them; dense and composite variants multiply by their cached matrix.  The right
+product and ``congruence`` take optional output buffers, so a backward pass can
+run every step in arrays it allocates once.
 """
 
 from __future__ import annotations
@@ -78,9 +80,15 @@ class Operator:
             self._matrix_cache = cached
         return cached
 
-    def rmatmul(self, x: np.ndarray) -> np.ndarray:
-        """The right product x @ M for a 2-D array x with codomain.dim columns."""
-        return x @ self.matrix
+    def rmatmul(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The right product x @ M for a 2-D array x with codomain.dim columns.
+
+        The product is written into ``out`` when given, a C-contiguous array
+        of shape (rows of x, domain.dim) that does not overlap x, and ``out``
+        is returned; otherwise into a new array.  The values are the same
+        either way, and the result is never x or a cached matrix.
+        """
+        return np.matmul(x, self.matrix, out=out)
 
     def adjoint(self) -> "Operator":
         return AdjointOperator(self)
@@ -107,8 +115,11 @@ class ZeroOperator(Operator):
     def _build_matrix(self):
         return np.zeros((self.codomain.dim, self.domain.dim))
 
-    def rmatmul(self, x):
-        return np.zeros((x.shape[0], self.domain.dim))
+    def rmatmul(self, x, out=None):
+        if out is None:
+            return np.zeros((x.shape[0], self.domain.dim))
+        out.fill(0.0)
+        return out
 
 
 class IdentityOperator(Operator):
@@ -118,8 +129,11 @@ class IdentityOperator(Operator):
     def _build_matrix(self):
         return np.eye(self.domain.dim)
 
-    def rmatmul(self, x):
-        return np.array(x, dtype=float)
+    def rmatmul(self, x, out=None):
+        if out is None:
+            return np.array(x, dtype=float)
+        out[...] = x
+        return out
 
 
 class ScaledOperator(Operator):
@@ -132,8 +146,9 @@ class ScaledOperator(Operator):
     def _build_matrix(self):
         return self.factor * self.inner_op.matrix
 
-    def rmatmul(self, x):
-        return self.factor * self.inner_op.rmatmul(x)
+    def rmatmul(self, x, out=None):
+        inner = self.inner_op.rmatmul(x, out=out)
+        return np.multiply(inner, self.factor, out=inner)
 
 
 class DenseOperator(Operator):
@@ -161,8 +176,8 @@ class DiagonalOperator(Operator):
     def _build_matrix(self):
         return np.diag(self.entries)
 
-    def rmatmul(self, x):
-        return x * self.entries[None, :]
+    def rmatmul(self, x, out=None):
+        return np.multiply(x, self.entries[None, :], out=out)
 
 
 class RightShiftOperator(Operator):
@@ -182,10 +197,11 @@ class RightShiftOperator(Operator):
     def _build_matrix(self):
         return np.eye(self.codomain.dim, self.domain.dim, k=-1)
 
-    def rmatmul(self, x):
-        out = np.zeros((x.shape[0], self.domain.dim))
+    def rmatmul(self, x, out=None):
+        out = np.empty((x.shape[0], self.domain.dim)) if out is None else out
         keep = min(self.domain.dim, self.codomain.dim - 1)
         out[:, :keep] = x[:, 1 : keep + 1]
+        out[:, keep:] = 0.0
         return out
 
 
@@ -207,9 +223,10 @@ class FillingOperator(Operator):
         m[idx, idx] = 1.0
         return m
 
-    def rmatmul(self, x):
-        out = np.zeros((x.shape[0], self.domain.dim))
+    def rmatmul(self, x, out=None):
+        out = np.empty((x.shape[0], self.domain.dim)) if out is None else out
         out[:, : self.count] = x[:, : self.count]
+        out[:, self.count :] = 0.0
         return out
 
 
@@ -253,18 +270,14 @@ class HeatSemigroupOperator(Operator):
         self.alpha = float(alpha)
         self.tau = float(tau)
         self.domain = self.codomain = space
-
-    @property
-    def factors(self) -> np.ndarray:
-        n = self.domain.mode_index()
-        rates = self.alpha * (n * np.pi / self.domain.length) ** 2
-        return np.exp(-rates * self.tau)
+        rates = self.alpha * (space.mode_index() * np.pi / space.length) ** 2
+        self.factors = np.exp(-rates * self.tau)
 
     def _build_matrix(self):
         return np.diag(self.factors)
 
-    def rmatmul(self, x):
-        return x * self.factors[None, :]
+    def rmatmul(self, x, out=None):
+        return np.multiply(x, self.factors[None, :], out=out)
 
 
 class SumOperator(Operator):
@@ -325,9 +338,21 @@ class AdjointOperator(Operator):
         return self.inner_op
 
 
-def congruence(left: Operator, g: np.ndarray, right: Operator) -> np.ndarray:
-    """L^T G R for a coordinate array G, from two right products."""
-    return right.rmatmul(left.rmatmul(g.T).T)
+def congruence(
+    left: Operator,
+    g: np.ndarray,
+    right: Operator,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
+) -> np.ndarray:
+    """L^T G R for a coordinate array G, from two right products.
+
+    The inner product G^T L goes into ``work`` (shape (G columns,
+    left.domain.dim)) and the result into ``out`` (shape (left.domain.dim,
+    right.domain.dim)) when they are given; either is allocated when None.
+    The two buffers must not overlap each other or G.
+    """
+    return right.rmatmul(left.rmatmul(g.T, out=work).T, out=out)
 
 
 def gram(op: Operator) -> np.ndarray:

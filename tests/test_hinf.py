@@ -3,7 +3,15 @@ import pytest
 
 import hscontrol as hc
 from hscontrol import hinf
-from helpers import assert_pinned, dense, random_disturbed, space
+from helpers import (
+    assert_pinned,
+    dense,
+    random_disturbed,
+    random_psd_cost,
+    random_solved_problem,
+    solvable_game,
+    space,
+)
 
 
 def unit_delay(dim=3, horizon=4):
@@ -260,12 +268,79 @@ def test_infeasible_run_reports_largest_failing_step():
 
 
 def test_stop_at_failure_halts_early():
+    # the stopped walk decides as the full walk does, certifies the same p3
+    # spectra on every step it reaches, and halts at the failing step
     rng = np.random.default_rng(12)
+    for _ in range(3):
+        dsys = random_disturbed(rng, noisy=True)
+        norm = hc.hinf_norm(dsys, tol=1e-6).value
+        for gamma, feasible in ((0.5 * norm, False), (2.0 * norm, True)):
+            full = hc.brl_check(dsys, gamma)
+            stop = hc.brl_check(dsys, gamma, stop_at_failure=True)
+            assert (stop.feasible, stop.failing_step) == (full.feasible, full.failing_step)
+            assert stop.feasible == feasible and stop.completed == feasible
+            assert stop.y is None and full.completed
+            reached = [k for k, cert in enumerate(stop.pi3_certs) if cert is not None]
+            assert min(reached) == (0 if feasible else stop.failing_step)
+            for k in reached:
+                assert stop.min_pi3_eig(k) == full.min_pi3_eig(k)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: hc.examples.build_shift_network(64),
+    lambda: random_disturbed(np.random.default_rng(5), noisy=True),
+], ids=["shift64", "noisy"])
+def test_hinf_norm_runs_one_brl_check_per_iteration(build, monkeypatch):
+    dsys = build()
+    calls = []
+    real = hinf.brl_check
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hinf, "brl_check", counting)
+    tol = 1e-6
+    est = hc.hinf_norm(dsys, tol=tol)
+    monkeypatch.undo()
+    assert len(calls) == est.iterations > 0
+    assert hc.brl_check(dsys, est.hi).feasible
+    if est.lo > 0.0:
+        assert not hc.brl_check(dsys, est.lo).feasible
+    assert est.hi - est.lo <= tol
+
+
+def _matrices(ops):
+    return [None if op is None else op.matrix.copy() for op in ops]
+
+
+def test_step_buffers_do_not_leak_between_calls():
+    # later solves on systems of the same sizes, at other levels and weights,
+    # leave the arrays of earlier results untouched
+    rng = np.random.default_rng(31)
     dsys = random_disturbed(rng, noisy=True)
-    norm = hc.hinf_norm(dsys, tol=1e-6).value
-    run = hc.brl_check(dsys, 0.5 * norm, stop_at_failure=True)
-    if run.failing_step is not None and run.failing_step > 0:
-        assert run.y[0] is None or not run.completed
+    net = hc.examples.build_shift_network(16)
+    lq = random_solved_problem(rng)
+    sys2, params, x0, _ = solvable_game(rng)
+
+    def outputs(level, case, cost, scale):
+        runs = [hc.brl_check(d, level) for d in (dsys, net)]
+        heat = hc.examples.build_heat_problem(case, 16)
+        sols = [hc.solve_backward_riccati(p.system, p.cost) for p in (heat, lq)]
+        sols.append(hc.solve_backward_riccati(lq.system, cost))
+        game = hc.solve_coupled_riccati(sys2, hc.GameParams(scale * params.gamma, params.rho), x0)
+        kept = [op for run in runs for op in run.y + run.worst_gains]
+        kept += [op for sol in sols for op in sol.p + sol.gains + sol.rk + sol.gk]
+        return kept + game.p1 + game.p2
+
+    first = outputs(1.7, 3, lq.cost, 1.0)
+    copies = _matrices(first)
+    outputs(2.3, 1, random_psd_cost(rng, lq.system), 2.0)
+    for d in (dsys, net):
+        hc.hinf_norm(d)
+    for op, want in zip(first, copies):
+        if op is not None:
+            assert op.matrix.tobytes() == want.tobytes()
 
 
 def test_feedthrough_margin_and_uniform_positivity():

@@ -67,6 +67,26 @@ def test_native_right_product_matches_matrix(op):
     assert np.max(np.abs(got - want)) <= 1e-13 * (1.0 + np.max(np.abs(want)))
 
 
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+@pytest.mark.parametrize("op", product_zoo(), ids=repr)
+def test_right_product_and_congruence_into_buffers(op):
+    # a call with buffers fills every entry of ``out`` (they start as NaN),
+    # returns it, and gives the same bits as the call without buffers
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((3, op.codomain.dim))
+    out = np.full((3, op.domain.dim), np.nan)
+    assert op.rmatmul(x, out=out) is out
+    assert _bits(out) == _bits(op.rmatmul(x))
+    g = rng.standard_normal((op.codomain.dim, op.codomain.dim))
+    out = np.full((op.domain.dim, op.domain.dim), np.nan)
+    work = np.full((op.codomain.dim, op.domain.dim), np.nan)
+    assert hc.operators.congruence(op, g, op, out=out, work=work) is out
+    assert _bits(out) == _bits(hc.operators.congruence(op, g, op))
+
+
 def test_adjoint_pairing_all_variants():
     rng = np.random.default_rng(0)
     for op in product_zoo():
