@@ -17,11 +17,13 @@ represents the operator with respect to an orthonormal basis of the weighted
 space.
 
 Every variant also supplies the right product X @ M of a coordinate array with
-its matrix.  Structured variants compute it natively (scaling or slicing
-columns), which keeps the congruences of the backward recursions at O(n^2) for
-them; dense and composite variants multiply by their cached matrix.  The right
-product and ``congruence`` take optional output buffers, so a backward pass can
-run every step in arrays it allocates once.
+its matrix, and the two-sided product M^T G M that the congruences A*PA of the
+backward recursions reduce to.  Structured variants compute both natively
+(scaling or slicing rows and columns), at O(n^2) and reading G once in memory
+order; dense and composite variants multiply by their cached matrix, and
+their two-sided product is two right products.  Both products, and
+``congruence``, take optional output buffers, so a backward pass can run every
+step in arrays it allocates once.
 """
 
 from __future__ import annotations
@@ -53,6 +55,38 @@ def _unsframe(s: np.ndarray, w_cod: np.ndarray, w_dom: np.ndarray) -> np.ndarray
     s_c = np.sqrt(w_cod)
     s_d = np.sqrt(w_dom)
     return s * (1.0 / s_c[:, None]) * s_d[None, :]
+
+
+def _zeros(shape: tuple[int, int], out: np.ndarray | None) -> np.ndarray:
+    """A zero array of ``shape``: ``out`` filled with zeros, or a new array."""
+    if out is None:
+        return np.zeros(shape)
+    out.fill(0.0)
+    return out
+
+
+def _taken_columns(x, start, count, dim, out):
+    """(rows of x, dim) array holding x[:, start:start+count] first, then zeros."""
+    out = np.empty((x.shape[0], dim)) if out is None else out
+    out[:, :count] = x[:, start : start + count]
+    out[:, count:] = 0.0
+    return out
+
+
+def _taken_block(g, start, count, dim, out):
+    """(dim, dim) array holding g's diagonal block from ``start`` in its corner, then zeros."""
+    out = np.empty((dim, dim)) if out is None else out
+    out[:count, :count] = g[start : start + count, start : start + count]
+    out[:count, count:] = 0.0
+    out[count:] = 0.0
+    return out
+
+
+def _scaled_rows_and_columns(g, e, out):
+    """(g_ij e_i) e_j: diag(e) G diag(e), in the order of two right products."""
+    out = np.multiply(g, e[:, None], out=out)
+    out *= e[None, :]
+    return out
 
 
 class Operator:
@@ -90,6 +124,19 @@ class Operator:
         """
         return np.matmul(x, self.matrix, out=out)
 
+    def sandwich(
+        self, g: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None
+    ) -> np.ndarray:
+        """M^T G M for a square array G with codomain.dim rows.
+
+        The result goes into ``out`` (shape (domain.dim, domain.dim)) when
+        given, else into a new array; it is never G or a cached matrix.  This
+        default takes two right products, the first into ``work`` (shape
+        (codomain.dim, domain.dim)) when given.  The buffers must not overlap
+        each other or G.
+        """
+        return self.rmatmul(self.rmatmul(g.T, out=work).T, out=out)
+
     def adjoint(self) -> "Operator":
         return AdjointOperator(self)
 
@@ -116,10 +163,10 @@ class ZeroOperator(Operator):
         return np.zeros((self.codomain.dim, self.domain.dim))
 
     def rmatmul(self, x, out=None):
-        if out is None:
-            return np.zeros((x.shape[0], self.domain.dim))
-        out.fill(0.0)
-        return out
+        return _zeros((x.shape[0], self.domain.dim), out)
+
+    def sandwich(self, g, out=None, work=None):
+        return _zeros((self.domain.dim, self.domain.dim), out)
 
 
 class IdentityOperator(Operator):
@@ -135,6 +182,9 @@ class IdentityOperator(Operator):
         out[...] = x
         return out
 
+    def sandwich(self, g, out=None, work=None):
+        return self.rmatmul(g, out=out)
+
 
 class ScaledOperator(Operator):
     def __init__(self, factor: float, inner_op: Operator):
@@ -149,6 +199,14 @@ class ScaledOperator(Operator):
     def rmatmul(self, x, out=None):
         inner = self.inner_op.rmatmul(x, out=out)
         return np.multiply(inner, self.factor, out=inner)
+
+    def sandwich(self, g, out=None, work=None):
+        # (g' f) f for the inner g': the bits of two scaled right products
+        # when the inner product only copies entries
+        inner = self.inner_op.sandwich(g, out=out, work=work)
+        inner *= self.factor
+        inner *= self.factor
+        return inner
 
 
 class DenseOperator(Operator):
@@ -179,6 +237,9 @@ class DiagonalOperator(Operator):
     def rmatmul(self, x, out=None):
         return np.multiply(x, self.entries[None, :], out=out)
 
+    def sandwich(self, g, out=None, work=None):
+        return _scaled_rows_and_columns(g, self.entries, out)
+
 
 class RightShiftOperator(Operator):
     """(a1, a2, ...) -> (0, a1, a2, ...) on a sequence-space truncation.
@@ -193,16 +254,16 @@ class RightShiftOperator(Operator):
         self.codomain = space if codomain is None else codomain
         if self.codomain.dim < space.dim:
             raise DimensionError("shift codomain cannot be smaller than its domain")
+        self._keep = min(space.dim, self.codomain.dim - 1)  # coordinates that survive
 
     def _build_matrix(self):
         return np.eye(self.codomain.dim, self.domain.dim, k=-1)
 
     def rmatmul(self, x, out=None):
-        out = np.empty((x.shape[0], self.domain.dim)) if out is None else out
-        keep = min(self.domain.dim, self.codomain.dim - 1)
-        out[:, :keep] = x[:, 1 : keep + 1]
-        out[:, keep:] = 0.0
-        return out
+        return _taken_columns(x, 1, self._keep, self.domain.dim, out)
+
+    def sandwich(self, g, out=None, work=None):
+        return _taken_block(g, 1, self._keep, self.domain.dim, out)
 
 
 class FillingOperator(Operator):
@@ -224,10 +285,10 @@ class FillingOperator(Operator):
         return m
 
     def rmatmul(self, x, out=None):
-        out = np.empty((x.shape[0], self.domain.dim)) if out is None else out
-        out[:, : self.count] = x[:, : self.count]
-        out[:, self.count :] = 0.0
-        return out
+        return _taken_columns(x, 0, self.count, self.domain.dim, out)
+
+    def sandwich(self, g, out=None, work=None):
+        return _taken_block(g, 0, self.count, self.domain.dim, out)
 
 
 class GaussianConvolutionOperator(Operator):
@@ -278,6 +339,9 @@ class HeatSemigroupOperator(Operator):
 
     def rmatmul(self, x, out=None):
         return np.multiply(x, self.factors[None, :], out=out)
+
+    def sandwich(self, g, out=None, work=None):
+        return _scaled_rows_and_columns(g, self.factors, out)
 
 
 class SumOperator(Operator):
@@ -345,13 +409,17 @@ def congruence(
     out: np.ndarray | None = None,
     work: np.ndarray | None = None,
 ) -> np.ndarray:
-    """L^T G R for a coordinate array G, from two right products.
+    """L^T G R for a coordinate array G.
 
-    The inner product G^T L goes into ``work`` (shape (G columns,
-    left.domain.dim)) and the result into ``out`` (shape (left.domain.dim,
-    right.domain.dim)) when they are given; either is allocated when None.
-    The two buffers must not overlap each other or G.
+    When ``left is right`` this is ``left.sandwich``, native for structured
+    operators; otherwise it takes two right products, the inner product
+    G^T L into ``work`` (shape (G columns, left.domain.dim)).  The result
+    goes into ``out`` (shape (left.domain.dim, right.domain.dim)); either
+    buffer is allocated when None and may go unused.  The two buffers must
+    not overlap each other or G.
     """
+    if left is right:
+        return left.sandwich(g, out=out, work=work)
     return right.rmatmul(left.rmatmul(g.T, out=work).T, out=out)
 
 

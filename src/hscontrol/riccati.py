@@ -24,8 +24,10 @@ test of ``hinf`` runs the same pass on its level weights.
 The pass owns its scratch: Q, the G* K product and the inner products of the
 congruences go into state-sized arrays of a ``StepScratch`` allocated once and
 overwritten at every step, in the order of operations of the plain
-expressions, so the values are the same as with fresh arrays.  A congruence
-with a zero factor is skipped.  A walk that stops at the first non-positive
+expressions, so the values are the same as with fresh arrays.  The
+congruences A*PA, C*PC, B*PB and D*PD are each one operator's two-sided
+product, native for structured operators.  A congruence with a zero factor
+is skipped.  A walk that stops at the first non-positive
 completion term keeps no iterates: it alternates between two arrays and
 returns none.
 """

@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DimensionError, EnumerationLimitError
-from .operators import Operator
+from .operators import Operator, ZeroOperator
 from .spaces import HVector
 from .systems import ControlledSystem, CostSpec, DisturbedSystem
 
@@ -125,10 +125,29 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
 _SEED_CHUNK = 1024  # replications seeded per vectorized pass
 
-_NOISE_DRAWS = {
-    NOISE_RADEMACHER: lambda rng, steps: rng.integers(0, 2, size=steps) * 2.0 - 1.0,
-    NOISE_GAUSSIAN: lambda rng, steps: rng.standard_normal(steps),
-}
+# Generator.integers(0, 2) takes bit 31 and then bit 63 of each raw word of
+# its stream, and never rejects one
+_RADEMACHER_BITS = np.array([31, 63], dtype=np.uint64)
+
+
+def _gaussian_rows(bitgens, out):
+    """Row i of ``out`` := Generator(bitgens[i]).standard_normal."""
+    for row, bitgen in zip(out, bitgens):
+        np.random.Generator(bitgen).standard_normal(out=row)
+
+
+def _rademacher_rows(bitgens, out):
+    """Row i of ``out`` := Generator(bitgens[i]).integers(0, 2) * 2.0 - 1.0, from raw words."""
+    rows, steps = out.shape
+    words = np.empty((rows, (steps + 1) // 2), dtype=np.uint64)
+    for row, bitgen in zip(words, bitgens):
+        row[:] = bitgen.random_raw(row.size)
+    bits = (words[:, :, None] >> _RADEMACHER_BITS) & np.uint64(1)
+    np.multiply(bits.reshape(rows, -1)[:, :steps], 2.0, out=out)
+    out -= 1.0
+
+
+_NOISE_DRAWS = {NOISE_RADEMACHER: _rademacher_rows, NOISE_GAUSSIAN: _gaussian_rows}
 
 
 def _spawned_states(seed: int, spawn: np.ndarray) -> np.ndarray:
@@ -191,7 +210,8 @@ def draw_noise_paths(kind: str, seed: int, reps: int, steps: int) -> np.ndarray:
 
     Row r is what ``replication_rng(seed, r)`` draws, bit for bit: the seed
     words of all the streams are computed in one vectorized pass, and each
-    is handed to its own PCG64.
+    is handed to its own PCG64.  Rademacher rows are read off the raw words
+    of those streams, as ``Generator.integers`` would.
     """
     draw = _NOISE_DRAWS.get(kind)
     if draw is None:
@@ -202,7 +222,7 @@ def draw_noise_paths(kind: str, seed: int, reps: int, steps: int) -> np.ndarray:
         raise DimensionError(f"reps {reps} exceeds 2^32, the range of one spawn word")
     seed = _nonnegative_int("seed", seed)
     # imported here so that ``import hscontrol`` does not load numpy.random
-    from numpy.random import PCG64, Generator
+    from numpy.random import PCG64
     from numpy.random.bit_generator import ISeedSequence
 
     class SpawnedState(ISeedSequence):
@@ -215,8 +235,9 @@ def draw_noise_paths(kind: str, seed: int, reps: int, steps: int) -> np.ndarray:
     out = np.empty((reps, steps))
     for start in range(0, reps, _SEED_CHUNK):
         spawn = np.arange(start, min(start + _SEED_CHUNK, reps), dtype=np.uint32)
-        for r, words in enumerate(_spawned_states(seed, spawn), start):
-            out[r] = draw(Generator(PCG64(SpawnedState(words))), steps)
+        # one stream alive at a time: a PCG64 object holds about a kilobyte
+        bitgens = (PCG64(SpawnedState(words)) for words in _spawned_states(seed, spawn))
+        draw(bitgens, out[start : start + spawn.size])
     return out
 
 
@@ -258,6 +279,8 @@ def _quad(op: Operator, w: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarr
     # <op z_p, y_p>_W for each row p, as rowsum(op.rmatmul(y W) * z): the
     # right product is native for structured operators, and the identity
     # holds whether or not op is self-adjoint
+    if isinstance(op, ZeroOperator):
+        return np.zeros(y.shape[0])
     return np.einsum("pi,pi->p", op.rmatmul(y * w[None, :]), z)
 
 
@@ -310,9 +333,7 @@ def run_batch(
     if noise_paths.ndim != 2 or noise_paths.shape[1] != system.steps:
         raise DimensionError("noise paths must be (reps, steps)")
     reps = noise_paths.shape[0]
-    # Sorting the rows (column 0 first) makes paths with a common prefix
-    # adjacent, and so contiguous within a block.
-    order = np.lexsort(noise_paths.T[::-1])
+    order = _prefix_order(noise_paths)
     block_rows = max(1, _BLOCK_BYTES // (8 * system.state_space.dim))
     out = None
     # an empty batch still runs one empty block, so the result takes the
@@ -325,6 +346,23 @@ def run_batch(
             out = np.empty((reps,) + total.shape[1:])
         out[block] = total
     return out
+
+
+def _prefix_order(noise_paths: np.ndarray) -> np.ndarray:
+    """The permutation that sorts the rows, column 0 first.
+
+    Sorting makes paths with a common prefix adjacent, and so contiguous
+    within a block.  When column 0 strictly increases once sorted (no
+    repeated value, -0.0 and 0.0 counting as one, and no NaN), it alone fixes
+    the order, as it does for continuous noise; otherwise every column is a
+    key, as for sign paths.
+    """
+    first = noise_paths[:, 0]
+    order = np.argsort(first, kind="stable")
+    ranked = first[order]
+    if np.all(ranked[1:] > ranked[:-1]):
+        return order
+    return np.lexsort(noise_paths.T[::-1])
 
 
 def _run_block(system, policy, x0, noise, stage, terminal) -> np.ndarray:

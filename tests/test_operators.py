@@ -47,6 +47,8 @@ def product_zoo():
     return operator_zoo(rng) + [
         hc.FillingOperator(SEQ_BIG, SEQ, count=3),
         hc.ScaledOperator(0.5, hc.RightShiftOperator(SEQ, SEQ_BIG)),
+        hc.ScaledOperator(-1.5, hc.DiagonalOperator(rng.standard_normal(SEQ.dim), SEQ)),
+        hc.ZeroOperator(EUC, SEQ),
         a + b,
         a @ b,
         hc.AdjointOperator(a),
@@ -87,6 +89,30 @@ def test_right_product_and_congruence_into_buffers(op):
     assert _bits(out) == _bits(hc.operators.congruence(op, g, op))
 
 
+def _scales_a_product(op):
+    return isinstance(op, hc.ScaledOperator) and isinstance(
+        op.inner_op, (hc.DiagonalOperator, hc.HeatSemigroupOperator, hc.DenseOperator))
+
+
+@pytest.mark.parametrize("op", product_zoo(), ids=repr)
+def test_congruence_is_the_two_right_products(op):
+    # congruence(op, g, op) is op.sandwich, native for structured variants:
+    # the same bits as the two right products, except that a scaled
+    # multiplier rounds its factor in after both sides
+    rng = np.random.default_rng(10)
+    g = rng.standard_normal((op.codomain.dim, op.codomain.dim))
+    for g in (g, g + g.T):
+        want = op.rmatmul(op.rmatmul(g.T).T)
+        out = np.full((op.domain.dim, op.domain.dim), np.nan)
+        assert hc.operators.congruence(op, g, op, out=out) is out
+        for got in (out, hc.operators.congruence(op, g, op)):
+            assert got.shape == want.shape
+            if _scales_a_product(op):
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+            else:
+                assert _bits(got) == _bits(want)
+
+
 def test_adjoint_pairing_all_variants():
     rng = np.random.default_rng(0)
     for op in product_zoo():
@@ -94,8 +120,9 @@ def test_adjoint_pairing_all_variants():
 
 
 def test_apply_and_adjoint_are_derived_from_the_matrix():
-    # a variant defines its matrix (and maybe a native right product) only;
-    # Operator and AdjointOperator hold the one apply and the one adjoint
+    # a variant defines its matrix (and maybe a native right product and
+    # two-sided product M^T G M) only; Operator and AdjointOperator hold the
+    # one apply and the one adjoint
     for cls in vars(hc.operators).values():
         if (isinstance(cls, type) and issubclass(cls, hc.Operator)
                 and cls not in (hc.Operator, hc.AdjointOperator)):

@@ -275,6 +275,10 @@ def noise_batches(rng, steps):
     yield duplicated[rng.permutation(len(duplicated))]
     yield rng.standard_normal((40, steps))
     yield rng.standard_normal((1, steps))
+    # one repeated first entry (as -0.0 and 0.0) makes every column a sort key
+    tied = rng.standard_normal((40, steps))
+    tied[[7, 30], 0] = [0.0, -0.0]
+    yield tied
 
 
 @pytest.mark.parametrize("weighted", [False, True])
@@ -321,6 +325,14 @@ def check_run_batch_against_per_path(rng, weighted):
         empty = np.empty((0, sys_.steps))
         assert run_batch(sys_, pol, x0, empty, scalar_stage, terminal).shape == (0,)
         assert run_batch(sys_, pol, x0, empty, pair_stage).shape == (0, 2)
+
+
+def test_prefix_order_is_the_lexicographic_order():
+    rng = np.random.default_rng(60)
+    for steps in (1, 4):
+        for paths in noise_batches(rng, steps):
+            want = np.lexsort(paths.T[::-1])
+            assert np.array_equal(sim._prefix_order(paths), want)
 
 
 def test_run_batch_advances_each_distinct_prefix_once():
@@ -482,17 +494,18 @@ def test_spawned_states_match_seed_sequence(seed):
 @pytest.mark.parametrize("kind", ["gaussian", "rademacher"])
 @pytest.mark.parametrize("reps", [0, 1, sim._SEED_CHUNK + 37])
 def test_noise_paths_are_the_replication_streams(kind, reps):
-    steps = 6
-    got = hc.draw_noise_paths(kind, seed=41, reps=reps, steps=steps)
-    want = np.empty((reps, steps))
-    for r in range(reps):
-        rng = hc.replication_rng(41, r)
-        if kind == "gaussian":
-            want[r] = rng.standard_normal(steps)
-        else:
-            want[r] = rng.integers(0, 2, size=steps) * 2.0 - 1.0
-    assert got.shape == (reps, steps)
-    assert got.tobytes() == want.tobytes()
+    # odd step counts leave half a raw word unread; a seed above 2^32 has two words
+    for seed, steps in [(41, 6), (41, 1), (41, 7), (2**40 + 5, 7)]:
+        got = hc.draw_noise_paths(kind, seed=seed, reps=reps, steps=steps)
+        want = np.empty((reps, steps))
+        for r in range(reps):
+            rng = hc.replication_rng(seed, r)
+            if kind == "gaussian":
+                want[r] = rng.standard_normal(steps)
+            else:
+                want[r] = rng.integers(0, 2, size=steps) * 2.0 - 1.0
+        assert got.shape == (reps, steps)
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("seed", [-1, -(2**40), 1.0, 2.5, "3", None])
