@@ -18,8 +18,6 @@ from .errors import (
     DomainError,
     EnumerationLimitError,
     GameDomainError,
-    IllConditionedError,
-    NotPositiveError,
     NotSelfAdjointError,
     OracleScopeError,
     ParseError,
@@ -42,12 +40,9 @@ from .operators import (
     SelfAdjointCert,
     SumOperator,
     ZeroOperator,
-    block_selfadjoint_cert,
-    invert_positive,
     min_eig_selfadjoint,
     opnorm,
     positivity_tolerance,
-    schur_complement,
     weighted_symmetrize,
 )
 from .systems import (
@@ -59,12 +54,10 @@ from .systems import (
     closed_loop,
 )
 from .riccati import (
-    PsdCostCertificate,
     RiccatiSolution,
     STATUS_DOMAIN_FAILURE,
     STATUS_NOT_UNIFORMLY_POSITIVE,
     STATUS_SOLVED,
-    psd_cost_certificate,
     solve_backward_riccati,
 )
 from .lq import (
@@ -80,12 +73,9 @@ from .hinf import (
     BoundedRealRun,
     NormEstimate,
     OracleNorm,
-    backward_f_equation,
     brl_check,
     deterministic_norm_oracle,
-    feedthrough_margin,
     hinf_norm,
-    perturbation_gain,
 )
 from .game import (
     CoupledSolution,

@@ -13,14 +13,6 @@ class NotSelfAdjointError(ControlError):
     """Symmetrization residual of an operator exceeds tolerance."""
 
 
-class NotPositiveError(ControlError):
-    """An operator required to be positive has an eigenvalue at or below tolerance."""
-
-
-class IllConditionedError(ControlError):
-    """An inverse exists on the truncation but its condition number exceeds the cap."""
-
-
 class SteppedError(ControlError):
     """Failure tied to a specific step of a backward recursion."""
 

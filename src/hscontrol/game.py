@@ -131,8 +131,9 @@ class CoupledSolution:
 
     ``j1`` and ``j2`` are the equilibrium index values <P1(0)x0, x0> and
     <P2(0)x0, x0>; both are None unless the status is solved.  On a domain
-    failure, entries below the failing step are None and the offending
-    minimum eigenvalue is recorded.
+    failure, the iterates, gains and weights at and below the failing step are
+    None, and ``failing_detail`` names the step, the weight and its offending
+    eigenvalue or condition number.
     """
 
     params: GameParams
@@ -303,6 +304,10 @@ def verify_nash_equilibrium(
     All expectations are enumerated exactly, so a genuinely negative margin
     beyond round-off disproves the equilibrium rather than sampling error.
     """
+    if deviations < 1:
+        raise DimensionError(f"deviations must be at least 1, got {deviations!r}")
+    if not (np.isfinite(scale) and scale > 0.0):
+        raise DimensionError(f"scale must be finite and positive, got {scale!r}")
     if not solution.solved:
         raise GameDomainError(solution.failing_step or 0, "cannot audit an unsolved game")
     view = sys2.as_controlled()

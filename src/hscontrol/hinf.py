@@ -29,34 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketError, DimensionError, EnumerationLimitError, OracleScopeError
-from .operators import (
-    KAPPA_MAX_DEFAULT,
-    DenseOperator,
-    Operator,
-    SelfAdjointCert,
-    _sframe,
-    coordinate_operators,
-    gram,
-    min_eig_selfadjoint,
-    opnorm,
-)
-from .riccati import (
-    StageWeights,
-    StepScratch,
-    _backward_pass,
-    _closed_gram,
-    _completion_arrays,
-    _once_per_operator,
-)
-from .sim import ENUMERATION_MAX_STEPS, Policy, run_batch, sign_paths
-from .spaces import zero_vector
+from .errors import BracketError, DimensionError, OracleScopeError
+from .operators import KAPPA_MAX_DEFAULT, Operator, SelfAdjointCert, _sframe, gram, opnorm
+from .riccati import StageWeights, StepScratch, _backward_pass, _once_per_operator
 from .systems import ControlledSystem, DisturbedSystem
-
-
-def _feedthrough_gram(wv: np.ndarray, dbar_sq: np.ndarray, gamma: float) -> np.ndarray:
-    """Gram form W_v (gamma^2 I - Dbar* Dbar) from W_v Dbar* Dbar."""
-    return (gamma**2) * np.diag(wv) - dbar_sq
 
 
 @dataclass(frozen=True)
@@ -77,10 +53,11 @@ class _LevelTerms:
         """The LQ weights M = -Cbar*Cbar, L = 0, R = gamma^2 I - Dbar*Dbar in Gram form."""
         vs = self.view.control_space
         zero = np.zeros((vs.dim, self.view.state_space.dim))
+        # W_v (gamma^2 I - Dbar*Dbar) from W_v Dbar*Dbar
         return lambda k: (
             self.neg_cbar_sq[k],
             zero,
-            _feedthrough_gram(vs.weights, self.dbar_sq[k], gamma),
+            (gamma**2) * np.diag(vs.weights) - self.dbar_sq[k],
         )
 
 
@@ -91,26 +68,6 @@ def _level_terms(dsys: DisturbedSystem) -> _LevelTerms:
         _once_per_operator(gram, dsys.dbar),
         StepScratch(dsys.state_space.dim),
     )
-
-
-def backward_f_equation(
-    dsys: DisturbedSystem, gamma: float, f_gains: list[Operator]
-) -> list[Operator]:
-    """Backward iterates under a fixed disturbance feedback v = F x.
-
-    Evaluates Y(k) = p1 + p2* F + F* p2 + F* p3 F from a zero terminal
-    iterate.  With F(k) chosen as the worst-case gain this reproduces the
-    closed recursion, which makes it a useful cross-check.
-    """
-    if len(f_gains) != dsys.steps:
-        raise DimensionError("need one disturbance gain per step")
-    terms = _level_terms(dsys)
-    weights, scratch = terms.weights(gamma), terms.scratch
-    grams = [None] * dsys.steps + [np.zeros((dsys.state_space.dim, dsys.state_space.dim))]
-    for k in range(dsys.steps - 1, -1, -1):
-        p1, p3, p2 = _completion_arrays(terms.view, weights, grams[k + 1], k, scratch)
-        grams[k] = _closed_gram(p1, p2, p3, f_gains[k].matrix, scratch.spare)
-    return coordinate_operators(grams, dsys.state_space)
 
 
 @dataclass
@@ -160,8 +117,10 @@ def brl_check(
     gets reported.  ``terms`` is the gamma-independent part of the test built
     from ``dsys``; it is built here when None.
     """
-    if not np.isfinite(gamma * gamma):
-        raise DimensionError(f"gamma must be finite with a finite square, got {gamma!r}")
+    if not (gamma > 0.0 and np.isfinite(gamma * gamma)):
+        raise DimensionError(
+            f"gamma must be finite and positive with a finite square, got {gamma!r}"
+        )
     terms = _level_terms(dsys) if terms is None else terms
     dim = dsys.state_space.dim
     sol = _backward_pass(
@@ -176,21 +135,6 @@ def brl_check(
     # the walk stops at a breakdown, and with stop_at_failure at the first non-positive p3
     completed = sol.breakdown is None and not (stop_at_failure and sol.nonpositive is not None)
     return BoundedRealRun(gamma, failing is None, failing, completed, sol.p, sol.rk_certs, sol.gains)
-
-
-def feedthrough_margin(dsys: DisturbedSystem, gamma: float) -> float:
-    """Smallest eigenvalue of gamma^2 I - Dbar*Dbar over all steps.
-
-    A nonpositive margin already rules out feasibility at this level, no
-    recursion needed.
-    """
-    vs = dsys.disturbance_space
-    wv = vs.weights
-    margins = [
-        DenseOperator(_feedthrough_gram(wv, sq, gamma) / wv[:, None], vs)
-        for sq in _once_per_operator(gram, dsys.dbar)
-    ]
-    return min(min_eig_selfadjoint(op).min_eig for op in margins)
 
 
 @dataclass(frozen=True)
@@ -324,33 +268,3 @@ def deterministic_norm_oracle(dsys: DisturbedSystem) -> OracleNorm:
     top = vt[0] / col_w
     witness = [top[j * dv : (j + 1) * dv].copy() for j in range(steps)]
     return OracleNorm(float(svals[0]), witness)
-
-
-def perturbation_gain(dsys: DisturbedSystem, v_signal: list[np.ndarray]) -> float:
-    """Realized gain sqrt(E sum |z|^2 / sum |v|^2) for an open-loop disturbance.
-
-    The expectation over the multiplicative noise is taken exactly by path
-    enumeration, so any nonzero signal produces a certified lower bound on
-    the system gain.
-    """
-    if dsys.steps > ENUMERATION_MAX_STEPS:
-        raise EnumerationLimitError("horizon too long for exact enumeration")
-    if len(v_signal) != dsys.steps:
-        raise DimensionError("need one disturbance vector per step")
-    wv = dsys.disturbance_space.weights
-    wz = dsys.output_space.weights
-    v_signal = [np.asarray(v, dtype=float) for v in v_signal]
-    denom = sum(float(np.dot(wv * v, v)) for v in v_signal)
-    if denom == 0.0:
-        raise DimensionError("disturbance signal is identically zero")
-    view = dsys.as_controlled()
-    policy = Policy(view, inputs=v_signal)
-    cb = [dsys.cbar(k).matrix for k in range(dsys.steps)]
-    db = [dsys.dbar(k).matrix for k in range(dsys.steps)]
-
-    def stage(k, x, u):
-        z = x @ cb[k].T + u @ db[k].T
-        return np.einsum("pi,pi->p", z * wz[None, :], z)
-
-    vals = run_batch(view, policy, zero_vector(dsys.state_space), sign_paths(dsys.steps), stage)
-    return float(np.sqrt(np.mean(vals) / denom))

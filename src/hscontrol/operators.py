@@ -11,7 +11,7 @@ Each variant defines only its coordinate matrix, and the rest is derived from
 it: ``apply`` multiplies by the cached matrix, and ``adjoint`` is the weighted
 transpose of ``AdjointOperator``, built from the quadrature weights of the
 domain and codomain, so the pairing <A x, y> = <x, A* y> holds to round-off
-everywhere.  Spectral queries (minimum eigenvalue, condition number, positive
+everywhere.  Spectral queries (minimum eigenvalue, condition number, certified
 inversion) are evaluated in the symmetric frame S = W^(1/2) M W^(-1/2), which
 represents the operator with respect to an orthonormal basis of the weighted
 space.
@@ -32,12 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionError,
-    IllConditionedError,
-    NotPositiveError,
-    NotSelfAdjointError,
-)
+from .errors import DimensionError, NotSelfAdjointError
 from .spaces import KIND_L2_INTERVAL, KIND_L2_LINE, HVector, Space
 
 KAPPA_MAX_DEFAULT = 1e12
@@ -503,52 +498,7 @@ def positivity_tolerance(cert_norm: float) -> float:
     return 1e-9 * (1.0 + cert_norm)
 
 
-def invert_positive(op: Operator, kappa_max: float = KAPPA_MAX_DEFAULT) -> Operator:
-    """Invert a self-adjoint positive operator on the truncation.
-
-    Raises NotPositiveError when the minimum eigenvalue sits at or below the
-    scale-aware tolerance, and IllConditionedError when the condition number
-    exceeds ``kappa_max`` (the truncation surrogate for bounded invertibility).
-    """
-    if isinstance(op, IdentityOperator):
-        return op
-    if isinstance(op, ScaledOperator) and isinstance(op.inner_op, IdentityOperator):
-        if op.factor <= positivity_tolerance(abs(op.factor)):
-            raise NotPositiveError(f"scaled identity with factor {op.factor} is not positive")
-        return ScaledOperator(1.0 / op.factor, op.inner_op)
-    if not op.is_square():
-        raise DimensionError("only square operators can be inverted")
-    w = op.domain.weights
-    cert, inverse = certified_inverse(op.matrix, w, kappa_max)
-    tol = positivity_tolerance(cert.norm)
-    if cert.min_eig <= tol:
-        raise NotPositiveError(f"minimum eigenvalue {cert.min_eig:.3e} is not above {tol:.3e}")
-    if inverse is None:
-        raise IllConditionedError(f"condition number {cert.cond:.3e} exceeds cap {kappa_max:.1e}")
-    return DenseOperator(inverse * w[None, :], op.domain)
-
-
 def weighted_symmetrize(m: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Project a coordinate matrix onto the self-adjoint part for weights w."""
     s = _sframe(m, w, w)
     return _unsframe(0.5 * (s + s.T), w, w)
-
-
-def schur_complement(
-    m11: Operator, m21: Operator, m22: Operator, kappa_max: float = KAPPA_MAX_DEFAULT
-) -> Operator:
-    """m11 - m21* m22^-1 m21 for a self-adjoint block [[m11, m21*], [m21, m22]]."""
-    if m21.domain != m11.domain or m21.codomain != m22.domain:
-        raise DimensionError("off-diagonal block does not link the diagonal blocks")
-    inv22 = invert_positive(m22, kappa_max)
-    m = m11.matrix - m21.adjoint().matrix @ inv22.matrix @ m21.matrix
-    return DenseOperator(weighted_symmetrize(m, m11.domain.weights), m11.domain)
-
-
-def block_selfadjoint_cert(m11: Operator, m21: Operator, m22: Operator) -> SelfAdjointCert:
-    """Spectral certificate of [[m11, m21*], [m21, m22]] on the product space."""
-    top = np.hstack([m11.matrix, m21.adjoint().matrix])
-    bottom = np.hstack([m21.matrix, m22.matrix])
-    block = np.vstack([top, bottom])
-    w = np.concatenate([m11.domain.weights, m22.domain.weights])
-    return _selfadjoint_eigs(block, w)[0]

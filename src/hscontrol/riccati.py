@@ -46,11 +46,9 @@ from .operators import (
     Operator,
     SelfAdjointCert,
     ZeroOperator,
-    block_selfadjoint_cert,
     certified_inverse,
     congruence,
     coordinate_operators,
-    min_eig_selfadjoint,
     positivity_tolerance,
 )
 from .spaces import HVector, inner
@@ -286,43 +284,3 @@ def solve_backward_riccati(
     """
     terminal = system.state_space.weights[:, None] * cost.terminal.matrix
     return _backward_pass(system, _cost_weights(system, cost), terminal, kappa_max)
-
-
-@dataclass(frozen=True)
-class PsdCostCertificate:
-    """Outcome of the sufficient positivity check on the cost data.
-
-    ``ok`` means: terminal weight positive semidefinite, every stage weight
-    R strictly positive, and every stage block [[M, L*], [L, R]] positive
-    semidefinite on the product space.  Under these conditions the backward
-    recursion is guaranteed to come back solved with P(k) >= 0 throughout.
-    """
-
-    ok: bool
-    terminal_min_eig: float
-    min_control_eig: float
-    min_stage_block_eig: float
-
-
-def psd_cost_certificate(system: ControlledSystem, cost: CostSpec) -> PsdCostCertificate:
-    term_cert = min_eig_selfadjoint(cost.terminal)
-    term_ok = term_cert.min_eig >= -positivity_tolerance(term_cert.norm)
-    min_r = np.inf
-    min_block = np.inf
-    r_ok = True
-    block_ok = True
-    for k in range(system.steps):
-        r_cert = min_eig_selfadjoint(cost.r(k))
-        min_r = min(min_r, r_cert.min_eig)
-        if r_cert.min_eig <= positivity_tolerance(r_cert.norm):
-            r_ok = False
-        blk = block_selfadjoint_cert(cost.m(k), cost.l(k), cost.r(k))
-        min_block = min(min_block, blk.min_eig)
-        if blk.min_eig < -positivity_tolerance(blk.norm):
-            block_ok = False
-    return PsdCostCertificate(
-        term_ok and r_ok and block_ok,
-        float(term_cert.min_eig),
-        float(min_r),
-        float(min_block),
-    )

@@ -1,7 +1,8 @@
-"""Shared random problem generators for the test suite.
+"""Shared random problem generators and independent references for the test suite.
 
 Every generator takes an explicit numpy Generator so runs are
-reproducible.  Dimensions and horizons stay small enough that exact
+reproducible.  The references are written on the public operator algebra
+and exact enumeration, so a library path never serves as its own check.  Dimensions and horizons stay small enough that exact
 two-point noise enumeration is cheap.  With ``weighted`` set, every space
 gets random positive quadrature weights instead of unit weights, so that a
 weight left out of a recursion shows up in the independent checks.
@@ -165,6 +166,71 @@ def weight_identity_gap(weights, base, value, inputs, base_value, base_inputs):
         raise ValueError("the state and terminal weights must scale together "
                          "and the base must not weigh the inputs")
     return value - kappa * base_value - r * float(np.dot(inputs, base_inputs))
+
+
+def completion_reference(q, g, r):
+    """(Q - G* R^-1 G, -R^-1 G) on coordinates, for a completion triple (Q, G, R).
+
+    Built from ``np.linalg.solve`` and the weighted adjoint alone, so it shares
+    no code with the backward passes it checks.
+    """
+    gain = -np.linalg.solve(r.matrix, g.matrix)
+    return q.matrix + g.adjoint().matrix @ gain, gain
+
+
+def fixed_feedback_iterates(dsys, gamma, gains):
+    """Disturbance-player iterates under a fixed feedback v = F x, from a zero terminal.
+
+    Y(k) = Acl* Y Acl + Ccl* Y Ccl - Zcl* Zcl + gamma^2 F* F with Acl = A + B1 F,
+    Ccl = C + D1 F and Zcl = Cbar + Dbar F, through the operator algebra.  When
+    Dbar* Cbar = 0 this is p1 + p2* F + F* p2 + F* p3 F of the level recursion,
+    so the worst-case gains reproduce its iterates.
+    """
+    if len(gains) != dsys.steps:
+        raise ValueError("need one disturbance gain per step")
+    hs = dsys.state_space
+    ys = [None] * dsys.steps + [hc.ZeroOperator(hs)]
+    for k in range(dsys.steps - 1, -1, -1):
+        f, y = gains[k], ys[k + 1]
+        acl = dsys.a(k) + dsys.b1(k) @ f
+        ccl = dsys.c(k) + dsys.d1(k) @ f
+        zcl = dsys.cbar(k) + dsys.dbar(k) @ f
+        step = (acl.adjoint() @ y @ acl + ccl.adjoint() @ y @ ccl
+                + hc.ScaledOperator(-1.0, zcl.adjoint() @ zcl)
+                + hc.ScaledOperator(gamma**2, f.adjoint() @ f))
+        ys[k] = hc.DenseOperator(step.matrix, hs)
+    return ys
+
+
+def perturbation_gain(dsys, v_signal):
+    """Realized gain sqrt(E sum |z|^2 / sum |v|^2) for an open-loop disturbance.
+
+    The expectation over the multiplicative noise is taken exactly by path
+    enumeration, so any nonzero signal produces a certified lower bound on
+    the system gain.
+    """
+    if dsys.steps > hc.ENUMERATION_MAX_STEPS:
+        raise hc.EnumerationLimitError("horizon too long for exact enumeration")
+    if len(v_signal) != dsys.steps:
+        raise hc.DimensionError("need one disturbance vector per step")
+    wv = dsys.disturbance_space.weights
+    wz = dsys.output_space.weights
+    v_signal = [np.asarray(v, dtype=float) for v in v_signal]
+    denom = sum(float(np.dot(wv * v, v)) for v in v_signal)
+    if denom == 0.0:
+        raise hc.DimensionError("disturbance signal is identically zero")
+    view = dsys.as_controlled()
+    policy = hc.Policy(view, inputs=v_signal)
+    cb = [dsys.cbar(k).matrix for k in range(dsys.steps)]
+    db = [dsys.dbar(k).matrix for k in range(dsys.steps)]
+
+    def stage(k, x, u):
+        z = x @ cb[k].T + u @ db[k].T
+        return np.einsum("pi,pi->p", z * wz[None, :], z)
+
+    vals = hc.sim.run_batch(view, policy, hc.zero_vector(dsys.state_space),
+                            hc.sign_paths(dsys.steps), stage)
+    return float(np.sqrt(np.mean(vals) / denom))
 
 
 def random_x0(rng, space):

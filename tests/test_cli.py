@@ -236,10 +236,12 @@ def test_example_dim_outside_the_caps_refused(tmp_path, capsys, dim):
     (["brl-check", "--system", SHIFT, "--gamma", "nan"], "gamma"),
     (["brl-check", "--system", SHIFT, "--gamma", "1e200"], "gamma"),
     (["nash-solve", "--system", GAME, "--gamma", "1e200"], "gamma"),
+    (["brl-check", "--system", SHIFT, "--gamma", "-5"], "gamma"),
 ])
 def test_degenerate_level_arguments_exit(tmp_path, capsys, argv, name):
     # a zero tolerance never ended, a NaN tolerance gave a wrong norm, a NaN
-    # level died in the eigensolver and 1e200 overflowed when squared
+    # level died in the eigensolver, 1e200 overflowed when squared and a
+    # negative level was squared into a feasible one
     out = tmp_path / "run"
     code = main(argv + ["--out", str(out)])
     assert code == EXIT_BAD_INPUT

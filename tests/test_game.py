@@ -9,6 +9,7 @@ from helpers import (
     assert_pinned,
     feasible_design,
     open_loop_view,
+    perturbation_gain,
     random_two_input,
     random_x0,
     solvable_game,
@@ -107,12 +108,33 @@ def test_audit_refuses_unsolved_game(rank_one_game):
         hc.verify_nash_equilibrium(sys2, params, sol, x0)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"deviations": 0}, {"deviations": -3},
+    {"scale": 0.0}, {"scale": -0.5}, {"scale": np.nan}, {"scale": np.inf},
+])
+def test_audit_refuses_vacuous_deviations(rank_one_game, kwargs):
+    # no deviation, or a zero or NaN one, reported a passing margin of 0 or inf
+    sys2, x0 = rank_one_game
+    params = hc.GameParams(2.0, 0.5)
+    sol = hc.solve_coupled_riccati(sys2, params, x0)
+    (name, _), = kwargs.items()
+    with pytest.raises(hc.DimensionError, match=f"^{name} must be "):
+        hc.verify_nash_equilibrium(sys2, params, sol, x0, **kwargs)
+
+
 def test_unsolved_game_reports_failing_step(rank_one_game):
     sys2, x0 = rank_one_game
     sol = hc.solve_coupled_riccati(sys2, hc.GameParams(0.9, 0.0), x0)
-    assert sol.status != "solved"
-    assert sol.failing_step is not None
-    assert sol.failing_detail
+    assert sol.status == "domain_failure"
+    assert sol.failing_step == 0
+    assert sol.failing_detail.startswith("disturbance weight at step 0: ")
+    # the walk stops at the failing step: nothing at or below it, all above it
+    for k in range(sys2.steps):
+        below = k <= sol.failing_step
+        for entries in (sol.p1, sol.p2, sol.v_gains, sol.u_gains):
+            assert (entries[k] is None) == below
+    assert sol.p1[sys2.steps] is not None and sol.p2[sys2.steps] is not None
+    assert sol.j1 is None and sol.j2 is None
 
 
 def test_design_closed_loop_passes_gain_check():
@@ -164,7 +186,7 @@ def test_uncontrollable_infeasibility_has_oracle_witness():
     gamma = 0.8 * oracle.value
     with pytest.raises(hc.DesignInfeasibleError):
         hc.hinf_design(sys2, gamma)
-    gain = hc.perturbation_gain(dsys, oracle.witness)
+    gain = perturbation_gain(dsys, oracle.witness)
     assert gain >= gamma
 
 

@@ -5,7 +5,10 @@ import hscontrol as hc
 from hscontrol import hinf
 from helpers import (
     assert_pinned,
+    completion_reference,
     dense,
+    fixed_feedback_iterates,
+    perturbation_gain,
     random_disturbed,
     random_psd_cost,
     random_solved_problem,
@@ -108,7 +111,7 @@ def test_oracle_witness_attains_the_norm():
     oracle = hc.deterministic_norm_oracle(dsys)
     if oracle.value < 1e-6:
         pytest.skip("degenerate draw")
-    gain = hc.perturbation_gain(dsys, oracle.witness)
+    gain = perturbation_gain(dsys, oracle.witness)
     assert gain == pytest.approx(oracle.value, rel=1e-10)
 
 
@@ -225,7 +228,7 @@ def test_worst_gain_schedule_reproduces_level_iterates():
     gamma = 1.05 * hc.hinf_norm(dsys, tol=1e-6).value
     run = hc.brl_check(dsys, gamma)
     assert run.feasible
-    y_again = hc.backward_f_equation(dsys, gamma, run.worst_gains)
+    y_again = fixed_feedback_iterates(dsys, gamma, run.worst_gains)
     worst = max(np.max(np.abs(y_again[k].matrix - run.y[k].matrix))
                 for k in range(dsys.steps + 1))
     scale = 1.0 + max(np.max(np.abs(y.matrix)) for y in run.y)
@@ -245,7 +248,7 @@ def test_stationary_gain_minimizes_the_f_iterates():
     # the last gain never acts on the terminal iterate; zeroing it keeps
     # the terminal identity exact
     gains[-1] = hc.ZeroOperator(dsys.state_space, dsys.disturbance_space)
-    y_f = hc.backward_f_equation(dsys, gamma, gains)
+    y_f = fixed_feedback_iterates(dsys, gamma, gains)
     n = dsys.horizon
     assert np.allclose(y_f[n].matrix, run.y[n].matrix, atol=1e-12)
     # with every level term positive the stationary gain is the pointwise
@@ -344,18 +347,21 @@ def test_step_buffers_do_not_leak_between_calls():
 
 
 def test_feedthrough_margin_and_uniform_positivity():
+    # from the zero terminal iterate the last p3 is gamma^2 I - Dbar*Dbar
     dsys = unit_delay()
     # Dbar = 0 so the margin is exactly gamma^2
-    assert hc.feedthrough_margin(dsys, 2.0) == pytest.approx(4.0)
-    assert hc.brl_check(dsys, 2.0).feasible
+    run = hc.brl_check(dsys, 2.0)
+    assert run.min_pi3_eig(dsys.horizon) == pytest.approx(4.0)
+    assert run.feasible
     hs = dsys.state_space
     dbar = hc.IdentityOperator(hs)
     zero = hc.ZeroOperator(hs)
     withd = hc.DisturbedSystem(hs, hs, hs, 2, zero, hc.IdentityOperator(hs),
                                zero, zero, zero, dbar)
-    assert hc.feedthrough_margin(withd, 2.0) == pytest.approx(3.0)
-    assert hc.feedthrough_margin(withd, 0.999) <= 0.0
-    assert not hc.brl_check(withd, 0.999).feasible
+    assert hc.brl_check(withd, 2.0).min_pi3_eig(withd.horizon) == pytest.approx(3.0)
+    run = hc.brl_check(withd, 0.999)
+    assert run.min_pi3_eig(withd.horizon) <= 0.0
+    assert not run.feasible
     # gamma below the feedthrough norm can never be feasible
     assert not hc.brl_check(withd, 0.9).feasible
 
@@ -412,7 +418,7 @@ def test_hinf_norm_refuses_degenerate_arguments(kwargs):
         hc.hinf_norm(unit_delay(), **kwargs)
 
 
-@pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf, 1e200])
+@pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf, 1e200, -1.0, 0.0])
 def test_brl_check_refuses_non_finite_level(gamma):
     with pytest.raises(hc.DimensionError, match="^gamma must be finite"):
         hc.brl_check(unit_delay(), gamma)
@@ -454,5 +460,6 @@ def test_attenuation_terms_pin_the_level_recursion_on_weighted_spaces():
                   + b1.adjoint() @ yn @ b1 + d1.adjoint() @ yn @ d1)
             assert hc.min_eig_selfadjoint(p3).min_eig == pytest.approx(
                 run.pi3_certs[k].min_eig, rel=1e-10, abs=1e-12)
-            assert_pinned(run.y[k].matrix, hc.schur_complement(p1, p2, p3).matrix)
-            assert_pinned(run.worst_gains[k].matrix, -(hc.invert_positive(p3) @ p2).matrix)
+            y_ref, gain_ref = completion_reference(p1, p2, p3)
+            assert_pinned(run.y[k].matrix, y_ref)
+            assert_pinned(run.worst_gains[k].matrix, gain_ref)

@@ -237,24 +237,6 @@ def test_min_eig_rejects_nonselfadjoint():
         hc.min_eig_selfadjoint(op)
 
 
-def test_invert_positive_errors():
-    neg = hc.ScaledOperator(-1.0, hc.IdentityOperator(EUC))
-    with pytest.raises(hc.NotPositiveError):
-        hc.invert_positive(neg)
-    tiny = hc.DiagonalOperator(np.array([1.0, 1.0, 1.0, 1e-15]), EUC)
-    with pytest.raises((hc.NotPositiveError, hc.IllConditionedError)):
-        hc.invert_positive(tiny)
-
-
-def test_invert_positive_inverse_property():
-    rng = np.random.default_rng(8)
-    g = rng.standard_normal((LINE.dim, LINE.dim))
-    mat = g @ np.diag(LINE.weights) @ g.T / LINE.weights[:, None] + np.eye(LINE.dim)
-    op = hc.DenseOperator(mat, LINE)
-    inv = hc.invert_positive(op)
-    assert np.allclose(inv.matrix @ op.matrix, np.eye(LINE.dim), atol=1e-8)
-
-
 def test_certified_inverse_indefinite():
     # no sign is required; only the condition cap refuses an inverse
     entries = np.array([2.0, -3.0, 1.0, -1.0])
@@ -279,29 +261,6 @@ def test_weighted_symmetrize_is_selfadjoint():
     assert np.allclose(op.adjoint().matrix, sym)
     # idempotent on already self-adjoint input
     assert np.allclose(hc.weighted_symmetrize(sym, LINE.weights), sym)
-
-
-def test_schur_complement_certifies_block_positivity():
-    rng = np.random.default_rng(10)
-    g = rng.standard_normal((8, 8))
-    w = g @ g.T + 0.5 * np.eye(8)
-    sa = hc.euclidean(4)
-    a = hc.DenseOperator(w[:4, :4], sa)
-    b = hc.DenseOperator(w[4:, :4], sa, sa)
-    d = hc.DenseOperator(w[4:, 4:], sa)
-    sc = hc.schur_complement(a, b, d)
-    assert hc.min_eig_selfadjoint(sc).min_eig > 0
-    cert = hc.block_selfadjoint_cert(a, b, d)
-    assert cert.min_eig > hc.positivity_tolerance(cert.norm)
-
-
-def test_block_cert_detects_indefinite():
-    sa = hc.euclidean(2)
-    a = hc.DiagonalOperator(np.array([1.0, 1.0]), sa)
-    b = hc.DiagonalOperator(np.array([5.0, 0.0]), sa)
-    d = hc.DiagonalOperator(np.array([1.0, 1.0]), sa)
-    cert = hc.block_selfadjoint_cert(a, b, d)
-    assert cert.min_eig < 0
 
 
 def test_dimension_mismatch_rejected():
