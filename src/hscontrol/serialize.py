@@ -335,6 +335,64 @@ def _jsonable(obj):
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
+# Renders leaves and numeric rows in one C call each; the indented layout of
+# json.dumps(indent=...) would force the pure-Python encoder, which builds
+# about two small strings per number.
+_ENCODER = json.JSONEncoder(allow_nan=False, default=_jsonable)
+
+
 def canonical_json(obj) -> str:
-    """Stable rendering used for every emitted JSON file."""
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False, default=_jsonable) + "\n"
+    """Stable rendering used for every emitted JSON file.
+
+    Objects and arrays are indented by two spaces per level with sorted
+    keys, except that an array whose items are all numbers (int and float
+    instances or numpy number scalars, not bools) is one line,
+    ``[1.0, 2.5]``, so a matrix is written one row per line.
+    Numpy scalars and arrays are converted first; NaN and infinities raise
+    ValueError.  The text parses to the same values as
+    ``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)``.
+    """
+    return _render(obj, "\n", set()) + "\n"
+
+
+_NUMBER_TYPES = (int, float, np.integer, np.floating)
+
+
+def _is_number(v) -> bool:
+    # by kind, not exact type, so the layout survives a json.loads round
+    # trip: the encoder writes a float subclass such as np.float64 as a
+    # float and converts other numpy numbers through _jsonable; bool is an
+    # int but no number row
+    return isinstance(v, _NUMBER_TYPES) and not isinstance(v, bool)
+
+
+def _render(obj, pad: str, active: set) -> str:
+    # pad is the newline and indent of the line obj starts on; active holds
+    # the ids of the containers being rendered, to refuse cycles
+    if not isinstance(obj, (str, int, float, list, tuple, dict)) and obj is not None:
+        obj = _jsonable(obj)
+    if not isinstance(obj, (list, tuple, dict)) or not obj:
+        return _ENCODER.encode(obj)
+    if not isinstance(obj, dict) and all(map(_is_number, obj)):
+        return _ENCODER.encode(obj)
+    if id(obj) in active:
+        raise ValueError("Circular reference detected")
+    active.add(id(obj))
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        items = [_key(k) + ": " + _render(v, inner, active) for k, v in sorted(obj.items())]
+        opening, closing = "{", "}"
+    else:
+        items = [_render(v, inner, active) for v in obj]
+        opening, closing = "[", "]"
+    active.discard(id(obj))
+    return opening + inner + ("," + inner).join(items) + pad + closing
+
+
+def _key(key) -> str:
+    # like json.dumps, write bool, int, float and None keys as their JSON text
+    if not isinstance(key, str):
+        if not isinstance(key, (int, float)) and key is not None:
+            raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+        key = _ENCODER.encode(key)
+    return _ENCODER.encode(key)

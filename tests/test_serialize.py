@@ -6,6 +6,7 @@ import pytest
 
 import hscontrol as hc
 import hscontrol.serialize as ser
+from hscontrol import cli
 from helpers import random_two_input
 
 
@@ -241,6 +242,124 @@ def test_canonical_json_coerces_numpy_scalars():
     text = ser.canonical_json(blob)
     parsed = json.loads(text)
     assert parsed == {"x": 1.5, "n": 3, "flag": True, "arr": [0.0, 1.0, 2.0]}
+
+
+def _indented_reference(obj) -> str:
+    """The pure-Python indented rendering canonical_json replaces."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False, default=ser._jsonable) + "\n"
+
+
+def test_canonical_json_layout_is_pinned():
+    blob = {"b": {"y": [1, 2.5], "x": "s"}, "a": [[1.0, -2.0], [0.5, 3]],
+            "e": [], "d": {}, "c": [True, None]}
+    assert ser.canonical_json(blob) == (
+        "{\n"
+        '  "a": [\n'
+        "    [1.0, -2.0],\n"
+        "    [0.5, 3]\n"
+        "  ],\n"
+        '  "b": {\n'
+        '    "x": "s",\n'
+        '    "y": [1, 2.5]\n'
+        "  },\n"
+        '  "c": [\n'
+        "    true,\n"
+        "    null\n"
+        "  ],\n"
+        '  "d": {},\n'
+        '  "e": []\n'
+        "}\n"
+    )
+    assert json.loads(ser.canonical_json(blob)) == json.loads(_indented_reference(blob))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_canonical_json_refuses_non_finite_numbers_in_rows(bad):
+    for blob in ([1.0, bad], {"m": [[0.0, 1.0], [bad, 2.0]]}, {"x": bad}):
+        with pytest.raises(ValueError):
+            ser.canonical_json(blob)
+
+
+def test_canonical_json_refuses_what_json_refuses():
+    cycle = {"a": []}
+    cycle["a"].append(cycle)
+    for blob in (cycle, {(1, 2): 0.0}, {"x": object()}, {"a": 1, 2: 3}):
+        with pytest.raises((ValueError, TypeError)) as new:
+            ser.canonical_json(blob)
+        with pytest.raises(new.type):
+            _indented_reference(blob)
+
+
+def test_canonical_json_keeps_bools_and_nulls_out_of_number_rows():
+    assert ser.canonical_json([1.0, True]) == "[\n  1.0,\n  true\n]\n"
+    assert ser.canonical_json([None, 2]) == "[\n  null,\n  2\n]\n"
+    assert json.loads(ser.canonical_json([[0, False]])) == [[0, False]]
+
+
+def test_canonical_json_converts_numpy_arrays_and_scalars_in_lists():
+    blob = {"v": np.arange(3.0), "m": np.eye(2), "s": [np.float32(0.5), np.int64(2), np.bool_(False)]}
+    text = ser.canonical_json(blob)
+    assert json.loads(text) == {"v": [0.0, 1.0, 2.0], "m": [[1.0, 0.0], [0.0, 1.0]],
+                                "s": [0.5, 2, False]}
+    assert '"v": [0.0, 1.0, 2.0]' in text
+    assert "    [1.0, 0.0],\n    [0.0, 1.0]\n" in text
+    # numpy numbers in a list form a number row, as the floats they parse to do
+    for row, line in (([np.float64(0.5), 1.0], "[0.5, 1.0]\n"),
+                      ([np.float32(0.5), np.int64(2), 3], "[0.5, 2, 3]\n")):
+        text = ser.canonical_json(row)
+        assert text == line
+        assert ser.canonical_json(json.loads(text)) == text
+
+
+def test_canonical_json_round_trips_extreme_floats_exactly():
+    values = [-0.0, 5e-324, 1.7976931348623157e308, 0.1 + 0.2]
+    for blob in (values, {"x": values}, [values]):
+        text = ser.canonical_json(blob)
+        assert text == ser.canonical_json(json.loads(text))
+    parsed = json.loads(ser.canonical_json(values))
+    assert [v.hex() for v in parsed] == [v.hex() for v in values]
+
+
+@pytest.mark.parametrize("name", ["demo_system.json", "shift_network.json", "coupled_game.json"])
+def test_canonical_json_parses_as_the_indented_encoder_on_spec_systems(name):
+    blob = hc.system_to_json(ser.parse_system(SPEC_DIR / name))
+    assert json.loads(ser.canonical_json(blob)) == json.loads(_indented_reference(blob))
+
+
+@pytest.mark.parametrize("example", ["ex1", "ex3", "ex4"])
+def test_canonical_json_parses_as_the_indented_encoder_on_cli_reports(example, tmp_path, monkeypatch):
+    reports = []
+
+    def capture(obj):
+        reports.append(obj)
+        return ser.canonical_json(obj)
+
+    monkeypatch.setattr(cli, "canonical_json", capture)
+    assert cli.main(["example", example, "--out", str(tmp_path)]) == cli.EXIT_OK
+    (report,) = reports
+    text = (tmp_path / "report.json").read_text()
+    assert text == ser.canonical_json(report)
+    assert json.loads(text) == json.loads(_indented_reference(report))
+
+
+def test_canonical_json_calls_its_public_name_once(monkeypatch):
+    """The traced count of serialize.canonical_json is one per document."""
+    calls = []
+    public = ser.canonical_json
+
+    def counted(obj):
+        calls.append(obj)
+        return public(obj)
+
+    monkeypatch.setattr(ser, "canonical_json", counted)
+    ser.canonical_json({"a": [{"b": [[1.0], [2.0]]}, [True, {"c": []}]], "d": {"e": {}}})
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("path", sorted(SPEC_DIR.glob("*.json")), ids=lambda p: p.name)
+def test_shipped_specs_are_canonical(path):
+    text = path.read_text(encoding="utf-8")
+    assert text == ser.canonical_json(json.loads(text))
 
 
 def test_shipped_shift_network_spec_parses():
