@@ -7,7 +7,7 @@ byte-identical outputs.
 
 Exit codes are stable: 0 success, 2 bad input (parse or model-assumption
 failure, or a size above the caps of ``serialize``), 3 solver infeasibility,
-4 resolution, enumeration or memory limits.
+4 resolution, floating-point range, enumeration or memory limits.
 """
 
 from __future__ import annotations
@@ -76,8 +76,7 @@ def _gain_list(gains) -> list:
 
 def _require_type(system, wanted, what: str):
     if not isinstance(system, wanted):
-        names = {ControlledSystem: "controlled", DisturbedSystem: "disturbed", TwoInputSystem: "two_input"}
-        raise ParseError(f"{what} needs a {names[wanted]!r} system file")
+        raise ParseError(f"{what} needs a {wanted.KIND!r} system file")
     return system
 
 

@@ -50,7 +50,7 @@ class EnumerationLimitError(ControlError):
 
 
 class ResolutionError(ControlError):
-    """A requested truncation or grid resolution is outside supported limits."""
+    """A truncation, grid resolution or floating-point range is outside supported limits."""
 
 
 class ParseError(ControlError):

@@ -53,6 +53,7 @@ from .riccati import (
     _closed_gram,
     _completion_arrays,
     _once_per_operator,
+    _require_finite,
 )
 from .sim import Policy, run_batch, sign_paths
 from .spaces import HVector, inner, zero_vector
@@ -168,7 +169,8 @@ def solve_coupled_riccati(
 
     The step fails, and the status records it, when either player's
     effective weight stops being uniformly positive (with bounded inverse);
-    a singular gain coupling is raised instead since it signals a numerical
+    a singular gain coupling, or a non-finite completion term or iterate
+    (ResolutionError), is raised instead since it signals a numerical
     breakdown rather than game infeasibility.  Without an initial state the
     iterates and gains are still produced but the values j1, j2 stay None.
     """
@@ -197,6 +199,11 @@ def solve_coupled_riccati(
     for k in range(steps - 1, -1, -1):
         q1, rk1, gk1 = _completion_arrays(view, weights[0], grams1[k + 1], k, scratch1)
         q2, rk2, gk2 = _completion_arrays(view, weights[1], grams2[k + 1], k, scratch2)
+        # before the eigendecompositions and the coupling solve, which would
+        # read a non-finite term as a verdict
+        for player, rk, gk in ((1, rk1, gk1), (2, rk2, gk2)):
+            _require_finite(rk, f"player {player} completion term Rk", k)
+            _require_finite(gk, f"player {player} completion term G", k)
         r1, r2 = rk1[v, v] / wv[:, None], rk2[u, u] / wu[:, None]
         try:
             cert1 = _certify_weight(r1, wv, "disturbance weight", k, kappa_max)
@@ -210,6 +217,8 @@ def solve_coupled_riccati(
         gain = np.vstack([k1, k2])
         grams1[k] = _closed_gram(q1, gk1, rk1, gain, scratch1.spare)
         grams2[k] = _closed_gram(q2, gk2, rk2, gain, scratch2.spare)
+        _require_finite(grams1[k], "player 1 iterate P1", k)
+        _require_finite(grams2[k], "player 2 iterate P2", k)
         v_gains[k], u_gains[k] = DenseOperator(k1, hs, vs), DenseOperator(k2, hs, us)
         r1_ops[k], r2_ops[k] = DenseOperator(r1, vs), DenseOperator(r2, us)
         certs1[k], certs2[k] = cert1, cert2

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketError, DimensionError, OracleScopeError
+from .errors import BracketError, DimensionError, OracleScopeError, ResolutionError
 from .operators import KAPPA_MAX_DEFAULT, Operator, SelfAdjointCert, _sframe, gram, opnorm
 from .riccati import StageWeights, StepScratch, _backward_pass, _once_per_operator
 from .systems import ControlledSystem, DisturbedSystem
@@ -248,7 +248,8 @@ def deterministic_norm_oracle(dsys: DisturbedSystem) -> OracleNorm:
     With C = D1 = 0 the disturbance-to-output map is a known block lower
     triangular matrix; its largest singular value in the weighted geometry is
     the gain, and the top right singular vector is a maximizing disturbance.
-    Refuses systems with noise in the loop, where no such reduction exists.
+    Refuses systems with noise in the loop, where no such reduction exists,
+    and raises ResolutionError when the block matrix overflows.
     """
     _check_noise_free(dsys)
     steps = dsys.steps
@@ -264,6 +265,10 @@ def deterministic_norm_oracle(dsys: DisturbedSystem) -> OracleNorm:
     row_w = np.sqrt(np.tile(dsys.output_space.weights, steps))
     col_w = np.sqrt(np.tile(dsys.disturbance_space.weights, steps))
     weighted = big * row_w[:, None] / col_w[None, :]
+    if not np.isfinite(weighted).all():
+        raise ResolutionError(
+            "oracle block matrix is not finite: the system overflows the floating-point range"
+        )
     u_mat, svals, vt = np.linalg.svd(weighted)
     top = vt[0] / col_w
     witness = [top[j * dv : (j + 1) * dv].copy() for j in range(steps)]

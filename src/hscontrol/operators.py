@@ -3,8 +3,8 @@
 Operators form a small expression language:
 
     ZeroOperator, IdentityOperator, ScaledOperator, DenseOperator,
-    DiagonalOperator, RightShiftOperator, FillingOperator,
-    GaussianConvolutionOperator, HeatSemigroupOperator,
+    DiagonalOperator (and its subclass HeatSemigroupOperator),
+    RightShiftOperator, FillingOperator, GaussianConvolutionOperator,
     SumOperator, ComposeOperator, AdjointOperator
 
 Each variant defines only its coordinate matrix, and the rest is derived from
@@ -311,7 +311,7 @@ class GaussianConvolutionOperator(Operator):
         return kernel * self.domain.weights[None, :]
 
 
-class HeatSemigroupOperator(Operator):
+class HeatSemigroupOperator(DiagonalOperator):
     """Heat flow over one sampling interval on a spectral interval space.
 
     Acts diagonally on sine-mode coefficients, multiplying mode n by
@@ -325,18 +325,8 @@ class HeatSemigroupOperator(Operator):
             raise DimensionError("diffusivity and sampling interval must be nonnegative")
         self.alpha = float(alpha)
         self.tau = float(tau)
-        self.domain = self.codomain = space
         rates = self.alpha * (space.mode_index() * np.pi / space.length) ** 2
-        self.factors = np.exp(-rates * self.tau)
-
-    def _build_matrix(self):
-        return np.diag(self.factors)
-
-    def rmatmul(self, x, out=None):
-        return np.multiply(x, self.factors[None, :], out=out)
-
-    def sandwich(self, g, out=None, work=None):
-        return _scaled_rows_and_columns(g, self.factors, out)
+        super().__init__(np.exp(-rates * self.tau), space)
 
 
 class SumOperator(Operator):

@@ -39,7 +39,7 @@ from typing import Callable, Iterable, TypeVar
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ResolutionError
 from .operators import (
     KAPPA_MAX_DEFAULT,
     DenseOperator,
@@ -143,6 +143,14 @@ def _completion_arrays(
     return q, 0.5 * (rk + rk.T), gk
 
 
+def _require_finite(arr: np.ndarray, what: str, k: int) -> None:
+    """Refuse a term of step k with an infinite or NaN entry, which overflow leaves."""
+    if not np.isfinite(arr).all():
+        raise ResolutionError(
+            f"{what} at step {k} is not finite: the recursion overflows the floating-point range"
+        )
+
+
 def _symmetrized(g: np.ndarray, out: np.ndarray | None) -> np.ndarray:
     """0.5 (g + g^T) into ``out``, or into a new array when None."""
     out = np.add(g, g.T, out=out)
@@ -233,6 +241,8 @@ def _backward_pass(
     has no bounded inverse, and with ``stop_at_nonpositive`` also at the first
     term that is not uniformly positive.  Indefinite but invertible terms are
     otherwise walked through, so every reached step reports its spectrum.
+    A non-finite completion term or iterate, which overflow leaves, raises
+    ResolutionError at the step where it first appears.
     A walk with ``stop_at_nonpositive`` keeps no iterates (``p`` is None).
     The step arrays live in ``scratch``, allocated here when None.
     """
@@ -250,6 +260,7 @@ def _backward_pass(
     breakdown = nonpositive = None
     for k in range(steps - 1, -1, -1):
         q, rk, gk = _completion_arrays(system, weights, current, k, scratch)
+        _require_finite(rk, "completion term Rk", k)  # before its eigendecomposition
         rk /= wu[:, None]
         cert, rk_inverse = certified_inverse(rk, wu, kappa_max)
         certs[k] = cert
@@ -262,6 +273,7 @@ def _backward_pass(
             break
         out = None if keep else scratch.iterates[k % 2]
         gain, current = _advance(q, gk, rk_inverse, scratch.spare, out)
+        _require_finite(current, "iterate P", k)  # a non-finite G or Q shows here too
         if keep:
             grams[k] = current
         gains[k] = DenseOperator(gain, hs, us)

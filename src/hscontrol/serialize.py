@@ -12,6 +12,7 @@ offending step in the message.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -167,14 +168,14 @@ def operator_to_json(op: Operator) -> dict:
         return {"variant": "identity"}
     if isinstance(op, RightShiftOperator):
         return {"variant": "right_shift"}
+    if isinstance(op, HeatSemigroupOperator):  # a diagonal operator, so tested first
+        return {"variant": "heat_semigroup", "alpha": op.alpha, "tau": op.tau}
     if isinstance(op, DiagonalOperator):
         return {"variant": "diagonal", "entries": op.entries.tolist()}
     if isinstance(op, FillingOperator):
         return {"variant": "filling", "count": op.count}
     if isinstance(op, GaussianConvolutionOperator):
         return {"variant": "gaussian_convolution", "kernel_width": op.kernel_width}
-    if isinstance(op, HeatSemigroupOperator):
-        return {"variant": "heat_semigroup", "alpha": op.alpha, "tau": op.tau}
     if isinstance(op, ScaledOperator):
         return {"variant": "scaled", "factor": op.factor, "of": operator_to_json(op.inner_op)}
     # anything else (dense, sums, compositions) flattens to its matrix
@@ -197,70 +198,39 @@ def family_to_json(family) -> dict | list:
     return stages
 
 
-# type -> (class, space keys, (family key, domain key, codomain key) ...), each
-# in the constructor's argument order; the keys are the attribute names
-_SYSTEM_LAYOUTS = {
-    "controlled": (
-        ControlledSystem,
-        ("state_space", "control_space"),
-        (
-            ("a", "state_space", "state_space"),
-            ("b", "control_space", "state_space"),
-            ("c", "state_space", "state_space"),
-            ("d", "control_space", "state_space"),
-        ),
-    ),
-    "disturbed": (
-        DisturbedSystem,
-        ("state_space", "disturbance_space", "output_space"),
-        (
-            ("a", "state_space", "state_space"),
-            ("b1", "disturbance_space", "state_space"),
-            ("c", "state_space", "state_space"),
-            ("d1", "disturbance_space", "state_space"),
-            ("cbar", "state_space", "output_space"),
-            ("dbar", "disturbance_space", "output_space"),
-        ),
-    ),
-    "two_input": (
-        TwoInputSystem,
-        ("state_space", "disturbance_space", "control_space", "output_space"),
-        (
-            ("a", "state_space", "state_space"),
-            ("b1", "disturbance_space", "state_space"),
-            ("b2", "control_space", "state_space"),
-            ("c", "state_space", "state_space"),
-            ("d1", "disturbance_space", "state_space"),
-            ("d2", "control_space", "state_space"),
-            ("cbar", "state_space", "output_space"),
-            ("gbar", "control_space", "output_space"),
-        ),
-    ),
-}
+_SYSTEMS = {cls.KIND: cls for cls in (ControlledSystem, DisturbedSystem, TwoInputSystem)}
 
 
 def system_from_json(obj):
     kind = _require(obj, "type", "system")
     horizon = _capped(obj, "horizon", "system", MAX_HORIZON)
-    if kind not in _SYSTEM_LAYOUTS:
+    if kind not in _SYSTEMS:
         raise ParseError(f"system: unknown type {kind!r}")
-    cls, space_keys, families = _SYSTEM_LAYOUTS[kind]
-    spaces = {key: space_from_json(_require(obj, key, "system"), key) for key in space_keys}
-    ops = [
-        family_from_json(_require(obj, key, "system"), horizon + 1, spaces[dom], spaces[cod], key)
-        for key, dom, cod in families
-    ]
-    return cls(*spaces.values(), horizon, *ops)
+    args = {}
+    # the fields come in constructor order: spaces, horizon, then the families
+    for f in fields(_SYSTEMS[kind]):
+        if f.name == "horizon":
+            args[f.name] = horizon
+        elif "spaces" in f.metadata:
+            dom, cod = (args[name] for name in f.metadata["spaces"])
+            blob = _require(obj, f.name, "system")
+            args[f.name] = family_from_json(blob, horizon + 1, dom, cod, f.name)
+        else:
+            args[f.name] = space_from_json(_require(obj, f.name, "system"), f.name)
+    return _SYSTEMS[kind](**args)
 
 
 def system_to_json(system) -> dict:
-    for kind, (cls, space_keys, families) in _SYSTEM_LAYOUTS.items():
-        if isinstance(system, cls):
-            out = {"type": kind, "horizon": system.horizon}
-            out.update((key, space_to_json(getattr(system, key))) for key in space_keys)
-            out.update((key, family_to_json(getattr(system, key))) for key, _, _ in families)
-            return out
-    raise ParseError(f"cannot serialize {type(system).__name__}")
+    if not isinstance(system, tuple(_SYSTEMS.values())):
+        raise ParseError(f"cannot serialize {type(system).__name__}")
+    out = {"type": system.KIND, "horizon": system.horizon}
+    for f in fields(system):
+        value = getattr(system, f.name)
+        if "spaces" in f.metadata:
+            out[f.name] = family_to_json(value)
+        elif f.name != "horizon":
+            out[f.name] = space_to_json(value)
+    return out
 
 
 def cost_from_json(obj, system: ControlledSystem) -> CostSpec:

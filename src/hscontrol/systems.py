@@ -9,13 +9,14 @@ anywhere a family is expected and is then used at every step.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field, fields
+
 import numpy as np
 
 from .errors import AssumptionError, DimensionError, NotSelfAdjointError
 from .operators import (
     DenseOperator,
     DiagonalOperator,
-    HeatSemigroupOperator,
     IdentityOperator,
     Operator,
     ScaledOperator,
@@ -72,36 +73,63 @@ def _selfadjoint_by_construction(op: Operator) -> bool:
         op = op.inner_op
     if isinstance(op, ZeroOperator):
         return op.domain == op.codomain
-    return isinstance(op, (IdentityOperator, DiagonalOperator, HeatSemigroupOperator))
+    return isinstance(op, (IdentityOperator, DiagonalOperator))
 
 
-class ControlledSystem:
-    """State recursion x(k+1) = A x + B u + (C x + D u) * noise, k = 0..N."""
+def _family(domain: str, codomain: str):
+    """A family field mapping the space field ``domain`` into the space field ``codomain``."""
+    return field(metadata={"spaces": (domain, codomain)})
 
-    def __init__(
-        self,
-        state_space: Space,
-        control_space: Space,
-        horizon: int,
-        a: FamilyLike,
-        b: FamilyLike,
-        c: FamilyLike,
-        d: FamilyLike,
-    ):
-        if horizon < 0:
+
+@dataclass(eq=False, repr=False)
+class _System:
+    """The checks every system runs; subclasses declare their fields and ``KIND``.
+
+    The fields are the spaces, ``horizon`` and the families, in constructor
+    order.  Each family field takes a FamilyLike and holds an OperatorFamily
+    labelled with its capitalized name.  ``serialize`` reads and writes
+    system files through these fields.  Systems compare and hash by identity.
+    """
+
+    KIND = ""  # the type name of the system in JSON files
+
+    def __post_init__(self):
+        if self.horizon < 0:
             raise DimensionError("horizon must be nonnegative")
-        self.state_space = state_space
-        self.control_space = control_space
-        self.horizon = int(horizon)
-        steps = self.horizon + 1
-        self.a = OperatorFamily(a, steps, state_space, state_space, "A")
-        self.b = OperatorFamily(b, steps, control_space, state_space, "B")
-        self.c = OperatorFamily(c, steps, state_space, state_space, "C")
-        self.d = OperatorFamily(d, steps, control_space, state_space, "D")
+        self.horizon = int(self.horizon)
+        for f in fields(self):
+            if "spaces" in f.metadata:
+                dom, cod = (getattr(self, name) for name in f.metadata["spaces"])
+                ops, label = getattr(self, f.name), f.name.capitalize()  # "A", "B1", "Cbar", ...
+                setattr(self, f.name, OperatorFamily(ops, self.steps, dom, cod, label))
 
     @property
     def steps(self) -> int:
         return self.horizon + 1
+
+
+def _first_steps(*families: OperatorFamily):
+    """(k, operators at step k) for the first step of each distinct tuple of operator objects."""
+    seen = set()
+    for k, ops in enumerate(zip(*families)):
+        key = tuple(map(id, ops))
+        if key not in seen:
+            seen.add(key)
+            yield k, ops
+
+
+@dataclass(eq=False, repr=False)
+class ControlledSystem(_System):
+    """State recursion x(k+1) = A x + B u + (C x + D u) * noise, k = 0..N."""
+
+    KIND = "controlled"
+    state_space: Space
+    control_space: Space
+    horizon: int
+    a: OperatorFamily = _family("state_space", "state_space")
+    b: OperatorFamily = _family("control_space", "state_space")
+    c: OperatorFamily = _family("state_space", "state_space")
+    d: OperatorFamily = _family("control_space", "state_space")
 
 
 class CostSpec:
@@ -149,49 +177,34 @@ def _check_orthogonality(left: Operator, right: Operator, what: str) -> None:
         raise AssumptionError(f"{what}: cross term has norm {resid:.3e}, expected zero")
 
 
-class DisturbedSystem:
+@dataclass(eq=False, repr=False)
+class DisturbedSystem(_System):
     """Disturbance-driven dynamics with a penalized output.
 
         x(k+1) = A x + B1 v + (C x + D1 v) * noise
         z(k)   = Cbar x + Dbar v
 
     The output blocks must satisfy Dbar* Cbar = 0 at every step, so the
-    squared output splits into a state part and a disturbance part.
+    squared output splits into a state part and a disturbance part.  Each
+    distinct pair of operators is checked once, at its first step.
     """
 
-    def __init__(
-        self,
-        state_space: Space,
-        disturbance_space: Space,
-        output_space: Space,
-        horizon: int,
-        a: FamilyLike,
-        b1: FamilyLike,
-        c: FamilyLike,
-        d1: FamilyLike,
-        cbar: FamilyLike,
-        dbar: FamilyLike,
-    ):
-        if horizon < 0:
-            raise DimensionError("horizon must be nonnegative")
-        self.state_space = state_space
-        self.disturbance_space = disturbance_space
-        self.output_space = output_space
-        self.horizon = int(horizon)
-        steps = self.horizon + 1
-        hs, vs, zs = state_space, disturbance_space, output_space
-        self.a = OperatorFamily(a, steps, hs, hs, "A")
-        self.b1 = OperatorFamily(b1, steps, vs, hs, "B1")
-        self.c = OperatorFamily(c, steps, hs, hs, "C")
-        self.d1 = OperatorFamily(d1, steps, vs, hs, "D1")
-        self.cbar = OperatorFamily(cbar, steps, hs, zs, "Cbar")
-        self.dbar = OperatorFamily(dbar, steps, vs, zs, "Dbar")
-        for k in range(steps):
-            _check_orthogonality(self.dbar(k), self.cbar(k), f"Dbar({k})* Cbar({k})")
+    KIND = "disturbed"
+    state_space: Space
+    disturbance_space: Space
+    output_space: Space
+    horizon: int
+    a: OperatorFamily = _family("state_space", "state_space")
+    b1: OperatorFamily = _family("disturbance_space", "state_space")
+    c: OperatorFamily = _family("state_space", "state_space")
+    d1: OperatorFamily = _family("disturbance_space", "state_space")
+    cbar: OperatorFamily = _family("state_space", "output_space")
+    dbar: OperatorFamily = _family("disturbance_space", "output_space")
 
-    @property
-    def steps(self) -> int:
-        return self.horizon + 1
+    def __post_init__(self):
+        super().__post_init__()
+        for k, (dbar, cbar) in _first_steps(self.dbar, self.cbar):
+            _check_orthogonality(dbar, cbar, f"Dbar({k})* Cbar({k})")
 
     def as_controlled(self) -> ControlledSystem:
         """View the disturbance channel as the control input of the recursion."""
@@ -206,62 +219,46 @@ class DisturbedSystem:
         )
 
 
-class TwoInputSystem:
+@dataclass(eq=False, repr=False)
+class TwoInputSystem(_System):
     """Dynamics driven by a disturbance v and a control u, with output z.
 
         x(k+1) = A x + B1 v + B2 u + (C x + D1 v + D2 u) * noise
         z(k)   = Cbar x + Gbar u
 
     The output blocks must satisfy Gbar* Cbar = 0 and Gbar* Gbar = I at every
-    step, so |z|^2 = |Cbar x|^2 + |u|^2.
+    step, so |z|^2 = |Cbar x|^2 + |u|^2.  Each distinct pair, and each
+    distinct Gbar, is checked once, at its first step; every pair is
+    checked before any isometry.
     """
 
-    def __init__(
-        self,
-        state_space: Space,
-        disturbance_space: Space,
-        control_space: Space,
-        output_space: Space,
-        horizon: int,
-        a: FamilyLike,
-        b1: FamilyLike,
-        b2: FamilyLike,
-        c: FamilyLike,
-        d1: FamilyLike,
-        d2: FamilyLike,
-        cbar: FamilyLike,
-        gbar: FamilyLike,
-    ):
-        if horizon < 0:
-            raise DimensionError("horizon must be nonnegative")
-        self.state_space = state_space
-        self.disturbance_space = disturbance_space
-        self.control_space = control_space
-        self.output_space = output_space
-        self.horizon = int(horizon)
-        steps = self.horizon + 1
-        hs, vs, us, zs = state_space, disturbance_space, control_space, output_space
-        self.a = OperatorFamily(a, steps, hs, hs, "A")
-        self.b1 = OperatorFamily(b1, steps, vs, hs, "B1")
-        self.b2 = OperatorFamily(b2, steps, us, hs, "B2")
-        self.c = OperatorFamily(c, steps, hs, hs, "C")
-        self.d1 = OperatorFamily(d1, steps, vs, hs, "D1")
-        self.d2 = OperatorFamily(d2, steps, us, hs, "D2")
-        self.cbar = OperatorFamily(cbar, steps, hs, zs, "Cbar")
-        self.gbar = OperatorFamily(gbar, steps, us, zs, "Gbar")
-        for k in range(steps):
-            _check_orthogonality(self.gbar(k), self.cbar(k), f"Gbar({k})* Cbar({k})")
-            g = self.gbar(k)
+    KIND = "two_input"
+    state_space: Space
+    disturbance_space: Space
+    control_space: Space
+    output_space: Space
+    horizon: int
+    a: OperatorFamily = _family("state_space", "state_space")
+    b1: OperatorFamily = _family("disturbance_space", "state_space")
+    b2: OperatorFamily = _family("control_space", "state_space")
+    c: OperatorFamily = _family("state_space", "state_space")
+    d1: OperatorFamily = _family("disturbance_space", "state_space")
+    d2: OperatorFamily = _family("control_space", "state_space")
+    cbar: OperatorFamily = _family("state_space", "output_space")
+    gbar: OperatorFamily = _family("control_space", "output_space")
+
+    def __post_init__(self):
+        super().__post_init__()
+        us, zs = self.control_space, self.output_space
+        for k, (g, cbar) in _first_steps(self.gbar, self.cbar):
+            _check_orthogonality(g, cbar, f"Gbar({k})* Cbar({k})")
+        for k, (g,) in _first_steps(self.gbar):
             gs = _sframe(g.matrix, zs.weights, us.weights)
             resid = np.linalg.norm(gs.T @ gs - np.eye(us.dim), 2)
             if resid > ASSUMPTION_TOL:
                 raise AssumptionError(
                     f"Gbar({k}): control channel is not isometric (residual {resid:.3e})"
                 )
-
-    @property
-    def steps(self) -> int:
-        return self.horizon + 1
 
     def as_controlled(self) -> ControlledSystem:
         """View the stacked input (v, u) as the control input of the recursion.

@@ -147,6 +147,61 @@ def test_simulate_rejects_two_input_spec():
     assert code == EXIT_BAD_INPUT
 
 
+def test_wrong_system_type_exit(capsys):
+    code = main(["brl-check", "--system", DEMO_SYSTEM, "--gamma", "2"])
+    assert code == EXIT_BAD_INPUT
+    assert "brl-check needs a 'disturbed' system file" in capsys.readouterr().err
+
+
+def _overflowing_specs(tmp_path):
+    # A = 1e200 I on a 2-dim state over horizon 3: every recursion overflows
+    big = {"variant": "scaled", "factor": 1e200, "of": {"variant": "identity"}}
+    e1, e2 = {"kind": "euclidean", "dim": 1}, {"kind": "euclidean", "dim": 2}
+    first = {"variant": "filling", "count": 1}
+    second = {"variant": "dense", "matrix": [[0.0], [1.0]]}
+    zero = {"variant": "zero"}
+    specs = {
+        "controlled": {"type": "controlled", "horizon": 3, "state_space": e2,
+                       "control_space": e1, "a": big, "b": first, "c": zero, "d": zero},
+        "disturbed": {"type": "disturbed", "horizon": 3, "state_space": e2,
+                      "disturbance_space": e2, "output_space": e2, "a": big,
+                      "b1": {"variant": "identity"}, "c": zero, "d1": zero,
+                      "cbar": {"variant": "identity"}, "dbar": zero},
+        "two_input": {"type": "two_input", "horizon": 3, "state_space": e2,
+                      "disturbance_space": e1, "control_space": e1,
+                      "output_space": {"kind": "euclidean", "dim": 3}, "a": big,
+                      "b1": first, "b2": second, "c": zero, "d1": zero, "d2": zero,
+                      "cbar": {"variant": "filling", "count": 2},
+                      "gbar": {"variant": "dense", "matrix": [[0.0], [0.0], [1.0]]}},
+        "x0": {"coords": [1.0, 1.0]},
+    }
+    for name, spec in specs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(spec))
+    return {name: str(tmp_path / f"{name}.json") for name in specs}
+
+
+@pytest.mark.parametrize("argv", [
+    ["lq-solve", "--system", "controlled", "--cost", DEMO_COST, "--x0", "x0"],
+    ["brl-check", "--system", "disturbed", "--gamma", "2"],
+    ["hinf-norm", "--system", "disturbed"],
+    ["nash-solve", "--system", "two_input", "--gamma", "2"],
+    ["hinf-design", "--system", "two_input", "--gamma", "2"],
+    ["h2hinf-design", "--system", "two_input", "--gamma", "2", "--x0", "x0"],
+])
+def test_overflow_exits_with_limits(tmp_path, capsys, argv):
+    # overflow is refused with the step or block named, before any verdict
+    specs = _overflowing_specs(tmp_path)
+    out = tmp_path / "run"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main([specs.get(arg, arg) for arg in argv] + ["--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == EXIT_LIMITS
+    assert "not finite" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_parse_failure_exit(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"bad": 1}')

@@ -133,22 +133,6 @@ def test_well_posedness_certificate_positive_case():
     assert sol.value == pytest.approx(sol.riccati.value(problem.x0))
 
 
-def test_well_posedness_certificate_unknown_case():
-    hs = hc.euclidean(1)
-    us = hc.euclidean(1)
-    one = hc.IdentityOperator(hs)
-    b = hc.DenseOperator(np.array([[1.0]]), us, hs)
-    system = hc.ControlledSystem(hs, us, 0, one, b, hc.ZeroOperator(hs),
-                                 hc.ZeroOperator(us, hs))
-    cost = hc.CostSpec(system, one, hc.ZeroOperator(hs, us),
-                       hc.DenseOperator(np.array([[-1.0]]), us), one)
-    problem = hc.LQProblem(system, cost, hc.HVector(hs, np.array([1.0])))
-    sol = hc.solve_lq(problem)
-    assert not sol.solved
-    assert sol.value is None
-    assert sol.status == "domain_failure"
-
-
 def test_indefinite_state_weight_can_still_solve():
     """Negative M with strong terminal weight stays in the solvable domain."""
     hs = hc.euclidean(1)
@@ -172,6 +156,7 @@ def test_indefinite_state_weight_can_still_solve():
 
 
 def test_solve_lq_reports_failure_status():
+    # R = -1 cancels B*PB = 1, so the completion term is singular at step 0
     hs = hc.euclidean(1)
     us = hc.euclidean(1)
     one = hc.IdentityOperator(hs)

@@ -62,6 +62,7 @@ def test_operator_variants_round_trip():
     for op in ops:
         blob = ser.operator_to_json(op)
         back = ser.operator_from_json(blob, op.domain, op.codomain, "op")
+        assert type(back) is type(op), blob.get("variant")
         assert np.allclose(back.matrix, op.matrix), blob.get("variant")
 
 

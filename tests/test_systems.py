@@ -45,6 +45,10 @@ def test_controlled_system_steps():
     )
     assert sys_.steps == 5
     assert sys_.horizon == 4
+    # systems compare and hash by identity, not by their fields
+    twin = hc.ControlledSystem(HS, US, 4, sys_.a, sys_.b, sys_.c, sys_.d)
+    assert sys_ == sys_ and sys_ != twin
+    assert len({sys_, twin}) == 2
 
 
 def test_cost_spec_rejects_nonselfadjoint_weights():
@@ -138,6 +142,26 @@ def test_disturbed_system_rejects_nonorthogonal_feedthrough():
     msg = str(exc_info.value)
     assert "Dbar(0)* Cbar(0)" in msg
     assert "norm" in msg
+
+
+def test_disturbed_system_checks_every_distinct_output_pair(monkeypatch):
+    # distinct good pairs at steps 0 and 1 must not stop the check before the
+    # bad pair at step 2, and a pair shared by every step is checked once
+    rng = np.random.default_rng(5)
+    a, b1, c = hc.IdentityOperator(HS), hc.ZeroOperator(US, HS), hc.ZeroOperator(HS)
+    dbar = hc.DenseOperator(np.eye(ZS.dim, US.dim), US, ZS)  # output coordinates 0 and 1
+    good = np.vstack([np.zeros((2, HS.dim)), rng.standard_normal((2, HS.dim))])
+    cbar = [hc.DenseOperator(good, HS, ZS), hc.DenseOperator(good.copy(), HS, ZS),
+            hc.DenseOperator(rng.standard_normal((ZS.dim, HS.dim)), HS, ZS)]
+    with pytest.raises(hc.AssumptionError, match=r"^Dbar\(2\)\* Cbar\(2\):"):
+        hc.DisturbedSystem(HS, US, ZS, 2, a, b1, c, b1, cbar, dbar)
+    calls = []
+    original = systems._check_orthogonality
+    monkeypatch.setattr(systems, "_check_orthogonality",
+                        lambda *args: calls.append(args[2]) or original(*args))
+    hc.DisturbedSystem(HS, US, ZS, 5, a, b1, c, b1, cbar[0], dbar)
+    hc.DisturbedSystem(HS, US, ZS, 2, a, b1, c, b1, cbar[:2] + [cbar[0]], dbar)
+    assert calls == ["Dbar(0)* Cbar(0)", "Dbar(0)* Cbar(0)", "Dbar(1)* Cbar(1)"]
 
 
 def test_two_input_system_requires_isometric_control_column():
