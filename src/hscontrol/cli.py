@@ -238,7 +238,7 @@ def cmd_simulate(args) -> int:
         rows = ["k,coordinate,value"]
         for k in range(bundle.states.shape[0]):
             for i in range(bundle.states.shape[1]):
-                rows.append(f"{k},{i},{bundle.states[k, i]!r}")
+                rows.append(f"{k},{i},{float(bundle.states[k, i])!r}")
         (out / "trajectory.csv").write_text("\n".join(rows) + "\n")
         files.append("trajectory.csv")
     _finish(args, report, lines, files)

@@ -40,10 +40,12 @@ from .operators import (
     DenseOperator,
     Operator,
     SelfAdjointCert,
+    _once_per_operator,
     _selfadjoint_eigs,
     coordinate_operators,
     gram,
     positivity_tolerance,
+    step_matrices,
 )
 from .riccati import (
     STATUS_DOMAIN_FAILURE,
@@ -52,7 +54,6 @@ from .riccati import (
     StepScratch,
     _closed_gram,
     _completion_arrays,
-    _once_per_operator,
     _require_finite,
 )
 from .sim import Policy, run_batch, sign_paths
@@ -159,6 +160,7 @@ class CoupledSolution:
         return self.status == STATUS_SOLVED
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is checked and refused below
 def solve_coupled_riccati(
     sys2: TwoInputSystem,
     params: GameParams,
@@ -259,10 +261,11 @@ def game_energies(sys2: TwoInputSystem, x0: HVector, policy: Policy) -> tuple[fl
         raise DimensionError("policy does not act on the stacked input (v, u) of the system")
     wv = sys2.disturbance_space.weights
     wz = sys2.output_space.weights
+    cbar, gbar = step_matrices(sys2.cbar), step_matrices(sys2.gbar)  # read in every block
 
     def stage(k, x, w):
         v, u = w[:, :dv], w[:, dv:]
-        z = x @ sys2.cbar(k).matrix.T + u @ sys2.gbar(k).matrix.T
+        z = x @ cbar[k].T + u @ gbar[k].T
         ez = np.einsum("pi,pi->p", z * wz[None, :], z)
         ev = np.einsum("pi,pi->p", v * wv[None, :], v)
         return np.column_stack([ez, ev])

@@ -30,8 +30,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketError, DimensionError, OracleScopeError, ResolutionError
-from .operators import KAPPA_MAX_DEFAULT, Operator, SelfAdjointCert, _sframe, gram, opnorm
-from .riccati import StageWeights, StepScratch, _backward_pass, _once_per_operator
+from .operators import (
+    KAPPA_MAX_DEFAULT,
+    Operator,
+    SelfAdjointCert,
+    _once_per_operator,
+    _sframe,
+    gram,
+    opnorm,
+    step_matrices,
+)
+from .riccati import StageWeights, StepScratch, _backward_pass
 from .systems import ControlledSystem, DisturbedSystem
 
 
@@ -242,6 +251,7 @@ class OracleNorm:
     witness: list[np.ndarray]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is checked and refused below
 def deterministic_norm_oracle(dsys: DisturbedSystem) -> OracleNorm:
     """Exact gain of a noise-free system via one singular value problem.
 
@@ -255,13 +265,14 @@ def deterministic_norm_oracle(dsys: DisturbedSystem) -> OracleNorm:
     steps = dsys.steps
     dv = dsys.disturbance_space.dim
     dz = dsys.output_space.dim
+    a, cbar = step_matrices(dsys.a), step_matrices(dsys.cbar)  # read for every earlier step
     big = np.zeros((steps * dz, steps * dv))
     for j in range(steps):
         big[j * dz : (j + 1) * dz, j * dv : (j + 1) * dv] = dsys.dbar(j).matrix
         cur = dsys.b1(j).matrix
         for k in range(j + 1, steps):
-            big[k * dz : (k + 1) * dz, j * dv : (j + 1) * dv] = dsys.cbar(k).matrix @ cur
-            cur = dsys.a(k).matrix @ cur
+            big[k * dz : (k + 1) * dz, j * dv : (j + 1) * dv] = cbar[k] @ cur
+            cur = a[k] @ cur
     row_w = np.sqrt(np.tile(dsys.output_space.weights, steps))
     col_w = np.sqrt(np.tile(dsys.disturbance_space.weights, steps))
     weighted = big * row_w[:, None] / col_w[None, :]

@@ -8,7 +8,7 @@ Operators form a small expression language:
     SumOperator, ComposeOperator, AdjointOperator
 
 Each variant defines only its coordinate matrix, and the rest is derived from
-it: ``apply`` multiplies by the cached matrix, and ``adjoint`` is the weighted
+it: ``apply`` multiplies by that matrix, and ``adjoint`` is the weighted
 transpose of ``AdjointOperator``, built from the quadrature weights of the
 domain and codomain, so the pairing <A x, y> = <x, A* y> holds to round-off
 everywhere.  Spectral queries (minimum eigenvalue, condition number, certified
@@ -20,15 +20,24 @@ Every variant also supplies the right product X @ M of a coordinate array with
 its matrix, and the two-sided product M^T G M that the congruences A*PA of the
 backward recursions reduce to.  Structured variants compute both natively
 (scaling or slicing rows and columns), at O(n^2) and reading G once in memory
-order; dense and composite variants multiply by their cached matrix, and
-their two-sided product is two right products.  Both products, and
-``congruence``, take optional output buffers, so a backward pass can run every
-step in arrays it allocates once.
+order; dense and composite variants multiply by their matrix, and their
+two-sided product is two right products.  Both products, and ``congruence``,
+take optional output buffers, so a backward pass can run every step in arrays
+it allocates once.
+
+``matrix`` keeps the coordinate matrix only where it is data or costly to
+build: a dense operator keeps the array it was given, and sums, compositions,
+adjoints and Gaussian convolutions keep what they build.  The structured
+variants (zero, identity, scaled, diagonal and heat, shift, filling) build it
+afresh on each request and never hold it, so an operator of a few numbers
+never pins an n x n array.  A caller that reads a step's matrix more than once
+per call builds it once and holds it for that call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterable, TypeVar
 
 import numpy as np
 
@@ -92,6 +101,9 @@ class Operator:
 
     domain: Space
     codomain: Space
+    # whether ``matrix`` keeps what ``_build_matrix`` returns; structured
+    # variants set it False and rebuild on each request
+    _keeps_matrix = True
 
     def apply_array(self, x: np.ndarray) -> np.ndarray:
         return self.matrix @ x
@@ -106,7 +118,8 @@ class Operator:
         cached = getattr(self, "_matrix_cache", None)
         if cached is None:
             cached = self._build_matrix()
-            self._matrix_cache = cached
+            if self._keeps_matrix:
+                self._matrix_cache = cached
         return cached
 
     def rmatmul(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -150,6 +163,8 @@ class Operator:
 
 
 class ZeroOperator(Operator):
+    _keeps_matrix = False
+
     def __init__(self, domain: Space, codomain: Space | None = None):
         self.domain = domain
         self.codomain = domain if codomain is None else codomain
@@ -165,6 +180,8 @@ class ZeroOperator(Operator):
 
 
 class IdentityOperator(Operator):
+    _keeps_matrix = False
+
     def __init__(self, space: Space):
         self.domain = self.codomain = space
 
@@ -182,6 +199,8 @@ class IdentityOperator(Operator):
 
 
 class ScaledOperator(Operator):
+    _keeps_matrix = False
+
     def __init__(self, factor: float, inner_op: Operator):
         self.factor = float(factor)
         self.inner_op = inner_op
@@ -219,6 +238,8 @@ class DenseOperator(Operator):
 class DiagonalOperator(Operator):
     """Coordinatewise multiplier on a single space; always self-adjoint."""
 
+    _keeps_matrix = False
+
     def __init__(self, entries: np.ndarray, space: Space):
         e = np.asarray(entries, dtype=float)
         if e.shape != (space.dim,):
@@ -244,6 +265,8 @@ class RightShiftOperator(Operator):
     isometry of the untruncated shift exactly.
     """
 
+    _keeps_matrix = False
+
     def __init__(self, space: Space, codomain: Space | None = None):
         self.domain = space
         self.codomain = space if codomain is None else codomain
@@ -263,6 +286,8 @@ class RightShiftOperator(Operator):
 
 class FillingOperator(Operator):
     """Copy the leading ``count`` coordinates into the codomain, zero the rest."""
+
+    _keeps_matrix = False
 
     def __init__(self, domain: Space, codomain: Space, count: int | None = None):
         self.domain = domain
@@ -417,6 +442,28 @@ def coordinate_operators(grams: list[np.ndarray | None], space: Space) -> list[O
     """Operators for Gram-form iterates W P, each turned into coordinates in place."""
     w = space.weights[:, None]
     return [None if g is None else DenseOperator(np.divide(g, w, out=g), space) for g in grams]
+
+
+_T = TypeVar("_T")
+
+
+def _once_per_operator(f: Callable[[Operator], _T], ops: Iterable[Operator]) -> list[_T]:
+    """[f(op) for op in ops], calling f once per distinct operator object."""
+    done: dict[int, _T] = {}
+    ops = list(ops)
+    for op in ops:
+        if id(op) not in done:
+            done[id(op)] = f(op)
+    return [done[id(op)] for op in ops]
+
+
+def step_matrices(ops: Iterable[Operator]) -> list[np.ndarray]:
+    """[op.matrix for op in ops], building each distinct operator's matrix once.
+
+    For a caller that reads a family's matrices more than once per call,
+    since structured operators do not keep theirs.
+    """
+    return _once_per_operator(lambda op: op.matrix, ops)
 
 
 def opnorm(op: Operator) -> float:

@@ -35,7 +35,7 @@ returns none.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, TypeVar
+from typing import Callable
 
 import numpy as np
 
@@ -46,6 +46,7 @@ from .operators import (
     Operator,
     SelfAdjointCert,
     ZeroOperator,
+    _once_per_operator,
     certified_inverse,
     congruence,
     coordinate_operators,
@@ -61,19 +62,6 @@ STATUS_NOT_UNIFORMLY_POSITIVE = "not_uniformly_positive"
 
 # k -> Gram forms (W_h M, W_u L, W_u R) of the stage weights of a pass
 StageWeights = Callable[[int], tuple[np.ndarray, np.ndarray, np.ndarray]]
-
-_T = TypeVar("_T")
-
-
-def _once_per_operator(f: Callable[[Operator], _T], ops: Iterable[Operator]) -> list[_T]:
-    """[f(op) for op in ops], calling f once per distinct operator object."""
-    done: dict[int, _T] = {}
-    ops = list(ops)
-    for op in ops:
-        if id(op) not in done:
-            done[id(op)] = f(op)
-    return [done[id(op)] for op in ops]
-
 
 def _cost_weights(system: ControlledSystem, cost: CostSpec) -> StageWeights:
     wh = system.state_space.weights[:, None]
@@ -227,6 +215,7 @@ class RiccatiSolution:
         return inner(self.p[0].apply(x0), x0)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is checked and refused below
 def _backward_pass(
     system: ControlledSystem,
     weights: StageWeights,

@@ -28,8 +28,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, EnumerationLimitError
-from .operators import Operator, ZeroOperator
+from .errors import DimensionError, EnumerationLimitError, ResolutionError
+from .operators import Operator, ZeroOperator, step_matrices
 from .spaces import HVector
 from .systems import ControlledSystem, CostSpec, DisturbedSystem
 
@@ -241,6 +241,7 @@ def draw_noise_paths(kind: str, seed: int, reps: int, steps: int) -> np.ndarray:
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is checked and refused below
 def simulate(
     system: ControlledSystem | DisturbedSystem,
     policy: Policy,
@@ -248,7 +249,11 @@ def simulate(
     noises: np.ndarray,
     cost: CostSpec | None = None,
 ) -> Trajectory:
-    """Run one noise path, collecting states, inputs, outputs, and cost."""
+    """Run one noise path, collecting states, inputs, outputs, and cost.
+
+    Raises ResolutionError, naming the first step concerned, when the
+    rollout overflows the floating-point range.
+    """
     controlled = system.as_controlled() if isinstance(system, DisturbedSystem) else system
     steps = controlled.steps
     noises = np.asarray(noises, dtype=float)
@@ -270,8 +275,21 @@ def simulate(
         return np.zeros(1) if cost is None else terminal_cost_batch(cost, x)
 
     total = run_batch(controlled, policy, x0, noises[None, :], stage, terminal)
+    finite = np.isfinite(states).all(axis=1)
+    for values in (traj.controls, traj.outputs):
+        if values is not None:
+            finite[:-1] &= np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise ResolutionError(
+            f"path at step {int(np.argmin(finite))} is not finite: "
+            "the rollout overflows the floating-point range"
+        )
     if cost is not None:
         traj.cost = float(total[0])
+        if not np.isfinite(traj.cost):
+            raise ResolutionError(
+                "pathwise cost is not finite: it overflows the floating-point range"
+            )
     return traj
 
 
@@ -335,13 +353,16 @@ def run_batch(
     reps = noise_paths.shape[0]
     order = _prefix_order(noise_paths)
     block_rows = max(1, _BLOCK_BYTES // (8 * system.state_space.dim))
+    # the (A, B, C, D) matrices of each step, read in every block
+    families = (system.a, system.b, system.c, system.d)
+    step_mats = list(zip(*map(step_matrices, families)))
     out = None
     # an empty batch still runs one empty block, so the result takes the
     # shape of the stage's values
     for start in range(0, max(reps, 1), block_rows):
         block = order[start : start + block_rows]
         noise = np.ascontiguousarray(noise_paths[block].T)  # (steps, block rows)
-        total = _run_block(system, policy, x0, noise, stage, terminal)
+        total = _run_block(step_mats, policy, x0, noise, stage, terminal)
         if out is None:
             out = np.empty((reps,) + total.shape[1:])
         out[block] = total
@@ -365,21 +386,24 @@ def _prefix_order(noise_paths: np.ndarray) -> np.ndarray:
     return np.lexsort(noise_paths.T[::-1])
 
 
-def _run_block(system, policy, x0, noise, stage, terminal) -> np.ndarray:
-    """Per-row totals for one block of sorted paths, given as noise columns."""
+def _run_block(step_mats, policy, x0, noise, stage, terminal) -> np.ndarray:
+    """Per-row totals for one block of sorted paths, given as noise columns.
+
+    ``step_mats`` holds the (A, B, C, D) matrices of each step.
+    """
     rows = noise.shape[1]
     fresh = np.zeros(rows, dtype=bool)  # sorted row starts a new state
     fresh[:1] = True
     owner = np.zeros(rows, dtype=np.intp)  # sorted row -> its distinct state
     x = np.tile(x0.coords, (min(rows, 1), 1))
     total = 0.0  # takes the shape of the first stage's values
-    for k in range(system.steps):
+    for k, (a, b, c, d) in enumerate(step_mats):
         u = policy.control_batch(k, x)
         total += stage(k, x, u)[owner]
-        drift = x @ system.a(k).matrix.T
-        drift += u @ system.b(k).matrix.T
-        diff = x @ system.c(k).matrix.T
-        diff += u @ system.d(k).matrix.T
+        drift = x @ a.T
+        drift += u @ b.T
+        diff = x @ c.T
+        diff += u @ d.T
         del x, u
         fresh[1:] |= noise[k, 1:] != noise[k, :-1]
         firsts = np.flatnonzero(fresh)

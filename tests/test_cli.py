@@ -142,6 +142,25 @@ def test_simulate_writes_trajectory(tmp_path):
     assert header == ["k", "coordinate", "value"]
 
 
+def test_trajectory_holds_plain_numbers(tmp_path):
+    # every value parses with float() and equals the simulated state
+    out = tmp_path / "run"
+    code = main(["simulate", "--system", DEMO_SYSTEM, "--cost", DEMO_COST,
+                 "--x0", DEMO_X0, "--seed", "3", "--out", str(out)])
+    assert code == EXIT_OK
+    system = ser.parse_system(Path(DEMO_SYSTEM))
+    problem = hc.LQProblem(system, ser.parse_cost(Path(DEMO_COST), system),
+                           ser.parse_vector(Path(DEMO_X0), system.state_space))
+    policy = hc.optimal_policy(problem, hc.solve_lq(problem))
+    noise = np.array(read_report(out)["noise"])
+    states = hc.simulate(system, policy, problem.x0, noise, problem.cost).states
+    rows = (out / "trajectory.csv").read_text().splitlines()[1:]
+    assert len(rows) == states.size
+    for row in rows:
+        k, i, value = row.split(",")
+        assert float(value) == states[int(k), int(i)]
+
+
 def test_simulate_rejects_two_input_spec():
     code = main(["simulate", "--system", GAME, "--x0", GAME_X0])
     assert code == EXIT_BAD_INPUT
@@ -187,17 +206,19 @@ def _overflowing_specs(tmp_path):
     ["nash-solve", "--system", "two_input", "--gamma", "2"],
     ["hinf-design", "--system", "two_input", "--gamma", "2"],
     ["h2hinf-design", "--system", "two_input", "--gamma", "2", "--x0", "x0"],
+    ["simulate", "--system", "disturbed", "--x0", "x0"],
 ])
 def test_overflow_exits_with_limits(tmp_path, capsys, argv):
-    # overflow is refused with the step or block named, before any verdict
+    # overflow is refused with the step or block named, before any verdict,
+    # and numpy warns of none of the arithmetic that is checked afterwards
     specs = _overflowing_specs(tmp_path)
     out = tmp_path / "run"
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = main([specs.get(arg, arg) for arg in argv] + ["--out", str(out)])
+    code = main([specs.get(arg, arg) for arg in argv] + ["--out", str(out)])
     captured = capsys.readouterr()
     assert code == EXIT_LIMITS
     assert "not finite" in captured.err
     assert "Traceback" not in captured.err
+    assert "RuntimeWarning" not in captured.err
     assert captured.out == ""
     assert not out.exists()
 

@@ -86,7 +86,7 @@ def test_cost_spec_checks_every_distinct_weight():
                     hc.IdentityOperator(US), hc.IdentityOperator(HS))
 
 
-def test_weights_selfadjoint_by_construction_skip_the_check():
+def test_weights_selfadjoint_by_construction_skip_the_check(monkeypatch):
     # each exempt type, on a weighted space, still passes the check it skips
     rng = np.random.default_rng(3)
     w = np.exp(rng.uniform(np.log(0.25), np.log(4.0), 3))
@@ -105,15 +105,22 @@ def test_weights_selfadjoint_by_construction_skip_the_check():
     for op in (hc.ZeroOperator(hs, hc.euclidean(3)), hc.DenseOperator(np.eye(3), hs),
                hc.ScaledOperator(1.0, hc.DenseOperator(np.eye(3), hs))):
         assert not systems._selfadjoint_by_construction(op)
-    # deciding it builds no matrix
+    # deciding it builds no matrix: no variant's _build_matrix runs
     us = hc.Space(hc.spaces.KIND_EUCLIDEAN, 2, w[:2])
     sys_ = hc.ControlledSystem(hs, us, 1, hc.IdentityOperator(hs), hc.ZeroOperator(us, hs),
                                hc.ZeroOperator(hs), hc.ZeroOperator(us, hs))
-    fresh = hc.DiagonalOperator(rng.standard_normal(3), hs)
-    m, r, s = hc.ScaledOperator(2.0, fresh), hc.IdentityOperator(us), hc.ZeroOperator(hs)
-    hc.CostSpec(sys_, m, hc.ZeroOperator(hs, us), r, s)
-    for op in (m, fresh, r, s):
-        assert getattr(op, "_matrix_cache", None) is None
+    built = []
+    for cls in vars(hc.operators).values():
+        if isinstance(cls, type) and "_build_matrix" in vars(cls):
+            def counted(op, build=cls._build_matrix):
+                built.append(op)
+                return build(op)
+            monkeypatch.setattr(cls, "_build_matrix", counted)
+    m = hc.ScaledOperator(2.0, hc.DiagonalOperator(rng.standard_normal(3), hs))
+    hc.CostSpec(sys_, m, hc.ZeroOperator(hs, us), hc.IdentityOperator(us), hc.ZeroOperator(hs))
+    assert built == []
+    m.matrix  # and a build is counted
+    assert built[:1] == [m]
 
 
 def test_scaled_nonselfadjoint_weight_still_refused():
