@@ -199,8 +199,10 @@ def solve_coupled_riccati(
     # both players' Q are alive at once, so each gets its own scratch
     scratch1, scratch2 = StepScratch(dh), StepScratch(dh)
     for k in range(steps - 1, -1, -1):
-        q1, rk1, gk1 = _completion_arrays(view, weights[0], grams1[k + 1], k, scratch1)
-        q2, rk2, gk2 = _completion_arrays(view, weights[1], grams2[k + 1], k, scratch2)
+        # the terminal iterates are zero, which costs no congruence
+        next1, next2 = (None, None) if k == steps - 1 else (grams1[k + 1], grams2[k + 1])
+        q1, rk1, gk1 = _completion_arrays(view, weights[0], next1, k, scratch1)
+        q2, rk2, gk2 = _completion_arrays(view, weights[1], next2, k, scratch2)
         # before the eigendecompositions and the coupling solve, which would
         # read a non-finite term as a verdict
         for player, rk, gk in ((1, rk1, gk1), (2, rk2, gk2)):

@@ -34,29 +34,36 @@ from .operators import (
     KAPPA_MAX_DEFAULT,
     Operator,
     SelfAdjointCert,
+    _BOUND_MARGIN,
     _once_per_operator,
     _sframe,
     gram,
     opnorm,
     step_matrices,
 )
-from .riccati import StageWeights, StepScratch, _backward_pass
+from .riccati import StageWeights, StepScratch, _backward_pass, _step_congruences
 from .systems import ControlledSystem, DisturbedSystem
 
 
-@dataclass(frozen=True)
+@dataclass
 class _LevelTerms:
     """The part of the level test on one system that does not depend on gamma.
 
     The controlled view, the Gram forms W_h (-Cbar*Cbar) and W_v Dbar*Dbar of
-    every step, each computed once per distinct operator, and the scratch of
-    the backward pass.  ``hinf_norm`` builds it once for all its tests.
+    every step, each computed once per distinct operator, the scratch of
+    the backward pass and its head.  ``hinf_norm`` builds it once for all its
+    tests.  The head is the congruence sums of step N-1, which do not depend
+    on gamma: from the zero terminal weight, G(N) = L = 0 and P(N) =
+    sym(-Cbar*Cbar(N)) at every level.  The first walk to reach step N-1
+    computes them from its P(N); every walk adds its weights to them and
+    only reads them.
     """
 
     view: ControlledSystem
     neg_cbar_sq: list[np.ndarray]
     dbar_sq: list[np.ndarray]
     scratch: StepScratch
+    head: tuple | None = None
 
     def weights(self, gamma: float) -> StageWeights:
         """The LQ weights M = -Cbar*Cbar, L = 0, R = gamma^2 I - Dbar*Dbar in Gram form."""
@@ -68,6 +75,12 @@ class _LevelTerms:
             zero,
             (gamma**2) * np.diag(vs.weights) - self.dbar_sq[k],
         )
+
+    def head_sums(self, gram_last: np.ndarray) -> tuple:
+        if self.head is None:  # the walk's spare and work are free at this point
+            k, out, s = self.view.steps - 2, np.empty_like(gram_last), self.scratch
+            self.head = _step_congruences(self.view, gram_last, k, out, s.spare, s.work)
+        return self.head
 
 
 def _level_terms(dsys: DisturbedSystem) -> _LevelTerms:
@@ -139,6 +152,7 @@ def brl_check(
         kappa_max,
         stop_at_nonpositive=stop_at_failure,
         scratch=terms.scratch,
+        head=terms.head_sums,
     )
     failing = sol.nonpositive if sol.nonpositive is not None else sol.breakdown
     # the walk stops at a breakdown, and with stop_at_failure at the first non-positive p3
@@ -168,8 +182,9 @@ def hinf_norm(
     0 is tested and refused if feasible; level 0 never is, since there p3 is
     -Dbar*Dbar at the last step.  When no upper bound is supplied, noise-free
     systems get twice the exact oracle value; otherwise the level is doubled
-    from 1 until feasible, capped at 2**20.  Bisection also stops when the
-    bracket has no float strictly inside it.
+    from 1 until feasible, and refused once the next level's square is not
+    finite (about 512 doublings).  Bisection also stops when the bracket has
+    no float strictly inside it.
     """
     if not (np.isfinite(tol) and tol > 0.0):
         raise DimensionError(f"tol must be a finite positive number, got {tol!r}")
@@ -196,10 +211,9 @@ def hinf_norm(
         except OracleScopeError:
             hi = max(1.0, 2.0 * lo)
         while not feasible(hi):
-            lo = hi
-            hi *= 2.0
-            if hi > 2.0**20:
-                raise BracketError(f"no feasible level found up to {hi}")
+            lo, hi = hi, 2.0 * hi
+            if not float(hi) * float(hi) < np.inf:  # a level brl_check refuses
+                raise BracketError(f"no feasible level found up to {lo}")
     elif not feasible(hi):
         raise BracketError(f"supplied upper bound {hi} is not feasible")
     while hi - lo > tol:
@@ -214,9 +228,6 @@ def hinf_norm(
 
 
 _NOISE_RTOL = 1e-14
-# Frobenius bounds must clear the threshold by this factor, which absorbs
-# the round-off of the two norm computations they compare.
-_BOUND_MARGIN = 1.0 + 1e-8
 
 
 def _opnorm_bounds(op: Operator) -> tuple[float, float]:

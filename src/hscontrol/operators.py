@@ -466,6 +466,11 @@ def step_matrices(ops: Iterable[Operator]) -> list[np.ndarray]:
     return _once_per_operator(lambda op: op.matrix, ops)
 
 
+# Frobenius bounds on an operator norm must clear a threshold by this factor,
+# which absorbs the round-off of the two norm computations they compare.
+_BOUND_MARGIN = 1.0 + 1e-8
+
+
 def opnorm(op: Operator) -> float:
     """Operator norm with respect to the weighted inner products."""
     s = _sframe(op.matrix, op.codomain.weights, op.domain.weights)

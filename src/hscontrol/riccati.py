@@ -27,7 +27,9 @@ overwritten at every step, in the order of operations of the plain
 expressions, so the values are the same as with fresh arrays.  The
 congruences A*PA, C*PC, B*PB and D*PD are each one operator's two-sided
 product, native for structured operators.  A congruence with a zero factor
-is skipped.  A walk that stops at the first non-positive
+is skipped, and a step whose next iterate is zero (the zero terminal weight
+of the level test, the games and LQ) skips all of them: there Q = M, Rk = R
+and G = L.  A walk that stops at the first non-positive
 completion term keeps no iterates: it alternates between two arrays and
 returns none.
 """
@@ -87,48 +89,65 @@ class StepScratch:
         self.iterates = (np.empty((dim, dim)), np.empty((dim, dim)))
 
 
-def _congruence_sum(base, first, second, x, out=None, spare=None, work=None):
-    """base + (L1^T X R1 + L2^T X R2) for the pairs (L1, R1) and (L2, R2).
+def _congruence_sum(first, second, x, out=None, spare=None, work=None):
+    """L1^T X R1 + L2^T X R2 for the pairs (L1, R1) and (L2, R2), or None if both vanish.
 
     The sum is taken in the order of that expression, with the congruences
     written into ``out`` and ``spare`` and their inner products into
     ``work`` (each allocated when None).  A pair with a ZeroOperator factor
-    adds nothing and is skipped; ``base`` is only read.
+    vanishes and is skipped, and so do both when X is None, a zero iterate.
     """
-    pairs = [
+    pairs = [] if x is None else [
         (left, right)
         for left, right in (first, second)
         if not isinstance(left, ZeroOperator) and not isinstance(right, ZeroOperator)
     ]
     if not pairs:
-        return np.add(base, 0.0, out=out)  # base + (0 + 0), a copy the caller may overwrite
+        return None
     (left, right), *rest = pairs
     total = congruence(left, x, right, out=out, work=work)
     for left, right in rest:
         total += congruence(left, x, right, out=spare, work=work)
-    total += base
     return total
+
+
+def _step_congruences(system: ControlledSystem, gram_next, k: int, out, spare, work):
+    """The sums A*PA + C*PC (into ``out``), B*PB + D*PD and B*PA + D*PC of step k.
+
+    P is the Gram form ``gram_next``, None when zero; a sum that vanishes is None.
+    """
+    a, b, c, d = system.a(k), system.b(k), system.c(k), system.d(k)
+    return (
+        _congruence_sum((a, a), (c, c), gram_next, out, spare, work),
+        _congruence_sum((b, b), (d, d), gram_next),
+        _congruence_sum((b, a), (d, c), gram_next),
+    )
 
 
 def _completion_arrays(
     system: ControlledSystem,
     weights: StageWeights,
-    gram_next: np.ndarray,
+    gram_next: np.ndarray | None,
     k: int,
     scratch: StepScratch,
+    sums: tuple | None = None,
 ):
     """Gram forms W_h Q, W_u Rk (symmetrized) and W_u G for the next iterate W_h P.
 
     Q = M + A*PA + C*PC is the state part of the step, P(k) = Q - G* Rk^-1 G.
-    Q is written into ``scratch.q``, which ``gram_next`` must not share
-    memory with, nor with ``scratch.spare`` or ``scratch.work``.
+    Each term is its stage weight plus its congruence sum, or plus 0 when the
+    sum vanishes; ``sums`` are those of ``gram_next`` if the caller holds
+    them, and are only read.  Q is written into ``scratch.q``, which
+    ``gram_next`` must not share memory with, nor with ``scratch.spare`` or
+    ``scratch.work``.
     """
     m, l, r = weights(k)
-    a, b, c, d = system.a(k), system.b(k), system.c(k), system.d(k)
-    q = _congruence_sum(m, (a, a), (c, c), gram_next, scratch.q, scratch.spare, scratch.work)
-    rk = _congruence_sum(r, (b, b), (d, d), gram_next)
-    gk = _congruence_sum(l, (b, a), (d, c), gram_next)
-    return q, 0.5 * (rk + rk.T), gk
+    if sums is None:
+        sums = _step_congruences(system, gram_next, k, scratch.q, scratch.spare, scratch.work)
+    q_sum, r_sum, g_sum = sums
+    rk = np.add(r, 0.0 if r_sum is None else r_sum)
+    q = np.add(m, 0.0 if q_sum is None else q_sum, out=scratch.q)
+    return q, 0.5 * (rk + rk.T), np.add(l, 0.0 if g_sum is None else g_sum)
 
 
 def _require_finite(arr: np.ndarray, what: str, k: int) -> None:
@@ -223,6 +242,7 @@ def _backward_pass(
     kappa_max: float,
     stop_at_nonpositive: bool = False,
     scratch: StepScratch | None = None,
+    head: Callable[[np.ndarray], tuple] | None = None,
 ) -> RiccatiSolution:
     """Walk backward from the terminal Gram form W_h P(N+1) towards step 0.
 
@@ -233,7 +253,8 @@ def _backward_pass(
     A non-finite completion term or iterate, which overflow leaves, raises
     ResolutionError at the step where it first appears.
     A walk with ``stop_at_nonpositive`` keeps no iterates (``p`` is None).
-    The step arrays live in ``scratch``, allocated here when None.
+    The step arrays live in ``scratch``, allocated here when None.  At step
+    N-1 the walk takes its congruence sums from ``head(W_h P(N))`` when given.
     """
     steps = system.steps
     hs, us = system.state_space, system.control_space
@@ -241,14 +262,15 @@ def _backward_pass(
     scratch = StepScratch(hs.dim) if scratch is None else scratch
     keep = not stop_at_nonpositive
     grams: list[np.ndarray | None] = [None] * steps + [terminal_gram]
-    current = terminal_gram
+    current = terminal_gram if terminal_gram.any() else None  # None: zero, no congruences
     gains: list[Operator | None] = [None] * steps
     rk_ops: list[Operator | None] = [None] * steps
     gk_ops: list[Operator | None] = [None] * steps
     certs: list[SelfAdjointCert | None] = [None] * steps
     breakdown = nonpositive = None
     for k in range(steps - 1, -1, -1):
-        q, rk, gk = _completion_arrays(system, weights, current, k, scratch)
+        sums = head(current) if head is not None and k == steps - 2 else None
+        q, rk, gk = _completion_arrays(system, weights, current, k, scratch, sums)
         _require_finite(rk, "completion term Rk", k)  # before its eigendecomposition
         rk /= wu[:, None]
         cert, rk_inverse = certified_inverse(rk, wu, kappa_max)

@@ -51,6 +51,8 @@ class Space:
         object.__setattr__(self, "weights", w)
 
     def __eq__(self, other):
+        if self is other:  # the common case, which needs no look at the weights
+            return True
         if not isinstance(other, Space):
             return NotImplemented
         return (

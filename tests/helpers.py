@@ -10,6 +10,8 @@ weight left out of a recursion shows up in the independent checks.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 import hscontrol as hc
@@ -176,6 +178,53 @@ def completion_reference(q, g, r):
     """
     gain = -np.linalg.solve(r.matrix, g.matrix)
     return q.matrix + g.adjoint().matrix @ gain, gain
+
+
+def explicit_zero_completion(system, weights, gram_next, k, scratch, sums=None):
+    """One backward step as written before a zero next iterate skipped its congruences.
+
+    A stand-in for ``riccati._completion_arrays``: every congruence without a
+    ZeroOperator factor runs, on an explicit zero array when the next
+    iterate is zero (None), and each term is (first + second) + weight.
+    Congruence sums the caller already holds are ignored.
+    """
+    dim = system.state_space.dim
+    x = np.zeros((dim, dim)) if gram_next is None else gram_next
+    m, l, r = weights(k)
+    a, b, c, d = system.a(k), system.b(k), system.c(k), system.d(k)
+
+    def term(weight, *pairs):
+        sums = [hc.operators.congruence(left, x, right) for left, right in pairs
+                if not isinstance(left, hc.ZeroOperator) and not isinstance(right, hc.ZeroOperator)]
+        if not sums:
+            return weight + 0.0
+        total = sums[0]
+        for more in sums[1:]:
+            total += more
+        total += weight
+        return total
+
+    rk = term(r, (b, b), (d, d))
+    return term(m, (a, a), (c, c)), 0.5 * (rk + rk.T), term(l, (b, a), (d, c))
+
+
+def assert_same_bits(got, want):
+    """Two results hold the same bytes in every array, operator, certificate and number."""
+    if isinstance(want, (list, tuple)):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same_bits(g, w)
+    elif isinstance(want, hc.Operator):
+        assert_same_bits(got.matrix, want.matrix)
+    elif isinstance(want, np.ndarray):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    elif dataclasses.is_dataclass(want):
+        for f in dataclasses.fields(want):
+            assert_same_bits(getattr(got, f.name), getattr(want, f.name))
+    elif isinstance(want, float):
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+    else:
+        assert got == want
 
 
 def fixed_feedback_iterates(dsys, gamma, gains):

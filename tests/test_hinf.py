@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 import hscontrol as hc
-from hscontrol import hinf
+from hscontrol import hinf, riccati
 from helpers import (
     assert_pinned,
+    assert_same_bits,
     completion_reference,
     dense,
+    explicit_zero_completion,
     fixed_feedback_iterates,
     perturbation_gain,
     random_disturbed,
@@ -317,7 +319,7 @@ def _matrices(ops):
     return [None if op is None else op.matrix.copy() for op in ops]
 
 
-def test_step_buffers_do_not_leak_between_calls():
+def test_step_buffers_do_not_leak_between_calls(monkeypatch):
     # later solves on systems of the same sizes, at other levels and weights,
     # leave the arrays of earlier results untouched
     rng = np.random.default_rng(31)
@@ -336,14 +338,91 @@ def test_step_buffers_do_not_leak_between_calls():
         kept += [op for sol in sols for op in sol.p + sol.gains + sol.rk + sol.gk]
         return kept + game.p1 + game.p2
 
+    built = []  # the level terms of every check and search, with their cached heads
+    real_terms = hinf._level_terms
+    monkeypatch.setattr(hinf, "_level_terms", lambda d: built.append(real_terms(d)) or built[-1])
     first = outputs(1.7, 3, lq.cost, 1.0)
     copies = _matrices(first)
+    heads = [[None if a is None else a.copy() for a in t.head] for t in built]
+    assert len(heads) == 2
     outputs(2.3, 1, random_psd_cost(rng, lq.system), 2.0)
     for d in (dsys, net):
         hc.hinf_norm(d)
     for op, want in zip(first, copies):
         if op is not None:
             assert op.matrix.tobytes() == want.tobytes()
+    # a full check and two searches later, the heads of the first checks are as they were
+    assert_same_bits([list(t.head) for t in built[:2]], heads)
+
+
+def _level_test_systems(rng):
+    """Draws for the level tests: weighted or not, noise-free (ZeroOperator C
+    and D1) or not, with and without feedthrough, horizon 0 among them, and
+    one with ZeroOperator B1 and D1."""
+    systems = [
+        random_disturbed(rng, horizon_max=horizon, noisy=noisy, with_feedthrough=fed,
+                         weighted=weighted)
+        for weighted in (False, True) for noisy in (False, True)
+        for fed, horizon in ((True, 0), (False, 4), (True, 5))
+    ]
+    d = systems[-1]
+    no_input = hc.ZeroOperator(d.disturbance_space, d.state_space)
+    systems.append(hc.DisturbedSystem(d.state_space, d.disturbance_space, d.output_space,
+                                      d.horizon, list(d.a), no_input, list(d.c), no_input,
+                                      list(d.cbar), list(d.dbar)))
+    return systems
+
+
+def test_level_tests_of_a_search_equal_fresh_and_explicit_zero_checks(monkeypatch):
+    # every level a search tests gives the bits of a fresh check, and both
+    # give those of a pass without the head that runs every congruence, on
+    # an explicit zero P(N+1) at step N
+    rng = np.random.default_rng(51)
+    systems = _level_test_systems(rng)
+    assert any(d.horizon == 0 for d in systems)
+    tested = []
+    real = hinf.brl_check
+
+    def recording(dsys, level, *args, **kwargs):
+        tested.append((dsys, level, real(dsys, level, *args, **kwargs)))
+        return tested[-1][2]
+
+    monkeypatch.setattr(hinf, "brl_check", recording)
+    for dsys in systems:
+        hc.hinf_norm(dsys, tol=1e-6)
+    monkeypatch.undo()
+    assert len(tested) > 20 * len(systems)
+    fresh = [[real(d, level, stop_at_failure=stop) for stop in (True, False)]
+             for d, level, _ in tested]
+    assert_same_bits([run for *_, run in tested], [stop for stop, _ in fresh])
+    monkeypatch.setattr(riccati, "_completion_arrays", explicit_zero_completion)
+    monkeypatch.setattr(hinf._LevelTerms, "head_sums", lambda terms, gram_last: None)
+    want = [[real(d, level, stop_at_failure=stop) for stop in (True, False)]
+            for d, level, _ in tested]
+    assert_same_bits(fresh, want)
+
+
+def test_search_head_is_computed_once_and_never_written(monkeypatch):
+    systems = [hc.examples.build_shift_network(16)]
+    systems += [d for d in _level_test_systems(np.random.default_rng(52)) if d.horizon > 0]
+    levels = (0.5, 1.2, 1.7, 2.0)
+    made = []
+    real = hinf._step_congruences
+    monkeypatch.setattr(hinf, "_step_congruences", lambda *a: made.append(real(*a)) or made[-1])
+    for dsys in systems:
+        made.clear()
+        terms = hinf._level_terms(dsys)
+        hc.brl_check(dsys, 2.0, terms=terms)
+        head = [None if a is None else a.copy() for a in terms.head]
+        # full walks turn their iterates into coordinates in place, and walks
+        # at other levels add other weights to the head
+        runs = [hc.brl_check(dsys, level, stop_at_failure=stop, terms=terms)
+                for level in levels for stop in (False, True)]
+        hc.hinf_norm(dsys)
+        assert len(made) == 2  # once for these terms, once for the search
+        assert_same_bits(list(terms.head), head)
+        assert_same_bits(runs, [hc.brl_check(dsys, level, stop_at_failure=stop)
+                                for level in levels for stop in (False, True)])
 
 
 def test_feedthrough_margin_and_uniform_positivity():
@@ -406,6 +485,37 @@ def test_hinf_norm_bracket_validation():
         hc.hinf_norm(dsys, lo=5.0)  # a floor above the gain of 1
     with pytest.raises(hc.BracketError, match="not below upper bound"):
         hc.hinf_norm(dsys, lo=3.0, hi=2.0)
+
+
+def _scaled_output(dsys, c):
+    """The system with Cbar and Dbar scaled by c, whose gain is c times the original."""
+    scaled = [[hc.ScaledOperator(c, op) for op in fam] for fam in (dsys.cbar, dsys.dbar)]
+    return hc.DisturbedSystem(dsys.state_space, dsys.disturbance_space, dsys.output_space,
+                              dsys.horizon, list(dsys.a), list(dsys.b1), list(dsys.c),
+                              list(dsys.d1), *scaled)
+
+
+def test_hinf_norm_gain_does_not_depend_on_output_units():
+    # the doubling from 1 reaches the gain 1.677e6 of the rescaled network
+    net = hc.examples.build_shift_network(64)
+    gains = [hc.hinf_norm(_scaled_output(net, c), tol=1e-9 * c).value / c for c in (1.0, 1e6)]
+    assert gains[1] == pytest.approx(gains[0], rel=1e-8)
+    assert gains[0] == pytest.approx(3.0 * np.sqrt(5.0) / 4.0, rel=1e-8)
+
+
+def test_hinf_norm_doubling_stops_at_the_last_level_with_a_finite_square(monkeypatch):
+    dsys = hc.examples.build_shift_network(16)  # noisy, so no oracle bound
+    levels = []
+
+    def infeasible(d, level, *args, **kwargs):
+        levels.append(level)
+        return hinf.BoundedRealRun(level, False, d.horizon, False, None, [], [])
+
+    monkeypatch.setattr(hinf, "brl_check", infeasible)
+    with pytest.raises(hc.BracketError, match="no feasible level found up to") as exc_info:
+        hc.hinf_norm(dsys)
+    assert levels == [2.0**j for j in range(512)]
+    assert str(levels[-1]) in str(exc_info.value)
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -2,13 +2,17 @@ import numpy as np
 import pytest
 
 import hscontrol as hc
+from hscontrol import game, riccati
 from helpers import (
     assert_pinned,
+    assert_same_bits,
     completion_reference,
+    explicit_zero_completion,
     random_controlled,
     random_disturbed,
     random_psd_cost,
     random_x0,
+    solvable_game,
 )
 
 
@@ -249,3 +253,52 @@ def test_level_cost_pass_is_the_bounded_real_recursion():
                     assert (sol.p[k] is None) == (run.y[k] is None)
                     if run.y[k] is not None:
                         assert_pinned(sol.p[k].matrix, run.y[k].matrix)
+
+
+def _zero_terminal_problems(rng):
+    """LQ problems with a zero terminal weight: weighted or not, noise-free
+    (ZeroOperator C and D) or not, with horizon 0 among them."""
+    problems = []
+    for weighted in (False, True):
+        for noisy in (False, True):
+            for horizon_max in (0, 4):
+                system = random_controlled(rng, horizon_max=horizon_max, noisy=noisy,
+                                           weighted=weighted)
+                cost = random_psd_cost(rng, system)
+                problems.append((system, hc.CostSpec(system, list(cost.m), list(cost.l),
+                                                     list(cost.r),
+                                                     hc.ZeroOperator(system.state_space))))
+    return problems
+
+
+def test_zero_terminal_step_skips_its_congruences_with_the_same_bits(monkeypatch):
+    rng = np.random.default_rng(41)
+    problems = _zero_terminal_problems(rng)
+    got = [hc.solve_backward_riccati(system, cost) for system, cost in problems]
+    monkeypatch.setattr(riccati, "_completion_arrays", explicit_zero_completion)
+    want = [hc.solve_backward_riccati(system, cost) for system, cost in problems]
+    assert_same_bits(got, want)
+
+
+def test_step_from_a_zero_iterate_runs_no_congruence(monkeypatch):
+    # horizon 0 with a zero terminal weight: the only step has P(1) = 0
+    rng = np.random.default_rng(42)
+    system, cost = next(
+        (s, c) for s, c in _zero_terminal_problems(rng) if s.horizon == 0
+    )
+    calls = []
+    real = riccati.congruence
+    monkeypatch.setattr(riccati, "congruence", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    sol = hc.solve_backward_riccati(system, cost)
+    assert calls == []
+    assert_same_bits(sol.rk[0].matrix, 0.5 * (cost.r(0).matrix + cost.r(0).matrix.T))
+    assert_same_bits(sol.gk[0].matrix, cost.l(0).matrix + 0.0)
+
+
+def test_coupled_solve_from_zero_terminals_keeps_its_bits(monkeypatch):
+    rng = np.random.default_rng(43)
+    games = [solvable_game(rng, weighted=weighted)[:3] for weighted in (False, True, False, True)]
+    got = [hc.solve_coupled_riccati(*g) for g in games]
+    monkeypatch.setattr(game, "_completion_arrays", explicit_zero_completion)
+    want = [hc.solve_coupled_riccati(*g) for g in games]
+    assert_same_bits(got, want)

@@ -72,6 +72,15 @@ def test_space_equality_is_structural():
     assert hc.l2_line(2.0, 0.5) == hc.l2_line(2.0, 0.5)
 
 
+def test_space_equals_itself_without_comparing_weights(monkeypatch):
+    s = hc.l2_line(2.0, 0.5)
+    compared = []
+    monkeypatch.setattr(np, "array_equal", lambda *args, **kwargs: compared.append(args))
+    assert s == s
+    assert not s != s
+    assert compared == []
+
+
 def test_geometric_start_vector_norm():
     # coordinates sqrt(1/2)^n have squared norm 2 in the limit
     dim = 64
