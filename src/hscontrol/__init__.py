@@ -25,7 +25,6 @@ from .errors import (
 )
 from .spaces import HVector, Space, ell2, euclidean, inner, l2_interval, l2_line, norm, zero_vector
 from .operators import (
-    KAPPA_MAX_DEFAULT,
     AdjointOperator,
     ComposeOperator,
     DenseOperator,
@@ -97,7 +96,6 @@ from .sim import (
     draw_noise_paths,
     enumerate_expectation,
     monte_carlo_expectation,
-    replication_rng,
     sign_paths,
     simulate,
 )

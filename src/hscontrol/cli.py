@@ -215,7 +215,7 @@ def cmd_simulate(args) -> int:
     else:
         policy = Policy(view)
         policy_kind = "zero"
-    noise = draw_noise_paths("gaussian", args.seed, 1, view.steps)[0]
+    noise = draw_noise_paths(args.seed, 1, view.steps)[0]
     bundle = simulate(system, policy, x0, noise, cost)
     report = {
         "command": "simulate",

@@ -143,19 +143,16 @@ def _write_csv(path: Path, header: list[str], rows) -> str:
     return path.name
 
 
-def build_smoothing_problem(half_width: float = 10.0, spacing: float = 0.05) -> LQProblem:
+def build_smoothing_problem() -> LQProblem:
     """Two-push regulator for a Gaussian bump on the line.
 
-    The free dynamics convolve the signal with a unit-width Gaussian kernel;
-    each scalar input adds a cosine waveform supported on [-1, 1].  Stage
+    The signal lives on the fixed grid of spacing 0.05 over [-10, 10].  The
+    free dynamics convolve it with a unit-width Gaussian kernel; each
+    scalar input adds a cosine waveform supported on [-1, 1].  Stage
     weights are 10 on the signal and 1 on the input, with no terminal term,
     which is what makes the second push vanish at the optimum.
     """
-    if spacing > 0.2:
-        raise ResolutionError("grid spacing above 0.2 cannot resolve the kernel")
-    if half_width < 5.0:
-        raise ResolutionError("domain half width below 5 truncates the signal")
-    hs = l2_line(half_width, spacing)
+    hs = l2_line(10.0, 0.05)
     us = euclidean(1)
     t = hs.grid()
     wave = np.cos(WAVE_KAPPA * WAVE_CARRIER - WAVE_OMEGA * t + WAVE_PHASE)
@@ -180,8 +177,8 @@ def build_smoothing_problem(half_width: float = 10.0, spacing: float = 0.05) -> 
     return LQProblem(system, cost, x0)
 
 
-def run_smoothing(out_dir: Path | None = None, half_width: float = 10.0, spacing: float = 0.05) -> ExampleReport:
-    problem = build_smoothing_problem(half_width, spacing)
+def run_smoothing(out_dir: Path | None = None) -> ExampleReport:
+    problem = build_smoothing_problem()
     solution = solve_lq(problem)
     policy = optimal_policy(problem, solution)
     # the reported cost weighs the final signal like every other step, even
@@ -500,6 +497,8 @@ def run_example(example_id: str, out_dir=None, dim: int | None = None) -> Exampl
     """Solve one gallery problem and compare against its recorded values."""
     out = Path(out_dir) if out_dir is not None else None
     if example_id == "ex1":
+        if dim is not None:
+            raise ParseError(f"--dim does not apply to ex1, whose grid is fixed; got {dim}")
         return run_smoothing(out)
     if example_id.startswith("ex2-case"):
         case = example_id.removeprefix("ex2-case")

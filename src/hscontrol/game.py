@@ -35,13 +35,13 @@ from .errors import (
     DimensionError,
     GameDomainError,
 )
+from . import operators
 from .operators import (
-    KAPPA_MAX_DEFAULT,
     DenseOperator,
     Operator,
     SelfAdjointCert,
     _once_per_operator,
-    _selfadjoint_eigs,
+    certified_inverse,
     coordinate_operators,
     gram,
     positivity_tolerance,
@@ -112,17 +112,18 @@ def _player_weights(sys2: TwoInputSystem, params: GameParams) -> tuple[StageWeig
     return (lambda k: (neg_cbar_sq[k], zero, r1)), (lambda k: (cbar_sq[k], zero, r2))
 
 
-def _certify_weight(mat: np.ndarray, w: np.ndarray, label: str, k: int, kappa_max: float):
+def _certify_weight(mat: np.ndarray, w: np.ndarray, label: str, k: int):
     """Certificate of a player's effective weight; GameDomainError unless it is in the domain."""
-    cert = _selfadjoint_eigs(mat, w)[0]
+    cert, inverse = certified_inverse(mat, w)
     tol = positivity_tolerance(cert.norm)
     if cert.min_eig <= tol:
         raise GameDomainError(
             k, f"{label} at step {k}: minimum eigenvalue {cert.min_eig:.6e} is not above {tol:.3e}"
         )
-    if not cert.cond <= kappa_max:
+    if inverse is None:
+        cap = operators.KAPPA_MAX
         raise GameDomainError(
-            k, f"{label} at step {k}: condition number {cert.cond:.3e} exceeds {kappa_max:.1e}"
+            k, f"{label} at step {k}: condition number {cert.cond:.3e} exceeds {cap:.1e}"
         )
     return cert
 
@@ -165,7 +166,6 @@ def solve_coupled_riccati(
     sys2: TwoInputSystem,
     params: GameParams,
     x0: HVector | None,
-    kappa_max: float = KAPPA_MAX_DEFAULT,
 ) -> CoupledSolution:
     """Run both coupled recursions from zero terminal iterates.
 
@@ -210,8 +210,8 @@ def solve_coupled_riccati(
             _require_finite(gk, f"player {player} completion term G", k)
         r1, r2 = rk1[v, v] / wv[:, None], rk2[u, u] / wu[:, None]
         try:
-            cert1 = _certify_weight(r1, wv, "disturbance weight", k, kappa_max)
-            cert2 = _certify_weight(r2, wu, "control weight", k, kappa_max)
+            cert1 = _certify_weight(r1, wv, "disturbance weight", k)
+            cert2 = _certify_weight(r2, wu, "control weight", k)
         except GameDomainError as err:
             status, failing, detail = STATUS_DOMAIN_FAILURE, err.step, str(err)
             break
@@ -311,17 +311,14 @@ def verify_nash_equilibrium(
     x0: HVector,
     deviations: int = 50,
     seed: int = 20260301,
-    scale: float = 0.5,
 ) -> NashReport:
-    """Check the two equilibrium inequalities against sampled deviations.
+    """Check the two equilibrium inequalities against sampled deviations of scale 0.5.
 
     All expectations are enumerated exactly, so a genuinely negative margin
     beyond round-off disproves the equilibrium rather than sampling error.
     """
     if deviations < 1:
         raise DimensionError(f"deviations must be at least 1, got {deviations!r}")
-    if not (np.isfinite(scale) and scale > 0.0):
-        raise DimensionError(f"scale must be finite and positive, got {scale!r}")
     if not solution.solved:
         raise GameDomainError(solution.failing_step or 0, "cannot audit an unsolved game")
     view = sys2.as_controlled()
@@ -336,8 +333,8 @@ def verify_nash_equilibrium(
     zv, zu = np.zeros(dv), np.zeros(du)
     worst1 = worst2 = np.inf
     for _ in range(deviations):
-        v_off = [np.concatenate([scale * rng.standard_normal(dv), zu]) for _ in range(steps)]
-        u_off = [np.concatenate([zv, scale * rng.standard_normal(du)]) for _ in range(steps)]
+        v_off = [np.concatenate([0.5 * rng.standard_normal(dv), zu]) for _ in range(steps)]
+        u_off = [np.concatenate([zv, 0.5 * rng.standard_normal(du)]) for _ in range(steps)]
         j1_dev, _ = game_costs(sys2, params, x0, Policy(view, gains, v_off))
         _, j2_dev = game_costs(sys2, params, x0, Policy(view, gains, u_off))
         worst1 = min(worst1, j1_dev - j1_star)
@@ -369,22 +366,16 @@ H2_LEVEL_DIAGNOSTIC_THRESHOLD = 1e6
 
 
 def _design(
-    sys2: TwoInputSystem,
-    params: GameParams,
-    x0: HVector,
-    kappa_max: float,
-    diagnostic: str | None = None,
+    sys2: TwoInputSystem, params: GameParams, x0: HVector, diagnostic: str | None = None
 ) -> DesignResult:
     """Solve the game, refuse an infeasible level, close the loop on u = K2 x."""
-    sol = solve_coupled_riccati(sys2, params, x0, kappa_max)
+    sol = solve_coupled_riccati(sys2, params, x0)
     if not sol.solved:
         raise DesignInfeasibleError(sol.failing_step, sol.failing_detail)
     return DesignResult(params.gamma, closed_loop(sys2, sol.u_gains), sol, diagnostic)
 
 
-def hinf_design(
-    sys2: TwoInputSystem, gamma: float, kappa_max: float = KAPPA_MAX_DEFAULT
-) -> DesignResult:
+def hinf_design(sys2: TwoInputSystem, gamma: float) -> DesignResult:
     """Feedback u = K2 x keeping the closed-loop disturbance gain below gamma.
 
     Runs the zero-sum game at rho = gamma, where P2 = -P1; infeasibility of
@@ -393,15 +384,10 @@ def hinf_design(
     this level.
     """
     params = GameParams(gamma=gamma, rho=gamma)
-    return _design(sys2, params, zero_vector(sys2.state_space), kappa_max)
+    return _design(sys2, params, zero_vector(sys2.state_space))
 
 
-def h2hinf_design(
-    sys2: TwoInputSystem,
-    gamma: float,
-    x0: HVector,
-    kappa_max: float = KAPPA_MAX_DEFAULT,
-) -> DesignResult:
+def h2hinf_design(sys2: TwoInputSystem, gamma: float, x0: HVector) -> DesignResult:
     """Control keeping the gain below gamma while minimizing output energy
     against the worst-case disturbance; the game at rho = 0.  The output
     energy from x0 is ``solution.j2``."""
@@ -413,4 +399,4 @@ def h2hinf_design(
             "a pure least-energy design is not obtained as a limit and this result "
             "must be read at the stated level only"
         )
-    return _design(sys2, params, x0, kappa_max, diagnostic)
+    return _design(sys2, params, x0, diagnostic)

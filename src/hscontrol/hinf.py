@@ -31,7 +31,6 @@ import numpy as np
 
 from .errors import BracketError, DimensionError, OracleScopeError, ResolutionError
 from .operators import (
-    KAPPA_MAX_DEFAULT,
     Operator,
     SelfAdjointCert,
     _BOUND_MARGIN,
@@ -123,7 +122,6 @@ class BoundedRealRun:
 def brl_check(
     dsys: DisturbedSystem,
     gamma: float,
-    kappa_max: float = KAPPA_MAX_DEFAULT,
     stop_at_failure: bool = False,
     *,
     terms: _LevelTerms | None = None,
@@ -149,7 +147,6 @@ def brl_check(
         terms.view,
         terms.weights(gamma),
         np.zeros((dim, dim)),
-        kappa_max,
         stop_at_nonpositive=stop_at_failure,
         scratch=terms.scratch,
         head=terms.head_sums,
@@ -173,7 +170,6 @@ def hinf_norm(
     lo: float = 0.0,
     hi: float | None = None,
     tol: float = 1e-6,
-    kappa_max: float = KAPPA_MAX_DEFAULT,
 ) -> NormEstimate:
     """Disturbance gain by bisection on the feasibility predicate.
 
@@ -201,7 +197,7 @@ def hinf_norm(
     def feasible(level: float) -> bool:
         nonlocal iterations
         iterations += 1
-        return brl_check(dsys, level, kappa_max, stop_at_failure=True, terms=terms).feasible
+        return brl_check(dsys, level, stop_at_failure=True, terms=terms).feasible
 
     if lo > 0.0 and feasible(lo):
         raise BracketError(f"supplied lower bound {lo} is feasible")

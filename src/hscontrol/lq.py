@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-from .operators import KAPPA_MAX_DEFAULT, Operator
+from .errors import DimensionError, DomainError
+from .operators import Operator
 from .sim import (
     ExactExpectation,
     Policy,
@@ -34,7 +34,7 @@ class LQProblem:
 
     def __post_init__(self):
         if self.x0.space != self.system.state_space:
-            raise DomainError(0, "initial state does not live on the state space")
+            raise DimensionError("initial state does not live on the state space")
 
 
 @dataclass
@@ -56,8 +56,8 @@ class LQSolution:
         return self.status == STATUS_SOLVED
 
 
-def solve_lq(problem: LQProblem, kappa_max: float = KAPPA_MAX_DEFAULT) -> LQSolution:
-    sol = solve_backward_riccati(problem.system, problem.cost, kappa_max)
+def solve_lq(problem: LQProblem) -> LQSolution:
+    sol = solve_backward_riccati(problem.system, problem.cost)
     value = None
     if sol.p[0] is not None:
         value = sol.value(problem.x0)

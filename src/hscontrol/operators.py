@@ -44,7 +44,7 @@ import numpy as np
 from .errors import DimensionError, NotSelfAdjointError
 from .spaces import KIND_L2_INTERVAL, KIND_L2_LINE, HVector, Space
 
-KAPPA_MAX_DEFAULT = 1e12
+KAPPA_MAX = 1e12  # condition cap for a bounded inverse, read at each call
 SYM_RTOL = 1e-8
 
 
@@ -493,13 +493,13 @@ class SelfAdjointCert:
         return max(abs(self.min_eig), abs(self.max_eig))
 
 
-def _selfadjoint_eigs(m: np.ndarray, w: np.ndarray, rtol: float = SYM_RTOL):
+def _selfadjoint_eigs(m: np.ndarray, w: np.ndarray):
     """Certificate and eigenpairs of a self-adjoint coordinate matrix, in the symmetric frame."""
     s = _sframe(m, w, w)
     scale = 1.0 + np.linalg.norm(s, "fro")
     resid = np.linalg.norm(s - s.T, "fro") / scale
-    if resid > rtol:
-        raise NotSelfAdjointError(f"symmetrization residual {resid:.3e} exceeds {rtol:.1e}")
+    if resid > SYM_RTOL:
+        raise NotSelfAdjointError(f"symmetrization residual {resid:.3e} exceeds {SYM_RTOL:.1e}")
     eigvals, eigvecs = np.linalg.eigh(0.5 * (s + s.T))
     small = float(np.min(np.abs(eigvals)))
     big = float(np.max(np.abs(eigvals)))
@@ -507,13 +507,11 @@ def _selfadjoint_eigs(m: np.ndarray, w: np.ndarray, rtol: float = SYM_RTOL):
     return SelfAdjointCert(float(eigvals[0]), float(eigvals[-1]), cond, resid), eigvals, eigvecs
 
 
-def certified_inverse(
-    m: np.ndarray, w: np.ndarray, kappa_max: float
-) -> tuple[SelfAdjointCert, np.ndarray | None]:
-    """Spectral certificate of a self-adjoint M, and (W M)^-1 when cond <= kappa_max.
+def certified_inverse(m: np.ndarray, w: np.ndarray) -> tuple[SelfAdjointCert, np.ndarray | None]:
+    """Spectral certificate of a self-adjoint M, and (W M)^-1 when cond <= KAPPA_MAX.
 
     ``m`` holds the coordinates of M for the weights ``w``.  The inverse is
-    None when the condition number exceeds ``kappa_max`` (the truncation
+    None when the condition number exceeds ``KAPPA_MAX`` (the truncation
     surrogate for a bounded inverse).  No sign is required: each caller
     applies its own positivity rule to the certificate.
 
@@ -522,7 +520,7 @@ def certified_inverse(
     right-hand side to the coordinates of M^-1 b.
     """
     cert, eigvals, eigvecs = _selfadjoint_eigs(m, w)
-    if not cert.cond <= kappa_max:
+    if not cert.cond <= KAPPA_MAX:
         return cert, None
     u = eigvecs / np.sqrt(w)[:, None]
     return cert, (u / eigvals[None, :]) @ u.T

@@ -11,8 +11,8 @@ with the completion pair (written for P = P(k+1))
 
 A step is inside the recursion domain when Rk has a bounded inverse on the
 truncation, meaning it is invertible with condition number at most
-``kappa_max``.  No sign is required for domain membership; the solved status
-additionally demands that every Rk is uniformly positive.
+``operators.KAPPA_MAX``.  No sign is required for domain membership; the
+solved status additionally demands that every Rk is uniformly positive.
 
 The pass carries each iterate in Gram form W P, with W the state weights.  It
 is symmetric whenever P is self-adjoint, so every weighted adjoint in a step
@@ -43,7 +43,6 @@ import numpy as np
 
 from .errors import DomainError, ResolutionError
 from .operators import (
-    KAPPA_MAX_DEFAULT,
     DenseOperator,
     Operator,
     SelfAdjointCert,
@@ -239,7 +238,6 @@ def _backward_pass(
     system: ControlledSystem,
     weights: StageWeights,
     terminal_gram: np.ndarray,
-    kappa_max: float,
     stop_at_nonpositive: bool = False,
     scratch: StepScratch | None = None,
     head: Callable[[np.ndarray], tuple] | None = None,
@@ -273,7 +271,7 @@ def _backward_pass(
         q, rk, gk = _completion_arrays(system, weights, current, k, scratch, sums)
         _require_finite(rk, "completion term Rk", k)  # before its eigendecomposition
         rk /= wu[:, None]
-        cert, rk_inverse = certified_inverse(rk, wu, kappa_max)
+        cert, rk_inverse = certified_inverse(rk, wu)
         certs[k] = cert
         if nonpositive is None and cert.min_eig <= positivity_tolerance(cert.norm):
             nonpositive = k
@@ -294,9 +292,7 @@ def _backward_pass(
     return RiccatiSolution(p_ops, gains, rk_ops, gk_ops, certs, breakdown, nonpositive)
 
 
-def solve_backward_riccati(
-    system: ControlledSystem, cost: CostSpec, kappa_max: float = KAPPA_MAX_DEFAULT
-) -> RiccatiSolution:
+def solve_backward_riccati(system: ControlledSystem, cost: CostSpec) -> RiccatiSolution:
     """Run the full backward recursion and classify the outcome.
 
     Status is "solved" when every step is in the domain and every completion
@@ -306,4 +302,4 @@ def solve_backward_riccati(
     recursion completes but a completion term dips to or below the tolerance.
     """
     terminal = system.state_space.weights[:, None] * cost.terminal.matrix
-    return _backward_pass(system, _cost_weights(system, cost), terminal, kappa_max)
+    return _backward_pass(system, _cost_weights(system, cost), terminal)

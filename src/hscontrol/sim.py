@@ -7,8 +7,9 @@ Two ways to attach a number to E[J]:
   each step linearly and only second moments survive.  Paths that share a
   noise prefix share their state, so N steps advance about 2^(N+1) state
   rows rather than N·2^N;
-* Monte Carlo with independent per-replication streams, which works for any
-  noise kind and reports a 95 percent confidence half-width.
+* Monte Carlo over Gaussian noise with independent per-replication streams,
+  which reports a 95 percent confidence half-width.  It estimates the same
+  value: E[J] depends on the noise only through its first two moments.
 
 Both run on ``run_batch``, which sorts the paths once and rolls them out in
 cache-sized blocks of rows: its memory is O(block·dim) for the states plus
@@ -37,9 +38,6 @@ ENUMERATION_MAX_STEPS = 17
 # run_batch rolls sorted paths out in blocks of this many bytes of state
 # rows, small enough for a block's temporaries to stay in cache
 _BLOCK_BYTES = 512 * 1024
-
-NOISE_RADEMACHER = "rademacher"
-NOISE_GAUSSIAN = "gaussian"
 
 
 class Policy:
@@ -104,19 +102,6 @@ class Trajectory:
     cost: float | None = None
 
 
-def replication_rng(seed: int, r: int) -> np.random.Generator:
-    """Independent stream for replication r, reproducible from (seed, r) alone.
-
-    ``seed`` and ``r`` are non-negative integers and ``r`` < 2^32, the range
-    of the one spawn word that ``draw_noise_paths`` hashes.
-    """
-    seed = _nonnegative_int("seed", seed)
-    r = _nonnegative_int("r", r)
-    if r >= 1 << 32:
-        raise DimensionError(f"r {r} is not below 2^32, the range of one spawn word")
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
-
-
 # numpy's SeedSequence hash (O'Neill's seed_seq_fe) on uint32 arrays.
 _POOL_WORDS = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -124,30 +109,6 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
 _SEED_CHUNK = 1024  # replications seeded per vectorized pass
-
-# Generator.integers(0, 2) takes bit 31 and then bit 63 of each raw word of
-# its stream, and never rejects one
-_RADEMACHER_BITS = np.array([31, 63], dtype=np.uint64)
-
-
-def _gaussian_rows(bitgens, out):
-    """Row i of ``out`` := Generator(bitgens[i]).standard_normal."""
-    for row, bitgen in zip(out, bitgens):
-        np.random.Generator(bitgen).standard_normal(out=row)
-
-
-def _rademacher_rows(bitgens, out):
-    """Row i of ``out`` := Generator(bitgens[i]).integers(0, 2) * 2.0 - 1.0, from raw words."""
-    rows, steps = out.shape
-    words = np.empty((rows, (steps + 1) // 2), dtype=np.uint64)
-    for row, bitgen in zip(words, bitgens):
-        row[:] = bitgen.random_raw(row.size)
-    bits = (words[:, :, None] >> _RADEMACHER_BITS) & np.uint64(1)
-    np.multiply(bits.reshape(rows, -1)[:, :steps], 2.0, out=out)
-    out -= 1.0
-
-
-_NOISE_DRAWS = {NOISE_RADEMACHER: _rademacher_rows, NOISE_GAUSSIAN: _gaussian_rows}
 
 
 def _spawned_states(seed: int, spawn: np.ndarray) -> np.ndarray:
@@ -205,17 +166,15 @@ def _nonnegative_int(name: str, value) -> int:
     return value
 
 
-def draw_noise_paths(kind: str, seed: int, reps: int, steps: int) -> np.ndarray:
-    """(reps, steps) noise factors, one independent stream per replication.
+def draw_noise_paths(seed: int, reps: int, steps: int) -> np.ndarray:
+    """(reps, steps) standard Gaussian noise factors, one stream per replication.
 
-    Row r is what ``replication_rng(seed, r)`` draws, bit for bit: the seed
-    words of all the streams are computed in one vectorized pass, and each
-    is handed to its own PCG64.  Rademacher rows are read off the raw words
-    of those streams, as ``Generator.integers`` would.
+    Row r is, bit for bit, what ``default_rng(SeedSequence(seed,
+    spawn_key=(r,))).standard_normal(steps)`` draws: the seed words of all
+    the streams are computed in one vectorized pass, and each is handed to
+    its own PCG64.  ``seed`` and ``reps`` are non-negative integers, with
+    ``reps`` at most 2^32, the range of one spawn word.
     """
-    draw = _NOISE_DRAWS.get(kind)
-    if draw is None:
-        raise DimensionError(f"unknown noise kind {kind!r}")
     reps = _nonnegative_int("reps", reps)
     steps = _nonnegative_int("steps", steps)
     if reps > 1 << 32:
@@ -236,8 +195,8 @@ def draw_noise_paths(kind: str, seed: int, reps: int, steps: int) -> np.ndarray:
     for start in range(0, reps, _SEED_CHUNK):
         spawn = np.arange(start, min(start + _SEED_CHUNK, reps), dtype=np.uint32)
         # one stream alive at a time: a PCG64 object holds about a kilobyte
-        bitgens = (PCG64(SpawnedState(words)) for words in _spawned_states(seed, spawn))
-        draw(bitgens, out[start : start + spawn.size])
+        for row, words in zip(out[start : start + spawn.size], _spawned_states(seed, spawn)):
+            np.random.Generator(PCG64(SpawnedState(words))).standard_normal(out=row)
     return out
 
 
@@ -478,13 +437,12 @@ def monte_carlo_expectation(
     policy: Policy,
     x0: HVector,
     reps: int,
-    noise_kind: str = NOISE_GAUSSIAN,
     seed: int = 0,
 ) -> MonteCarloExpectation:
-    """Sample-mean estimate of E[J] with a 95 percent confidence half-width."""
+    """Sample-mean estimate of E[J] under Gaussian noise, with a 95 percent half-width."""
     if reps < 2:
         raise DimensionError("need at least two replications for a confidence width")
-    noise_paths = draw_noise_paths(noise_kind, seed, reps, system.steps)
+    noise_paths = draw_noise_paths(seed, reps, system.steps)
     vals = run_batch(
         system,
         policy,

@@ -61,11 +61,13 @@ class OperatorFamily:
         return self.steps
 
 
-def _check_selfadjoint(op: Operator, what: str, tol: float = SELFADJOINT_TOL) -> None:
+def _check_selfadjoint(op: Operator, what: str) -> None:
     s = _sframe(op.matrix, op.codomain.weights, op.domain.weights)
     resid = np.linalg.norm(s - s.T, "fro") / (1.0 + np.linalg.norm(s, "fro"))
-    if resid > tol:
-        raise NotSelfAdjointError(f"{what}: symmetrization residual {resid:.3e} exceeds {tol:.1e}")
+    if resid > SELFADJOINT_TOL:
+        raise NotSelfAdjointError(
+            f"{what}: symmetrization residual {resid:.3e} exceeds {SELFADJOINT_TOL:.1e}"
+        )
 
 
 def _selfadjoint_by_construction(op: Operator) -> bool:

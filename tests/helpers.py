@@ -286,6 +286,20 @@ def random_x0(rng, space):
     return hc.HVector(space, rng.standard_normal(space.dim))
 
 
+def replication_rng(seed, r):
+    """The stream of replication r, reproducible from (seed, r) alone.
+
+    Row r of ``hc.draw_noise_paths(seed, ...)`` is this stream's standard
+    normal draw.  ``seed`` and ``r`` are non-negative integers and ``r`` <
+    2^32, the range of the one spawn word that ``draw_noise_paths`` hashes.
+    """
+    seed = hc.sim._nonnegative_int("seed", seed)
+    r = hc.sim._nonnegative_int("r", r)
+    if r >= 1 << 32:
+        raise hc.DimensionError(f"r {r} is not below 2^32, the range of one spawn word")
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
+
+
 def split_output_families(rng, hs, in_space, steps, state_rows, in_rows, zs,
                           state_scale=1.0, in_scale=0.5):
     """Cbar/Dbar pairs with disjoint output rows, so Dbar* Cbar = 0."""

@@ -384,6 +384,13 @@ def test_resolution_limit_exit():
     assert code == EXIT_LIMITS
 
 
+def test_example_ex1_refuses_dim(capsys):
+    # ex1's grid is fixed; --dim was ignored with exit 0
+    code = main(["example", "ex1", "--dim", "5"])
+    assert code == EXIT_BAD_INPUT
+    assert "--dim does not apply to ex1" in capsys.readouterr().err
+
+
 def test_unknown_example_exit():
     code = main(["example", "nope"])
     assert code == EXIT_BAD_INPUT

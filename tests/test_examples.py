@@ -10,7 +10,6 @@ from hscontrol.examples import (
     SHIFT_NORM,
     build_heat_problem,
     build_shift_network,
-    build_smoothing_problem,
     run_example,
     shift_rho_min,
 )
@@ -43,13 +42,6 @@ def test_smoothing_example_report(tmp_path):
     header, rows = read_csv(tmp_path / "ex1_signals.csv")
     assert header == ["t", "initial", "final"]
     assert len(rows) == 401
-
-
-def test_smoothing_resolution_guard():
-    with pytest.raises(hc.ResolutionError):
-        build_smoothing_problem(half_width=10.0, spacing=0.5)
-    with pytest.raises(hc.ResolutionError):
-        build_smoothing_problem(half_width=2.0, spacing=0.05)
 
 
 def test_heat_example_reference_values_recorded():

@@ -445,18 +445,20 @@ def test_feedthrough_margin_and_uniform_positivity():
     assert not hc.brl_check(withd, 0.9).feasible
 
 
-def test_conditioning_breakdown_is_infeasible():
-    # at kappa_max = 1.5 the last p3 of the shift network at gamma = 1.2 has
-    # condition 3.27, so the walk stops before step 0 and proves nothing
+def test_conditioning_breakdown_is_infeasible(monkeypatch):
+    # under a condition cap of 1.5 the last p3 of the shift network at
+    # gamma = 1.2 has condition 3.27, so the walk stops before step 0 and
+    # proves nothing
+    monkeypatch.setattr(hc.operators, "KAPPA_MAX", 1.5)
     dsys = hc.examples.build_shift_network(16)
-    run = hc.brl_check(dsys, 1.2, kappa_max=1.5)
+    run = hc.brl_check(dsys, 1.2)
     assert not run.completed
     assert not run.feasible
     assert run.failing_step == dsys.horizon
     assert run.min_pi3_eig(dsys.horizon) > 0.0
     assert run.y[0] is None
     # a capped bisection may only err upward from the gain 3 sqrt(5) / 4
-    est = hc.hinf_norm(dsys, tol=1e-6, kappa_max=1.5)
+    est = hc.hinf_norm(dsys, tol=1e-6)
     assert est.value >= 3.0 * np.sqrt(5.0) / 4.0 - 1e-6
 
 

@@ -43,6 +43,14 @@ def test_pathwise_cost_requires_full_schedule():
         pathwise_cost(problem, [], np.array([0.0]))
 
 
+def test_initial_state_from_another_space_is_bad_input():
+    # a mismatched x0 is a shape error, not a recursion failure at step 0
+    problem = ones_problem()
+    x0 = hc.HVector(hc.euclidean(2), np.ones(2))
+    with pytest.raises(hc.DimensionError, match="^initial state does not live on the state space$"):
+        hc.LQProblem(problem.system, problem.cost, x0)
+
+
 def test_single_step_optimum_known_in_closed_form():
     # value = m + s a^2 - (s a b)^2 / (r + s b^2) = 1 + 1 - 1/2 = 3/2
     problem = ones_problem()

@@ -298,10 +298,10 @@ def test_min_eig_rejects_nonselfadjoint():
 def test_certified_inverse_indefinite():
     # no sign is required; only the condition cap refuses an inverse
     entries = np.array([2.0, -3.0, 1.0, -1.0])
-    cert, inv = hc.operators.certified_inverse(np.diag(entries), EUC.weights, 1e12)
+    cert, inv = hc.operators.certified_inverse(np.diag(entries), EUC.weights)
     assert cert.min_eig == -3.0 and cert.max_eig == 2.0
     assert np.allclose(inv @ np.diag(entries), np.eye(4))
-    cert, inv = hc.operators.certified_inverse(np.diag([1.0, 0.0, 1.0, 1.0]), EUC.weights, 1e12)
+    cert, inv = hc.operators.certified_inverse(np.diag([1.0, 0.0, 1.0, 1.0]), EUC.weights)
     assert inv is None and cert.cond == np.inf
 
 

@@ -134,7 +134,7 @@ def test_domain_failure_reported_with_step():
     assert sol.p[0] is None
 
 
-def test_step_refusal_names_step_condition_and_cap():
+def test_step_refusal_names_step_condition_and_cap(monkeypatch):
     # Rk = R = diag(1, 1e-3) has condition number 1e3, above a cap of 10
     hs = hc.euclidean(1)
     us = hc.euclidean(2)
@@ -142,11 +142,13 @@ def test_step_refusal_names_step_condition_and_cap():
                                  hc.ZeroOperator(hs), hc.ZeroOperator(us, hs))
     cost = hc.CostSpec(system, hc.IdentityOperator(hs), hc.ZeroOperator(hs, us),
                        hc.DiagonalOperator(np.array([1.0, 1e-3]), us), hc.IdentityOperator(hs))
-    sol = hc.solve_backward_riccati(system, cost, kappa_max=10.0)
+    monkeypatch.setattr(hc.operators, "KAPPA_MAX", 10.0)
+    sol = hc.solve_backward_riccati(system, cost)
     assert sol.breakdown == 1
     assert sol.status == "domain_failure"
     assert sol.rk_certs[1].cond == 1e3
-    sol = hc.solve_backward_riccati(system, cost, kappa_max=1e3)
+    monkeypatch.setattr(hc.operators, "KAPPA_MAX", 1e3)
+    sol = hc.solve_backward_riccati(system, cost)
     assert sol.p[1].matrix[0, 0] == 2.0
 
 

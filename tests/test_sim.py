@@ -10,7 +10,15 @@ import pytest
 import hscontrol as hc
 from hscontrol import sim
 from hscontrol.sim import run_batch, stage_cost_batch, terminal_cost_batch
-from helpers import dense, random_controlled, random_disturbed, random_psd_cost, random_x0, space
+from helpers import (
+    dense,
+    random_controlled,
+    random_disturbed,
+    random_psd_cost,
+    random_x0,
+    replication_rng,
+    space,
+)
 
 
 HS = hc.euclidean(1)
@@ -177,20 +185,8 @@ def test_monte_carlo_covers_enumerated_value():
     assert hits == total, f"only {hits}/{total} intervals covered the exact value"
 
 
-def test_rademacher_noise_matches_gaussian_in_second_moments():
-    # the enumerated functional depends on the noise only through second
-    # moments, so two-point noise and any unit-variance noise agree exactly
-    sys_ = scalar_system(4, a=0.9, c=0.7)
-    cost = unit_cost(sys_)
-    pol = hc.Policy(sys_)
-    exact = hc.enumerate_expectation(sys_, cost, pol, x0_one()).value
-    mc = hc.monte_carlo_expectation(sys_, cost, pol, x0_one(), reps=200000,
-                                    seed=11, noise_kind="rademacher")
-    assert mc.mean == pytest.approx(exact, rel=5e-3)
-
-
 def test_gaussian_noise_moment_contract():
-    draws = hc.draw_noise_paths("gaussian", seed=123, reps=1000, steps=1000)
+    draws = hc.draw_noise_paths(seed=123, reps=1000, steps=1000)
     flat = draws.ravel()
     n = flat.size
     assert n == 10 ** 6
@@ -200,22 +196,10 @@ def test_gaussian_noise_moment_contract():
     assert abs(lag1) < 4.0 / np.sqrt(n - 1)
 
 
-def test_rademacher_noise_moment_contract():
-    draws = hc.draw_noise_paths("rademacher", seed=5, reps=2000, steps=50)
-    assert set(np.unique(draws)) == {-1.0, 1.0}
-    assert abs(draws.mean()) < 4.0 / np.sqrt(draws.size)
-    assert draws.var() == pytest.approx(1.0, abs=1e-3)
-
-
-def test_unknown_noise_kind_rejected():
-    with pytest.raises(hc.DimensionError):
-        hc.draw_noise_paths("cauchy", seed=0, reps=1, steps=1)
-
-
 def test_replication_streams_are_order_independent():
-    a = hc.replication_rng(9, 3).standard_normal(5)
-    hc.replication_rng(9, 0).standard_normal(50)
-    b = hc.replication_rng(9, 3).standard_normal(5)
+    a = replication_rng(9, 3).standard_normal(5)
+    replication_rng(9, 0).standard_normal(50)
+    b = replication_rng(9, 3).standard_normal(5)
     assert np.array_equal(a, b)
 
 
@@ -353,7 +337,7 @@ def test_run_batch_advances_each_distinct_prefix_once():
 
     assert rows_seen(hc.sign_paths(10)) == [2**k for k in range(11)]
     reps = 64
-    gauss = hc.draw_noise_paths("gaussian", seed=2, reps=reps, steps=10)
+    gauss = hc.draw_noise_paths(seed=2, reps=reps, steps=10)
     assert rows_seen(gauss) == [1] + [reps] * 10
 
 
@@ -366,8 +350,8 @@ def test_blocked_run_batch_advances_each_prefix_once_per_block(block_rows, monke
     batches = [
         signs,
         np.vstack([signs, signs[rng.integers(0, len(signs), 9)]])[rng.permutation(len(signs) + 9)],
-        hc.draw_noise_paths("gaussian", seed=3, reps=50, steps=8),
-        hc.draw_noise_paths("rademacher", seed=3, reps=50, steps=8),
+        hc.draw_noise_paths(seed=3, reps=50, steps=8),
+        signs[rng.integers(0, len(signs), 50)],
     ]
     for paths in batches:
         sys_ = scalar_system(paths.shape[1] - 1, a=0.9, c=0.5)
@@ -472,12 +456,12 @@ def test_stage_costs_match_inner_products():
 ])
 def test_replication_rng_refuses_bad_arguments(seed, r, name):
     with pytest.raises(hc.DimensionError, match=f"^{name} "):
-        hc.replication_rng(seed, r)
+        replication_rng(seed, r)
 
 
 def test_replication_rng_accepts_the_largest_spawn_word():
     want = np.random.SeedSequence(entropy=2, spawn_key=(2**32 - 1,))
-    got = hc.replication_rng(2, 2**32 - 1).standard_normal(3)
+    got = replication_rng(2, 2**32 - 1).standard_normal(3)
     assert np.array_equal(got, np.random.default_rng(want).standard_normal(3))
 
 
@@ -491,19 +475,14 @@ def test_spawned_states_match_seed_sequence(seed):
     assert np.array_equal(got, np.array(want))
 
 
-@pytest.mark.parametrize("kind", ["gaussian", "rademacher"])
 @pytest.mark.parametrize("reps", [0, 1, sim._SEED_CHUNK + 37])
-def test_noise_paths_are_the_replication_streams(kind, reps):
-    # odd step counts leave half a raw word unread; a seed above 2^32 has two words
+def test_noise_paths_are_the_replication_streams(reps):
+    # a seed above 2^32 has two words
     for seed, steps in [(41, 6), (41, 1), (41, 7), (2**40 + 5, 7)]:
-        got = hc.draw_noise_paths(kind, seed=seed, reps=reps, steps=steps)
+        got = hc.draw_noise_paths(seed=seed, reps=reps, steps=steps)
         want = np.empty((reps, steps))
         for r in range(reps):
-            rng = hc.replication_rng(seed, r)
-            if kind == "gaussian":
-                want[r] = rng.standard_normal(steps)
-            else:
-                want[r] = rng.integers(0, 2, size=steps) * 2.0 - 1.0
+            want[r] = replication_rng(seed, r).standard_normal(steps)
         assert got.shape == (reps, steps)
         assert got.tobytes() == want.tobytes()
 
@@ -511,7 +490,7 @@ def test_noise_paths_are_the_replication_streams(kind, reps):
 @pytest.mark.parametrize("seed", [-1, -(2**40), 1.0, 2.5, "3", None])
 def test_bad_seed_refused(seed):
     with pytest.raises(hc.DimensionError, match="seed"):
-        hc.draw_noise_paths("gaussian", seed=seed, reps=2, steps=3)
+        hc.draw_noise_paths(seed=seed, reps=2, steps=3)
     sys_ = scalar_system(2, a=0.5, c=0.5)
     with pytest.raises(hc.DimensionError, match="seed"):
         hc.monte_carlo_expectation(sys_, unit_cost(sys_), hc.Policy(sys_), x0_one(),
@@ -519,17 +498,15 @@ def test_bad_seed_refused(seed):
 
 
 def test_noise_arguments_checked_before_any_work():
-    with pytest.raises(hc.DimensionError, match="cauchy"):
-        hc.draw_noise_paths("cauchy", seed=0, reps=0, steps=3)
     with pytest.raises(hc.DimensionError, match="reps"):
-        hc.draw_noise_paths("gaussian", seed=0, reps=-1, steps=3)
+        hc.draw_noise_paths(seed=0, reps=-1, steps=3)
     with pytest.raises(hc.DimensionError, match="steps"):
-        hc.draw_noise_paths("gaussian", seed=0, reps=3, steps=-2)
+        hc.draw_noise_paths(seed=0, reps=3, steps=-2)
     with pytest.raises(hc.DimensionError, match="reps"):
-        hc.draw_noise_paths("gaussian", seed=0, reps=2.0, steps=3)
+        hc.draw_noise_paths(seed=0, reps=2.0, steps=3)
     # a larger r would need a second spawn word; refused before allocating
     with pytest.raises(hc.DimensionError, match="reps"):
-        hc.draw_noise_paths("gaussian", seed=0, reps=2**32 + 1, steps=0)
+        hc.draw_noise_paths(seed=0, reps=2**32 + 1, steps=0)
 
 
 def test_import_leaves_numpy_random_unloaded():
