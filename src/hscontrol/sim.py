@@ -11,9 +11,13 @@ Two ways to attach a number to E[J]:
   which reports a 95 percent confidence half-width.  It estimates the same
   value: E[J] depends on the noise only through its first two moments.
 
-Both run on ``run_batch``, which sorts the paths once and rolls them out in
-cache-sized blocks of rows: its memory is O(block·dim) for the states plus
-O(reps·steps) for the paths, however many paths there are.
+Both run on ``run_batch``, which sorts the paths it is given and rolls them
+out in cache-sized blocks of rows: its memory is O(block·dim) for the states
+plus O(paths·steps) for those paths and their order.  Enumeration hands it
+all 2^N sign paths at once, which the step cap bounds.  Monte Carlo draws
+and hands it one block of replications at a time, so its memory is
+O(block·steps) for the paths plus one value per replication, however many
+replications there are.
 
 Replication r always draws from the stream spawned as (seed, r), so results
 do not depend on scheduling or on how many replications run in one call.
@@ -30,7 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DimensionError, EnumerationLimitError, ResolutionError
-from .operators import Operator, ZeroOperator, step_matrices
+from .operators import DenseOperator, IdentityOperator, Operator, ZeroOperator, step_matrices
 from .spaces import HVector
 from .systems import ControlledSystem, CostSpec, DisturbedSystem
 
@@ -166,6 +170,19 @@ def _nonnegative_int(name: str, value) -> int:
     return value
 
 
+def _checked_reps(reps, low: int) -> int:
+    """``reps`` as an int of at least ``low`` and at most 2^32, the range of one spawn word."""
+    try:
+        reps = operator.index(reps)
+    except TypeError:
+        raise DimensionError(f"reps must be an integer, got {reps!r}") from None
+    if reps < low:
+        raise DimensionError(f"reps must be at least {low}, got {reps}")
+    if reps > 1 << 32:
+        raise DimensionError(f"reps {reps} exceeds 2^32, the range of one spawn word")
+    return reps
+
+
 def draw_noise_paths(seed: int, reps: int, steps: int) -> np.ndarray:
     """(reps, steps) standard Gaussian noise factors, one stream per replication.
 
@@ -175,11 +192,14 @@ def draw_noise_paths(seed: int, reps: int, steps: int) -> np.ndarray:
     its own PCG64.  ``seed`` and ``reps`` are non-negative integers, with
     ``reps`` at most 2^32, the range of one spawn word.
     """
-    reps = _nonnegative_int("reps", reps)
+    reps = _checked_reps(reps, 0)
     steps = _nonnegative_int("steps", steps)
-    if reps > 1 << 32:
-        raise DimensionError(f"reps {reps} exceeds 2^32, the range of one spawn word")
     seed = _nonnegative_int("seed", seed)
+    return _noise_rows(seed, 0, reps, steps)
+
+
+def _noise_rows(seed: int, start: int, stop: int, steps: int) -> np.ndarray:
+    """Rows start..stop-1 of ``draw_noise_paths(seed, reps, steps)`` for any reps >= stop."""
     # imported here so that ``import hscontrol`` does not load numpy.random
     from numpy.random import PCG64
     from numpy.random.bit_generator import ISeedSequence
@@ -191,11 +211,12 @@ def draw_noise_paths(seed: int, reps: int, steps: int) -> np.ndarray:
         def generate_state(self, n_words, dtype=np.uint32):
             return self.words  # PCG64 asks for exactly these 4 uint64 words
 
-    out = np.empty((reps, steps))
-    for start in range(0, reps, _SEED_CHUNK):
-        spawn = np.arange(start, min(start + _SEED_CHUNK, reps), dtype=np.uint32)
+    out = np.empty((stop - start, steps))
+    for first in range(start, stop, _SEED_CHUNK):
+        spawn = np.arange(first, min(first + _SEED_CHUNK, stop), dtype=np.uint32)
+        rows = out[first - start : first - start + spawn.size]
         # one stream alive at a time: a PCG64 object holds about a kilobyte
-        for row, words in zip(out[start : start + spawn.size], _spawned_states(seed, spawn)):
+        for row, words in zip(rows, _spawned_states(seed, spawn)):
             np.random.Generator(PCG64(SpawnedState(words))).standard_normal(out=row)
     return out
 
@@ -258,7 +279,10 @@ def _quad(op: Operator, w: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarr
     # holds whether or not op is self-adjoint
     if isinstance(op, ZeroOperator):
         return np.zeros(y.shape[0])
-    return np.einsum("pi,pi->p", op.rmatmul(y * w[None, :]), z)
+    yw = y * w[None, :]
+    if isinstance(op, IdentityOperator):
+        return np.einsum("pi,pi->p", yw, z)  # rmatmul would only copy yw
+    return np.einsum("pi,pi->p", op.rmatmul(yw), z)
 
 
 def stage_cost_batch(cost: CostSpec, k: int, x: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -299,10 +323,11 @@ def run_batch(
     each step are at most the distinct prefixes plus (blocks - 1).  The
     result holds one total per row of ``noise_paths``, in input order.
 
-    Memory is O(block·dim) for the states plus O(reps·steps) for the paths
-    and their sort order, whatever the number of rows.  The 2^N sign paths of N
-    steps cost about 2^(N+1) state rows instead of (N+1)·2^N.  This is the
-    only state-advancing loop.
+    Memory is O(block·dim) for the states plus O(rows·steps) for the paths
+    and their sort order; a caller with more paths than it wants to hold at
+    once passes them a block at a time, as ``monte_carlo_expectation`` does.
+    The 2^N sign paths of N steps cost about 2^(N+1) state rows instead of
+    (N+1)·2^N.  This is the only state-advancing loop.
     """
     if x0.space != system.state_space:
         raise DimensionError("initial state does not live on the state space")
@@ -431,6 +456,7 @@ class MonteCarloExpectation:
     std_error: float
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is checked and refused below
 def monte_carlo_expectation(
     system: ControlledSystem,
     cost: CostSpec,
@@ -439,18 +465,50 @@ def monte_carlo_expectation(
     reps: int,
     seed: int = 0,
 ) -> MonteCarloExpectation:
-    """Sample-mean estimate of E[J] under Gaussian noise, with a 95 percent half-width."""
-    if reps < 2:
-        raise DimensionError("need at least two replications for a confidence width")
-    noise_paths = draw_noise_paths(seed, reps, system.steps)
-    vals = run_batch(
-        system,
-        policy,
-        x0,
-        noise_paths,
-        lambda k, x, u: stage_cost_batch(cost, k, x, u),
-        lambda x: terminal_cost_batch(cost, x),
+    """Sample-mean estimate of E[J] under Gaussian noise, with a 95 percent half-width.
+
+    Replication r rolls out row r of ``draw_noise_paths(seed, reps, steps)``.
+    The rows are drawn and rolled out one ``run_batch`` block at a time, so
+    memory is O(block·steps) for the paths plus one value per replication.
+    ``reps`` is an integer from 2 to 2^32.  Raises ResolutionError when a
+    replication's cost, the mean or the half-width overflows the
+    floating-point range.
+    """
+    reps = _checked_reps(reps, 2)
+    seed = _nonnegative_int("seed", seed)
+    # every block reads each step's matrices: build them once, not per block
+    dense = ControlledSystem(
+        system.state_space,
+        system.control_space,
+        system.horizon,
+        *(
+            [DenseOperator(m, f.domain, f.codomain) for m in step_matrices(f)]
+            for f in (system.a, system.b, system.c, system.d)
+        ),
     )
+
+    def stage(k, x, u):
+        return stage_cost_batch(cost, k, x, u)
+
+    def terminal(x):
+        return terminal_cost_batch(cost, x)
+
+    block_rows = max(1, _BLOCK_BYTES // (8 * system.state_space.dim))
+    vals = np.empty(reps)
+    for start in range(0, reps, block_rows):
+        stop = min(start + block_rows, reps)
+        noise = _noise_rows(seed, start, stop, system.steps)
+        vals[start:stop] = run_batch(dense, policy, x0, noise, stage, terminal)
+    if not np.isfinite(vals).all():
+        raise ResolutionError(
+            f"replication {int(np.argmin(np.isfinite(vals)))} cost is not finite: "
+            "the rollout overflows the floating-point range"
+        )
     mean = float(np.mean(vals))
+    if not np.isfinite(mean):
+        raise ResolutionError("mean cost is not finite: the sum of the costs overflows")
     std_error = float(np.std(vals, ddof=1) / np.sqrt(reps))
-    return MonteCarloExpectation(mean, 1.96 * std_error, reps, std_error)
+    half_width = 1.96 * std_error
+    if not np.isfinite(half_width):
+        raise ResolutionError("half-width is not finite: the spread of the costs overflows")
+    return MonteCarloExpectation(mean, half_width, reps, std_error)

@@ -227,6 +227,18 @@ def assert_same_bits(got, want):
         assert got == want
 
 
+def record_matrix_builds(monkeypatch):
+    """A list that collects every operator whose ``_build_matrix`` runs from now on."""
+    built = []
+    for cls in vars(hc.operators).values():
+        if isinstance(cls, type) and "_build_matrix" in vars(cls):
+            def counted(op, build=cls._build_matrix):
+                built.append(op)
+                return build(op)
+            monkeypatch.setattr(cls, "_build_matrix", counted)
+    return built
+
+
 def fixed_feedback_iterates(dsys, gamma, gains):
     """Disturbance-player iterates under a fixed feedback v = F x, from a zero terminal.
 

@@ -193,6 +193,12 @@ def _overflowing_specs(tmp_path):
                       "cbar": {"variant": "filling", "count": 2},
                       "gbar": {"variant": "dense", "matrix": [[0.0], [0.0], [1.0]]}},
         "x0": {"coords": [1.0, 1.0]},
+        # C = 9e76 over two steps: each path is finite, but the terminal
+        # cost of some Monte Carlo replications overflows
+        "noisy": {"type": "controlled", "horizon": 1, "state_space": e1,
+                  "control_space": e1, "a": zero, "b": zero,
+                  "c": {"variant": "dense", "matrix": [[9e76]]}, "d": zero},
+        "x1": {"coords": [1.0]},
     }
     for name, spec in specs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(spec))
@@ -207,6 +213,7 @@ def _overflowing_specs(tmp_path):
     ["hinf-design", "--system", "two_input", "--gamma", "2"],
     ["h2hinf-design", "--system", "two_input", "--gamma", "2", "--x0", "x0"],
     ["simulate", "--system", "disturbed", "--x0", "x0"],
+    ["simulate", "--system", "noisy", "--cost", DEMO_COST, "--x0", "x1", "--seed", "0"],
 ])
 def test_overflow_exits_with_limits(tmp_path, capsys, argv):
     # overflow is refused with the step or block named, before any verdict,

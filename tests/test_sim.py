@@ -16,6 +16,7 @@ from helpers import (
     random_disturbed,
     random_psd_cost,
     random_x0,
+    record_matrix_builds,
     replication_rng,
     space,
 )
@@ -183,6 +184,114 @@ def test_monte_carlo_covers_enumerated_value():
         if abs(mc.mean - exact) <= mc.half_width:
             hits += 1
     assert hits == total, f"only {hits}/{total} intervals covered the exact value"
+
+
+def affine_plant(dim, steps=4):
+    """A dim-state, 2-input plant with stage costs and an affine policy."""
+    rng = np.random.default_rng(dim)
+    hs, us = hc.euclidean(dim), hc.euclidean(2)
+    s = 0.9 / np.sqrt(dim)
+    sys_ = hc.ControlledSystem(
+        hs, us, steps - 1,
+        [dense(rng, hs, hs, s) for _ in range(steps)],
+        [dense(rng, us, hs, s) for _ in range(steps)],
+        [dense(rng, hs, hs, s / 2) for _ in range(steps)],
+        [dense(rng, us, hs, s / 2) for _ in range(steps)],
+    )
+    cost = hc.CostSpec(sys_, hc.IdentityOperator(hs), hc.ZeroOperator(hs, us),
+                       hc.IdentityOperator(us), hc.IdentityOperator(hs))
+    pol = hc.Policy(sys_, [dense(rng, hs, us, 0.3) for _ in range(steps)],
+                    [rng.standard_normal(2) for _ in range(steps)])
+    return sys_, cost, pol, random_x0(rng, hs)
+
+
+# dim 1 runs on a smaller block, so that 3·block + 17 replications stay cheap
+@pytest.mark.parametrize("dim, block_bytes", [(1, 8 * 1024), (32, None), (130, None)])
+def test_monte_carlo_blocks_match_one_batch(dim, block_bytes, monkeypatch):
+    """Mean, std_error and half_width have the bits of one run_batch over every path."""
+    if block_bytes is not None:
+        monkeypatch.setattr(sim, "_BLOCK_BYTES", block_bytes)
+    block = max(1, sim._BLOCK_BYTES // (8 * dim))
+    sys_, cost, pol, x0 = affine_plant(dim)
+    for reps in sorted({2, max(2, block - 1), block, block + 1, 3 * block + 17}):
+        got = hc.monte_carlo_expectation(sys_, cost, pol, x0, reps, seed=reps)
+        vals = run_batch(sys_, pol, x0, hc.draw_noise_paths(reps, reps, sys_.steps),
+                         lambda k, x, u: stage_cost_batch(cost, k, x, u),
+                         lambda x: terminal_cost_batch(cost, x))
+        std_error = float(np.std(vals, ddof=1) / np.sqrt(reps))
+        assert got.reps == reps
+        assert got.mean == float(np.mean(vals))
+        assert got.std_error == std_error
+        assert got.half_width == 1.96 * std_error
+
+
+def test_monte_carlo_noise_memory_is_per_block(monkeypatch):
+    """Traced peak grows by a few bytes per replication, not by a path's 8·steps.
+
+    Blocks of 1000 rows, so that both runs fill whole blocks; the real block
+    at dim 4 holds 16384 rows.
+    """
+    monkeypatch.setattr(sim, "_BLOCK_BYTES", 8 * 4 * 1000)
+    hs, us = hc.euclidean(4), hc.euclidean(1)
+    rng = np.random.default_rng(6)
+    sys_ = hc.ControlledSystem(hs, us, 29, dense(rng, hs, hs, 0.4), dense(rng, us, hs, 0.4),
+                               dense(rng, hs, hs, 0.2), hc.ZeroOperator(us, hs))
+    cost = unit_cost(sys_)
+    x0 = random_x0(rng, hs)
+    peaks = {}
+    for reps in (4_000, 40_000):
+        tracemalloc.start()
+        try:
+            hc.monte_carlo_expectation(sys_, cost, hc.Policy(sys_), x0, reps, seed=1)
+            peaks[reps] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # the (40000, 30) paths alone would add 8.6 MB
+    assert peaks[40_000] - peaks[4_000] < 16 * 36_000 + 256 * 1024
+
+
+def test_monte_carlo_builds_step_matrices_once(monkeypatch):
+    problem = hc.examples.build_heat_problem(1, modes=64)
+    policy = hc.optimal_policy(problem, hc.solve_lq(problem))
+    built = record_matrix_builds(monkeypatch)
+    counts = []
+    for block_rows in (500, 100):  # one block of 500 replications, then five
+        monkeypatch.setattr(sim, "_BLOCK_BYTES", 8 * 64 * block_rows)  # 64 modes
+        built.clear()
+        hc.monte_carlo_expectation(problem.system, problem.cost, policy, problem.x0, 500)
+        counts.append(len(built))
+    assert counts[0] == counts[1] > 0
+
+
+def test_monte_carlo_rolls_out_reps_times_steps_path_steps(monkeypatch):
+    # the traced benchmark counts Monte Carlo work as the paths passed to run_batch
+    sys_, cost, pol, x0 = affine_plant(32, steps=3)
+    path_steps = []
+
+    def counted(system, policy, x0, noise_paths, *args):
+        path_steps.append(noise_paths.size)
+        return run_batch(system, policy, x0, noise_paths, *args)
+
+    monkeypatch.setattr(hc.sim, "run_batch", counted)
+    reps = 3 * max(1, sim._BLOCK_BYTES // (8 * 32)) + 5
+    hc.monte_carlo_expectation(sys_, cost, pol, x0, reps, seed=2)
+    assert sum(path_steps) == reps * sys_.steps
+
+
+def test_identity_weight_stage_cost_makes_no_copy(monkeypatch):
+    sys_, cost, pol, x0 = affine_plant(5)
+    x = np.random.default_rng(1).standard_normal((7, 5))
+    u = np.random.default_rng(2).standard_normal((7, 2))
+    want = stage_cost_batch(cost, 0, x, u), terminal_cost_batch(cost, x)
+
+    def refused(self, x, out=None):
+        raise AssertionError("identity rmatmul called")
+
+    monkeypatch.setattr(hc.IdentityOperator, "rmatmul", refused)
+    got = stage_cost_batch(cost, 0, x, u), terminal_cost_batch(cost, x)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+    np.testing.assert_allclose(want[1], np.einsum("pi,pi->p", x, x), rtol=1e-15)
 
 
 def test_gaussian_noise_moment_contract():
@@ -497,7 +606,7 @@ def test_bad_seed_refused(seed):
                                    reps=4, seed=seed)
 
 
-def test_noise_arguments_checked_before_any_work():
+def test_noise_arguments_checked_before_any_work(monkeypatch):
     with pytest.raises(hc.DimensionError, match="reps"):
         hc.draw_noise_paths(seed=0, reps=-1, steps=3)
     with pytest.raises(hc.DimensionError, match="steps"):
@@ -507,6 +616,19 @@ def test_noise_arguments_checked_before_any_work():
     # a larger r would need a second spawn word; refused before allocating
     with pytest.raises(hc.DimensionError, match="reps"):
         hc.draw_noise_paths(seed=0, reps=2**32 + 1, steps=0)
+
+    def refused(*args):
+        raise AssertionError("work started before reps was checked")
+
+    monkeypatch.setattr(sim, "run_batch", refused)
+    monkeypatch.setattr(sim, "_noise_rows", refused)
+    sys_ = scalar_system(2, a=0.5, c=0.5)
+    for reps, why in [("3", "integer"), (None, "integer"), (2.0, "integer"),
+                      (-1, "at least 2"), (0, "at least 2"), (1, "at least 2"),
+                      (2**32 + 1, "exceeds 2\\^32")]:
+        with pytest.raises(hc.DimensionError, match=f"^reps.*{why}"):
+            hc.monte_carlo_expectation(sys_, unit_cost(sys_), hc.Policy(sys_), x0_one(),
+                                       reps=reps, seed=0)
 
 
 def test_import_leaves_numpy_random_unloaded():

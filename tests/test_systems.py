@@ -3,7 +3,7 @@ import pytest
 
 import hscontrol as hc
 from hscontrol import systems
-from helpers import random_two_input
+from helpers import random_two_input, record_matrix_builds
 
 
 HS = hc.euclidean(3)
@@ -109,13 +109,7 @@ def test_weights_selfadjoint_by_construction_skip_the_check(monkeypatch):
     us = hc.Space(hc.spaces.KIND_EUCLIDEAN, 2, w[:2])
     sys_ = hc.ControlledSystem(hs, us, 1, hc.IdentityOperator(hs), hc.ZeroOperator(us, hs),
                                hc.ZeroOperator(hs), hc.ZeroOperator(us, hs))
-    built = []
-    for cls in vars(hc.operators).values():
-        if isinstance(cls, type) and "_build_matrix" in vars(cls):
-            def counted(op, build=cls._build_matrix):
-                built.append(op)
-                return build(op)
-            monkeypatch.setattr(cls, "_build_matrix", counted)
+    built = record_matrix_builds(monkeypatch)
     m = hc.ScaledOperator(2.0, hc.DiagonalOperator(rng.standard_normal(3), hs))
     hc.CostSpec(sys_, m, hc.ZeroOperator(hs, us), hc.IdentityOperator(us), hc.ZeroOperator(hs))
     assert built == []
