@@ -41,7 +41,7 @@ from .operators import (
     Operator,
     SelfAdjointCert,
     _once_per_operator,
-    certified_inverse,
+    _selfadjoint_eigs,
     coordinate_operators,
     gram,
     positivity_tolerance,
@@ -108,19 +108,19 @@ def _player_weights(sys2: TwoInputSystem, params: GameParams) -> tuple[StageWeig
     r1 = np.diag(np.concatenate([(params.gamma**2) * wv, -wu]))
     r2 = np.diag(np.concatenate([-(params.rho**2) * wv, wu]))
     cbar_sq = _once_per_operator(gram, sys2.cbar)
-    neg_cbar_sq = _once_per_operator(lambda op: -gram(op), sys2.cbar)
+    neg_cbar_sq = _once_per_operator(np.negative, cbar_sq)  # exact, so the same bits
     return (lambda k: (neg_cbar_sq[k], zero, r1)), (lambda k: (cbar_sq[k], zero, r2))
 
 
 def _certify_weight(mat: np.ndarray, w: np.ndarray, label: str, k: int):
     """Certificate of a player's effective weight; GameDomainError unless it is in the domain."""
-    cert, inverse = certified_inverse(mat, w)
+    cert = _selfadjoint_eigs(mat, w)[0]
     tol = positivity_tolerance(cert.norm)
     if cert.min_eig <= tol:
         raise GameDomainError(
             k, f"{label} at step {k}: minimum eigenvalue {cert.min_eig:.6e} is not above {tol:.3e}"
         )
-    if inverse is None:
+    if not cert.cond <= operators.KAPPA_MAX:
         cap = operators.KAPPA_MAX
         raise GameDomainError(
             k, f"{label} at step {k}: condition number {cert.cond:.3e} exceeds {cap:.1e}"

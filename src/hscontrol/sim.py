@@ -11,11 +11,14 @@ Two ways to attach a number to E[J]:
   which reports a 95 percent confidence half-width.  It estimates the same
   value: E[J] depends on the noise only through its first two moments.
 
-Both run on ``run_batch``, which sorts the paths it is given and rolls them
-out in cache-sized blocks of rows: its memory is O(block·dim) for the states
-plus O(paths·steps) for those paths and their order.  Enumeration hands it
-all 2^N sign paths at once, which the step cap bounds.  Monte Carlo draws
-and hands it one block of replications at a time, so its memory is
+Both run on ``run_batch``, which rolls the paths it is given out in
+cache-sized blocks of consecutive rows, without reordering them: its memory
+is O(block·dim) for the states plus O(paths·steps) for those paths.
+Adjacent rows with a common noise prefix share their state, so a caller
+groups its rows by prefix.  Enumeration hands it all 2^N sign paths at
+once, which the step cap bounds, in lexicographic order, and averages their
+costs in that order.  Monte Carlo's Gaussian rows share nothing past x0; it
+draws and hands over one block of replications at a time, so its memory is
 O(block·steps) for the paths plus one value per replication, however many
 replications there are.
 
@@ -39,8 +42,8 @@ from .spaces import HVector
 from .systems import ControlledSystem, CostSpec, DisturbedSystem
 
 ENUMERATION_MAX_STEPS = 17
-# run_batch rolls sorted paths out in blocks of this many bytes of state
-# rows, small enough for a block's temporaries to stay in cache
+# run_batch rolls paths out in blocks of this many bytes of state rows,
+# small enough for a block's temporaries to stay in cache
 _BLOCK_BYTES = 512 * 1024
 
 
@@ -310,24 +313,24 @@ def run_batch(
 ) -> np.ndarray:
     """Accumulate a per-path functional over many noise paths at once.
 
-    x(k) depends only on the first k noise factors, so paths that share
-    that prefix share the state.  The rows of ``noise_paths`` are sorted
-    once, which makes shared prefixes adjacent, and the sorted rows are
-    rolled out in blocks of ``_BLOCK_BYTES // (8·dim)`` rows, each block
-    through every step while its states stay in cache.  Within a block each
-    distinct state is advanced once: ``stage(k, X, U)`` receives
+    x(k) depends only on the first k noise factors, so adjacent rows with
+    equal noise prefixes share their states.  The rows are not reordered:
+    any order gives correct values, and rows grouped by prefix (as
+    ``sign_paths`` emits them) make the sharing pay.  They are rolled out
+    in blocks of ``_BLOCK_BYTES // (8·dim)`` consecutive rows, each block
+    through every step while its states stay in cache, so a row's total
+    depends only on the rows of its block.  ``stage(k, X, U)`` receives
     (states, dim) state and control batches holding at most one row per
     path, and returns one value, or one row of values, per state; the
-    optional ``terminal`` sees the distinct final states.  A prefix that
-    crosses a block boundary is advanced once per block, so the rows seen at
-    each step are at most the distinct prefixes plus (blocks - 1).  The
-    result holds one total per row of ``noise_paths``, in input order.
+    optional ``terminal`` sees the final states.  For grouped rows the rows
+    seen at each step are at most the distinct prefixes plus (blocks - 1).
+    The result holds one total per row of ``noise_paths``, in input order.
 
-    Memory is O(block·dim) for the states plus O(rows·steps) for the paths
-    and their sort order; a caller with more paths than it wants to hold at
-    once passes them a block at a time, as ``monte_carlo_expectation`` does.
-    The 2^N sign paths of N steps cost about 2^(N+1) state rows instead of
-    (N+1)·2^N.  This is the only state-advancing loop.
+    Memory is O(block·dim) for the states plus O(rows·steps) for the paths;
+    a caller with more paths than it wants to hold at once passes them a
+    block at a time, as ``monte_carlo_expectation`` does.  The 2^N sign
+    paths of N steps cost about 2^(N+1) state rows instead of (N+1)·2^N.
+    This is the only state-advancing loop.
     """
     if x0.space != system.state_space:
         raise DimensionError("initial state does not live on the state space")
@@ -335,50 +338,30 @@ def run_batch(
     if noise_paths.ndim != 2 or noise_paths.shape[1] != system.steps:
         raise DimensionError("noise paths must be (reps, steps)")
     reps = noise_paths.shape[0]
-    order = _prefix_order(noise_paths)
     block_rows = max(1, _BLOCK_BYTES // (8 * system.state_space.dim))
     # the (A, B, C, D) matrices of each step, read in every block
     families = (system.a, system.b, system.c, system.d)
     step_mats = list(zip(*map(step_matrices, families)))
-    out = None
     # an empty batch still runs one empty block, so the result takes the
     # shape of the stage's values
+    totals = []
     for start in range(0, max(reps, 1), block_rows):
-        block = order[start : start + block_rows]
-        noise = np.ascontiguousarray(noise_paths[block].T)  # (steps, block rows)
-        total = _run_block(step_mats, policy, x0, noise, stage, terminal)
-        if out is None:
-            out = np.empty((reps,) + total.shape[1:])
-        out[block] = total
-    return out
-
-
-def _prefix_order(noise_paths: np.ndarray) -> np.ndarray:
-    """The permutation that sorts the rows, column 0 first.
-
-    Sorting makes paths with a common prefix adjacent, and so contiguous
-    within a block.  When column 0 strictly increases once sorted (no
-    repeated value, -0.0 and 0.0 counting as one, and no NaN), it alone fixes
-    the order, as it does for continuous noise; otherwise every column is a
-    key, as for sign paths.
-    """
-    first = noise_paths[:, 0]
-    order = np.argsort(first, kind="stable")
-    ranked = first[order]
-    if np.all(ranked[1:] > ranked[:-1]):
-        return order
-    return np.lexsort(noise_paths.T[::-1])
+        noise = np.ascontiguousarray(noise_paths[start : start + block_rows].T)  # (steps, rows)
+        totals.append(_run_block(step_mats, policy, x0, noise, stage, terminal))
+    return np.concatenate(totals)
 
 
 def _run_block(step_mats, policy, x0, noise, stage, terminal) -> np.ndarray:
-    """Per-row totals for one block of sorted paths, given as noise columns.
+    """Per-row totals for one block of paths, given as noise columns.
 
-    ``step_mats`` holds the (A, B, C, D) matrices of each step.
+    ``step_mats`` holds the (A, B, C, D) matrices of each step.  A row
+    shares the state of the row before it while their noise prefixes are
+    equal; nothing else is shared.
     """
     rows = noise.shape[1]
-    fresh = np.zeros(rows, dtype=bool)  # sorted row starts a new state
+    fresh = np.zeros(rows, dtype=bool)  # row starts a new state
     fresh[:1] = True
-    owner = np.zeros(rows, dtype=np.intp)  # sorted row -> its distinct state
+    owner = np.zeros(rows, dtype=np.intp)  # row -> its state
     x = np.tile(x0.coords, (min(rows, 1), 1))
     total = 0.0  # takes the shape of the first stage's values
     for k, (a, b, c, d) in enumerate(step_mats):
@@ -411,13 +394,18 @@ def _run_block(step_mats, policy, x0, noise, stage, terminal) -> np.ndarray:
 
 
 def sign_paths(steps: int) -> np.ndarray:
-    """All two-point noise paths of the given length, one row per path."""
+    """All two-point noise paths of the given length, one row per path.
+
+    Row r is the binary digits of r, most significant first, with 0 read as
+    -1: the rows are in lexicographic order, so paths with a common prefix
+    are adjacent, as ``run_batch`` needs them to share states.
+    """
     if steps > ENUMERATION_MAX_STEPS:
         raise EnumerationLimitError(
             f"{steps} steps means 2^{steps} paths; cap is 2^{ENUMERATION_MAX_STEPS}"
         )
     count = 1 << steps
-    bits = (np.arange(count)[:, None] >> np.arange(steps)[None, :]) & 1
+    bits = (np.arange(count)[:, None] >> np.arange(steps - 1, -1, -1)[None, :]) & 1
     return bits * 2.0 - 1.0
 
 
@@ -434,7 +422,9 @@ def enumerate_expectation(
 
     Because each noise factor takes values -1 and +1 with equal probability,
     and the analytic theory uses only the first two noise moments, this value
-    equals the analytic expectation for any unit-variance noise.
+    equals the analytic expectation for any unit-variance noise.  The path
+    costs are summed (``np.mean``) in the lexicographic order of
+    ``sign_paths``.
     """
     paths = sign_paths(system.steps)
     vals = run_batch(

@@ -140,6 +140,36 @@ def test_shift_network_norm_closed_form():
     assert abs(est.value - SHIFT_NORM) <= 1e-4
 
 
+@pytest.mark.parametrize("case", [1, 2, 3])
+def test_heat_value_converges_at_the_fifth_power_of_the_modes(case):
+    """V(2n) - V(n) is positive and falls by about 2^5 = 32 per doubling.
+
+    The input profile x(1-x) has sine coefficients b_m ∝ m^-3 on odd m, so
+    mode m carries input energy ∝ m^-6 and a truncation to n modes drops a
+    tail ∝ n^-5.  The state and terminal weights are positive in all three
+    cases, so the modes a larger truncation adds make every input cost more
+    and the value grows.  Up to 256 modes the increments stay above the
+    value's round-off.
+    """
+    values = [hc.solve_lq(build_heat_problem(case, n)).value for n in (16, 32, 64, 128, 256)]
+    steps = np.diff(values)
+    assert np.all(steps > 0.0)
+    ratios = steps[:-1] / steps[1:]
+    assert np.all((28.0 <= ratios) & (ratios <= 36.0)), ratios
+
+
+def test_shift_network_gain_is_exact_from_dim_12():
+    """The truncation error of the gain is zero: the same float at dims 12 to 256.
+
+    The disturbance reaches only the first six slots in six steps, and the
+    level test reads the iterates only on slots that the truncated shift's
+    dropped last coordinate cannot reach within the horizon.  The extra
+    coordinates enter the structured products as exact zeros.
+    """
+    gains = {hc.hinf_norm(build_shift_network(dim), tol=1e-9).value for dim in (12, 16, 64, 256)}
+    assert gains == {1.6770509839989245}
+
+
 def test_shift_network_resolution_guard():
     with pytest.raises(hc.ResolutionError):
         build_shift_network(dim=8)

@@ -15,9 +15,11 @@ from helpers import (
     random_controlled,
     random_disturbed,
     random_psd_cost,
+    random_solved_problem,
     random_x0,
     record_matrix_builds,
     replication_rng,
+    solvable_game,
     space,
 )
 
@@ -186,9 +188,9 @@ def test_monte_carlo_covers_enumerated_value():
     assert hits == total, f"only {hits}/{total} intervals covered the exact value"
 
 
-def affine_plant(dim, steps=4):
+def affine_plant(dim, steps=4, seed=None):
     """A dim-state, 2-input plant with stage costs and an affine policy."""
-    rng = np.random.default_rng(dim)
+    rng = np.random.default_rng(dim if seed is None else seed)
     hs, us = hc.euclidean(dim), hc.euclidean(2)
     s = 0.9 / np.sqrt(dim)
     sys_ = hc.ControlledSystem(
@@ -420,14 +422,6 @@ def check_run_batch_against_per_path(rng, weighted):
         assert run_batch(sys_, pol, x0, empty, pair_stage).shape == (0, 2)
 
 
-def test_prefix_order_is_the_lexicographic_order():
-    rng = np.random.default_rng(60)
-    for steps in (1, 4):
-        for paths in noise_batches(rng, steps):
-            want = np.lexsort(paths.T[::-1])
-            assert np.array_equal(sim._prefix_order(paths), want)
-
-
 def test_run_batch_advances_each_distinct_prefix_once():
     def rows_seen(paths):
         sys_ = scalar_system(paths.shape[1] - 1, a=0.9, c=0.5)
@@ -450,37 +444,116 @@ def test_run_batch_advances_each_distinct_prefix_once():
     assert rows_seen(gauss) == [1] + [reps] * 10
 
 
+def lexsorted(paths):
+    return paths[np.lexsort(paths.T[::-1])]
+
+
 @pytest.mark.parametrize("block_rows", [1, 7, 64])
 def test_blocked_run_batch_advances_each_prefix_once_per_block(block_rows, monkeypatch):
-    """Rows at step k: at least the distinct k-prefixes, at most (blocks - 1) more."""
+    """Rows at step k: at least the distinct k-prefixes, at most (blocks - 1) more.
+
+    The bound holds for batches grouped by prefix, as sign paths and
+    Gaussian draws come; a permuted batch is not regrouped, so it is held
+    to its values only.
+    """
     monkeypatch.setattr(sim, "_BLOCK_BYTES", 8 * block_rows)  # dim 1
     rng = np.random.default_rng(block_rows)
     signs = hc.sign_paths(8)
-    batches = [
+    duplicated = np.vstack([signs, signs[rng.integers(0, len(signs), 9)]])
+    sampled = signs[rng.integers(0, len(signs), 50)]
+    grouped = [
         signs,
-        np.vstack([signs, signs[rng.integers(0, len(signs), 9)]])[rng.permutation(len(signs) + 9)],
+        lexsorted(duplicated),
         hc.draw_noise_paths(seed=3, reps=50, steps=8),
-        signs[rng.integers(0, len(signs), 50)],
+        lexsorted(sampled),
     ]
-    for paths in batches:
-        sys_ = scalar_system(paths.shape[1] - 1, a=0.9, c=0.5)
+    permuted = [duplicated[rng.permutation(len(duplicated))], sampled]
+    sys_ = scalar_system(signs.shape[1] - 1, a=0.9, c=0.5)
+    for paths, is_grouped in [(p, True) for p in grouped] + [(p, False) for p in permuted]:
         seen = []
 
         def stage(k, x, u):
             seen.append(x.shape[0])
-            return np.zeros(x.shape[0])
+            return x[:, 0] ** 2
 
         def terminal(x):
             seen.append(x.shape[0])
-            return np.zeros(x.shape[0])
+            return x[:, 0]
 
         # a block's rows all pass through every step before the next block starts
-        run_batch(sys_, hc.Policy(sys_), x0_one(), paths, stage, terminal)
+        got = run_batch(sys_, hc.Policy(sys_), x0_one(), paths, stage, terminal)
+        zeros = [np.zeros((1, 1))] * sys_.steps
+        want = per_path_totals(sys_, zeros, [np.zeros(1)] * sys_.steps, x0_one(), paths,
+                               lambda k, x, u: x[:, 0] ** 2, lambda x: x[:, 0])
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        if not is_grouped:
+            continue
         blocks = -(-len(paths) // block_rows)
         per_step = np.array(seen).reshape(blocks, paths.shape[1] + 1).sum(axis=0)
         for k, rows in enumerate(per_step):
             distinct = len(np.unique(paths[:, :k], axis=0)) if k else 1
             assert distinct <= rows <= distinct + blocks - 1
+
+
+def is_lexsorted(paths):
+    return np.array_equal(np.lexsort(paths.T[::-1]), np.arange(len(paths)))
+
+
+def test_sign_paths_are_in_lexicographic_order():
+    for n in range(1, 11):
+        paths = hc.sign_paths(n)
+        assert is_lexsorted(paths)
+        assert np.array_equal(lexsorted(paths), paths)
+
+
+def test_library_batches_are_grouped_by_prefix(monkeypatch):
+    """Every batch the library hands run_batch is sorted or shares no first step.
+
+    run_batch shares states between adjacent rows only, so an unsorted batch
+    with a repeated first-step noise would advance its shared prefixes more
+    than once.  Enumeration passes sign paths, Monte Carlo and simulate pass
+    Gaussian or single rows.
+    """
+    batches = []
+
+    def recorded(system, policy, x0, noise_paths, *args):
+        batches.append(np.asarray(noise_paths))
+        return run_batch(system, policy, x0, noise_paths, *args)
+
+    for module in (hc.sim, hc.lq, hc.game):
+        monkeypatch.setattr(module, "run_batch", recorded)
+    rng = np.random.default_rng(70)
+    problem = random_solved_problem(rng, allow_indefinite=False)
+    sol = hc.solve_lq(problem)
+    hc.completing_square_check(problem, sol, hc.optimal_policy(problem, sol))
+    sys2, params, x0, game = solvable_game(rng)
+    hc.verify_nash_equilibrium(sys2, params, game, x0, deviations=4)
+    pol = hc.Policy(problem.system)
+    hc.monte_carlo_expectation(problem.system, problem.cost, pol, problem.x0, 300, seed=1)
+    hc.simulate(problem.system, pol, problem.x0,
+                rng.standard_normal(problem.system.steps), cost=problem.cost)
+    assert len(batches) >= 5
+    for paths in batches:
+        assert is_lexsorted(paths) or len(np.unique(paths[:, 0])) == len(paths)
+
+
+@pytest.mark.parametrize("dim", [1, 32, 64, 100, 130])
+def test_run_batch_row_bits_depend_only_on_its_block(dim):
+    """One run over 3·B + 17 Gaussian rows has the bits of one run per B-row slice."""
+    block = max(1, sim._BLOCK_BYTES // (8 * dim))
+    rng = np.random.default_rng(dim)
+    for _ in range(3):
+        sys_, cost, pol, x0 = affine_plant(dim, steps=int(rng.integers(1, 5)),
+                                           seed=int(rng.integers(1 << 30)))
+        paths = rng.standard_normal((3 * block + 17, sys_.steps))
+
+        def run(rows):
+            return run_batch(sys_, pol, x0, rows,
+                             lambda k, x, u: stage_cost_batch(cost, k, x, u),
+                             lambda x: terminal_cost_batch(cost, x))
+
+        sliced = [run(paths[start : start + block]) for start in range(0, len(paths), block)]
+        assert run(paths).tobytes() == np.concatenate(sliced).tobytes()
 
 
 def test_run_batch_memory_is_bounded_per_block():
