@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import BracketError, DimensionError, OracleScopeError, ResolutionError
 from .operators import (
+    DenseOperator,
     Operator,
     SelfAdjointCert,
     _BOUND_MARGIN,
@@ -40,8 +41,19 @@ from .operators import (
     opnorm,
     step_matrices,
 )
-from .riccati import StageWeights, StepScratch, _backward_pass, _step_congruences
+from .riccati import (
+    RiccatiSolution,
+    StageWeights,
+    StepScratch,
+    _backward_pass,
+    _step_congruences,
+)
+from .spaces import euclidean
 from .systems import ControlledSystem, DisturbedSystem
+
+# The gain search runs on the reachable subspace only while its dimension is
+# at most this share of the state dimension.
+VIEW_MAX_SHARE = 0.25
 
 
 @dataclass
@@ -74,6 +86,23 @@ class _LevelTerms:
             zero,
             (gamma**2) * np.diag(vs.weights) - self.dbar_sq[k],
         )
+
+    def walk(self, gamma: float, stop_at_failure: bool) -> RiccatiSolution:
+        """The level recursion at gamma, from the zero terminal weight."""
+        dim = self.view.state_space.dim
+        return _backward_pass(
+            self.view,
+            self.weights(gamma),
+            np.zeros((dim, dim)),
+            stop_at_nonpositive=stop_at_failure,
+            scratch=self.scratch,
+            head=self.head_sums,
+        )
+
+    def passes(self, gamma: float) -> bool:
+        """Whether the level test at gamma is feasible; stops at the first failure."""
+        sol = self.walk(gamma, stop_at_failure=True)
+        return sol.nonpositive is None and sol.breakdown is None
 
     def head_sums(self, gram_last: np.ndarray) -> tuple:
         if self.head is None:  # the walk's spare and work are free at this point
@@ -142,19 +171,82 @@ def brl_check(
             f"gamma must be finite and positive with a finite square, got {gamma!r}"
         )
     terms = _level_terms(dsys) if terms is None else terms
-    dim = dsys.state_space.dim
-    sol = _backward_pass(
-        terms.view,
-        terms.weights(gamma),
-        np.zeros((dim, dim)),
-        stop_at_nonpositive=stop_at_failure,
-        scratch=terms.scratch,
-        head=terms.head_sums,
-    )
+    sol = terms.walk(gamma, stop_at_failure)
     failing = sol.nonpositive if sol.nonpositive is not None else sol.breakdown
     # the walk stops at a breakdown, and with stop_at_failure at the first non-positive p3
     completed = sol.breakdown is None and not (stop_at_failure and sol.nonpositive is not None)
     return BoundedRealRun(gamma, failing is None, failing, completed, sol.p, sol.rk_certs, sol.gains)
+
+
+def _span(frame: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning those of a finite ``frame``, as many as its numerical rank.
+
+    The rank is ``numpy.linalg.matrix_rank``'s, taken after the entries are
+    scaled to at most 1, so that no singular value overflows.
+    """
+    top = np.abs(frame).max(initial=0.0)
+    if top == 0.0:
+        return frame[:, :0]
+    u, svals, _ = np.linalg.svd(frame / top, full_matrices=False)
+    return u[:, svals > svals[0] * max(frame.shape) * np.finfo(float).eps]
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a plant that overflows is declined
+def _reachable_view(dsys: DisturbedSystem) -> DisturbedSystem | None:
+    """The plant compressed to the states that a disturbance reaches from x0 = 0, or None.
+
+    The reachable subspaces are R_0 = {0} and R_{k+1} = A_k R_k + C_k R_k +
+    ran B1_k + ran D1_k, and V is an orthonormal basis, in the state
+    weights, of R_0 + ... + R_N.  The view has the states of V, unit
+    weights, the maps V* W A_k V, V* W C_k V, V* W B1_k, V* W D1_k and
+    Cbar_k V, and the same disturbance and output spaces and Dbar.  A_k
+    and C_k map R_k into R_{k+1}, and B1_k and D1_k map into it, so every
+    trajectory from 0 is one of the view's and the level recursion of the
+    view agrees with the full one on R_k.  R_{N+1} is not needed: the level
+    test's terminal weight is zero.  The rank of each of the four images is
+    decided at that image's own scale, so a weak input is not lost beside a
+    strong one; a direction weak inside one image is dropped, and
+    ``hinf_norm`` certifies the view's bracket on the full plant for that.
+
+    None when the dimension of V passes ``VIEW_MAX_SHARE`` of the state
+    dimension, checked at every step, when nothing is reachable, or when an
+    image is not finite.
+    """
+    hs, ds, zs = dsys.state_space, dsys.disturbance_space, dsys.output_space
+    growth = range(dsys.steps - 1)  # step N maps into R_{N+1}, which is not needed
+    families = (dsys.a, dsys.b1, dsys.c, dsys.d1)
+    a, b1, c, d1 = (step_matrices(f(k) for k in growth) for f in families)
+    root_w = np.sqrt(hs.weights)[:, None]  # frame coordinates are root_w * x
+    reach = basis = np.zeros((hs.dim, 0))  # frame bases of R_k and of R_0 + ... + R_k
+    for k in growth:
+        images = [root_w * (m[k] @ (reach / root_w)) for m in (a, c)]
+        images += [root_w * m[k] for m in (b1, d1)]
+        if not all(np.isfinite(image).all() for image in images):
+            return None
+        reach = _span(np.hstack([_span(image) for image in images]))
+        basis = _span(np.hstack([basis, reach]))
+        if basis.shape[1] > VIEW_MAX_SHARE * hs.dim:
+            return None
+    if basis.shape[1] == 0:  # a space has at least one dimension
+        return None
+    v, vw = basis / root_w, (basis * root_w).T  # V and V* W, with V* W V = I
+    vs = euclidean(v.shape[1])
+
+    def compress(family, f, domain, codomain):  # once per distinct operator
+        return _once_per_operator(lambda op: DenseOperator(f(op.matrix), domain, codomain), family)
+
+    return DisturbedSystem(
+        vs,
+        ds,
+        zs,
+        dsys.horizon,
+        compress(dsys.a, lambda m: vw @ (m @ v), vs, vs),
+        compress(dsys.b1, lambda m: vw @ m, ds, vs),
+        compress(dsys.c, lambda m: vw @ (m @ v), vs, vs),
+        compress(dsys.d1, lambda m: vw @ m, ds, vs),
+        compress(dsys.cbar, lambda m: m @ v, vs, zs),
+        list(dsys.dbar),
+    )
 
 
 @dataclass(frozen=True)
@@ -181,6 +273,15 @@ def hinf_norm(
     from 1 until feasible, and refused once the next level's square is not
     finite (about 512 doublings).  Bisection also stops when the bracket has
     no float strictly inside it.
+
+    When the reachable subspace is small (see ``_reachable_view``), the
+    level tests run on the plant compressed to it, and the bracket they end
+    with is then certified on the full plant: ``hi`` must pass the full
+    level test, and ``lo``, when above 0, must fail it.  A bracket that is
+    not certified, or a view search that ends in a ``BracketError``, is
+    discarded and the search reruns on the full plant.  ``iterations``
+    counts the level tests of the search whose bracket is returned; the one
+    or two certifying tests are not among them.
     """
     if not (np.isfinite(tol) and tol > 0.0):
         raise DimensionError(f"tol must be a finite positive number, got {tol!r}")
@@ -191,13 +292,30 @@ def hinf_norm(
         raise BracketError("lower bound must be nonnegative")
     if hi is not None and lo >= hi:
         raise BracketError(f"lower bound {lo} is not below upper bound {hi}")
+    view = _reachable_view(dsys)
+    if view is not None:
+        try:
+            est = _bisect(view, dsys, lo, hi, tol)
+        except BracketError:
+            pass
+        else:
+            full = _level_terms(dsys)
+            if full.passes(est.hi) and not (est.lo > 0.0 and full.passes(est.lo)):
+                return est
+    return _bisect(dsys, dsys, lo, hi, tol)
+
+
+def _bisect(
+    plant: DisturbedSystem, dsys: DisturbedSystem, lo: float, hi: float | None, tol: float
+) -> NormEstimate:
+    """``hinf_norm``'s search with its level tests on ``plant`` and its oracle on ``dsys``."""
     iterations = 0
-    terms = _level_terms(dsys)
+    terms = _level_terms(plant)
 
     def feasible(level: float) -> bool:
         nonlocal iterations
         iterations += 1
-        return brl_check(dsys, level, stop_at_failure=True, terms=terms).feasible
+        return brl_check(plant, level, stop_at_failure=True, terms=terms).feasible
 
     if lo > 0.0 and feasible(lo):
         raise BracketError(f"supplied lower bound {lo} is feasible")

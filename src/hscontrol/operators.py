@@ -433,14 +433,39 @@ def congruence(
     return right.rmatmul(left.rmatmul(g.T, out=work).T, out=out)
 
 
+def _diagonal_entries(op: Operator) -> tuple[np.ndarray, float] | None:
+    """(diagonal, off-diagonal entry) of the matrix of an operator diagonal by type, else None.
+
+    Square zero, identity and diagonal (heat included) operators, and scaled
+    ones of those, are diagonal by type.  The entries are built as ``matrix``
+    builds them, the outer factor times the inner entries, so they have its
+    bits, down to the sign of the zero off the diagonal.  No matrix is built.
+    """
+    if isinstance(op, ScaledOperator):
+        inner = _diagonal_entries(op.inner_op)
+        return None if inner is None else (op.factor * inner[0], op.factor * inner[1])
+    if isinstance(op, DiagonalOperator):
+        return op.entries, 0.0
+    if isinstance(op, IdentityOperator):
+        return np.ones(op.domain.dim), 0.0
+    if isinstance(op, ZeroOperator) and op.is_square():
+        return np.zeros(op.domain.dim), 0.0
+    return None
+
+
 def gram(op: Operator) -> np.ndarray:
     """M^T W M for the codomain weights W: the Gram form W_dom (op* op)."""
     return op.rmatmul(op.matrix.T * op.codomain.weights[None, :])
 
 
 def coordinate_operators(grams: list[np.ndarray | None], space: Space) -> list[Operator | None]:
-    """Operators for Gram-form iterates W P, each turned into coordinates in place."""
+    """Operators for Gram-form iterates W P, each turned into coordinates in place.
+
+    On unit weights W P is P: dividing by 1 changes no bit, so it is skipped.
+    """
     w = space.weights[:, None]
+    if (w == 1.0).all():
+        return [None if g is None else DenseOperator(g, space) for g in grams]
     return [None if g is None else DenseOperator(np.divide(g, w, out=g), space) for g in grams]
 
 

@@ -19,7 +19,10 @@ is symmetric whenever P is self-adjoint, so every weighted adjoint in a step
 becomes a plain transpose.  Weights enter only the small completion terms,
 which are certified in the orthonormal frame, and the returned coordinates.
 The pass takes its stage weights in that Gram form too, so the bounded-real
-test of ``hinf`` runs the same pass on its level weights.
+test of ``hinf`` runs the same pass on its level weights.  A state or
+terminal weight of an LQ cost that is diagonal by type enters as its
+weighted diagonal, a ``DiagonalGram``, added onto the diagonal of the
+congruence sum with the bits of the sum with its n x n array.
 
 The pass owns its scratch: Q, the G* K product and the inner products of the
 congruences go into state-sized arrays of a ``StepScratch`` allocated once and
@@ -37,7 +40,7 @@ returns none.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -47,6 +50,7 @@ from .operators import (
     Operator,
     SelfAdjointCert,
     ZeroOperator,
+    _diagonal_entries,
     _once_per_operator,
     certified_inverse,
     congruence,
@@ -61,16 +65,62 @@ STATUS_DOMAIN_FAILURE = "domain_failure"
 STATUS_NOT_UNIFORMLY_POSITIVE = "not_uniformly_positive"
 
 
-# k -> Gram forms (W_h M, W_u L, W_u R) of the stage weights of a pass
-StageWeights = Callable[[int], tuple[np.ndarray, np.ndarray, np.ndarray]]
+class DiagonalGram(NamedTuple):
+    """The Gram form W M of a state weight M that is diagonal by type.
+
+    ``diag`` is its diagonal, and ``off`` the zero off the diagonal, with the
+    sign that M's matrix gives it.
+    """
+
+    diag: np.ndarray
+    off: float
+
+    def array(self) -> np.ndarray:
+        out = np.full((self.diag.size, self.diag.size), self.off)
+        np.fill_diagonal(out, self.diag)
+        return out
+
+
+# k -> Gram forms (W_h M, W_u L, W_u R) of the stage weights of a pass; W_h M
+# may be a DiagonalGram
+StageWeights = Callable[[int], tuple[np.ndarray | DiagonalGram, np.ndarray, np.ndarray]]
+
+
+def _state_gram(op: Operator, w: np.ndarray) -> np.ndarray | DiagonalGram:
+    """W M for a state weight M and state weights w; a DiagonalGram if M is diagonal by type."""
+    entries = _diagonal_entries(op)
+    if entries is None:
+        return w[:, None] * op.matrix
+    diag, off = entries
+    return DiagonalGram(w * diag, off)  # w > 0 keeps the zero's sign
+
 
 def _cost_weights(system: ControlledSystem, cost: CostSpec) -> StageWeights:
-    wh = system.state_space.weights[:, None]
+    wh = system.state_space.weights
     wu = system.control_space.weights[:, None]
-    ms = _once_per_operator(lambda op: wh * op.matrix, cost.m)
+    ms = _once_per_operator(lambda op: _state_gram(op, wh), cost.m)
     ls = _once_per_operator(lambda op: wu * op.matrix, cost.l)
     rs = _once_per_operator(lambda op: wu * op.matrix, cost.r)
     return lambda k: (ms[k], ls[k], rs[k])
+
+
+def _plus_weight(m, total, out):
+    """W_h M + ``total`` into ``out``, for a Gram array or a DiagonalGram; None is zero.
+
+    A DiagonalGram adds its off-diagonal zero to every entry and its diagonal
+    onto the diagonal of ``total``, which are the bits of the sum with its
+    array.  ``total`` may be ``out``.
+    """
+    if isinstance(m, np.ndarray):
+        return np.add(m, 0.0 if total is None else total, out=out)
+    if total is None:
+        out.fill(0.0)
+        np.fill_diagonal(out, m.diag + 0.0)
+        return out
+    diag = m.diag + np.diagonal(total)  # read before ``out`` overwrites it
+    np.add(total, m.off, out=out)
+    np.fill_diagonal(out, diag)
+    return out
 
 
 class StepScratch:
@@ -145,7 +195,7 @@ def _completion_arrays(
         sums = _step_congruences(system, gram_next, k, scratch.q, scratch.spare, scratch.work)
     q_sum, r_sum, g_sum = sums
     rk = np.add(r, 0.0 if r_sum is None else r_sum)
-    q = np.add(m, 0.0 if q_sum is None else q_sum, out=scratch.q)
+    q = _plus_weight(m, q_sum, scratch.q)
     return q, 0.5 * (rk + rk.T), np.add(l, 0.0 if g_sum is None else g_sum)
 
 
@@ -301,5 +351,7 @@ def solve_backward_riccati(system: ControlledSystem, cost: CostSpec) -> RiccatiS
     inverse, stopping the recursion; "not_uniformly_positive" when the
     recursion completes but a completion term dips to or below the tolerance.
     """
-    terminal = system.state_space.weights[:, None] * cost.terminal.matrix
+    terminal = _state_gram(cost.terminal, system.state_space.weights)
+    if isinstance(terminal, DiagonalGram):
+        terminal = terminal.array()
     return _backward_pass(system, _cost_weights(system, cost), terminal)

@@ -400,6 +400,7 @@ def sign_paths(steps: int) -> np.ndarray:
     -1: the rows are in lexicographic order, so paths with a common prefix
     are adjacent, as ``run_batch`` needs them to share states.
     """
+    steps = _nonnegative_int("steps", steps)
     if steps > ENUMERATION_MAX_STEPS:
         raise EnumerationLimitError(
             f"{steps} steps means 2^{steps} paths; cap is 2^{ENUMERATION_MAX_STEPS}"

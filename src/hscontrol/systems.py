@@ -16,12 +16,10 @@ import numpy as np
 from .errors import AssumptionError, DimensionError, NotSelfAdjointError
 from .operators import (
     DenseOperator,
-    DiagonalOperator,
-    IdentityOperator,
     Operator,
-    ScaledOperator,
     ZeroOperator,
     _BOUND_MARGIN,
+    _diagonal_entries,
     _sframe,
 )
 from .spaces import KIND_EUCLIDEAN, Space
@@ -71,12 +69,8 @@ def _check_selfadjoint(op: Operator, what: str) -> None:
 
 
 def _selfadjoint_by_construction(op: Operator) -> bool:
-    """True when the operator's type alone makes it self-adjoint; builds no matrix."""
-    while isinstance(op, ScaledOperator):
-        op = op.inner_op
-    if isinstance(op, ZeroOperator):
-        return op.domain == op.codomain
-    return isinstance(op, (IdentityOperator, DiagonalOperator))
+    """True when the operator's type alone makes it diagonal, so self-adjoint; builds no matrix."""
+    return _diagonal_entries(op) is not None
 
 
 def _family(domain: str, codomain: str):

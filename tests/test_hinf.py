@@ -419,7 +419,10 @@ def test_search_head_is_computed_once_and_never_written(monkeypatch):
         runs = [hc.brl_check(dsys, level, stop_at_failure=stop, terms=terms)
                 for level in levels for stop in (False, True)]
         hc.hinf_norm(dsys)
-        assert len(made) == 2  # once for these terms, once for the search
+        # once for these terms, and once for each terms object of the search:
+        # the plant's, or the view's and the plant's that certify its bracket
+        searched = 1 if hinf._reachable_view(dsys) is None else 2
+        assert len(made) == 1 + searched
         assert_same_bits(list(terms.head), head)
         assert_same_bits(runs, [hc.brl_check(dsys, level, stop_at_failure=stop)
                                 for level in levels for stop in (False, True)])
@@ -575,3 +578,195 @@ def test_attenuation_terms_pin_the_level_recursion_on_weighted_spaces():
             y_ref, gain_ref = completion_reference(p1, p2, p3)
             assert_pinned(run.y[k].matrix, y_ref)
             assert_pinned(run.worst_gains[k].matrix, gain_ref)
+
+
+def _thin_plant(rng, dim, drift, noisy=True, weighted=False):
+    """A plant on dim states whose disturbance reaches few of them.
+
+    One or two disturbance channels enter through a dense B1, and D1 is a
+    multiple of it.  The drift is a scaled shift or a diagonal; the noise
+    map is a diagonal with other entries, so C_k R_k leaves A_k R_k + ran B1.
+    """
+    hs = space(rng, dim, weighted)
+    vs = space(rng, int(rng.integers(1, 3)), weighted)
+    horizon = 3 if vs.dim == 1 else 2
+    zs = space(rng, 4, weighted)
+    steps = horizon + 1
+    if drift == "shift":
+        a = hc.ScaledOperator(0.9, hc.RightShiftOperator(hs))
+    else:
+        a = hc.DiagonalOperator(rng.uniform(-0.9, 0.9, dim), hs)
+    b1 = dense(rng, vs, hs, 1.0 / np.sqrt(dim))
+    if noisy:
+        c = hc.DiagonalOperator(rng.uniform(-0.5, 0.5, dim), hs)
+        d1 = hc.ScaledOperator(0.3, b1)
+    else:
+        c, d1 = hc.ZeroOperator(hs), hc.ZeroOperator(vs, hs)
+    cm = np.zeros((zs.dim, dim))
+    cm[:3] = rng.standard_normal((3, dim)) / np.sqrt(dim)
+    dm = np.zeros((zs.dim, vs.dim))
+    dm[3] = 0.5 * rng.standard_normal(vs.dim)
+    return hc.DisturbedSystem(hs, vs, zs, horizon, a, b1, c, d1,
+                              hc.DenseOperator(cm, hs, zs), hc.DenseOperator(dm, vs, zs))
+
+
+def _thin_plants():
+    rng = np.random.default_rng(61)
+    return [_thin_plant(rng, int(rng.integers(40, 201)), drift, noisy, weighted)
+            for drift in ("shift", "diagonal") for noisy in (True, False)
+            for weighted in (False, True)]
+
+
+def _uncompressed(monkeypatch, f, *args, **kwargs):
+    monkeypatch.setattr(hinf, "_reachable_view", lambda dsys: None)
+    try:
+        return f(*args, **kwargs)
+    finally:
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-9])
+def test_search_on_the_reachable_view_matches_the_full_search(tol, monkeypatch):
+    for dsys in _thin_plants():
+        view = hinf._reachable_view(dsys)
+        assert view is not None and view.state_space.dim <= dsys.state_space.dim / 4
+        got = hc.hinf_norm(dsys, tol=tol)
+        want = _uncompressed(monkeypatch, hc.hinf_norm, dsys, tol=tol)
+        assert got.iterations == want.iterations
+        for field in ("value", "lo", "hi"):
+            assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-10)
+
+
+def test_reachable_view_has_the_level_spectra_of_the_plant():
+    # p3 acts on the disturbance space and is the same operator on the view
+    for dsys in _thin_plants():
+        view = hinf._reachable_view(dsys)
+        gain = hc.hinf_norm(dsys, tol=1e-6).value
+        for gamma in (0.8 * gain, 1.2 * gain):
+            full, small = hc.brl_check(dsys, gamma), hc.brl_check(view, gamma)
+            assert small.feasible == full.feasible
+            assert small.failing_step == full.failing_step
+            for k in range(dsys.steps):
+                if full.pi3_certs[k] is not None:
+                    scale = 1.0 + full.pi3_certs[k].norm
+                    assert abs(small.min_pi3_eig(k) - full.min_pi3_eig(k)) <= 1e-10 * scale
+                    assert abs(small.pi3_certs[k].max_eig - full.pi3_certs[k].max_eig) <= (
+                        1e-10 * scale)
+
+
+def test_full_rank_plants_decline_the_view_and_keep_their_bits(monkeypatch):
+    rng = np.random.default_rng(62)
+    plants = [random_disturbed(rng, dim_max=8, weighted=weighted, noisy=noisy)
+              for weighted in (False, True) for noisy in (False, True) for _ in range(3)]
+    plants += [_thin_plant(rng, 12, "diagonal", weighted=True)]  # 12 / 4 = 3 states
+    for dsys in plants:
+        assert hinf._reachable_view(dsys) is None
+        got = hc.hinf_norm(dsys, tol=1e-8)
+        assert_same_bits(got, _uncompressed(monkeypatch, hc.hinf_norm, dsys, tol=1e-8))
+
+
+def test_view_declines_once_the_reached_dimension_passes_a_quarter(monkeypatch):
+    # R_1 of the dense plant has 2 dimensions, above 7 / 4, so the growth
+    # stops before it forms the images of step 1
+    rng = np.random.default_rng(63)
+    hs, vs, zs = hc.euclidean(7), hc.euclidean(1), hc.euclidean(8)
+    frames = []
+    real = hinf._span
+    monkeypatch.setattr(hinf, "_span", lambda frame: frames.append(frame.shape) or real(frame))
+    dsys = hc.DisturbedSystem(hs, vs, zs, 4, dense(rng, hs, hs), dense(rng, vs, hs),
+                              dense(rng, hs, hs), dense(rng, vs, hs),
+                              hc.DenseOperator(np.eye(8, 7), hs, zs), hc.ZeroOperator(vs, zs))
+    assert hinf._reachable_view(dsys) is None
+    assert max(cols for _, cols in frames) == 2
+
+
+def test_weak_and_strong_inputs_both_enter_the_view():
+    # B1 at 1e-20 beside D1 at 1: a rank decided on the stacked images would
+    # drop ran B1, which alone reaches the output
+    hs, vs, zs = hc.ell2(40), hc.euclidean(2), hc.euclidean(1)
+    b1 = np.zeros((40, 2))
+    b1[0, 0] = 1e-20
+    d1 = np.zeros((40, 2))
+    d1[1, 1] = 1.0
+    cbar = np.zeros((1, 40))
+    cbar[0, 0] = 1e20
+    dsys = hc.DisturbedSystem(hs, vs, zs, 1, hc.ZeroOperator(hs), hc.DenseOperator(b1, vs, hs),
+                              hc.ZeroOperator(hs), hc.DenseOperator(d1, vs, hs),
+                              hc.DenseOperator(cbar, hs, zs), hc.ZeroOperator(vs, zs))
+    assert hinf._reachable_view(dsys).state_space.dim == 2
+    assert hc.hinf_norm(dsys, tol=1e-9).value == pytest.approx(1.0, rel=1e-8)
+
+
+def test_overflowing_images_decline_the_view():
+    hs, vs = hc.ell2(64), hc.euclidean(1)
+    huge = hc.DenseOperator(np.full((64, 64), 1e308), hs)  # A @ A e1 overflows
+    dsys = hc.DisturbedSystem(hs, vs, hs, 3, huge, hc.FillingOperator(vs, hs, 1),
+                              hc.ZeroOperator(hs), hc.ZeroOperator(vs, hs),
+                              hc.IdentityOperator(hs), hc.ZeroOperator(vs, hs))
+    assert hinf._reachable_view(dsys) is None
+    with pytest.raises(hc.ResolutionError, match="not finite"):
+        hc.hinf_norm(dsys)
+
+
+def _weak_inside_one_input(noisy):
+    """B1 with columns 1e-20 e0 and e1, and Cbar = 1e20 e0*: the gain is 1 along e0.
+
+    ``_span`` decides B1's rank at its own scale and drops e0, so the view
+    only has e1, which Cbar does not see.
+    """
+    hs, vs, zs = hc.ell2(40), hc.euclidean(2), hc.euclidean(1)
+    b1 = np.zeros((40, 2))
+    b1[0, 0], b1[1, 1] = 1e-20, 1.0
+    cbar = np.zeros((1, 40))
+    cbar[0, 0] = 1e20
+    c = hc.DiagonalOperator(np.r_[0.0, 0.0, np.full(38, 0.3)], hs) if noisy else hc.ZeroOperator(hs)
+    return hc.DisturbedSystem(hs, vs, zs, 1, hc.ZeroOperator(hs), hc.DenseOperator(b1, vs, hs),
+                              c, hc.ZeroOperator(vs, hs), hc.DenseOperator(cbar, hs, zs),
+                              hc.ZeroOperator(vs, zs))
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+def test_a_view_that_drops_a_weak_direction_falls_back_to_the_full_search(noisy, monkeypatch):
+    dsys = _weak_inside_one_input(noisy)
+    view = hinf._reachable_view(dsys)
+    assert view.state_space.dim == 1
+    assert hc.hinf_norm(view, tol=1e-9).value < 1e-3  # what an uncertified view would return
+    got = hc.hinf_norm(dsys, tol=1e-9)
+    assert got.value == pytest.approx(1.0, rel=1e-8)
+    assert_same_bits(got, _uncompressed(monkeypatch, hc.hinf_norm, dsys, tol=1e-9))
+
+
+def _output_scaled(dsys, factor):
+    """The plant with Cbar and Dbar scaled by factor, so its gain too."""
+    return hc.DisturbedSystem(dsys.state_space, dsys.disturbance_space, dsys.output_space,
+                              dsys.horizon, list(dsys.a), list(dsys.b1), list(dsys.c),
+                              list(dsys.d1), [hc.ScaledOperator(factor, op) for op in dsys.cbar],
+                              [hc.ScaledOperator(factor, op) for op in dsys.dbar])
+
+
+@pytest.mark.parametrize("factor, bracket", [
+    (0.5, lambda gain: {}),
+    (2.0, lambda gain: {}),
+    (0.5, lambda gain: {"lo": 0.1, "hi": 50.0}),
+    (2.0, lambda gain: {"lo": 0.1, "hi": 50.0}),
+    (0.5, lambda gain: {"lo": 0.75 * gain}),  # feasible on the view only: a BracketError there
+])
+def test_an_uncertified_view_bracket_gives_the_full_search(factor, bracket, monkeypatch):
+    # a view whose gain is half (hi fails the full test) or twice (lo passes
+    # it) the plant's is discarded, with or without a supplied bracket
+    dsys = _thin_plants()[0]
+    bracket = bracket(hc.hinf_norm(dsys, tol=1e-8).value)
+    wrong = _output_scaled(hinf._reachable_view(dsys), factor)
+    want = _uncompressed(monkeypatch, hc.hinf_norm, dsys, tol=1e-8, **bracket)
+    monkeypatch.setattr(hinf, "_reachable_view", lambda d: wrong)
+    assert_same_bits(hc.hinf_norm(dsys, tol=1e-8, **bracket), want)
+
+
+def test_the_oracle_runs_on_the_full_plant(monkeypatch):
+    seen = []
+    real = hinf.deterministic_norm_oracle
+    monkeypatch.setattr(hinf, "deterministic_norm_oracle", lambda d: seen.append(d) or real(d))
+    for dsys in _thin_plants():
+        seen.clear()
+        hc.hinf_norm(dsys)
+        assert seen == [dsys]

@@ -3,11 +3,13 @@ import pytest
 
 import hscontrol as hc
 from helpers import (
+    assert_same_bits,
     open_loop_quadratic,
     random_controlled,
     random_psd_cost,
     random_solved_problem,
     random_x0,
+    record_matrix_builds,
 )
 
 
@@ -178,3 +180,84 @@ def test_solve_lq_reports_failure_status():
     assert not sol.solved
     assert sol.status == "domain_failure"
     assert sol.value is None
+
+
+def _with_weights(problem, m, terminal, scale=None):
+    """The problem with state weights ``m`` and ``terminal``, and L, R scaled by ``scale``."""
+    cost, system = problem.cost, problem.system
+    l, r = list(cost.l), list(cost.r)
+    if scale is not None:
+        l, r = ([hc.ScaledOperator(scale, op) for op in ops] for ops in (l, r))
+    return hc.LQProblem(system, hc.CostSpec(system, m, l, r, terminal), problem.x0)
+
+
+def _diagonal_weight_problems():
+    """LQ problems whose M and terminal weight are diagonal by type.
+
+    Heat cases 1-3 at 64 and 256 modes, with the cost scaled by positive and
+    negative factors, and with nested scalings that make the terminal weight
+    indefinite; and a noisy plant on an ``l2_line`` grid, whose weights are
+    not 1, with diagonal weights.
+    """
+    rng = np.random.default_rng(71)
+    for case in (1, 2, 3):
+        for modes in (64, 256):
+            base = hc.examples.build_heat_problem(case, modes)
+            hs, cost = base.system.state_space, base.cost
+            yield base
+            for c in (0.37, -1.7):
+                yield _with_weights(base, [hc.ScaledOperator(c, op) for op in cost.m],
+                                    hc.ScaledOperator(c, cost.terminal), scale=c)
+            yield _with_weights(
+                base,
+                hc.ScaledOperator(0.5, hc.ScaledOperator(3.0, hc.IdentityOperator(hs))),
+                hc.ScaledOperator(-2.0, hc.ScaledOperator(1.5, hc.IdentityOperator(hs))),
+            )
+    hs, us = hc.l2_line(2.0, 0.05), hc.euclidean(1)
+    conv = hc.GaussianConvolutionOperator(hs, 1.0)
+    b = hc.DenseOperator(rng.standard_normal((hs.dim, 1)), us, hs)
+    system = hc.ControlledSystem(hs, us, 2, conv, b, hc.ScaledOperator(0.3, conv),
+                                 hc.ZeroOperator(us, hs))
+    diag = hc.DiagonalOperator(rng.uniform(0.5, 2.0, hs.dim), hs)
+    for m, terminal in ((diag, hc.ScaledOperator(2.0, diag)),
+                        (hc.ScaledOperator(2.0, hc.ScaledOperator(0.5, diag)),
+                         hc.ScaledOperator(-0.25, hc.ScaledOperator(4.0, diag)))):
+        cost = hc.CostSpec(system, m, hc.ZeroOperator(hs, us), hc.IdentityOperator(us), terminal)
+        yield hc.LQProblem(system, cost, random_x0(rng, hs))
+
+
+def _as_dense(problem):
+    """The same problem with M and the terminal weight as DenseOperators of their matrices."""
+    cost, hs = problem.cost, problem.system.state_space
+    m = [hc.DenseOperator(op.matrix, hs) for op in cost.m]
+    return _with_weights(problem, m, hc.DenseOperator(cost.terminal.matrix, hs))
+
+
+def test_diagonal_weights_keep_the_bits_of_their_matrices():
+    # The completing-square check runs on the problem as given in both
+    # cases: the simulator's stage costs take the weights' native products,
+    # whose bits differ from those of their dense matrices.
+    for problem in _diagonal_weight_problems():
+        got, want = hc.solve_lq(problem), hc.solve_lq(_as_dense(problem))
+        assert_same_bits(got.riccati, want.riccati)
+        assert_same_bits([got.status, got.value], [want.status, want.value])
+        if all(g is not None for g in got.gains):
+            checks = [hc.completing_square_check(problem, sol, hc.optimal_policy(problem, sol))
+                      for sol in (got, want)]
+            assert_same_bits(*checks)
+
+
+def test_solve_lq_builds_no_matrix_of_a_diagonal_weight(monkeypatch):
+    problems = list(_diagonal_weight_problems())
+    weights = set()  # ids of every M and terminal weight, and of the operators they scale
+    for problem in problems:
+        for op in [*problem.cost.m, problem.cost.terminal]:
+            while isinstance(op, hc.ScaledOperator):
+                weights.add(id(op))
+                op = op.inner_op
+            weights.add(id(op))
+    built = record_matrix_builds(monkeypatch)
+    for problem in problems:
+        hc.solve_lq(problem)
+    assert built  # the zero L weights are still built
+    assert [op for op in built if id(op) in weights] == []

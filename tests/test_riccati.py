@@ -304,3 +304,41 @@ def test_coupled_solve_from_zero_terminals_keeps_its_bits(monkeypatch):
     monkeypatch.setattr(game, "_completion_arrays", explicit_zero_completion)
     want = [hc.solve_coupled_riccati(*g) for g in games]
     assert_same_bits(got, want)
+
+
+def test_diagonal_weights_add_with_the_bits_of_their_arrays():
+    # signed zeros included: the sum with the Gram array turns the -0.0 of
+    # a term into +0.0 wherever the weight's zero is +0.0
+    rng = np.random.default_rng(44)
+    hs = hc.Space(hc.spaces.KIND_EUCLIDEAN, 5, np.exp(rng.uniform(-1.0, 1.0, 5)))
+    diag = hc.DiagonalOperator(np.array([1.5, -0.0, 0.0, -2.0, 3.0]), hs)
+    weights = [hc.IdentityOperator(hs), diag, hc.ScaledOperator(-2.0, diag),
+               hc.ScaledOperator(3.0, hc.ScaledOperator(-1.0, hc.IdentityOperator(hs))),
+               hc.ZeroOperator(hs), hc.ScaledOperator(-1.0, hc.ZeroOperator(hs))]
+    term = rng.standard_normal((5, 5))
+    term[0, 1] = term[1, 1] = term[2, 2] = term[3, 4] = -0.0
+    term[4, 0] = 0.0
+    for op in weights:
+        as_array = hs.weights[:, None] * op.matrix
+        gram = riccati._state_gram(op, hs.weights)
+        assert isinstance(gram, riccati.DiagonalGram)
+        assert_same_bits(gram.array(), as_array)
+        assert_same_bits(riccati._plus_weight(gram, None, np.empty((5, 5))), as_array + 0.0)
+        assert_same_bits(riccati._plus_weight(gram, term, np.empty((5, 5))), as_array + term)
+        in_place = term.copy()
+        assert_same_bits(riccati._plus_weight(gram, in_place, in_place), as_array + term)
+    dense = hc.DenseOperator(np.diag(np.ones(5)), hs)
+    assert isinstance(riccati._state_gram(dense, hs.weights), np.ndarray)
+
+
+def test_iterates_become_coordinates_with_the_bits_of_the_division():
+    # unit weights skip the division by W; a weighted space keeps it
+    rng = np.random.default_rng(71)
+    g = rng.standard_normal((6, 6)) * np.exp(rng.uniform(-700, 700, (6, 6)))
+    g[0, 1], g[2, 3], g[4, 4] = -0.0, 5e-324, -5e-324
+    for hs in (hc.euclidean(6), hc.ell2(6), hc.Space(hc.spaces.KIND_EUCLIDEAN, 6,
+                                                      np.r_[1.0, 0.5, 3.0, 1.0, 1.0, 0.25])):
+        want = np.divide(g, hs.weights[:, None])
+        got = hc.operators.coordinate_operators([g.copy(), None], hs)
+        assert got[1] is None
+        assert_same_bits(got[0].matrix, want)

@@ -506,6 +506,12 @@ def test_sign_paths_are_in_lexicographic_order():
         assert np.array_equal(lexsorted(paths), paths)
 
 
+@pytest.mark.parametrize("steps, why", [(-1, "non-negative"), (2.5, "integer")])
+def test_bad_sign_path_length_refused(steps, why):
+    with pytest.raises(hc.DimensionError, match=f"^steps .*{why}"):
+        hc.sign_paths(steps)
+
+
 def test_library_batches_are_grouped_by_prefix(monkeypatch):
     """Every batch the library hands run_batch is sorted or shares no first step.
 
