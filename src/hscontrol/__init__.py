@@ -61,7 +61,6 @@ from .riccati import (
 )
 from .lq import (
     LQProblem,
-    LQSolution,
     completing_square_check,
     excess_cost,
     expected_cost,

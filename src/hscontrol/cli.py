@@ -86,20 +86,19 @@ def cmd_lq_solve(args) -> int:
     x0 = parse_vector(args.x0, system.state_space)
     problem = LQProblem(system, cost, x0)
     sol = solve_lq(problem)
-    certs = sol.riccati.rk_certs
     report = {
         "command": "lq-solve",
         "status": sol.status,
         "value": sol.value,
-        "failing_step": sol.riccati.failing_step,
+        "failing_step": sol.failing_step,
         "gains": _gain_list(sol.gains),
-        "min_completion_eigs": [c.min_eig if c is not None else None for c in certs],
+        "min_completion_eigs": [c.min_eig if c is not None else None for c in sol.rk_certs],
     }
     lines = [f"status = {sol.status}"]
     if sol.value is not None:
         lines.append(f"value = {sol.value!r}")
-    if sol.riccati.failing_step is not None:
-        lines.append(f"failing step = {sol.riccati.failing_step}")
+    if sol.failing_step is not None:
+        lines.append(f"failing step = {sol.failing_step}")
     _finish(args, report, lines)
     return EXIT_OK if sol.solved else EXIT_INFEASIBLE
 

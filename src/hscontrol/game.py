@@ -134,9 +134,9 @@ class CoupledSolution:
 
     ``j1`` and ``j2`` are the equilibrium index values <P1(0)x0, x0> and
     <P2(0)x0, x0>; both are None unless the status is solved.  On a domain
-    failure, the iterates, gains and weights at and below the failing step are
-    None, and ``failing_detail`` names the step, the weight and its offending
-    eigenvalue or condition number.
+    failure, the iterates, gains and weight certificates at and below the
+    failing step are None, and ``failing_detail`` names the step, the weight
+    and its offending eigenvalue or condition number.
     """
 
     params: GameParams
@@ -147,8 +147,6 @@ class CoupledSolution:
     p2: list[Operator | None]
     v_gains: list[Operator | None]
     u_gains: list[Operator | None]
-    r1: list[Operator | None]
-    r2: list[Operator | None]
     r1_certs: list[SelfAdjointCert | None]
     r2_certs: list[SelfAdjointCert | None]
     coupling_residual: float
@@ -185,8 +183,6 @@ def solve_coupled_riccati(
     grams2: list[np.ndarray | None] = [None] * steps + [np.zeros((dh, dh))]
     v_gains: list[Operator | None] = [None] * steps
     u_gains: list[Operator | None] = [None] * steps
-    r1_ops: list[Operator | None] = [None] * steps
-    r2_ops: list[Operator | None] = [None] * steps
     certs1: list[SelfAdjointCert | None] = [None] * steps
     certs2: list[SelfAdjointCert | None] = [None] * steps
     status = STATUS_SOLVED
@@ -224,22 +220,17 @@ def solve_coupled_riccati(
         _require_finite(grams1[k], "player 1 iterate P1", k)
         _require_finite(grams2[k], "player 2 iterate P2", k)
         v_gains[k], u_gains[k] = DenseOperator(k1, hs, vs), DenseOperator(k2, hs, us)
-        r1_ops[k], r2_ops[k] = DenseOperator(r1, vs), DenseOperator(r2, us)
         certs1[k], certs2[k] = cert1, cert2
         worst_resid = max(worst_resid, resid)
-    p1_ops = coordinate_operators(grams1, hs)
-    p2_ops = coordinate_operators(grams2, hs)
     sol = CoupledSolution(
         params,
         status,
         failing,
         detail,
-        p1_ops,
-        p2_ops,
+        coordinate_operators(grams1, hs),
+        coordinate_operators(grams2, hs),
         v_gains,
         u_gains,
-        r1_ops,
-        r2_ops,
         certs1,
         certs2,
         worst_resid,

@@ -1,9 +1,10 @@
 """Finite-horizon linear-quadratic control with multiplicative noise.
 
-The optimal feedback and value come straight from the backward recursion: if
-every completion term is uniformly positive, u(k) = K(k) x(k) minimizes the
-expected cost and the minimum equals <P(0) x0, x0>.  With indefinite weights
-the same recursion still decides well-posedness through its status.
+The optimal feedback and value come straight from the backward recursion, so
+a solve returns that recursion's record: if every completion term is
+uniformly positive, u(k) = K(k) x(k) minimizes the expected cost and the
+minimum equals <P(0) x0, x0>.  With indefinite weights the same recursion
+still decides well-posedness through its status.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .operators import Operator
 from .sim import (
     ExactExpectation,
     Policy,
@@ -21,9 +21,9 @@ from .sim import (
     run_batch,
     sign_paths,
 )
-from .spaces import HVector
+from .spaces import HVector, inner
 from .systems import ControlledSystem, CostSpec
-from .riccati import RiccatiSolution, STATUS_SOLVED, solve_backward_riccati
+from .riccati import RiccatiSolution, solve_backward_riccati
 
 
 @dataclass
@@ -37,36 +37,20 @@ class LQProblem:
             raise DimensionError("initial state does not live on the state space")
 
 
-@dataclass
-class LQSolution:
-    """Feedback synthesis result.
+def solve_lq(problem: LQProblem) -> RiccatiSolution:
+    """The backward pass of the problem's system and cost, with its ``value`` at x0.
 
-    ``value`` is <P(0) x0, x0> whenever the recursion reached step 0; it is
-    the guaranteed minimum only when ``status`` is solved.  ``gains`` hold the
-    candidate feedback for every step the recursion covered.
+    ``value`` is <P(0) x0, x0> when the recursion reached step 0, else None.
     """
-
-    status: str
-    value: float | None
-    gains: list[Operator | None]
-    riccati: RiccatiSolution
-
-    @property
-    def solved(self) -> bool:
-        return self.status == STATUS_SOLVED
-
-
-def solve_lq(problem: LQProblem) -> LQSolution:
     sol = solve_backward_riccati(problem.system, problem.cost)
-    value = None
     if sol.p[0] is not None:
-        value = sol.value(problem.x0)
-    return LQSolution(sol.status, value, list(sol.gains), sol)
+        sol.value = inner(sol.p[0].apply(problem.x0), problem.x0)
+    return sol
 
 
-def optimal_policy(problem: LQProblem, solution: LQSolution) -> Policy:
+def optimal_policy(problem: LQProblem, solution: RiccatiSolution) -> Policy:
     if any(g is None for g in solution.gains):
-        raise DomainError(solution.riccati.failing_step, "no feedback below the failing step")
+        raise DomainError(solution.failing_step, "no feedback below the failing step")
     return Policy(problem.system, gains=solution.gains)
 
 
@@ -75,14 +59,13 @@ def expected_cost(problem: LQProblem, policy: Policy) -> ExactExpectation:
     return enumerate_expectation(problem.system, problem.cost, policy, problem.x0)
 
 
-def excess_cost(problem: LQProblem, solution: LQSolution, policy: Policy) -> float:
+def excess_cost(problem: LQProblem, solution: RiccatiSolution, policy: Policy) -> float:
     """Exact E of the completed square sum_k <Rk (u - Kx), (u - Kx)>."""
-    riccati = solution.riccati
-    if any(op is None for op in riccati.rk):
-        raise DomainError(riccati.failing_step, "completion terms missing below the failing step")
+    if any(op is None for op in solution.rk):
+        raise DomainError(solution.failing_step, "completion terms missing below the failing step")
     wu = problem.system.control_space.weights
-    gain_mats = [g.matrix for g in riccati.gains]
-    rk_mats = [op.matrix for op in riccati.rk]
+    gain_mats = [g.matrix for g in solution.gains]
+    rk_mats = [op.matrix for op in solution.rk]
 
     def stage(k, x, u):
         delta = u - x @ gain_mats[k].T
@@ -104,7 +87,7 @@ class SquareCompletionCheck:
 
 
 def completing_square_check(
-    problem: LQProblem, solution: LQSolution, policy: Policy
+    problem: LQProblem, solution: RiccatiSolution, policy: Policy
 ) -> SquareCompletionCheck:
     """Compare the enumerated cost of any policy against the value identity.
 
@@ -113,5 +96,6 @@ def completing_square_check(
     and the simulator.
     """
     lhs = expected_cost(problem, policy).value
-    rhs = solution.value + excess_cost(problem, solution, policy)
+    excess = excess_cost(problem, solution, policy)  # refuses a pass that stopped early
+    rhs = inner(solution.p[0].apply(problem.x0), problem.x0) + excess
     return SquareCompletionCheck(lhs, rhs, abs(lhs - rhs))

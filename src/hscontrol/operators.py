@@ -518,11 +518,15 @@ class SelfAdjointCert:
         return max(abs(self.min_eig), abs(self.max_eig))
 
 
+def _symmetry_residual(s: np.ndarray) -> float:
+    """|S - S^T|_F / (1 + |S|_F) for a matrix S in the symmetric (orthonormal) frame."""
+    return np.linalg.norm(s - s.T, "fro") / (1.0 + np.linalg.norm(s, "fro"))
+
+
 def _selfadjoint_eigs(m: np.ndarray, w: np.ndarray):
     """Certificate and eigenpairs of a self-adjoint coordinate matrix, in the symmetric frame."""
     s = _sframe(m, w, w)
-    scale = 1.0 + np.linalg.norm(s, "fro")
-    resid = np.linalg.norm(s - s.T, "fro") / scale
+    resid = _symmetry_residual(s)
     if resid > SYM_RTOL:
         raise NotSelfAdjointError(f"symmetrization residual {resid:.3e} exceeds {SYM_RTOL:.1e}")
     eigvals, eigvecs = np.linalg.eigh(0.5 * (s + s.T))

@@ -44,7 +44,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, ResolutionError
+from .errors import ResolutionError
 from .operators import (
     DenseOperator,
     Operator,
@@ -57,7 +57,6 @@ from .operators import (
     coordinate_operators,
     positivity_tolerance,
 )
-from .spaces import HVector, inner
 from .systems import ControlledSystem, CostSpec
 
 STATUS_SOLVED = "solved"
@@ -252,15 +251,18 @@ class RiccatiSolution:
     k0 (the largest step outside the domain, hit first when walking
     backward).  With all steps in the domain but some completion term not
     uniformly positive, the status reports the largest offending step instead.
+    ``value`` is <P(0) x0, x0> for the x0 of ``lq.solve_lq``, set when the
+    recursion reached step 0; it is the guaranteed minimum only when the
+    status is solved.
     """
 
     p: list[Operator | None] | None
     gains: list[Operator | None]
     rk: list[Operator | None]
-    gk: list[Operator | None]
     rk_certs: list[SelfAdjointCert | None]
     breakdown: int | None
     nonpositive: int | None
+    value: float | None = None
 
     @property
     def status(self) -> str:
@@ -275,12 +277,6 @@ class RiccatiSolution:
     @property
     def solved(self) -> bool:
         return self.status == STATUS_SOLVED
-
-    def value(self, x0: HVector) -> float:
-        """<P(0) x0, x0>, the optimal expected cost from x0."""
-        if self.p is None or self.p[0] is None:
-            raise DomainError(self.failing_step, "recursion never reached step 0")
-        return inner(self.p[0].apply(x0), x0)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is checked and refused below
@@ -313,7 +309,6 @@ def _backward_pass(
     current = terminal_gram if terminal_gram.any() else None  # None: zero, no congruences
     gains: list[Operator | None] = [None] * steps
     rk_ops: list[Operator | None] = [None] * steps
-    gk_ops: list[Operator | None] = [None] * steps
     certs: list[SelfAdjointCert | None] = [None] * steps
     breakdown = nonpositive = None
     for k in range(steps - 1, -1, -1):
@@ -337,9 +332,8 @@ def _backward_pass(
             grams[k] = current
         gains[k] = DenseOperator(gain, hs, us)
         rk_ops[k] = DenseOperator(rk, us)
-        gk_ops[k] = DenseOperator(gk / wu[:, None], hs, us)
     p_ops = coordinate_operators(grams, hs) if keep else None
-    return RiccatiSolution(p_ops, gains, rk_ops, gk_ops, certs, breakdown, nonpositive)
+    return RiccatiSolution(p_ops, gains, rk_ops, certs, breakdown, nonpositive)
 
 
 def solve_backward_riccati(system: ControlledSystem, cost: CostSpec) -> RiccatiSolution:

@@ -235,7 +235,8 @@ def simulate(
     """Run one noise path, collecting states, inputs, outputs, and cost.
 
     Raises ResolutionError, naming the first step concerned, when the
-    rollout overflows the floating-point range.
+    rollout overflows the floating-point range, and DimensionError (from
+    ``run_batch``) for a noise factor that is NaN or infinite.
     """
     controlled = system.as_controlled() if isinstance(system, DisturbedSystem) else system
     steps = controlled.steps
@@ -325,6 +326,7 @@ def run_batch(
     optional ``terminal`` sees the final states.  For grouped rows the rows
     seen at each step are at most the distinct prefixes plus (blocks - 1).
     The result holds one total per row of ``noise_paths``, in input order.
+    A NaN or infinite noise factor is refused with a DimensionError.
 
     Memory is O(block·dim) for the states plus O(rows·steps) for the paths;
     a caller with more paths than it wants to hold at once passes them a
@@ -337,6 +339,9 @@ def run_batch(
     noise_paths = np.asarray(noise_paths, dtype=float)
     if noise_paths.ndim != 2 or noise_paths.shape[1] != system.steps:
         raise DimensionError("noise paths must be (reps, steps)")
+    if not np.isfinite(noise_paths).all():
+        r, k = np.argwhere(~np.isfinite(noise_paths))[0]
+        raise DimensionError(f"noise path {r} holds {noise_paths[r, k]} at step {k}: not finite")
     reps = noise_paths.shape[0]
     block_rows = max(1, _BLOCK_BYTES // (8 * system.state_space.dim))
     # the (A, B, C, D) matrices of each step, read in every block

@@ -21,6 +21,7 @@ from .operators import (
     _BOUND_MARGIN,
     _diagonal_entries,
     _sframe,
+    _symmetry_residual,
 )
 from .spaces import KIND_EUCLIDEAN, Space
 
@@ -60,17 +61,11 @@ class OperatorFamily:
 
 
 def _check_selfadjoint(op: Operator, what: str) -> None:
-    s = _sframe(op.matrix, op.codomain.weights, op.domain.weights)
-    resid = np.linalg.norm(s - s.T, "fro") / (1.0 + np.linalg.norm(s, "fro"))
+    resid = _symmetry_residual(_sframe(op.matrix, op.codomain.weights, op.domain.weights))
     if resid > SELFADJOINT_TOL:
         raise NotSelfAdjointError(
             f"{what}: symmetrization residual {resid:.3e} exceeds {SELFADJOINT_TOL:.1e}"
         )
-
-
-def _selfadjoint_by_construction(op: Operator) -> bool:
-    """True when the operator's type alone makes it diagonal, so self-adjoint; builds no matrix."""
-    return _diagonal_entries(op) is not None
 
 
 def _family(domain: str, codomain: str):
@@ -156,10 +151,11 @@ class CostSpec:
         checked = set()  # ids of operators already checked; a shared one is checked once
         for k in range(steps):
             for name, op in (("M", self.m(k)), ("R", self.r(k))):
-                if id(op) not in checked and not _selfadjoint_by_construction(op):
+                # an operator diagonal by type is self-adjoint, and builds no matrix
+                if id(op) not in checked and _diagonal_entries(op) is None:
                     checked.add(id(op))
                     _check_selfadjoint(op, f"{name}({k})")
-        if not _selfadjoint_by_construction(terminal):
+        if _diagonal_entries(terminal) is None:
             _check_selfadjoint(terminal, "terminal weight")
 
 

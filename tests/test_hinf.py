@@ -335,7 +335,7 @@ def test_step_buffers_do_not_leak_between_calls(monkeypatch):
         sols.append(hc.solve_backward_riccati(lq.system, cost))
         game = hc.solve_coupled_riccati(sys2, hc.GameParams(scale * params.gamma, params.rho), x0)
         kept = [op for run in runs for op in run.y + run.worst_gains]
-        kept += [op for sol in sols for op in sol.p + sol.gains + sol.rk + sol.gk]
+        kept += [op for sol in sols for op in sol.p + sol.gains + sol.rk]
         return kept + game.p1 + game.p2
 
     built = []  # the level terms of every check and search, with their cached heads

@@ -140,7 +140,7 @@ def test_well_posedness_certificate_positive_case():
     sol = hc.solve_lq(problem)
     assert sol.solved
     assert sol.status == "solved"
-    assert sol.value == pytest.approx(sol.riccati.value(problem.x0))
+    assert sol.value == pytest.approx(hc.inner(sol.p[0].apply(problem.x0), problem.x0))
 
 
 def test_indefinite_state_weight_can_still_solve():
@@ -180,6 +180,29 @@ def test_solve_lq_reports_failure_status():
     assert not sol.solved
     assert sol.status == "domain_failure"
     assert sol.value is None
+    # the record refuses a policy and a completed square below the failing step
+    with pytest.raises(hc.DomainError) as err:
+        hc.optimal_policy(problem, sol)
+    assert err.value.step == 0
+    with pytest.raises(hc.DomainError) as err:
+        hc.excess_cost(problem, sol, hc.Policy(system))
+    assert err.value.step == 0
+
+
+def test_solve_lq_is_the_riccati_pass_with_its_value():
+    rng = np.random.default_rng(12)
+    for weighted in (False, True):
+        for _ in range(3):
+            problem = random_solved_problem(rng, weighted=weighted)
+            got = hc.solve_lq(problem)
+            want = hc.solve_backward_riccati(problem.system, problem.cost)
+            assert isinstance(got, hc.RiccatiSolution) and want.value is None
+            # the square completes from either record: it reads P(0), not the value
+            checks = [hc.completing_square_check(problem, s, hc.optimal_policy(problem, s))
+                      for s in (got, want)]
+            assert_same_bits(*checks)
+            want.value = hc.inner(want.p[0].apply(problem.x0), problem.x0)
+            assert_same_bits(got, want)  # every field, the value's bits included
 
 
 def _with_weights(problem, m, terminal, scale=None):
@@ -239,8 +262,7 @@ def test_diagonal_weights_keep_the_bits_of_their_matrices():
     # whose bits differ from those of their dense matrices.
     for problem in _diagonal_weight_problems():
         got, want = hc.solve_lq(problem), hc.solve_lq(_as_dense(problem))
-        assert_same_bits(got.riccati, want.riccati)
-        assert_same_bits([got.status, got.value], [want.status, want.value])
+        assert_same_bits(got, want)
         if all(g is not None for g in got.gains):
             checks = [hc.completing_square_check(problem, sol, hc.optimal_policy(problem, sol))
                       for sol in (got, want)]

@@ -99,8 +99,9 @@ def test_value_is_quadratic_in_x0():
     cost = random_psd_cost(rng, system)
     sol = hc.solve_backward_riccati(system, cost)
     x0 = random_x0(rng, system.state_space)
-    v1 = sol.value(x0)
-    v2 = sol.value(hc.HVector(system.state_space, 2.0 * x0.coords))
+    v1 = hc.inner(sol.p[0].apply(x0), x0)
+    x2 = hc.HVector(system.state_space, 2.0 * x0.coords)
+    v2 = hc.inner(sol.p[0].apply(x2), x2)
     assert v2 == pytest.approx(4.0 * v1, rel=1e-12)
 
 
@@ -199,11 +200,11 @@ def test_completion_terms_shapes():
     system = random_controlled(rng, dim_max=3, horizon_max=2)
     cost = random_psd_cost(rng, system)
     sol = hc.solve_backward_riccati(system, cost)
-    rk, gk = sol.rk[system.horizon], sol.gk[system.horizon]
+    rk, gain = sol.rk[system.horizon], sol.gains[system.horizon]
     assert rk.domain == system.control_space
     assert rk.codomain == system.control_space
-    assert gk.domain == system.state_space
-    assert gk.codomain == system.control_space
+    assert gain.domain == system.state_space
+    assert gain.codomain == system.control_space
 
 
 def test_step_exports_pin_the_full_pass_on_weighted_spaces():
@@ -221,7 +222,6 @@ def test_step_exports_pin_the_full_pass_on_weighted_spaces():
             gk_ref = cost.l(k) + b.adjoint() @ pn @ a + d.adjoint() @ pn @ c
             m_ref = cost.m(k) + a.adjoint() @ pn @ a + c.adjoint() @ pn @ c
             assert_pinned(sol.rk[k].matrix, rk_ref.matrix)
-            assert_pinned(sol.gk[k].matrix, gk_ref.matrix)
             p_ref, gain_ref = completion_reference(m_ref, gk_ref, rk_ref)
             assert_pinned(sol.p[k].matrix, p_ref)
             assert_pinned(sol.gains[k].matrix, gain_ref)
@@ -294,7 +294,10 @@ def test_step_from_a_zero_iterate_runs_no_congruence(monkeypatch):
     sol = hc.solve_backward_riccati(system, cost)
     assert calls == []
     assert_same_bits(sol.rk[0].matrix, 0.5 * (cost.r(0).matrix + cost.r(0).matrix.T))
-    assert_same_bits(sol.gk[0].matrix, cost.l(0).matrix + 0.0)
+    # G = L there: the gain and iterate of the plain completion of (M, L, R)
+    p_ref, gain_ref = completion_reference(cost.m(0), cost.l(0), cost.r(0))
+    assert_pinned(sol.gains[0].matrix, gain_ref)
+    assert_pinned(sol.p[0].matrix, p_ref)
 
 
 def test_coupled_solve_from_zero_terminals_keeps_its_bits(monkeypatch):

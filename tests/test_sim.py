@@ -143,6 +143,26 @@ def test_simulate_needs_one_noise_factor_per_step():
             hc.simulate(sys_, hc.Policy(sys_), x0_one(), noises)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_noise_is_bad_input_not_an_overflow(bad):
+    # a NaN factor on the heat plant used to be refused as an overflow by
+    # simulate, and to come back from run_batch as a NaN total
+    heat = hc.examples.build_heat_problem(1, 16)
+    system, x0, policy = heat.system, heat.x0, hc.Policy(heat.system)
+    noises = np.zeros(system.steps)
+    noises[0] = bad
+    with pytest.raises(hc.DimensionError, match=f"path 0 holds {bad} at step 0"):
+        hc.simulate(system, policy, x0, noises)
+    paths = np.zeros((4, system.steps))
+    paths[2, 1] = bad
+    with pytest.raises(hc.DimensionError, match=f"path 2 holds {bad} at step 1"):
+        run_batch(system, policy, x0, paths, lambda k, x, u: np.zeros(x.shape[0]))
+    # a finite path on a plant that overflows is still refused as an overflow
+    big = scalar_system(2, a=1e200)
+    with pytest.raises(hc.ResolutionError, match="overflows"):
+        hc.simulate(big, hc.Policy(big), x0_one(), np.zeros(big.steps))
+
+
 def test_monte_carlo_deterministic_functional_has_zero_half_width():
     sys_ = scalar_system(2, a=2.0)
     cost = unit_cost(sys_)

@@ -3,6 +3,7 @@ import pytest
 
 import hscontrol as hc
 from hscontrol import systems
+from hscontrol.operators import _diagonal_entries
 from helpers import random_two_input, record_matrix_builds
 
 
@@ -100,11 +101,11 @@ def test_weights_selfadjoint_by_construction_skip_the_check(monkeypatch):
         hc.ScaledOperator(2.0, hc.ZeroOperator(rod)),
     ]
     for op in exempt:
-        assert systems._selfadjoint_by_construction(op)
+        assert _diagonal_entries(op) is not None
         systems._check_selfadjoint(op, "M(0)")
     for op in (hc.ZeroOperator(hs, hc.euclidean(3)), hc.DenseOperator(np.eye(3), hs),
                hc.ScaledOperator(1.0, hc.DenseOperator(np.eye(3), hs))):
-        assert not systems._selfadjoint_by_construction(op)
+        assert _diagonal_entries(op) is None
     # deciding it builds no matrix: no variant's _build_matrix runs
     us = hc.Space(hc.spaces.KIND_EUCLIDEAN, 2, w[:2])
     sys_ = hc.ControlledSystem(hs, us, 1, hc.IdentityOperator(hs), hc.ZeroOperator(us, hs),

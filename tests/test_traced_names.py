@@ -7,9 +7,14 @@ so the names are checked here, against the tracer's own tables.
 import importlib
 import importlib.util
 import inspect
+from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+
+import hscontrol as hc
+from hscontrol.examples import build_heat_problem, build_shift_network
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -43,3 +48,19 @@ def test_run_batch_noise_paths_is_the_fourth_parameter():
 
     params = list(inspect.signature(run_batch).parameters)
     assert params[3] == "noise_paths"
+
+
+def test_traced_hooks_read_the_attributes_of_real_results():
+    # the hooks read .p of a Riccati pass, .iterations of a gain search and
+    # .feasible of a level test; a rename there would only crash a traced run
+    heat, net = build_heat_problem(1, 16), build_shift_network(12)
+    rec = SimpleNamespace(counters=Counter())
+    TRACED._after_riccati(rec, (), {}, hc.solve_backward_riccati(heat.system, heat.cost))
+    search = hc.hinf_norm(net)
+    TRACED._after_hinf_norm(rec, (), {}, search)
+    TRACED._after_brl_check(rec, (), {}, hc.brl_check(net, 2.0 * search.value))
+    assert rec.counters == {
+        "riccati.steps": heat.system.steps,
+        "hinf.bisection_iterations": search.iterations,
+        "hinf.brl_check.feasible": 1,
+    }
