@@ -46,27 +46,31 @@ EXIT_INFEASIBLE = 3
 EXIT_LIMITS = 4
 
 
-def emit_outputs(report: dict, out_dir, summary_lines: list[str], files: list[str]) -> list[str]:
-    """Write the deterministic file set and return the manifest."""
+def emit_outputs(report: dict, out_dir, summary_lines: list[str], files=(), texts=None) -> list[str]:
+    """Write the deterministic file set and return the manifest.
+
+    ``texts`` maps further file names to their contents; ``files`` names
+    files already written under ``out_dir``.
+    """
     out = Path(out_dir)
+    written = {"report.json": canonical_json(report)}
+    if summary_lines:
+        written["summary.txt"] = "\n".join(summary_lines) + "\n"
+    written.update(texts or {})
     try:
         out.mkdir(parents=True, exist_ok=True)
-        (out / "report.json").write_text(canonical_json(report))
-        manifest = ["report.json"]
-        if summary_lines:
-            (out / "summary.txt").write_text("\n".join(summary_lines) + "\n")
-            manifest.append("summary.txt")
+        for name, text in written.items():
+            (out / name).write_text(text)
     except OSError as exc:
         raise ParseError(f"cannot write outputs under {out}: {exc}") from exc
-    manifest.extend(files)
-    return manifest
+    return [*written, *files]
 
 
-def _finish(args, report: dict, summary_lines: list[str], files: list[str] | None = None) -> None:
+def _finish(args, report: dict, summary_lines: list[str], files=(), texts=None) -> None:
     for line in summary_lines:
         print(line)
     if args.out is not None:
-        manifest = emit_outputs(report, args.out, summary_lines, files or [])
+        manifest = emit_outputs(report, args.out, summary_lines, files, texts)
         print(f"wrote {', '.join(manifest)} to {args.out}")
 
 
@@ -230,17 +234,14 @@ def cmd_simulate(args) -> int:
         report["half_width"] = mc.half_width
         report["reps"] = mc.reps
         lines.append(f"mean cost = {mc.mean!r} +- {mc.half_width!r} (95%, {mc.reps} reps)")
-    files = []
+    texts = {}
     if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         rows = ["k,coordinate,value"]
         for k in range(bundle.states.shape[0]):
             for i in range(bundle.states.shape[1]):
                 rows.append(f"{k},{i},{float(bundle.states[k, i])!r}")
-        (out / "trajectory.csv").write_text("\n".join(rows) + "\n")
-        files.append("trajectory.csv")
-    _finish(args, report, lines, files)
+        texts["trajectory.csv"] = "\n".join(rows) + "\n"
+    _finish(args, report, lines, texts=texts)
     return EXIT_OK
 
 

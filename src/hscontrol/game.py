@@ -139,7 +139,6 @@ class CoupledSolution:
     and its offending eigenvalue or condition number.
     """
 
-    params: GameParams
     status: str
     failing_step: int | None
     failing_detail: str | None
@@ -152,7 +151,6 @@ class CoupledSolution:
     coupling_residual: float
     j1: float | None = None
     j2: float | None = None
-    x0: HVector | None = None
 
     @property
     def solved(self) -> bool:
@@ -223,7 +221,6 @@ def solve_coupled_riccati(
         certs1[k], certs2[k] = cert1, cert2
         worst_resid = max(worst_resid, resid)
     sol = CoupledSolution(
-        params,
         status,
         failing,
         detail,
@@ -234,7 +231,6 @@ def solve_coupled_riccati(
         certs1,
         certs2,
         worst_resid,
-        x0=x0,
     )
     if sol.solved and x0 is not None:
         sol.j1 = inner(sol.p1[0].apply(x0), x0)
@@ -288,11 +284,8 @@ class NashReport:
 
     j1_star: float
     j2_star: float
-    value_j1: float
-    value_j2: float
     worst_j1_margin: float
     worst_j2_margin: float
-    deviations: int
 
 
 def verify_nash_equilibrium(
@@ -330,9 +323,7 @@ def verify_nash_equilibrium(
         _, j2_dev = game_costs(sys2, params, x0, Policy(view, gains, u_off))
         worst1 = min(worst1, j1_dev - j1_star)
         worst2 = min(worst2, j2_dev - j2_star)
-    return NashReport(
-        j1_star, j2_star, solution.j1, solution.j2, float(worst1), float(worst2), deviations
-    )
+    return NashReport(j1_star, j2_star, float(worst1), float(worst2))
 
 
 @dataclass

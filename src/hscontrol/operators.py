@@ -16,6 +16,13 @@ inversion) are evaluated in the symmetric frame S = W^(1/2) M W^(-1/2), which
 represents the operator with respect to an orthonormal basis of the weighted
 space.
 
+Zero, identity, right shift and filling are one family: each copies the
+first ``count`` domain coordinates into codomain slots ``start`` onward and
+zeros the rest, with (start, count) equal to (0, 0), (0, n), (1, min(n, m - 1))
+for a codomain of dim m, and (0, count).  Their shared base class
+``_CoordinateCopy`` is the one place that builds their 0/1 matrices and their
+products, which copy entries and fill zeros.
+
 Every variant also supplies the right product X @ M of a coordinate array with
 its matrix, and the two-sided product M^T G M that the congruences A*PA of the
 backward recursions reduce to.  Structured variants compute both natively
@@ -59,31 +66,6 @@ def _unsframe(s: np.ndarray, w_cod: np.ndarray, w_dom: np.ndarray) -> np.ndarray
     s_c = np.sqrt(w_cod)
     s_d = np.sqrt(w_dom)
     return s * (1.0 / s_c[:, None]) * s_d[None, :]
-
-
-def _zeros(shape: tuple[int, int], out: np.ndarray | None) -> np.ndarray:
-    """A zero array of ``shape``: ``out`` filled with zeros, or a new array."""
-    if out is None:
-        return np.zeros(shape)
-    out.fill(0.0)
-    return out
-
-
-def _taken_columns(x, start, count, dim, out):
-    """(rows of x, dim) array holding x[:, start:start+count] first, then zeros."""
-    out = np.empty((x.shape[0], dim)) if out is None else out
-    out[:, :count] = x[:, start : start + count]
-    out[:, count:] = 0.0
-    return out
-
-
-def _taken_block(g, start, count, dim, out):
-    """(dim, dim) array holding g's diagonal block from ``start`` in its corner, then zeros."""
-    out = np.empty((dim, dim)) if out is None else out
-    out[:count, :count] = g[start : start + count, start : start + count]
-    out[:count, count:] = 0.0
-    out[count:] = 0.0
-    return out
 
 
 def _scaled_rows_and_columns(g, e, out):
@@ -162,42 +144,6 @@ class Operator:
         return f"{type(self).__name__}({self.domain.dim}->{self.codomain.dim})"
 
 
-class ZeroOperator(Operator):
-    _keeps_matrix = False
-
-    def __init__(self, domain: Space, codomain: Space | None = None):
-        self.domain = domain
-        self.codomain = domain if codomain is None else codomain
-
-    def _build_matrix(self):
-        return np.zeros((self.codomain.dim, self.domain.dim))
-
-    def rmatmul(self, x, out=None):
-        return _zeros((x.shape[0], self.domain.dim), out)
-
-    def sandwich(self, g, out=None, work=None):
-        return _zeros((self.domain.dim, self.domain.dim), out)
-
-
-class IdentityOperator(Operator):
-    _keeps_matrix = False
-
-    def __init__(self, space: Space):
-        self.domain = self.codomain = space
-
-    def _build_matrix(self):
-        return np.eye(self.domain.dim)
-
-    def rmatmul(self, x, out=None):
-        if out is None:
-            return np.array(x, dtype=float)
-        out[...] = x
-        return out
-
-    def sandwich(self, g, out=None, work=None):
-        return self.rmatmul(g, out=out)
-
-
 class ScaledOperator(Operator):
     _keeps_matrix = False
 
@@ -257,7 +203,56 @@ class DiagonalOperator(Operator):
         return _scaled_rows_and_columns(g, self.entries, out)
 
 
-class RightShiftOperator(Operator):
+class _CoordinateCopy(Operator):
+    """Copy the first ``count`` domain coordinates into codomain slots ``start`` onward.
+
+    The matrix is zero but for ones at (start + i, i), i < count.  The right
+    product copies ``count`` columns of x and the two-sided product one
+    diagonal block of G, each padded with zeros, so neither does arithmetic.
+    Zero, identity, right shift and filling are the four public variants.
+    """
+
+    _keeps_matrix = False
+
+    def __init__(self, domain: Space, codomain: Space, start: int, count: int):
+        self.domain = domain
+        self.codomain = codomain
+        self.start = start
+        self.count = count
+
+    def _build_matrix(self):
+        m = np.zeros((self.codomain.dim, self.domain.dim))
+        idx = np.arange(self.count)
+        m[self.start + idx, idx] = 1.0
+        return m
+
+    def rmatmul(self, x, out=None):
+        s, c = self.start, self.count
+        out = np.empty((x.shape[0], self.domain.dim)) if out is None else out
+        out[:, :c] = x[:, s : s + c]
+        out[:, c:] = 0.0
+        return out
+
+    def sandwich(self, g, out=None, work=None):
+        s, c, n = self.start, self.count, self.domain.dim
+        out = np.empty((n, n)) if out is None else out
+        out[:c, :c] = g[s : s + c, s : s + c]
+        out[:c, c:] = 0.0
+        out[c:] = 0.0
+        return out
+
+
+class ZeroOperator(_CoordinateCopy):
+    def __init__(self, domain: Space, codomain: Space | None = None):
+        super().__init__(domain, domain if codomain is None else codomain, 0, 0)
+
+
+class IdentityOperator(_CoordinateCopy):
+    def __init__(self, space: Space):
+        super().__init__(space, space, 0, space.dim)
+
+
+class RightShiftOperator(_CoordinateCopy):
     """(a1, a2, ...) -> (0, a1, a2, ...) on a sequence-space truncation.
 
     A square truncation drops the last coordinate.  Passing a codomain at
@@ -265,50 +260,22 @@ class RightShiftOperator(Operator):
     isometry of the untruncated shift exactly.
     """
 
-    _keeps_matrix = False
-
     def __init__(self, space: Space, codomain: Space | None = None):
-        self.domain = space
-        self.codomain = space if codomain is None else codomain
-        if self.codomain.dim < space.dim:
+        codomain = space if codomain is None else codomain
+        if codomain.dim < space.dim:
             raise DimensionError("shift codomain cannot be smaller than its domain")
-        self._keep = min(space.dim, self.codomain.dim - 1)  # coordinates that survive
-
-    def _build_matrix(self):
-        return np.eye(self.codomain.dim, self.domain.dim, k=-1)
-
-    def rmatmul(self, x, out=None):
-        return _taken_columns(x, 1, self._keep, self.domain.dim, out)
-
-    def sandwich(self, g, out=None, work=None):
-        return _taken_block(g, 1, self._keep, self.domain.dim, out)
+        super().__init__(space, codomain, 1, min(space.dim, codomain.dim - 1))
 
 
-class FillingOperator(Operator):
+class FillingOperator(_CoordinateCopy):
     """Copy the leading ``count`` coordinates into the codomain, zero the rest."""
 
-    _keeps_matrix = False
-
     def __init__(self, domain: Space, codomain: Space, count: int | None = None):
-        self.domain = domain
-        self.codomain = codomain
         if count is None:
             count = min(domain.dim, codomain.dim)
         if not 1 <= count <= min(domain.dim, codomain.dim):
             raise DimensionError("filling count must fit inside both spaces")
-        self.count = int(count)
-
-    def _build_matrix(self):
-        m = np.zeros((self.codomain.dim, self.domain.dim))
-        idx = np.arange(self.count)
-        m[idx, idx] = 1.0
-        return m
-
-    def rmatmul(self, x, out=None):
-        return _taken_columns(x, 0, self.count, self.domain.dim, out)
-
-    def sandwich(self, g, out=None, work=None):
-        return _taken_block(g, 0, self.count, self.domain.dim, out)
+        super().__init__(domain, codomain, 0, int(count))
 
 
 class GaussianConvolutionOperator(Operator):

@@ -96,7 +96,7 @@ class Policy:
 
 @dataclass
 class Trajectory:
-    """One realized path: states k=0..N+1, controls and noises k=0..N.
+    """One realized path: states k=0..N+1 and controls k=0..N.
 
     ``outputs`` holds z(k) for k = 0..N when the system has a regulated
     output map, ``cost`` the pathwise cost when a cost spec was attached.
@@ -104,7 +104,6 @@ class Trajectory:
 
     states: np.ndarray
     controls: np.ndarray
-    noises: np.ndarray
     outputs: np.ndarray | None = None
     cost: float | None = None
 
@@ -244,7 +243,7 @@ def simulate(
     if noises.shape != (steps,):
         raise DimensionError("need one noise factor per step")
     states = np.zeros((steps + 1, controlled.state_space.dim))
-    traj = Trajectory(states, np.zeros((steps, controlled.control_space.dim)), noises)
+    traj = Trajectory(states, np.zeros((steps, controlled.control_space.dim)))
     if isinstance(system, DisturbedSystem):
         traj.outputs = np.zeros((steps, system.output_space.dim))
 

@@ -449,3 +449,28 @@ def test_simulate_reruns_are_byte_identical(tmp_path):
     a, b = outs
     assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
     assert (a / "trajectory.csv").read_bytes() == (b / "trajectory.csv").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--system", DEMO_SYSTEM, "--cost", DEMO_COST, "--x0", DEMO_X0],
+    ["lq-solve", "--system", DEMO_SYSTEM, "--cost", DEMO_COST, "--x0", DEMO_X0],
+    ["example", "ex1"],
+], ids=["simulate", "lq-solve", "example"])
+def test_unwritable_output_directory_is_bad_input(tmp_path, capsys, argv):
+    # simulate wrote its trajectory outside the guarded block and ended in a
+    # NotADirectoryError traceback
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = main(argv + ["--out", str(blocker / "run")])
+    assert code == EXIT_BAD_INPUT
+    assert capsys.readouterr().err.startswith("error: cannot write ")
+    assert blocker.read_text() == ""
+
+
+def test_h2hinf_design_reports_the_level_diagnostic(tmp_path, capsys):
+    out = tmp_path / "run"
+    code = main(["h2hinf-design", "--system", GAME, "--gamma", "1e6",
+                 "--x0", GAME_X0, "--out", str(out)])
+    assert code == EXIT_OK
+    assert "note: level 1e+06 is effectively infinite" in capsys.readouterr().out
+    assert read_report(out)["diagnostic"].startswith("level 1e+06 is effectively infinite")

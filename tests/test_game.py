@@ -108,6 +108,13 @@ def test_audit_refuses_unsolved_game(rank_one_game):
         hc.verify_nash_equilibrium(sys2, params, sol, x0)
 
 
+def test_solve_refuses_a_start_state_off_the_state_space(rank_one_game):
+    sys2, _ = rank_one_game
+    x0 = hc.HVector(hc.euclidean(DIM + 1), np.ones(DIM + 1))
+    with pytest.raises(hc.DimensionError, match="initial state"):
+        hc.solve_coupled_riccati(sys2, hc.GameParams(2.0, 0.5), x0)
+
+
 @pytest.mark.parametrize("kwargs", [{"deviations": 0}, {"deviations": -3}])
 def test_audit_refuses_vacuous_deviations(rank_one_game, kwargs):
     # no deviation reported a passing margin of inf

@@ -291,6 +291,13 @@ def test_stop_at_failure_halts_early():
                 assert stop.min_pi3_eig(k) == full.min_pi3_eig(k)
 
 
+def test_min_pi3_eig_refuses_a_step_the_stopped_walk_never_reached():
+    run = hc.brl_check(hc.examples.build_shift_network(12), 1.0, stop_at_failure=True)
+    assert run.failing_step == 5
+    with pytest.raises(hc.DimensionError, match="never evaluated step 0"):
+        run.min_pi3_eig(0)
+
+
 @pytest.mark.parametrize("build", [
     lambda: hc.examples.build_shift_network(64),
     lambda: random_disturbed(np.random.default_rng(5), noisy=True),

@@ -246,6 +246,28 @@ def test_closed_loop_absorbs_control():
         assert np.allclose(closed.dbar(k).matrix, 0.0)
 
 
+def test_closed_loop_refuses_gains_of_the_wrong_count_or_space():
+    sys2 = random_two_input(np.random.default_rng(2))
+    hs, us = sys2.state_space, sys2.control_space
+    gains = [hc.ZeroOperator(hs, us)] * sys2.steps
+    with pytest.raises(hc.DimensionError, match="one control gain per step"):
+        hc.closed_loop(sys2, gains[1:])
+    off = hc.ZeroOperator(hc.euclidean(hs.dim + 1), us)
+    with pytest.raises(hc.DimensionError, match="gain at step 1 does not map"):
+        hc.closed_loop(sys2, [gains[0], off] + gains[2:])
+
+
+def test_cost_spec_refuses_a_terminal_weight_off_the_state_space():
+    sys_ = hc.ControlledSystem(
+        HS, US, 1,
+        hc.IdentityOperator(HS), hc.ZeroOperator(US, HS),
+        hc.ZeroOperator(HS), hc.ZeroOperator(US, HS),
+    )
+    with pytest.raises(hc.DimensionError, match="terminal weight"):
+        hc.CostSpec(sys_, hc.IdentityOperator(HS), hc.ZeroOperator(HS, US),
+                    hc.IdentityOperator(US), hc.IdentityOperator(ZS))
+
+
 def test_disturbed_as_controlled_round_trip():
     rng = np.random.default_rng(3)
     sys2 = random_two_input(rng)
