@@ -67,10 +67,17 @@ def emit_outputs(report: dict, out_dir, summary_lines: list[str], files=(), text
 
 
 def _finish(args, report: dict, summary_lines: list[str], files=(), texts=None) -> None:
-    for line in summary_lines:
-        print(line)
+    """Write the outputs under ``--out``, if given, then print the summary.
+
+    Writing first means a run whose outputs cannot be written prints nothing
+    to stdout before it fails.
+    """
+    manifest = None
     if args.out is not None:
         manifest = emit_outputs(report, args.out, summary_lines, files, texts)
+    for line in summary_lines:
+        print(line)
+    if manifest is not None:
         print(f"wrote {', '.join(manifest)} to {args.out}")
 
 

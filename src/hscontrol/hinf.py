@@ -33,6 +33,7 @@ from .errors import BracketError, DimensionError, OracleScopeError, ResolutionEr
 from .operators import (
     DenseOperator,
     Operator,
+    RANK_MAX_SHARE,
     SelfAdjointCert,
     _BOUND_MARGIN,
     _once_per_operator,
@@ -50,10 +51,6 @@ from .riccati import (
 )
 from .spaces import euclidean
 from .systems import ControlledSystem, DisturbedSystem
-
-# The gain search runs on the reachable subspace only while its dimension is
-# at most this share of the state dimension.
-VIEW_MAX_SHARE = 0.25
 
 
 @dataclass
@@ -208,9 +205,9 @@ def _reachable_view(dsys: DisturbedSystem) -> DisturbedSystem | None:
     strong one; a direction weak inside one image is dropped, and
     ``hinf_norm`` certifies the view's bracket on the full plant for that.
 
-    None when the dimension of V passes ``VIEW_MAX_SHARE`` of the state
-    dimension, checked at every step, when nothing is reachable, or when an
-    image is not finite.
+    None when the dimension of V passes ``operators.RANK_MAX_SHARE`` of the
+    state dimension, checked at every step, when nothing is reachable, or
+    when an image is not finite.
     """
     hs, ds, zs = dsys.state_space, dsys.disturbance_space, dsys.output_space
     growth = range(dsys.steps - 1)  # step N maps into R_{N+1}, which is not needed
@@ -225,7 +222,7 @@ def _reachable_view(dsys: DisturbedSystem) -> DisturbedSystem | None:
             return None
         reach = _span(np.hstack([_span(image) for image in images]))
         basis = _span(np.hstack([basis, reach]))
-        if basis.shape[1] > VIEW_MAX_SHARE * hs.dim:
+        if basis.shape[1] > RANK_MAX_SHARE * hs.dim:
             return None
     if basis.shape[1] == 0:  # a space has at least one dimension
         return None

@@ -53,6 +53,10 @@ from .spaces import KIND_L2_INTERVAL, KIND_L2_LINE, HVector, Space
 
 KAPPA_MAX = 1e12  # condition cap for a bounded inverse, read at each call
 SYM_RTOL = 1e-8
+# The structural fast paths (the gain search on the reachable subspace, the
+# low-rank Riccati pass) run only while the dimension or rank they carry is
+# at most this share of the state dimension.
+RANK_MAX_SHARE = 0.25
 
 
 def _sframe(m: np.ndarray, w_cod: np.ndarray, w_dom: np.ndarray) -> np.ndarray:

@@ -14,21 +14,34 @@ truncation, meaning it is invertible with condition number at most
 ``operators.KAPPA_MAX``.  No sign is required for domain membership; the
 solved status additionally demands that every Rk is uniformly positive.
 
-The pass carries each iterate in Gram form W P, with W the state weights.  It
-is symmetric whenever P is self-adjoint, so every weighted adjoint in a step
-becomes a plain transpose.  Weights enter only the small completion terms,
-which are certified in the orthonormal frame, and the returned coordinates.
-The pass takes its stage weights in that Gram form too, so the bounded-real
-test of ``hinf`` runs the same pass on its level weights.  A state or
-terminal weight of an LQ cost that is diagonal by type enters as its
-weighted diagonal, a ``DiagonalGram``, added onto the diagonal of the
-congruence sum with the bits of the sum with its n x n array.
+Both passes carry each iterate in Gram form W P, with W the state weights.
+It is symmetric whenever P is self-adjoint, so every weighted adjoint in a
+step becomes a plain transpose.  Weights enter only the small completion
+terms, which are certified in the orthonormal frame, and the returned
+coordinates.  The stage weights come in that Gram form too, so the
+bounded-real test of ``hinf`` runs the n x n pass on its level weights.  A
+state or terminal weight of an LQ cost that is diagonal by type enters as
+its weighted diagonal, a ``DiagonalGram``; the n x n pass adds it onto the
+diagonal of the congruence sum with the bits of the sum with its n x n
+array.
 
-The pass owns its scratch: Q, the G* K product and the inner products of the
-congruences go into state-sized arrays of a ``StepScratch`` allocated once and
-overwritten at every step, in the order of operations of the plain
-expressions, so the values are the same as with fresh arrays.  The
-congruences A*PA, C*PC, B*PB and D*PD are each one operator's two-sided
+The two passes share one loop, ``_walk``, so the certification of Rk, the
+status rules and the refusal of non-finite terms are written once.  On an
+LQ plant whose A, C, M and terminal weight are diagonal by type, every
+Gram iterate is exactly diag(d) + U S U^T with few columns in U, and the
+low-rank pass keeps it in that form: a step of rank r costs O(n r (r + du))
+and forms no n x n array, and its iterates are ``DiagonalPlusLowRank``
+operators.  ``solve_backward_riccati`` runs it when the rank of the last
+iterate, known from the shapes before the first step, stays within
+``operators.RANK_MAX_SHARE`` of n, and the n x n pass otherwise, so a solve
+never switches passes.  The two agree to rounding, not to the bit.  The
+bounded-real test and the games call the n x n pass directly.
+
+The n x n pass owns its scratch: Q, the G* K product and the inner products
+of the congruences go into state-sized arrays of a ``StepScratch``
+allocated once and overwritten at every step, in the order of operations of
+the plain expressions, so the values are the same as with fresh arrays.
+The congruences A*PA, C*PC, B*PB and D*PD are each one operator's two-sided
 product, native for structured operators.  A congruence with a zero factor
 is skipped, and a step whose next iterate is zero (the zero terminal weight
 of the level test, the games and LQ) skips all of them: there Q = M, Rk = R
@@ -48,6 +61,7 @@ from .errors import ResolutionError
 from .operators import (
     DenseOperator,
     Operator,
+    RANK_MAX_SHARE,
     SelfAdjointCert,
     ZeroOperator,
     _diagonal_entries,
@@ -57,6 +71,7 @@ from .operators import (
     coordinate_operators,
     positivity_tolerance,
 )
+from .spaces import Space
 from .systems import ControlledSystem, CostSpec
 
 STATUS_SOLVED = "solved"
@@ -280,40 +295,31 @@ class RiccatiSolution:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is checked and refused below
-def _backward_pass(
-    system: ControlledSystem,
-    weights: StageWeights,
-    terminal_gram: np.ndarray,
-    stop_at_nonpositive: bool = False,
-    scratch: StepScratch | None = None,
-    head: Callable[[np.ndarray], tuple] | None = None,
-) -> RiccatiSolution:
-    """Walk backward from the terminal Gram form W_h P(N+1) towards step 0.
+def _walk(system: ControlledSystem, start, complete, advance, stop_at_nonpositive=False):
+    """The backward loop of both passes: certify each completion term and step.
 
-    Each step certifies its completion term; the walk stops where that term
-    has no bounded inverse, and with ``stop_at_nonpositive`` also at the first
-    term that is not uniformly positive.  Indefinite but invertible terms are
-    otherwise walked through, so every reached step reports its spectrum.
-    A non-finite completion term or iterate, which overflow leaves, raises
-    ResolutionError at the step where it first appears.
-    A walk with ``stop_at_nonpositive`` keeps no iterates (``p`` is None).
-    The step arrays live in ``scratch``, allocated here when None.  At step
-    N-1 the walk takes its congruence sums from ``head(W_h P(N))`` when given.
+    ``complete(k, current)`` gives the Q, W_u Rk (symmetrized) and W_u G of
+    step k from the next iterate ``current``, and ``advance(q, gk,
+    rk_inverse, k)`` the gain and the iterate of step k; the walk starts
+    from ``start``.  Each step certifies its completion term; the walk stops
+    where that term has no bounded inverse, and with ``stop_at_nonpositive``
+    also at the first term that is not uniformly positive.  Indefinite but
+    invertible terms are otherwise walked through, so every reached step
+    reports its spectrum.  A non-finite Rk raises ResolutionError before its
+    eigendecomposition.  Returns the iterates of steps 0..N, None where the
+    walk did not reach, and the record without them (``p`` is None).
     """
     steps = system.steps
     hs, us = system.state_space, system.control_space
     wu = us.weights
-    scratch = StepScratch(hs.dim) if scratch is None else scratch
-    keep = not stop_at_nonpositive
-    grams: list[np.ndarray | None] = [None] * steps + [terminal_gram]
-    current = terminal_gram if terminal_gram.any() else None  # None: zero, no congruences
+    iterates: list = [None] * steps
     gains: list[Operator | None] = [None] * steps
     rk_ops: list[Operator | None] = [None] * steps
     certs: list[SelfAdjointCert | None] = [None] * steps
     breakdown = nonpositive = None
+    current = start
     for k in range(steps - 1, -1, -1):
-        sums = head(current) if head is not None and k == steps - 2 else None
-        q, rk, gk = _completion_arrays(system, weights, current, k, scratch, sums)
+        q, rk, gk = complete(k, current)
         _require_finite(rk, "completion term Rk", k)  # before its eigendecomposition
         rk /= wu[:, None]
         cert, rk_inverse = certified_inverse(rk, wu)
@@ -325,15 +331,166 @@ def _backward_pass(
         if rk_inverse is None:
             breakdown = k
             break
+        gain, current = advance(q, gk, rk_inverse, k)
+        iterates[k] = current
+        gains[k] = DenseOperator(gain, hs, us)
+        rk_ops[k] = DenseOperator(rk, us)
+    return iterates, RiccatiSolution(None, gains, rk_ops, certs, breakdown, nonpositive)
+
+
+def _backward_pass(
+    system: ControlledSystem,
+    weights: StageWeights,
+    terminal_gram: np.ndarray,
+    stop_at_nonpositive: bool = False,
+    scratch: StepScratch | None = None,
+    head: Callable[[np.ndarray], tuple] | None = None,
+) -> RiccatiSolution:
+    """The n x n pass: walk back from the terminal Gram form W_h P(N+1) towards step 0.
+
+    The walk and its stopping rules are those of ``_walk``.  A non-finite
+    iterate, which overflow leaves, raises ResolutionError at the step where
+    it first appears.  A walk with ``stop_at_nonpositive`` keeps no iterates
+    (``p`` is None).  The step arrays live in ``scratch``, allocated here
+    when None.  At step N-1 the walk takes its congruence sums from
+    ``head(W_h P(N))`` when given.
+    """
+    steps = system.steps
+    scratch = StepScratch(system.state_space.dim) if scratch is None else scratch
+    keep = not stop_at_nonpositive
+
+    def complete(k, current):
+        sums = head(current) if head is not None and k == steps - 2 else None
+        return _completion_arrays(system, weights, current, k, scratch, sums)
+
+    def advance(q, gk, rk_inverse, k):
         out = None if keep else scratch.iterates[k % 2]
         gain, current = _advance(q, gk, rk_inverse, scratch.spare, out)
         _require_finite(current, "iterate P", k)  # a non-finite G or Q shows here too
-        if keep:
-            grams[k] = current
-        gains[k] = DenseOperator(gain, hs, us)
-        rk_ops[k] = DenseOperator(rk, us)
-    p_ops = coordinate_operators(grams, hs) if keep else None
-    return RiccatiSolution(p_ops, gains, rk_ops, certs, breakdown, nonpositive)
+        return gain, current
+
+    start = terminal_gram if terminal_gram.any() else None  # None: zero, no congruences
+    grams, sol = _walk(system, start, complete, advance, stop_at_nonpositive)
+    if keep:
+        sol.p = coordinate_operators([*grams, terminal_gram], system.state_space)
+    return sol
+
+
+class DiagonalPlusLowRank(Operator):
+    """A self-adjoint P with Gram form W P = diag(d) + U S U^T, as the low-rank pass returns.
+
+    ``d`` holds n entries, ``u`` is n x r and ``s`` is r x r and symmetric;
+    the coordinates are W^-1 (diag(d) + U S U^T).  Products with vectors and
+    right products take O(n r) per vector and build no n x n array, and the
+    two-sided product is the default's two right products.  The matrix is
+    built on request and not kept.  Unlike the variants of ``operators``,
+    this one overrides ``apply_array``: the default multiplies by the
+    matrix, and every LQ solve reads P(0) x0.
+    """
+
+    _keeps_matrix = False
+
+    def __init__(self, d: np.ndarray, u: np.ndarray, s: np.ndarray, space: Space):
+        self.d, self.u, self.s = d, u, s
+        self.domain = self.codomain = space
+
+    def _gram_product(self, x):
+        """(diag(d) + U S U^T) x for an array x of n rows."""
+        return (self.d * x.T).T + self.u @ (self.s @ (self.u.T @ x))
+
+    def apply_array(self, x):
+        return (self._gram_product(x).T / self.domain.weights).T
+
+    def rmatmul(self, x, out=None):
+        # x W^-1 (diag(d) + U S U^T), the transpose of the Gram form times (x W^-1)^T
+        product = self._gram_product((x / self.codomain.weights).T).T
+        if out is None:
+            return product
+        out[...] = product
+        return out
+
+    def _build_matrix(self):
+        out = _symmetrized(self.u @ self.s @ self.u.T, None)
+        out[np.diag_indices_from(out)] += self.d
+        return out / self.domain.weights[:, None]
+
+
+def _block_diag(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """The block-diagonal matrix of two square blocks."""
+    r1, r2 = first.shape[0], second.shape[0]
+    out = np.zeros((r1 + r2, r1 + r2))
+    out[:r1, :r1] = first
+    out[r1:, r1:] = second
+    return out
+
+
+def _low_rank_plan(system: ControlledSystem, weights: StageWeights, terminal) -> list | None:
+    """The entries of A(k) and C(k) (None when zero) at each step, if the low-rank pass applies.
+
+    It applies when A, C, M and the terminal weight are diagonal by type and
+    the last iterate's rank r_0 stays within ``RANK_MAX_SHARE`` of n, where
+    r_k = (2 if C(k) is nonzero else 1) r_{k+1} + du from r_{N+1} = 0.
+    Otherwise the plan is None.
+    """
+    if not isinstance(terminal, DiagonalGram):
+        return None
+    a, c = (_once_per_operator(_diagonal_entries, family) for family in (system.a, system.c))
+    if None in a or None in c or not all(
+        isinstance(weights(k)[0], DiagonalGram) for k in range(system.steps)
+    ):
+        return None
+    plan = [(a_k[0], c_k[0] if c_k[0].any() else None) for a_k, c_k in zip(a, c)]
+    rank = 0
+    for _, c_k in reversed(plan):
+        rank = (1 if c_k is None else 2) * rank + system.control_space.dim
+    return plan if rank <= RANK_MAX_SHARE * system.state_space.dim else None
+
+
+def _low_rank_pass(
+    system: ControlledSystem, weights: StageWeights, terminal: DiagonalGram, plan: list
+) -> RiccatiSolution:
+    """The pass of a diagonal plant: each Gram iterate W P kept as (d, U, S).
+
+    With A = diag(a) and C = diag(c), Q = A*PA + C*PC + M has the diagonal
+    (a^2 + c^2) d + W_h M and the factor [aU, cU] with S twice on the
+    diagonal; B*PB + D*PD and B*PA + D*PC come from products of B and D with
+    d and U, and -G* Rk^-1 G appends the du columns of (W_u G)^T with -(W_u
+    Rk)^-1.  ``plan`` is that of ``_low_rank_plan``.  A step refuses
+    overflow in U, S or the diagonal of its iterate.
+    """
+    hs = system.state_space
+
+    def complete(k, current):
+        d, u, s = current
+        (a, c), (m, l, r) = plan[k], weights(k)
+        a_u = a[:, None] * u
+        q_diag, q_u, q_s, c_u = a * a * d + m.diag, a_u, s, None
+        if c is not None:
+            c_u = c[:, None] * u
+            q_diag += c * c * d
+            q_u, q_s = np.hstack([a_u, c_u]), _block_diag(s, s)
+        rk, gk = r + 0.0, l + 0.0
+        for op, e, e_u in ((system.b(k), a, a_u), (system.d(k), c, c_u)):
+            if isinstance(op, ZeroOperator):
+                continue
+            bm = op.matrix  # n x du
+            bu_s = (bm.T @ u) @ s
+            rk += (bm.T * d) @ bm + bu_s @ (u.T @ bm)
+            if e is not None:
+                gk += bm.T * (d * e) + bu_s @ e_u.T
+        return (q_diag, q_u, q_s), 0.5 * (rk + rk.T), gk
+
+    def advance(q, gk, rk_inverse, k):
+        q_diag, q_u, q_s = q
+        u, s = np.hstack([q_u, gk.T]), _block_diag(q_s, -rk_inverse)
+        for arr in (u, s, q_diag + np.einsum("ij,ij->i", u @ s, u)):
+            _require_finite(arr, "iterate P", k)
+        return -rk_inverse @ gk, (q_diag, u, s)
+
+    start = (terminal.diag, np.zeros((hs.dim, 0)), np.zeros((0, 0)))
+    iterates, sol = _walk(system, start, complete, advance)
+    sol.p = [None if it is None else DiagonalPlusLowRank(*it, hs) for it in [*iterates, start]]
+    return sol
 
 
 def solve_backward_riccati(system: ControlledSystem, cost: CostSpec) -> RiccatiSolution:
@@ -344,8 +501,15 @@ def solve_backward_riccati(system: ControlledSystem, cost: CostSpec) -> RiccatiS
     tolerance); "domain_failure" when some completion term has no bounded
     inverse, stopping the recursion; "not_uniformly_positive" when the
     recursion completes but a completion term dips to or below the tolerance.
+    A plant that ``_low_rank_plan`` accepts runs the low-rank pass, whose
+    iterates are DiagonalPlusLowRank operators; any other runs the n x n
+    pass.  The choice is made once, before the first step.
     """
+    weights = _cost_weights(system, cost)
     terminal = _state_gram(cost.terminal, system.state_space.weights)
+    plan = _low_rank_plan(system, weights, terminal)
+    if plan is not None:
+        return _low_rank_pass(system, weights, terminal, plan)
     if isinstance(terminal, DiagonalGram):
         terminal = terminal.array()
-    return _backward_pass(system, _cost_weights(system, cost), terminal)
+    return _backward_pass(system, weights, terminal)

@@ -107,6 +107,37 @@ def random_solved_problem(rng, dim_max=6, horizon_max=6, allow_indefinite=True, 
     raise AssertionError("generator failed to produce a solvable problem")
 
 
+def with_weights(problem, m, terminal, scale=None):
+    """The problem with state weights ``m`` and ``terminal``, and L, R scaled by ``scale``."""
+    cost, system = problem.cost, problem.system
+    l, r = list(cost.l), list(cost.r)
+    if scale is not None:
+        l, r = ([hc.ScaledOperator(scale, op) for op in ops] for ops in (l, r))
+    return hc.LQProblem(system, hc.CostSpec(system, m, l, r, terminal), problem.x0)
+
+
+def heat_weight_problems():
+    """Heat cases 1-3 at 64 and 256 modes, with their weights diagonal by type.
+
+    Each case comes as built, with the cost scaled by positive and negative
+    factors, and with nested scalings that make the terminal weight
+    indefinite.
+    """
+    for case in (1, 2, 3):
+        for modes in (64, 256):
+            base = hc.examples.build_heat_problem(case, modes)
+            hs, cost = base.system.state_space, base.cost
+            yield base
+            for c in (0.37, -1.7):
+                yield with_weights(base, [hc.ScaledOperator(c, op) for op in cost.m],
+                                   hc.ScaledOperator(c, cost.terminal), scale=c)
+            yield with_weights(
+                base,
+                hc.ScaledOperator(0.5, hc.ScaledOperator(3.0, hc.IdentityOperator(hs))),
+                hc.ScaledOperator(-2.0, hc.ScaledOperator(1.5, hc.IdentityOperator(hs))),
+            )
+
+
 def open_loop_quadratic(problem):
     """Exact cost J(u) = c + 2 g.u + u.H u of an open-loop input schedule.
 
@@ -230,12 +261,13 @@ def assert_same_bits(got, want):
 def record_matrix_builds(monkeypatch):
     """A list that collects every operator whose ``_build_matrix`` runs from now on."""
     built = []
-    for cls in vars(hc.operators).values():
-        if isinstance(cls, type) and "_build_matrix" in vars(cls):
-            def counted(op, build=cls._build_matrix):
-                built.append(op)
-                return build(op)
-            monkeypatch.setattr(cls, "_build_matrix", counted)
+    classes = {cls for module in (hc.operators, hc.riccati) for cls in vars(module).values()
+               if isinstance(cls, type) and "_build_matrix" in vars(cls)}
+    for cls in classes:
+        def counted(op, build=cls._build_matrix):
+            built.append(op)
+            return build(op)
+        monkeypatch.setattr(cls, "_build_matrix", counted)
     return built
 
 

@@ -463,7 +463,9 @@ def test_unwritable_output_directory_is_bad_input(tmp_path, capsys, argv):
     blocker.write_text("")
     code = main(argv + ["--out", str(blocker / "run")])
     assert code == EXIT_BAD_INPUT
-    assert capsys.readouterr().err.startswith("error: cannot write ")
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write ")
+    assert captured.out == ""  # no summary of a run whose outputs were not written
     assert blocker.read_text() == ""
 
 

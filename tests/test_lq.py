@@ -1,15 +1,21 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import hscontrol as hc
+from hscontrol import riccati
 from helpers import (
+    assert_pinned,
     assert_same_bits,
+    heat_weight_problems,
     open_loop_quadratic,
     random_controlled,
     random_psd_cost,
     random_solved_problem,
     random_x0,
     record_matrix_builds,
+    with_weights,
 )
 
 
@@ -205,37 +211,12 @@ def test_solve_lq_is_the_riccati_pass_with_its_value():
             assert_same_bits(got, want)  # every field, the value's bits included
 
 
-def _with_weights(problem, m, terminal, scale=None):
-    """The problem with state weights ``m`` and ``terminal``, and L, R scaled by ``scale``."""
-    cost, system = problem.cost, problem.system
-    l, r = list(cost.l), list(cost.r)
-    if scale is not None:
-        l, r = ([hc.ScaledOperator(scale, op) for op in ops] for ops in (l, r))
-    return hc.LQProblem(system, hc.CostSpec(system, m, l, r, terminal), problem.x0)
+def _line_weight_problems():
+    """A noisy plant on an ``l2_line`` grid, whose weights are not 1, with diagonal weights.
 
-
-def _diagonal_weight_problems():
-    """LQ problems whose M and terminal weight are diagonal by type.
-
-    Heat cases 1-3 at 64 and 256 modes, with the cost scaled by positive and
-    negative factors, and with nested scalings that make the terminal weight
-    indefinite; and a noisy plant on an ``l2_line`` grid, whose weights are
-    not 1, with diagonal weights.
+    Its dynamics are a Gaussian convolution, so it runs the n x n pass.
     """
     rng = np.random.default_rng(71)
-    for case in (1, 2, 3):
-        for modes in (64, 256):
-            base = hc.examples.build_heat_problem(case, modes)
-            hs, cost = base.system.state_space, base.cost
-            yield base
-            for c in (0.37, -1.7):
-                yield _with_weights(base, [hc.ScaledOperator(c, op) for op in cost.m],
-                                    hc.ScaledOperator(c, cost.terminal), scale=c)
-            yield _with_weights(
-                base,
-                hc.ScaledOperator(0.5, hc.ScaledOperator(3.0, hc.IdentityOperator(hs))),
-                hc.ScaledOperator(-2.0, hc.ScaledOperator(1.5, hc.IdentityOperator(hs))),
-            )
     hs, us = hc.l2_line(2.0, 0.05), hc.euclidean(1)
     conv = hc.GaussianConvolutionOperator(hs, 1.0)
     b = hc.DenseOperator(rng.standard_normal((hs.dim, 1)), us, hs)
@@ -249,24 +230,47 @@ def _diagonal_weight_problems():
         yield hc.LQProblem(system, cost, random_x0(rng, hs))
 
 
-def _as_dense(problem):
-    """The same problem with M and the terminal weight as DenseOperators of their matrices."""
-    cost, hs = problem.cost, problem.system.state_space
-    m = [hc.DenseOperator(op.matrix, hs) for op in cost.m]
-    return _with_weights(problem, m, hc.DenseOperator(cost.terminal.matrix, hs))
+def _diagonal_weight_problems():
+    """LQ problems whose M and terminal weight are diagonal by type: heat and line plants."""
+    yield from heat_weight_problems()
+    yield from _line_weight_problems()
+
+
+def _respelled(problem, respell):
+    """The problem with ``respell(op)`` for M and the terminal weight."""
+    cost = problem.cost
+    return with_weights(problem, [respell(op) for op in cost.m], respell(cost.terminal))
 
 
 def test_diagonal_weights_keep_the_bits_of_their_matrices():
+    # On the n x n pass a diagonal weight has the bits of its dense matrix.
     # The completing-square check runs on the problem as given in both
     # cases: the simulator's stage costs take the weights' native products,
-    # whose bits differ from those of their dense matrices.
-    for problem in _diagonal_weight_problems():
-        got, want = hc.solve_lq(problem), hc.solve_lq(_as_dense(problem))
+    # whose bits differ from those of their dense matrices.  The heat plants
+    # take the low-rank pass, which agrees with their dense weights to
+    # rounding (test_riccati::test_low_rank_pass_matches_the_n_by_n_pass).
+    for problem in _line_weight_problems():
+        hs = problem.system.state_space
+        got = hc.solve_lq(problem)
+        want = hc.solve_lq(_respelled(problem, lambda op: hc.DenseOperator(op.matrix, hs)))
+        assert isinstance(got.p[0], hc.DenseOperator)
         assert_same_bits(got, want)
         if all(g is not None for g in got.gains):
             checks = [hc.completing_square_check(problem, sol, hc.optimal_policy(problem, sol))
                       for sol in (got, want)]
             assert_same_bits(*checks)
+
+
+def test_low_rank_pass_keeps_its_bits_whatever_the_spelling_of_a_diagonal_weight():
+    # a scaled identity and the diagonal operator of its entries
+    for problem in heat_weight_problems():
+        hs = problem.system.state_space
+        got = hc.solve_lq(problem)
+        want = hc.solve_lq(_respelled(
+            problem, lambda op: hc.DiagonalOperator(np.diagonal(op.matrix).copy(), hs)))
+        assert isinstance(got.p[0], riccati.DiagonalPlusLowRank)
+        assert isinstance(problem.cost.terminal, hc.ScaledOperator)
+        assert_same_bits(got, want)
 
 
 def test_solve_lq_builds_no_matrix_of_a_diagonal_weight(monkeypatch):
@@ -283,3 +287,28 @@ def test_solve_lq_builds_no_matrix_of_a_diagonal_weight(monkeypatch):
         hc.solve_lq(problem)
     assert built  # the zero L weights are still built
     assert [op for op in built if id(op) in weights] == []
+
+
+def test_heat_solve_at_4096_modes_holds_no_state_sized_square():
+    # one 4096 x 4096 iterate is 128 MiB; the low-rank pass keeps d, U and S
+    tracemalloc.start()
+    try:
+        problem = hc.examples.build_heat_problem(1, 4096)
+        sol = hc.solve_lq(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+    assert sol.solved
+    p, x = sol.p[0], problem.x0.coords  # <P x, x> = x^T (diag(d) + U S U^T) x
+    ux = p.u.T @ x
+    assert_pinned(sol.value, x @ (p.d * x) + ux @ p.s @ ux, rtol=1e-13)
+
+
+def test_heat_solve_builds_no_state_sized_matrix(monkeypatch):
+    problem = hc.examples.build_heat_problem(1, 256)
+    built = record_matrix_builds(monkeypatch)
+    sol = hc.solve_lq(problem)
+    assert sol.solved
+    assert built  # the 1 x 256 zero L weights are still built
+    assert [op for op in built if op.domain.dim == op.codomain.dim == 256] == []

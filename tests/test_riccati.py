@@ -8,6 +8,7 @@ from helpers import (
     assert_same_bits,
     completion_reference,
     explicit_zero_completion,
+    heat_weight_problems,
     random_controlled,
     random_disturbed,
     random_psd_cost,
@@ -345,3 +346,122 @@ def test_iterates_become_coordinates_with_the_bits_of_the_division():
         got = hc.operators.coordinate_operators([g.copy(), None], hs)
         assert got[1] is None
         assert_same_bits(got[0].matrix, want)
+
+
+def _diagonal_plant(rng, hs, du=1, horizon=2, noise=False, feedthrough=False,
+                    terminal_low=0.0):
+    """A random plant with A, C, M and the terminal weight diagonal by type."""
+    us = hc.euclidean(du)
+    steps = horizon + 1
+    a = [hc.DiagonalOperator(rng.uniform(-1.0, 1.0, hs.dim), hs) for _ in range(steps)]
+    b = [hc.DenseOperator(rng.standard_normal((hs.dim, du)), us, hs) for _ in range(steps)]
+    c = [hc.DiagonalOperator(rng.uniform(-0.5, 0.5, hs.dim), hs) if noise else hc.ZeroOperator(hs)
+         for _ in range(steps)]
+    d = [hc.DenseOperator(0.5 * rng.standard_normal((hs.dim, du)), us, hs) if feedthrough
+         else hc.ZeroOperator(us, hs) for _ in range(steps)]
+    system = hc.ControlledSystem(hs, us, horizon, a, b, c, d)
+    m = [hc.ScaledOperator(float(rng.uniform(0.1, 2.0)), hc.IdentityOperator(hs)),
+         *(hc.DiagonalOperator(rng.uniform(0.0, 2.0, hs.dim), hs) for _ in range(horizon))]
+    l = [hc.DenseOperator(0.1 * rng.standard_normal((du, hs.dim)), hs, us) for _ in range(steps)]
+    r = [hc.DenseOperator(np.diag(rng.uniform(0.5, 2.0, du)), us) for _ in range(steps)]
+    terminal = hc.DiagonalOperator(rng.uniform(terminal_low, 2.0, hs.dim), hs)
+    cost = hc.CostSpec(system, m, l, r, terminal)
+    return hc.LQProblem(system, cost, random_x0(rng, hs))
+
+
+def _singular_rk_plant(rng, hs):
+    """A diagonal plant whose Rk at step N-1 is exactly singular: R and B miss one input."""
+    problem = _diagonal_plant(rng, hs, du=2, horizon=3)
+    system, cost, us = problem.system, problem.cost, problem.system.control_space
+    b, r = list(system.b), list(cost.r)
+    blind = b[2].matrix.copy()
+    blind[:, 1] = 0.0
+    b[2], r[2] = hc.DenseOperator(blind, us, hs), hc.DenseOperator(np.diag([1.0, 0.0]), us)
+    system = hc.ControlledSystem(hs, us, 3, list(system.a), b, list(system.c), list(system.d))
+    cost = hc.CostSpec(system, list(cost.m), list(cost.l), r, cost.terminal)
+    return hc.LQProblem(system, cost, problem.x0)
+
+
+def _dense_reference(problem):
+    """The problem with A, C, M and the terminal weight as DenseOperators of their matrices."""
+    system, cost = problem.system, problem.cost
+    hs = system.state_space
+
+    def dense(ops):
+        return [op if isinstance(op, hc.ZeroOperator) else hc.DenseOperator(op.matrix, hs)
+                for op in ops]
+
+    ref = hc.ControlledSystem(hs, system.control_space, system.horizon, dense(system.a),
+                              list(system.b), dense(system.c), list(system.d))
+    ref_cost = hc.CostSpec(ref, dense(cost.m), list(cost.l), list(cost.r),
+                           hc.DenseOperator(cost.terminal.matrix, hs))
+    return hc.LQProblem(ref, ref_cost, problem.x0)
+
+
+def _low_rank_problems():
+    rng = np.random.default_rng(2608)
+    line = hc.l2_line(1.0, 0.05)  # 41 grid points with trapezoid weights
+    for hs in (hc.euclidean(40), line):
+        yield _diagonal_plant(rng, hs)
+        yield _diagonal_plant(rng, hs, du=2, horizon=3, feedthrough=True)
+        yield _diagonal_plant(rng, hs, noise=True)
+        yield _diagonal_plant(rng, hs, noise=True, feedthrough=True)
+        for _ in range(3):
+            yield _diagonal_plant(rng, hs, du=2, horizon=1, noise=True, terminal_low=-2.0)
+        yield _singular_rk_plant(rng, hs)
+    for case in (1, 2, 3):
+        for modes in (16, 512):
+            yield hc.examples.build_heat_problem(case, modes)
+    yield from heat_weight_problems()  # at 64 and 256 modes
+
+
+def test_low_rank_pass_matches_the_n_by_n_pass():
+    statuses = set()
+    for problem in _low_rank_problems():
+        got, want = hc.solve_lq(problem), hc.solve_lq(_dense_reference(problem))
+        assert isinstance(got.p[-1], riccati.DiagonalPlusLowRank)
+        assert isinstance(want.p[-1], hc.DenseOperator)
+        statuses.add(got.status)
+        for field in ("status", "breakdown", "nonpositive", "failing_step"):
+            assert getattr(got, field) == getattr(want, field), field
+        assert (got.value is None) == (want.value is None)
+        if want.value is not None:
+            assert_pinned(got.value, want.value, rtol=1e-12)
+        for name in ("p", "gains", "rk"):
+            for g, w in zip(getattr(got, name), getattr(want, name)):
+                assert (g is None) == (w is None)
+                if w is not None:
+                    assert_pinned(g.matrix, w.matrix, rtol=1e-12)
+    assert statuses == {riccati.STATUS_SOLVED, riccati.STATUS_DOMAIN_FAILURE,
+                        riccati.STATUS_NOT_UNIFORMLY_POSITIVE}
+
+
+def test_low_rank_iterates_multiply_as_their_matrices():
+    rng = np.random.default_rng(2609)
+    problem = _diagonal_plant(rng, hc.l2_line(1.0, 0.05), du=2, horizon=1, noise=True,
+                              feedthrough=True)
+    p = hc.solve_lq(problem).p[0]
+    matrix = p.matrix
+    x = rng.standard_normal((41, 3))
+    assert p.u.shape == (41, 6)  # 2 + 2 (2 + 2 * 0) columns
+    assert_pinned(p.apply_array(x[:, 0]), matrix @ x[:, 0], rtol=1e-13)
+    assert_pinned(p.apply_array(x), matrix @ x, rtol=1e-13)
+    assert_pinned(p.rmatmul(x.T), x.T @ matrix, rtol=1e-13)
+    out = np.empty((3, 41))
+    assert p.rmatmul(x.T, out=out) is out
+    assert_pinned(out, x.T @ matrix, rtol=1e-13)
+    g = rng.standard_normal((41, 41))
+    assert_pinned(p.sandwich(g), matrix.T @ g @ matrix, rtol=1e-12)
+    assert p.matrix is not matrix  # built on request, not kept
+
+
+def test_a_rank_past_the_share_runs_the_n_by_n_pass_with_its_bits():
+    # the rank doubles at every step with noise: 1, 3, 7, 15 > 40 / 4 columns
+    rng = np.random.default_rng(2610)
+    for hs in (hc.euclidean(40), hc.l2_line(1.0, 0.05)):
+        problem = _diagonal_plant(rng, hs, horizon=3, noise=True, feedthrough=True)
+        got = hc.solve_lq(problem)
+        assert isinstance(got.p[0], hc.DenseOperator)
+        assert_same_bits(got, hc.solve_lq(_dense_reference(problem)))
+        shorter = _diagonal_plant(rng, hs, horizon=2, noise=True, feedthrough=True)
+        assert isinstance(hc.solve_lq(shorter).p[0], riccati.DiagonalPlusLowRank)  # 7 columns
