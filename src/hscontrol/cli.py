@@ -37,7 +37,7 @@ from .serialize import (
     parse_system,
     parse_vector,
 )
-from .sim import Policy, draw_noise_paths, monte_carlo_expectation, simulate
+from .sim import Policy, _checked_seed, draw_noise_paths, monte_carlo_expectation, simulate
 from .systems import ControlledSystem, DisturbedSystem, TwoInputSystem
 
 EXIT_OK = 0
@@ -210,8 +210,7 @@ def cmd_h2hinf_design(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.seed < 0:
-        raise ParseError(f"--seed must be non-negative, got {args.seed}")
+    _checked_seed(args.seed, "--seed")
     system = parse_system(args.system)
     if isinstance(system, TwoInputSystem):
         raise ParseError("simulate needs a controlled or disturbed system file")

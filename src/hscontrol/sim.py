@@ -22,10 +22,12 @@ draws and hands over one block of replications at a time, so its memory is
 O(block·steps) for the paths plus one value per replication, however many
 replications there are.
 
-Replication r always draws from the stream spawned as (seed, r), so results
-do not depend on scheduling or on how many replications run in one call.
-The seed words of all those streams are computed in one vectorized pass;
-each stream is still, bit for bit, the one that ``(seed, r)`` spawns.
+Replication r's noise is a pure function of (seed, r, steps): a
+counter-based Philox stream keyed by the seed, read from r's own counter
+block, so any block of rows is one vectorized draw and no row depends on
+how many replications run in one call.  The rolled-out costs still can, in
+their last bits: the rows of the short last block go through matrix
+products of another size.
 """
 
 from __future__ import annotations
@@ -108,119 +110,63 @@ class Trajectory:
     cost: float | None = None
 
 
-# numpy's SeedSequence hash (O'Neill's seed_seq_fe) on uint32 arrays.
-_POOL_WORDS = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFFFFFF
-_SEED_CHUNK = 1024  # replications seeded per vectorized pass
+_REPS_MAX = 1 << 32
+_SEED_MAX = (1 << 128) - 1  # the largest Philox key
 
 
-def _spawned_states(seed: int, spawn: np.ndarray) -> np.ndarray:
-    """Row i is ``SeedSequence(entropy=seed, spawn_key=(spawn[i],)).generate_state(4, np.uint64)``.
+def _checked_int(name: str, value, low: int = 0, high: int | None = None) -> int:
+    """``value`` as an int from ``low`` to ``high``, else a DimensionError naming ``name``.
 
-    ``seed`` is a non-negative int and ``spawn`` a uint32 array.  The
-    entropy is the seed's 32-bit words, least significant first and padded
-    with zeros to the pool size, then the spawn word.
+    ``high``, when given, is 2^b or 2^b - 1, and the message writes it so.
     """
-    words = [seed & _MASK32]
-    while seed >> 32:
-        seed >>= 32
-        words.append(seed & _MASK32)
-    words += [0] * (_POOL_WORDS - len(words))
-    # one-element arrays, not scalars: array arithmetic wraps mod 2^32 silently
-    entropy = [np.array([w], dtype=np.uint32) for w in words] + [spawn]
-    const = _INIT_A
-
-    def hashmix(value):
-        nonlocal const
-        value = value ^ const
-        const = const * _MULT_A & _MASK32
-        value = value * const
-        return value ^ value >> 16
-
-    def mix(x, y):
-        x = x * _MIX_MULT_L - y * _MIX_MULT_R
-        return x ^ x >> 16
-
-    pool = [hashmix(w) for w in entropy[:_POOL_WORDS]]
-    for src in range(_POOL_WORDS):
-        for dst in range(_POOL_WORDS):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for w in entropy[_POOL_WORDS:]:
-        for dst in range(_POOL_WORDS):
-            pool[dst] = mix(pool[dst], hashmix(w))
-    state = np.empty((spawn.size, 2 * _POOL_WORDS), dtype="<u4")
-    const = _INIT_B
-    for i in range(state.shape[1]):
-        value = pool[i % _POOL_WORDS] ^ const
-        const = const * _MULT_B & _MASK32
-        value = value * const
-        state[:, i] = value ^ value >> 16
-    return state.view("<u8").astype(np.uint64)
-
-
-def _nonnegative_int(name: str, value) -> int:
     try:
         value = operator.index(value)
     except TypeError:
         raise DimensionError(f"{name} must be an integer, got {value!r}") from None
-    if value < 0:
-        raise DimensionError(f"{name} must be non-negative, got {value}")
+    if value < low:
+        least = "non-negative" if low == 0 else f"at least {low}"
+        raise DimensionError(f"{name} must be {least}, got {value}")
+    if high is not None and value > high:
+        bits = high.bit_length()
+        bound = f"2^{bits - 1}" if high == 1 << (bits - 1) else f"2^{bits} - 1"
+        raise DimensionError(f"{name} {value} exceeds {bound}")
     return value
 
 
-def _checked_reps(reps, low: int) -> int:
-    """``reps`` as an int of at least ``low`` and at most 2^32, the range of one spawn word."""
-    try:
-        reps = operator.index(reps)
-    except TypeError:
-        raise DimensionError(f"reps must be an integer, got {reps!r}") from None
-    if reps < low:
-        raise DimensionError(f"reps must be at least {low}, got {reps}")
-    if reps > 1 << 32:
-        raise DimensionError(f"reps {reps} exceeds 2^32, the range of one spawn word")
-    return reps
+def _checked_seed(seed, name: str = "seed") -> int:
+    return _checked_int(name, seed, high=_SEED_MAX)
 
 
 def draw_noise_paths(seed: int, reps: int, steps: int) -> np.ndarray:
-    """(reps, steps) standard Gaussian noise factors, one stream per replication.
+    """(reps, steps) standard Gaussian noise factors, one row per replication.
 
-    Row r is, bit for bit, what ``default_rng(SeedSequence(seed,
-    spawn_key=(r,))).standard_normal(steps)`` draws: the seed words of all
-    the streams are computed in one vectorized pass, and each is handed to
-    its own PCG64.  ``seed`` and ``reps`` are non-negative integers, with
-    ``reps`` at most 2^32, the range of one spawn word.
+    Row r is a pure function of (seed, r, steps): a Philox 4x64 generator
+    keyed by ``seed`` and set to counter r·ceil(steps/4) gives its raw
+    words, and Box-Muller maps each pair of words (w1, w2) to the two
+    normals sqrt(-2 ln u1)·(cos 2πu2, sin 2πu2), with u1 = ((w1 >> 11) +
+    1)·2^-53 and u2 = (w2 >> 11)·2^-53.  It does not depend on ``reps`` or
+    on which rows are drawn together.  ``seed`` is an integer from 0 to
+    2^128 - 1, the Philox key size, and ``reps`` one from 0 to 2^32.
     """
-    reps = _checked_reps(reps, 0)
-    steps = _nonnegative_int("steps", steps)
-    seed = _nonnegative_int("seed", seed)
-    return _noise_rows(seed, 0, reps, steps)
+    reps = _checked_int("reps", reps, high=_REPS_MAX)
+    steps = _checked_int("steps", steps)
+    return _noise_rows(_checked_seed(seed), 0, reps, steps)
 
 
 def _noise_rows(seed: int, start: int, stop: int, steps: int) -> np.ndarray:
     """Rows start..stop-1 of ``draw_noise_paths(seed, reps, steps)`` for any reps >= stop."""
     # imported here so that ``import hscontrol`` does not load numpy.random
-    from numpy.random import PCG64
-    from numpy.random.bit_generator import ISeedSequence
+    from numpy.random import Philox
 
-    class SpawnedState(ISeedSequence):
-        def __init__(self, words):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.words  # PCG64 asks for exactly these 4 uint64 words
-
-    out = np.empty((stop - start, steps))
-    for first in range(start, stop, _SEED_CHUNK):
-        spawn = np.arange(first, min(first + _SEED_CHUNK, stop), dtype=np.uint32)
-        rows = out[first - start : first - start + spawn.size]
-        # one stream alive at a time: a PCG64 object holds about a kilobyte
-        for row, words in zip(rows, _spawned_states(seed, spawn)):
-            np.random.Generator(PCG64(SpawnedState(words))).standard_normal(out=row)
-    return out
+    rows, blocks, pairs = stop - start, -(-steps // 4), -(-steps // 2)
+    # each row owns `blocks` counter blocks of four 64-bit words
+    words = Philox(key=seed, counter=start * blocks).random_raw(rows * 4 * blocks)
+    # 53-bit integers, (rows, pairs, 2), keeping the pairs that steps needs
+    halves = (words >> np.uint64(11)).reshape(rows, 2 * blocks, 2)[:, :pairs]
+    radius = np.sqrt(-2.0 * np.log((halves[..., 0] + 1.0) * 2.0**-53))
+    angle = 2.0 * np.pi * 2.0**-53 * halves[..., 1]
+    normals = np.stack((radius * np.cos(angle), radius * np.sin(angle)), axis=-1)
+    return np.ascontiguousarray(normals.reshape(rows, 2 * pairs)[:, :steps])
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is checked and refused below
@@ -404,7 +350,7 @@ def sign_paths(steps: int) -> np.ndarray:
     -1: the rows are in lexicographic order, so paths with a common prefix
     are adjacent, as ``run_batch`` needs them to share states.
     """
-    steps = _nonnegative_int("steps", steps)
+    steps = _checked_int("steps", steps)
     if steps > ENUMERATION_MAX_STEPS:
         raise EnumerationLimitError(
             f"{steps} steps means 2^{steps} paths; cap is 2^{ENUMERATION_MAX_STEPS}"
@@ -465,12 +411,14 @@ def monte_carlo_expectation(
     Replication r rolls out row r of ``draw_noise_paths(seed, reps, steps)``.
     The rows are drawn and rolled out one ``run_batch`` block at a time, so
     memory is O(block·steps) for the paths plus one value per replication.
-    ``reps`` is an integer from 2 to 2^32.  Raises ResolutionError when a
+    ``reps`` is an integer from 2 to 2^32 and ``seed`` one from 0 to
+    2^128 - 1.  A replication's cost can differ in its last bits with the
+    size of the block it is rolled out in.  Raises ResolutionError when a
     replication's cost, the mean or the half-width overflows the
     floating-point range.
     """
-    reps = _checked_reps(reps, 2)
-    seed = _nonnegative_int("seed", seed)
+    reps = _checked_int("reps", reps, 2, _REPS_MAX)
+    seed = _checked_seed(seed)
     # every block reads each step's matrices: build them once, not per block
     dense = ControlledSystem(
         system.state_space,

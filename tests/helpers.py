@@ -330,18 +330,29 @@ def random_x0(rng, space):
     return hc.HVector(space, rng.standard_normal(space.dim))
 
 
-def replication_rng(seed, r):
-    """The stream of replication r, reproducible from (seed, r) alone.
+def replication_noise(seed, r, steps):
+    """Row r of ``hc.draw_noise_paths(seed, reps, steps)``, written out for one row.
 
-    Row r of ``hc.draw_noise_paths(seed, ...)`` is this stream's standard
-    normal draw.  ``seed`` and ``r`` are non-negative integers and ``r`` <
-    2^32, the range of the one spawn word that ``draw_noise_paths`` hashes.
+    One Philox 4x64 generator keyed by ``seed`` and set to row r's own
+    counter, r·ceil(steps/4), gives the raw words; Box-Muller maps each pair
+    (w1, w2) to sqrt(-2 ln u1)·(cos 2πu2, sin 2πu2), with u1 = ((w1 >> 11) +
+    1)/2^53 in (0, 1] and u2 = (w2 >> 11)/2^53 in [0, 1).  ``seed`` is an
+    integer below 2^128, the Philox key size, and ``r`` one below 2^32, the
+    most replications one draw holds.
     """
-    seed = hc.sim._nonnegative_int("seed", seed)
-    r = hc.sim._nonnegative_int("r", r)
-    if r >= 1 << 32:
-        raise hc.DimensionError(f"r {r} is not below 2^32, the range of one spawn word")
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
+    for name, value, bits in [("seed", seed, 128), ("r", r, 32)]:
+        if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value < 1 << bits:
+            raise hc.DimensionError(f"{name} must be an integer below 2^{bits}, got {value!r}")
+    blocks = -(-steps // 4)
+    words = [int(w) for w in np.random.Philox(key=seed, counter=r * blocks).random_raw(4 * blocks)]
+    u1 = np.array([((w >> 11) + 1) / 2**53 for w in words[0::2]])
+    u2 = np.array([(w >> 11) / 2**53 for w in words[1::2]])
+    radius = np.sqrt(-2.0 * np.log(u1))
+    angle = 2.0 * np.pi * u2
+    normals = np.empty(4 * blocks)
+    normals[0::2] = radius * np.cos(angle)
+    normals[1::2] = radius * np.sin(angle)
+    return normals[:steps]
 
 
 def split_output_families(rng, hs, in_space, steps, state_rows, in_rows, zs,

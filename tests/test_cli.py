@@ -362,12 +362,26 @@ def test_non_integer_size_exit(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_negative_seed_exit(tmp_path, capsys):
+def test_negative_seed_exit(tmp_path, capsys, monkeypatch):
     out = tmp_path / "run"
     code = main(["simulate", "--system", DEMO_SYSTEM, "--cost", DEMO_COST,
                  "--x0", DEMO_X0, "--seed", "-1", "--out", str(out)])
     assert code == EXIT_BAD_INPUT
     assert "--seed" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+    # a seed past the 128-bit key is refused before any file is parsed
+    def refused(*args, **kwargs):
+        raise AssertionError("work started before --seed was checked")
+
+    monkeypatch.setattr(cli, "parse_system", refused)
+    monkeypatch.setattr(cli, "solve_lq", refused)
+    code = main(["simulate", "--system", DEMO_SYSTEM, "--cost", DEMO_COST,
+                 "--x0", DEMO_X0, "--seed", str(2**128), "--out", str(out)])
+    assert code == EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--seed" in captured.err and "2^128" in captured.err
     assert not (out / "report.json").exists()
 
 
