@@ -20,12 +20,16 @@ level whose walk stops there is infeasible.
 
 This is the LQ Riccati recursion of ``riccati`` on the disturbance channel,
 with M = -Cbar*Cbar, L = 0, R = gamma^2 I - Dbar*Dbar and a zero terminal
-weight: p1 - p2* p3^-1 p2 is Q - G* Rk^-1 G, and the level test runs that pass.
+weight: p1 - p2* p3^-1 p2 is Q - G* Rk^-1 G, and the level test runs that
+recursion's passes.  When Cbar is monomial by type, -Cbar*Cbar is diagonal,
+and a plant whose A and C are monomial too (the shift network) runs the
+low-rank pass whenever ``riccati._low_rank_plan`` accepts it, with
+``riccati.DiagonalPlusLowRank`` iterates; any other runs the n x n pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,6 +40,7 @@ from .operators import (
     RANK_MAX_SHARE,
     SelfAdjointCert,
     _BOUND_MARGIN,
+    _monomial_columns,
     _once_per_operator,
     _sframe,
     gram,
@@ -43,14 +48,37 @@ from .operators import (
     step_matrices,
 )
 from .riccati import (
+    DiagonalGram,
     RiccatiSolution,
     StageWeights,
     StepScratch,
     _backward_pass,
+    _low_rank_pass,
+    _low_rank_plan,
     _step_congruences,
 )
 from .spaces import euclidean
 from .systems import ControlledSystem, DisturbedSystem
+
+
+def _neg_output_gram(op: Operator) -> np.ndarray | DiagonalGram:
+    """W_h (-Cbar*Cbar) for Cbar = ``op``: a DiagonalGram when Cbar is monomial by type.
+
+    ``gram`` takes the right product of M^T W with M.  For a monomial M, row
+    j of M^T W holds one nonzero, M_ij w_i at the row i of column j, and the
+    native right product maps each column on its own, so the right product
+    of the one row that holds all those entries is the diagonal of ``gram``,
+    with its bits.  The zero off the diagonal is that of -gram for a factor
+    without negative values.
+    """
+    columns = _monomial_columns(op)
+    if columns is None:
+        return -gram(op)
+    rows, values = columns
+    nonzero = values != 0.0
+    row = np.zeros((1, op.codomain.dim))
+    row[0, rows[nonzero]] = values[nonzero] * op.codomain.weights[rows[nonzero]]
+    return DiagonalGram(-op.rmatmul(row)[0], -0.0)
 
 
 @dataclass
@@ -58,20 +86,32 @@ class _LevelTerms:
     """The part of the level test on one system that does not depend on gamma.
 
     The controlled view, the Gram forms W_h (-Cbar*Cbar) and W_v Dbar*Dbar of
-    every step, each computed once per distinct operator, the scratch of
-    the backward pass and its head.  ``hinf_norm`` builds it once for all its
-    tests.  The head is the congruence sums of step N-1, which do not depend
-    on gamma: from the zero terminal weight, G(N) = L = 0 and P(N) =
-    sym(-Cbar*Cbar(N)) at every level.  The first walk to reach step N-1
-    computes them from its P(N); every walk adds its weights to them and
-    only reads them.
+    every step, each computed once per distinct operator, and the pass the
+    walks take.  ``hinf_norm`` builds it once for all its tests.  The plan
+    reads only the types of the weights and the plant's A and C, which gamma
+    does not change: when ``riccati._low_rank_plan`` accepts the view, every
+    walk is the low-rank pass.  Otherwise every walk is the n x n pass in
+    one ``scratch``, with a head: the congruence sums of step N-1, which do
+    not depend on gamma, since from the zero terminal weight G(N) = L = 0
+    and P(N) = sym(-Cbar*Cbar(N)) at every level.  The first walk to reach
+    step N-1 computes them from its P(N); every walk adds its weights to
+    them and only reads them.
     """
 
     view: ControlledSystem
-    neg_cbar_sq: list[np.ndarray]
+    neg_cbar_sq: list[np.ndarray | DiagonalGram]
     dbar_sq: list[np.ndarray]
-    scratch: StepScratch
+    plan: list | None = field(init=False)
+    scratch: StepScratch | None = field(init=False)
     head: tuple | None = None
+
+    def __post_init__(self):
+        self.plan = _low_rank_plan(self.view, self.weights(1.0), self._zero_terminal())
+        dim = self.view.state_space.dim
+        self.scratch = None if self.plan is not None else StepScratch(dim)
+
+    def _zero_terminal(self) -> DiagonalGram:
+        return DiagonalGram(np.zeros(self.view.state_space.dim), 0.0)
 
     def weights(self, gamma: float) -> StageWeights:
         """The LQ weights M = -Cbar*Cbar, L = 0, R = gamma^2 I - Dbar*Dbar in Gram form."""
@@ -86,10 +126,15 @@ class _LevelTerms:
 
     def walk(self, gamma: float, stop_at_failure: bool) -> RiccatiSolution:
         """The level recursion at gamma, from the zero terminal weight."""
+        weights = self.weights(gamma)
+        if self.plan is not None:
+            return _low_rank_pass(
+                self.view, weights, self._zero_terminal(), self.plan, stop_at_failure
+            )
         dim = self.view.state_space.dim
         return _backward_pass(
             self.view,
-            self.weights(gamma),
+            weights,
             np.zeros((dim, dim)),
             stop_at_nonpositive=stop_at_failure,
             scratch=self.scratch,
@@ -111,9 +156,8 @@ class _LevelTerms:
 def _level_terms(dsys: DisturbedSystem) -> _LevelTerms:
     return _LevelTerms(
         dsys.as_controlled(),
-        _once_per_operator(lambda op: -gram(op), dsys.cbar),
+        _once_per_operator(_neg_output_gram, dsys.cbar),
         _once_per_operator(gram, dsys.dbar),
-        StepScratch(dsys.state_space.dim),
     )
 
 
@@ -353,16 +397,19 @@ def _check_noise_free(dsys: DisturbedSystem) -> None:
 
     scale = max_k |A(k)| + |B1(k)|.  Frobenius norms bound both sides, so a
     refusal they prove needs no SVD; the exact norms run only when the bounds
-    leave the decision open, and the decision is the same either way.
+    leave the decision open, and the decision is the same either way.  Each
+    kind of norm reads each distinct operator's matrix once.
     """
-    steps = range(dsys.steps)
-    noise = [op for k in steps for op in (dsys.c(k), dsys.d1(k))]
-    scale_hi = max(_opnorm_bounds(dsys.a(k))[1] + _opnorm_bounds(dsys.b1(k))[1] for k in steps)
+    n = dsys.steps
+    ops = [op for family in (dsys.a, dsys.b1, dsys.c, dsys.d1) for op in family]
+    bounds = _once_per_operator(_opnorm_bounds, ops)
+    scale_hi = max(a[1] + b1[1] for a, b1 in zip(bounds[:n], bounds[n : 2 * n]))
     bound = _BOUND_MARGIN * _NOISE_RTOL * (1.0 + scale_hi)
-    noisy = any(_opnorm_bounds(op)[0] > bound for op in noise)
+    noisy = any(lo > bound for lo, _ in bounds[2 * n :])
     if not noisy:
-        scale = max(opnorm(dsys.a(k)) + opnorm(dsys.b1(k)) for k in steps)
-        noisy = any(opnorm(op) > _NOISE_RTOL * (1.0 + scale) for op in noise)
+        norms = _once_per_operator(opnorm, ops)
+        scale = max(a + b1 for a, b1 in zip(norms[:n], norms[n : 2 * n]))
+        noisy = any(norm > _NOISE_RTOL * (1.0 + scale) for norm in norms[2 * n :])
     if noisy:
         raise OracleScopeError("oracle only covers noise-free systems (C = D1 = 0)")
 

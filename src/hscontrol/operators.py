@@ -24,13 +24,14 @@ for a codomain of dim m, and (0, count).  Their shared base class
 products, which copy entries and fill zeros.
 
 Every variant also supplies the right product X @ M of a coordinate array with
-its matrix, and the two-sided product M^T G M that the congruences A*PA of the
-backward recursions reduce to.  Structured variants compute both natively
-(scaling or slicing rows and columns), at O(n^2) and reading G once in memory
-order; dense and composite variants multiply by their matrix, and their
-two-sided product is two right products.  Both products, and ``congruence``,
-take optional output buffers, so a backward pass can run every step in arrays
-it allocates once.
+its matrix, the row product X @ M^T that advances a batch of states, and the
+two-sided product M^T G M that the congruences A*PA of the backward
+recursions reduce to.  Structured variants compute them natively (scaling or
+slicing rows and columns), at O(n^2) and reading G once in memory order;
+dense and composite variants multiply by their matrix, and their two-sided
+product is two right products.  The products, and ``congruence``, take
+optional output buffers, so a backward pass can run every step in arrays it
+allocates once.
 
 ``matrix`` keeps the coordinate matrix only where it is data or costly to
 build: a dense operator keeps the array it was given, and sums, compositions,
@@ -118,6 +119,16 @@ class Operator:
         """
         return np.matmul(x, self.matrix, out=out)
 
+    def apply_rows(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The product x @ M^T, M applied to each row of a 2-D array x with domain.dim columns.
+
+        ``out``, when given, is a C-contiguous array of shape (rows of x,
+        codomain.dim) that does not overlap x; the values are the same either
+        way.  This default multiplies by the matrix; structured variants copy
+        or scale columns instead.
+        """
+        return np.matmul(x, self.matrix.T, out=out)
+
     def sandwich(
         self, g: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None
     ) -> np.ndarray:
@@ -164,6 +175,10 @@ class ScaledOperator(Operator):
         inner = self.inner_op.rmatmul(x, out=out)
         return np.multiply(inner, self.factor, out=inner)
 
+    def apply_rows(self, x, out=None):
+        inner = self.inner_op.apply_rows(x, out=out)
+        return np.multiply(inner, self.factor, out=inner)
+
     def sandwich(self, g, out=None, work=None):
         # (g' f) f for the inner g': the bits of two scaled right products
         # when the inner product only copies entries
@@ -203,6 +218,8 @@ class DiagonalOperator(Operator):
     def rmatmul(self, x, out=None):
         return np.multiply(x, self.entries[None, :], out=out)
 
+    apply_rows = rmatmul  # the matrix is its own transpose
+
     def sandwich(self, g, out=None, work=None):
         return _scaled_rows_and_columns(g, self.entries, out)
 
@@ -235,6 +252,14 @@ class _CoordinateCopy(Operator):
         out = np.empty((x.shape[0], self.domain.dim)) if out is None else out
         out[:, :c] = x[:, s : s + c]
         out[:, c:] = 0.0
+        return out
+
+    def apply_rows(self, x, out=None):
+        s, c = self.start, self.count
+        out = np.empty((x.shape[0], self.codomain.dim)) if out is None else out
+        out[:, :s] = 0.0
+        out[:, s : s + c] = x[:, :c]
+        out[:, s + c :] = 0.0
         return out
 
     def sandwich(self, g, out=None, work=None):
@@ -421,6 +446,29 @@ def _diagonal_entries(op: Operator) -> tuple[np.ndarray, float] | None:
         return np.ones(op.domain.dim), 0.0
     if isinstance(op, ZeroOperator) and op.is_square():
         return np.zeros(op.domain.dim), 0.0
+    return None
+
+
+def _monomial_columns(op: Operator) -> tuple[np.ndarray, np.ndarray] | None:
+    """(rows, values) of an operator monomial by type, else None: column j is values[j] at rows[j].
+
+    A monomial matrix has at most one nonzero per row and per column.
+    Zero, identity, shift, filling and diagonal (heat included) operators,
+    and scaled ones of those, are monomial by type.  ``values`` are built as
+    ``matrix`` builds its entries, the outer factor times the inner values,
+    so they have its bits; the nonzero ones sit in distinct rows, and a zero
+    column names row 0 or its own index.  No matrix is built.
+    """
+    if isinstance(op, ScaledOperator):
+        inner = _monomial_columns(op.inner_op)
+        return None if inner is None else (inner[0], op.factor * inner[1])
+    if isinstance(op, DiagonalOperator):
+        return np.arange(op.domain.dim), op.entries
+    if isinstance(op, _CoordinateCopy):
+        rows, values = np.zeros(op.domain.dim, dtype=np.intp), np.zeros(op.domain.dim)
+        rows[: op.count] = np.arange(op.start, op.start + op.count)
+        values[: op.count] = 1.0
+        return rows, values
     return None
 
 

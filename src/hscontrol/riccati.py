@@ -19,23 +19,27 @@ It is symmetric whenever P is self-adjoint, so every weighted adjoint in a
 step becomes a plain transpose.  Weights enter only the small completion
 terms, which are certified in the orthonormal frame, and the returned
 coordinates.  The stage weights come in that Gram form too, so the
-bounded-real test of ``hinf`` runs the n x n pass on its level weights.  A
+bounded-real test of ``hinf`` runs these passes on its level weights.  A
 state or terminal weight of an LQ cost that is diagonal by type enters as
-its weighted diagonal, a ``DiagonalGram``; the n x n pass adds it onto the
-diagonal of the congruence sum with the bits of the sum with its n x n
-array.
+its weighted diagonal, a ``DiagonalGram``, and so does the level test's
+-Cbar*Cbar when Cbar is monomial; the n x n pass adds it onto the diagonal
+of the congruence sum with the bits of the sum with its n x n array.
 
 The two passes share one loop, ``_walk``, so the certification of Rk, the
-status rules and the refusal of non-finite terms are written once.  On an
-LQ plant whose A, C, M and terminal weight are diagonal by type, every
-Gram iterate is exactly diag(d) + U S U^T with few columns in U, and the
-low-rank pass keeps it in that form: a step of rank r costs O(n r (r + du))
-and forms no n x n array, and its iterates are ``DiagonalPlusLowRank``
-operators.  ``solve_backward_riccati`` runs it when the rank of the last
-iterate, known from the shapes before the first step, stays within
-``operators.RANK_MAX_SHARE`` of n, and the n x n pass otherwise, so a solve
-never switches passes.  The two agree to rounding, not to the bit.  The
-bounded-real test and the games call the n x n pass directly.
+status rules and the refusal of non-finite terms are written once.  On a
+plant whose A and C are monomial by type (at most one nonzero per row and
+per column: diagonal, heat, zero, identity, shift, filling and scaled ones
+of those) and whose M and terminal weight are diagonal, every Gram iterate
+is exactly diag(d) + U S U^T with few columns in U, and the low-rank pass
+keeps it in that form: a step of rank r costs O(n r (r + du)) and forms no
+n x n array, and its iterates are ``DiagonalPlusLowRank`` operators.  A C(k)
+with the matrix of A(k) shares its columns, so such a step adds du columns
+instead of doubling them.  ``_low_rank_plan`` decides, once before the
+first step, whether the rank of the last iterate, known from the shapes,
+stays within ``operators.RANK_MAX_SHARE`` of n; if not, the n x n pass runs,
+so a walk never switches passes.  The two agree to rounding, not to the
+bit.  ``solve_backward_riccati`` and the bounded-real test of ``hinf``
+choose their pass by that one plan; the games call the n x n pass directly.
 
 The n x n pass owns its scratch: Q, the G* K product and the inner products
 of the congruences go into state-sized arrays of a ``StepScratch``
@@ -65,6 +69,7 @@ from .operators import (
     SelfAdjointCert,
     ZeroOperator,
     _diagonal_entries,
+    _monomial_columns,
     _once_per_operator,
     certified_inverse,
     congruence,
@@ -424,50 +429,82 @@ def _block_diag(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     return out
 
 
-def _low_rank_plan(system: ControlledSystem, weights: StageWeights, terminal) -> list | None:
-    """The entries of A(k) and C(k) (None when zero) at each step, if the low-rank pass applies.
+def _same_columns(first, second) -> bool:
+    """Whether two ``_monomial_columns`` describe the same matrix."""
+    (rows1, values1), (rows2, values2) = first, second
+    return np.array_equal(values1, values2) and np.array_equal(
+        np.where(values1 != 0.0, rows1, 0), np.where(values2 != 0.0, rows2, 0)
+    )
 
-    It applies when A, C, M and the terminal weight are diagonal by type and
-    the last iterate's rank r_0 stays within ``RANK_MAX_SHARE`` of n, where
-    r_k = (2 if C(k) is nonzero else 1) r_{k+1} + du from r_{N+1} = 0.
-    Otherwise the plan is None.
+
+def _low_rank_plan(system: ControlledSystem, weights: StageWeights, terminal) -> list | None:
+    """The columns of A(k) and C(k) at each step, if the low-rank pass applies; else None.
+
+    It applies when A and C are monomial by type (``_monomial_columns``), M
+    and the terminal weight are diagonal (each a DiagonalGram), and the
+    last iterate's rank r_0 stays within ``RANK_MAX_SHARE`` of n.  Step k's
+    entry is (A's columns, C's), C's being None when C(k) is zero and A's
+    own object when C(k) has A(k)'s matrix, compared by value.  Then C*PC
+    is A*PA and the step adds no columns for it, so r_k = (2 if C(k) is
+    another nonzero matrix else 1) r_{k+1} + du from r_{N+1} = 0.
     """
-    if not isinstance(terminal, DiagonalGram):
-        return None
-    a, c = (_once_per_operator(_diagonal_entries, family) for family in (system.a, system.c))
-    if None in a or None in c or not all(
+    if not isinstance(terminal, DiagonalGram) or not all(
         isinstance(weights(k)[0], DiagonalGram) for k in range(system.steps)
     ):
         return None
-    plan = [(a_k[0], c_k[0] if c_k[0].any() else None) for a_k, c_k in zip(a, c)]
+    a, c = (_once_per_operator(_monomial_columns, family) for family in (system.a, system.c))
+    if None in a or None in c:
+        return None
+    plan = [
+        (a_k, None if not c_k[1].any() else a_k if _same_columns(a_k, c_k) else c_k)
+        for a_k, c_k in zip(a, c)
+    ]
     rank = 0
-    for _, c_k in reversed(plan):
-        rank = (1 if c_k is None else 2) * rank + system.control_space.dim
+    for a_k, c_k in reversed(plan):
+        rank = (1 if c_k is None or c_k is a_k else 2) * rank + system.control_space.dim
     return plan if rank <= RANK_MAX_SHARE * system.state_space.dim else None
 
 
-def _low_rank_pass(
-    system: ControlledSystem, weights: StageWeights, terminal: DiagonalGram, plan: list
-) -> RiccatiSolution:
-    """The pass of a diagonal plant: each Gram iterate W P kept as (d, U, S).
+def _monomial_congruence(columns, d: np.ndarray, u: np.ndarray):
+    """diag(M^T diag(d) M) and M^T U for a monomial M given by its columns."""
+    rows, values = columns
+    return values * values * d[rows], values[:, None] * u[rows]
 
-    With A = diag(a) and C = diag(c), Q = A*PA + C*PC + M has the diagonal
-    (a^2 + c^2) d + W_h M and the factor [aU, cU] with S twice on the
-    diagonal; B*PB + D*PD and B*PA + D*PC come from products of B and D with
-    d and U, and -G* Rk^-1 G appends the du columns of (W_u G)^T with -(W_u
-    Rk)^-1.  ``plan`` is that of ``_low_rank_plan``.  A step refuses
-    overflow in U, S or the diagonal of its iterate.
+
+def _low_rank_pass(
+    system: ControlledSystem,
+    weights: StageWeights,
+    terminal: DiagonalGram,
+    plan: list,
+    stop_at_nonpositive: bool = False,
+) -> RiccatiSolution:
+    """The pass of a monomial plant: each Gram iterate W P kept as (d, U, S).
+
+    With A and C monomial, A^T diag(d) A is the diagonal of A's squared
+    values times d gathered from their rows, and A^T U gathers U's rows, so
+    Q = A*PA + C*PC + M has the diagonal (A's part) + (C's part) + W_h M and
+    the factor [A^T U, C^T U] with S twice on the diagonal; when C has A's
+    matrix it has A's part twice and the factor A^T U with S + S.
+    B*PB + D*PD and B*PA + D*PC come from products of B and D with d and U,
+    and -G* Rk^-1 G appends the du columns of (W_u G)^T with -(W_u Rk)^-1.
+    ``plan`` is that of ``_low_rank_plan``.  A step refuses overflow in U, S
+    or the diagonal of its iterate.  A walk with ``stop_at_nonpositive``
+    stops at the first non-positive Rk, as ``_walk`` does, and keeps no
+    iterates (``p`` is None).
     """
     hs = system.state_space
 
     def complete(k, current):
         d, u, s = current
         (a, c), (m, l, r) = plan[k], weights(k)
-        a_u = a[:, None] * u
-        q_diag, q_u, q_s, c_u = a * a * d + m.diag, a_u, s, None
-        if c is not None:
-            c_u = c[:, None] * u
-            q_diag += c * c * d
+        a_diag, a_u = _monomial_congruence(a, d, u)
+        q_diag, q_u, q_s, c_u = a_diag + m.diag, a_u, s, None
+        if c is a:
+            q_diag += a_diag
+            q_s, c_u = s + s, a_u
+        elif c is not None:
+            c_diag, c_u = _monomial_congruence(c, d, u)
+            q_diag += c_diag
             q_u, q_s = np.hstack([a_u, c_u]), _block_diag(s, s)
         rk, gk = r + 0.0, l + 0.0
         for op, e, e_u in ((system.b(k), a, a_u), (system.d(k), c, c_u)):
@@ -477,7 +514,8 @@ def _low_rank_pass(
             bu_s = (bm.T @ u) @ s
             rk += (bm.T * d) @ bm + bu_s @ (u.T @ bm)
             if e is not None:
-                gk += bm.T * (d * e) + bu_s @ e_u.T
+                rows, values = e
+                gk += bm.T[:, rows] * (d[rows] * values) + bu_s @ e_u.T
         return (q_diag, q_u, q_s), 0.5 * (rk + rk.T), gk
 
     def advance(q, gk, rk_inverse, k):
@@ -488,8 +526,9 @@ def _low_rank_pass(
         return -rk_inverse @ gk, (q_diag, u, s)
 
     start = (terminal.diag, np.zeros((hs.dim, 0)), np.zeros((0, 0)))
-    iterates, sol = _walk(system, start, complete, advance)
-    sol.p = [None if it is None else DiagonalPlusLowRank(*it, hs) for it in [*iterates, start]]
+    iterates, sol = _walk(system, start, complete, advance, stop_at_nonpositive)
+    if not stop_at_nonpositive:
+        sol.p = [None if it is None else DiagonalPlusLowRank(*it, hs) for it in [*iterates, start]]
     return sol
 
 

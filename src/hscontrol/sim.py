@@ -39,7 +39,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DimensionError, EnumerationLimitError, ResolutionError
-from .operators import DenseOperator, IdentityOperator, Operator, ZeroOperator, step_matrices
+from .operators import IdentityOperator, Operator, ZeroOperator
 from .spaces import HVector
 from .systems import ControlledSystem, CostSpec, DisturbedSystem
 
@@ -47,6 +47,8 @@ ENUMERATION_MAX_STEPS = 17
 # run_batch rolls paths out in blocks of this many bytes of state rows,
 # small enough for a block's temporaries to stay in cache
 _BLOCK_BYTES = 512 * 1024
+# _noise_rows transforms this many rows at a time
+_NOISE_CHUNK_ROWS = 4096
 
 
 class Policy:
@@ -154,19 +156,30 @@ def draw_noise_paths(seed: int, reps: int, steps: int) -> np.ndarray:
 
 
 def _noise_rows(seed: int, start: int, stop: int, steps: int) -> np.ndarray:
-    """Rows start..stop-1 of ``draw_noise_paths(seed, reps, steps)`` for any reps >= stop."""
+    """Rows start..stop-1 of ``draw_noise_paths(seed, reps, steps)`` for any reps >= stop.
+
+    The rows are drawn and transformed ``_NOISE_CHUNK_ROWS`` at a time into
+    the result, so the temporaries stay a few chunks in size; each element
+    goes through the same operations whatever the chunk.
+    """
     # imported here so that ``import hscontrol`` does not load numpy.random
     from numpy.random import Philox
 
     rows, blocks, pairs = stop - start, -(-steps // 4), -(-steps // 2)
-    # each row owns `blocks` counter blocks of four 64-bit words
-    words = Philox(key=seed, counter=start * blocks).random_raw(rows * 4 * blocks)
-    # 53-bit integers, (rows, pairs, 2), keeping the pairs that steps needs
-    halves = (words >> np.uint64(11)).reshape(rows, 2 * blocks, 2)[:, :pairs]
-    radius = np.sqrt(-2.0 * np.log((halves[..., 0] + 1.0) * 2.0**-53))
-    angle = 2.0 * np.pi * 2.0**-53 * halves[..., 1]
-    normals = np.stack((radius * np.cos(angle), radius * np.sin(angle)), axis=-1)
-    return np.ascontiguousarray(normals.reshape(rows, 2 * pairs)[:, :steps])
+    # each row owns `blocks` counter blocks of four 64-bit words, so
+    # successive draws of whole rows continue the stream row by row
+    stream = Philox(key=seed, counter=start * blocks)
+    out = np.empty((rows, steps))
+    for first in range(0, rows, _NOISE_CHUNK_ROWS):
+        count = min(_NOISE_CHUNK_ROWS, rows - first)
+        words = stream.random_raw(count * 4 * blocks)
+        # 53-bit integers, (count, pairs, 2), keeping the pairs that steps needs
+        halves = (words >> np.uint64(11)).reshape(count, 2 * blocks, 2)[:, :pairs]
+        radius = np.sqrt(-2.0 * np.log((halves[..., 0] + 1.0) * 2.0**-53))
+        angle = 2.0 * np.pi * 2.0**-53 * halves[..., 1]
+        normals = np.stack((radius * np.cos(angle), radius * np.sin(angle)), axis=-1)
+        out[first : first + count] = normals.reshape(count, 2 * pairs)[:, :steps]
+    return out
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is checked and refused below
@@ -289,24 +302,22 @@ def run_batch(
         raise DimensionError(f"noise path {r} holds {noise_paths[r, k]} at step {k}: not finite")
     reps = noise_paths.shape[0]
     block_rows = max(1, _BLOCK_BYTES // (8 * system.state_space.dim))
-    # the (A, B, C, D) matrices of each step, read in every block
-    families = (system.a, system.b, system.c, system.d)
-    step_mats = list(zip(*map(step_matrices, families)))
     # an empty batch still runs one empty block, so the result takes the
     # shape of the stage's values
     totals = []
     for start in range(0, max(reps, 1), block_rows):
         noise = np.ascontiguousarray(noise_paths[start : start + block_rows].T)  # (steps, rows)
-        totals.append(_run_block(step_mats, policy, x0, noise, stage, terminal))
+        totals.append(_run_block(system, policy, x0, noise, stage, terminal))
     return np.concatenate(totals)
 
 
-def _run_block(step_mats, policy, x0, noise, stage, terminal) -> np.ndarray:
+def _run_block(system, policy, x0, noise, stage, terminal) -> np.ndarray:
     """Per-row totals for one block of paths, given as noise columns.
 
-    ``step_mats`` holds the (A, B, C, D) matrices of each step.  A row
-    shares the state of the row before it while their noise prefixes are
-    equal; nothing else is shared.
+    Each step advances the states through the row products of its A, B, C
+    and D, native for structured operators.  A row shares the state of the
+    row before it while their noise prefixes are equal; nothing else is
+    shared.
     """
     rows = noise.shape[1]
     fresh = np.zeros(rows, dtype=bool)  # row starts a new state
@@ -314,13 +325,14 @@ def _run_block(step_mats, policy, x0, noise, stage, terminal) -> np.ndarray:
     owner = np.zeros(rows, dtype=np.intp)  # row -> its state
     x = np.tile(x0.coords, (min(rows, 1), 1))
     total = 0.0  # takes the shape of the first stage's values
-    for k, (a, b, c, d) in enumerate(step_mats):
+    for k in range(system.steps):
+        a, b, c, d = system.a(k), system.b(k), system.c(k), system.d(k)
         u = policy.control_batch(k, x)
         total += stage(k, x, u)[owner]
-        drift = x @ a.T
-        drift += u @ b.T
-        diff = x @ c.T
-        diff += u @ d.T
+        drift = a.apply_rows(x)
+        drift += b.apply_rows(u)
+        diff = c.apply_rows(x)
+        diff += d.apply_rows(u)
         del x, u
         fresh[1:] |= noise[k, 1:] != noise[k, :-1]
         firsts = np.flatnonzero(fresh)
@@ -419,16 +431,6 @@ def monte_carlo_expectation(
     """
     reps = _checked_int("reps", reps, 2, _REPS_MAX)
     seed = _checked_seed(seed)
-    # every block reads each step's matrices: build them once, not per block
-    dense = ControlledSystem(
-        system.state_space,
-        system.control_space,
-        system.horizon,
-        *(
-            [DenseOperator(m, f.domain, f.codomain) for m in step_matrices(f)]
-            for f in (system.a, system.b, system.c, system.d)
-        ),
-    )
 
     def stage(k, x, u):
         return stage_cost_batch(cost, k, x, u)
@@ -441,7 +443,7 @@ def monte_carlo_expectation(
     for start in range(0, reps, block_rows):
         stop = min(start + block_rows, reps)
         noise = _noise_rows(seed, start, stop, system.steps)
-        vals[start:stop] = run_batch(dense, policy, x0, noise, stage, terminal)
+        vals[start:stop] = run_batch(system, policy, x0, noise, stage, terminal)
     if not np.isfinite(vals).all():
         raise ResolutionError(
             f"replication {int(np.argmin(np.isfinite(vals)))} cost is not finite: "

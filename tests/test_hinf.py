@@ -1,22 +1,29 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import hscontrol as hc
-from hscontrol import hinf, riccati
+from hscontrol import hinf, riccati, serialize
 from helpers import (
     assert_pinned,
     assert_same_bits,
     completion_reference,
     dense,
     explicit_zero_completion,
+    family,
     fixed_feedback_iterates,
     perturbation_gain,
     random_disturbed,
     random_psd_cost,
     random_solved_problem,
+    record_matrix_builds,
     solvable_game,
     space,
 )
+
+SHIFT_SPEC = Path(__file__).resolve().parent.parent / "specs" / "shift_network.json"
 
 
 def unit_delay(dim=3, horizon=4):
@@ -777,3 +784,165 @@ def test_the_oracle_runs_on_the_full_plant(monkeypatch):
         seen.clear()
         hc.hinf_norm(dsys)
         assert seen == [dsys]
+
+
+def _monomial(rng, kind, hs):
+    """A monomial operator on hs of the given kind, scaled by a random factor half the time."""
+    op = {
+        "shift": lambda: hc.RightShiftOperator(hs),
+        "filling": lambda: hc.FillingOperator(hs, hs, int(rng.integers(1, hs.dim))),
+        "diagonal": lambda: hc.DiagonalOperator(rng.uniform(-0.9, 0.9, hs.dim), hs),
+        "identity": lambda: hc.IdentityOperator(hs),
+        "zero": lambda: hc.ZeroOperator(hs),
+    }[kind]()
+    return op if rng.random() < 0.5 else hc.ScaledOperator(rng.uniform(-0.9, 0.9), op)
+
+
+def _twin(op):
+    """Another object with the matrix of ``op``, as a spec file would give it."""
+    return serialize.operator_from_json(serialize.operator_to_json(op), op.domain, op.codomain)
+
+
+def _monomial_plant(rng, hs, noise):
+    """A plant with monomial A, C and Cbar on hs, and C = A by value, another C, or C = 0.
+
+    The disturbance enters through dense maps, and Cbar is a scaled shift
+    into, or a filling of, an output space one dimension larger.
+    """
+    weighted = not (hs.weights == 1.0).all()
+    dv, horizon = (1, 2) if noise == "other" else (2, 3)  # a rank of 7 or 8 <= 40 / 4
+    vs, zs = space(rng, dv, weighted), space(rng, hs.dim + 2, weighted)
+    steps, s = horizon + 1, 1.0 / np.sqrt(hs.dim)
+    kinds = ("shift", "filling", "diagonal", "identity", "zero")
+    a = [_monomial(rng, kind, hs) for kind in rng.choice(kinds, steps)]
+    if noise == "twin":
+        c, d1 = [_twin(op) for op in a], family(rng, vs, hs, steps, 0.3 * s)
+    elif noise == "other":
+        c = [hc.ScaledOperator(0.5, _monomial(rng, kind, hs)) for kind in rng.choice(kinds[:4], steps)]
+        d1 = family(rng, vs, hs, steps, 0.3 * s)
+    else:
+        c, d1 = [hc.ZeroOperator(hs)] * steps, [hc.ZeroOperator(vs, hs)] * steps
+    cbar = [hc.ScaledOperator(rng.uniform(0.5, 1.5), hc.RightShiftOperator(hs, zs))
+            if rng.random() < 0.5 else hc.FillingOperator(hs, zs, int(rng.integers(1, hs.dim)))
+            for _ in range(steps)]
+    dbar = np.zeros((zs.dim, dv))
+    dbar[-1] = 0.5 * rng.standard_normal(dv)  # the slot that Cbar never fills
+    return hc.DisturbedSystem(hs, vs, zs, horizon, a, family(rng, vs, hs, steps, s), c, d1,
+                              cbar, hc.DenseOperator(dbar, vs, zs))
+
+
+def _monomial_plants():
+    rng = np.random.default_rng(2801)
+    for hs in (hc.euclidean(40), hc.l2_line(1.0, 0.05)):  # 41 trapezoid-weighted points
+        for noise in ("twin", "other", "zero"):
+            for _ in range(2):
+                yield noise, _monomial_plant(rng, hs, noise)
+
+
+def test_low_rank_level_walk_matches_the_n_by_n_pass(monkeypatch):
+    outcomes = set()
+    for noise, dsys in _monomial_plants():
+        terms = hinf._level_terms(dsys)
+        assert terms.plan is not None and terms.scratch is None
+        gain = hc.hinf_norm(dsys, tol=1e-6).value
+        for gamma in (0.6 * gain, 0.95 * gain, 1.05 * gain, 1.5 * gain):
+            for stop in (False, True):
+                got = hc.brl_check(dsys, gamma, stop, terms=terms)
+                monkeypatch.setattr(hinf, "_low_rank_plan", lambda *args: None)
+                want = hc.brl_check(dsys, gamma, stop)
+                monkeypatch.undo()
+                outcomes.add((got.feasible, stop))
+                for field in ("feasible", "failing_step", "completed"):
+                    assert getattr(got, field) == getattr(want, field), field
+                for g, w in zip(got.pi3_certs, want.pi3_certs):
+                    assert (g is None) == (w is None)
+                    if w is not None:
+                        assert abs(g.min_eig - w.min_eig) <= 1e-10 * (1.0 + w.norm)
+                for g, w in zip(got.worst_gains, want.worst_gains):
+                    assert (g is None) == (w is None)
+                    if w is not None:
+                        assert_pinned(g.matrix, w.matrix)
+                if stop:
+                    assert got.y is None and want.y is None
+                    continue
+                assert isinstance(got.y[0], riccati.DiagonalPlusLowRank)
+                assert isinstance(want.y[0], hc.DenseOperator)
+                for g, w in zip(got.y, want.y):
+                    assert (g is None) == (w is None)
+                    if w is not None:
+                        assert_pinned(g.matrix, w.matrix)
+                if noise != "other" and got.completed:
+                    # C = A shares A's columns and C = 0 adds none: dv columns a step
+                    assert got.y[0].u.shape[1] == dsys.steps * dsys.disturbance_space.dim
+    assert outcomes == {(f, stop) for f in (False, True) for stop in (False, True)}
+
+
+def test_the_parsed_shift_network_takes_the_low_rank_pass():
+    built = hc.examples.build_shift_network(256)
+    parsed = serialize.system_from_json(json.loads(serialize.canonical_json(
+        hc.system_to_json(built))))
+    assert parsed.a(1) is not parsed.c(1)  # equal by value only
+    for dsys in (built, parsed):
+        run = hc.brl_check(dsys, 1.7)
+        assert isinstance(run.y[0], riccati.DiagonalPlusLowRank)
+        assert run.y[0].u.shape[1] == 24  # 6 steps of 4 disturbance channels
+        for k in range(dsys.steps):
+            assert run.min_pi3_eig(k) == pytest.approx(hc.examples.shift_rho_min(k, 1.7),
+                                                       abs=1e-10)
+
+
+def test_the_spec_network_declines_the_plan_and_keeps_its_bits(monkeypatch):
+    # at 64 dims the last rank, 24, passes 64 / 4: the n x n pass runs, and
+    # -Cbar*Cbar as a diagonal adds with the bits of the array it was
+    dsys = serialize.parse_system(str(SHIFT_SPEC))
+    assert dsys.state_space.dim == 64
+    assert hinf._level_terms(dsys).plan is None
+
+    def outputs():
+        runs = [hc.brl_check(dsys, gamma, stop) for gamma in (1.2, 1.7) for stop in (False, True)]
+        return runs + [hc.hinf_norm(dsys), hc.hinf_norm(dsys, tol=1e-9)]
+
+    got = outputs()
+    assert isinstance(hinf._level_terms(dsys).neg_cbar_sq[0], riccati.DiagonalGram)
+    monkeypatch.setattr(hinf, "_neg_output_gram", lambda op: -hc.operators.gram(op))
+    assert_same_bits(got, outputs())
+
+
+def test_output_gram_of_a_monomial_is_the_diagonal_of_its_gram():
+    rng = np.random.default_rng(2802)
+    for hs in (hc.euclidean(12), hc.l2_line(1.0, 0.1)):
+        zs = space(rng, hs.dim + 2, weighted=True)
+        ops = [hc.RightShiftOperator(hs, zs), hc.FillingOperator(hs, zs, 5),
+               hc.ScaledOperator(-1.3, hc.ScaledOperator(0.7, hc.RightShiftOperator(hs, zs))),
+               hc.ScaledOperator(0.4, hc.DiagonalOperator(rng.standard_normal(hs.dim), hs)),
+               hc.ZeroOperator(hs, zs)]
+        for op in ops:
+            got = hinf._neg_output_gram(op)
+            want = -hc.operators.gram(op)
+            assert isinstance(got, riccati.DiagonalGram)
+            assert got.diag.tobytes() == np.diagonal(want).copy().tobytes()
+            assert np.array_equal(got.array(), want)
+        assert isinstance(hinf._neg_output_gram(dense(rng, hs, zs)), np.ndarray)
+
+
+def test_level_test_on_a_2048_dim_network_builds_no_state_sized_matrix(monkeypatch):
+    dsys = hc.examples.build_shift_network(2048)
+    built = record_matrix_builds(monkeypatch)
+    run = hc.brl_check(dsys, 1.7)
+    assert run.feasible
+    assert [op for op in built if op.domain.dim == op.codomain.dim == 2048] == []
+    assert run.min_pi3_eig(1) == pytest.approx(hc.examples.shift_rho_min(1, 1.7), abs=1e-10)
+
+
+def test_oracle_scope_reads_each_distinct_operator_once(monkeypatch):
+    # the network's A, B1, C and D1 are four operators (C = A and D1 = B1);
+    # structured operators keep no matrix, so a second read would build
+    # another
+    dsys = hc.examples.build_shift_network(64)
+    built = record_matrix_builds(monkeypatch)
+    with pytest.raises(hc.OracleScopeError):
+        hinf._check_noise_free(dsys)
+    ids = [id(op) for op in built]
+    assert len(ids) == len(set(ids))
+    assert len({id(op) for f in (dsys.a, dsys.b1, dsys.c, dsys.d1) for op in f}) == 4
+    assert {id(op) for op in dsys.a} | {id(op) for op in dsys.b1} <= set(ids)

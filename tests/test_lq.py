@@ -312,3 +312,21 @@ def test_heat_solve_builds_no_state_sized_matrix(monkeypatch):
     assert sol.solved
     assert built  # the 1 x 256 zero L weights are still built
     assert [op for op in built if op.domain.dim == op.codomain.dim == 256] == []
+
+
+def test_square_completion_on_the_heat_rod_holds_no_state_sized_square(monkeypatch):
+    # the rollouts advance the states through the rod's diagonal A and zero C
+    # by their own row products, so no 1024 x 1024 matrix (8 MiB) is built
+    problem = hc.examples.build_heat_problem(1, 1024)
+    sol = hc.solve_lq(problem)
+    policy = hc.optimal_policy(problem, sol)
+    built = record_matrix_builds(monkeypatch)
+    tracemalloc.start()
+    try:
+        check = hc.completing_square_check(problem, sol, policy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [op for op in built if op.domain.dim == op.codomain.dim == 1024] == []
+    assert peak < 2 << 20
+    assert check.residual <= 1e-8 * (1.0 + abs(check.expected))

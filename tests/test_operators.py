@@ -92,6 +92,35 @@ def test_right_product_and_congruence_into_buffers(op):
     assert _bits(out) == _bits(hc.operators.congruence(op, g, op))
 
 
+@pytest.mark.parametrize("op", product_zoo(), ids=repr)
+def test_row_product_is_the_matrix_product(op):
+    # x @ M^T with its bits, into a buffer or not, except that a scaled
+    # multiplier rounds its factor in after the entries
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((3, op.domain.dim))
+    want = x @ op.matrix.T
+    out = np.full((3, op.codomain.dim), np.nan)
+    assert op.apply_rows(x, out=out) is out
+    for got in (out, op.apply_rows(x)):
+        if _scales_a_product(op):
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        else:
+            assert _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize("op", product_zoo(), ids=repr)
+def test_monomial_columns_are_the_matrix(op):
+    columns = hc.operators._monomial_columns(op)
+    assert (columns is None) == (not isinstance(op, STRUCTURED))
+    if columns is not None:
+        rows, values = columns
+        rebuilt = np.zeros((op.codomain.dim, op.domain.dim))
+        nonzero = values != 0.0
+        rebuilt[rows[nonzero], np.flatnonzero(nonzero)] = values[nonzero]
+        assert np.array_equal(rebuilt, op.matrix)
+        assert _bits(values) == _bits(op.matrix[rows, np.arange(op.domain.dim)])
+
+
 def _scales_a_product(op):
     return isinstance(op, hc.ScaledOperator) and isinstance(
         op.inner_op, (hc.DiagonalOperator, hc.HeatSemigroupOperator, hc.DenseOperator))
@@ -178,9 +207,9 @@ def test_adjoint_pairing_all_variants():
 
 
 def test_apply_and_adjoint_are_derived_from_the_matrix():
-    # a variant defines its matrix (and maybe a native right product and
-    # two-sided product M^T G M) only; Operator and AdjointOperator hold the
-    # one apply and the one adjoint
+    # a variant defines its matrix (and maybe native right, row and two-sided
+    # products X M, X M^T and M^T G M) only; Operator and AdjointOperator
+    # hold the one apply and the one adjoint
     for cls in vars(hc.operators).values():
         if (isinstance(cls, type) and issubclass(cls, hc.Operator)
                 and cls not in (hc.Operator, hc.AdjointOperator)):

@@ -281,17 +281,16 @@ def test_monte_carlo_noise_memory_is_per_block(monkeypatch):
     assert peaks[40_000] - peaks[4_000] < 16 * 36_000 + 256 * 1024
 
 
-def test_monte_carlo_builds_step_matrices_once(monkeypatch):
+def test_monte_carlo_builds_no_state_sized_matrix_of_the_heat_rod(monkeypatch):
+    # the rollout advances states through each operator's own row product,
+    # so the diagonal A and the zero C of the rod are never made n x n
     problem = hc.examples.build_heat_problem(1, modes=64)
     policy = hc.optimal_policy(problem, hc.solve_lq(problem))
     built = record_matrix_builds(monkeypatch)
-    counts = []
     for block_rows in (500, 100):  # one block of 500 replications, then five
         monkeypatch.setattr(sim, "_BLOCK_BYTES", 8 * 64 * block_rows)  # 64 modes
-        built.clear()
         hc.monte_carlo_expectation(problem.system, problem.cost, policy, problem.x0, 500)
-        counts.append(len(built))
-    assert counts[0] == counts[1] > 0
+    assert [op for op in built if op.domain.dim == op.codomain.dim == 64] == []
 
 
 def test_monte_carlo_rolls_out_reps_times_steps_path_steps(monkeypatch):
@@ -704,6 +703,27 @@ def test_noise_rows_of_any_split_are_the_full_draw(steps):
         parts = [sim._noise_rows(2**40 + 5, s, t, steps) for s, t in zip(cuts, cuts[1:])]
         assert all(p.shape == (t - s, steps) for p, s, t in zip(parts, cuts, cuts[1:]))
         assert np.concatenate(parts).tobytes() == full.tobytes()
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 300])
+def test_noise_rows_of_any_chunk_size_are_the_full_draw(chunk, monkeypatch):
+    want = hc.draw_noise_paths(seed=2**40 + 5, reps=300, steps=14)
+    monkeypatch.setattr(sim, "_NOISE_CHUNK_ROWS", chunk)
+    assert hc.draw_noise_paths(seed=2**40 + 5, reps=300, steps=14).tobytes() == want.tobytes()
+    assert sim._noise_rows(2**40 + 5, 5, 300, 14).tobytes() == want[5:].tobytes()
+
+
+def test_noise_draw_peaks_at_a_small_multiple_of_its_result():
+    # the rows are transformed in chunks into the result, so the temporaries
+    # do not grow with the draw
+    tracemalloc.start()
+    try:
+        draws = hc.draw_noise_paths(seed=1, reps=10**5, steps=14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert draws.flags.c_contiguous
+    assert peak < 2.5 * draws.nbytes  # 10.7 MiB
 
 
 def test_largest_key_is_a_seed():
