@@ -56,7 +56,7 @@ from .riccati import (
     _completion_arrays,
     _require_finite,
 )
-from .sim import Policy, run_batch, sign_paths
+from .sim import _BLOCK_BYTES, Policy, _checked_int, run_batch, sign_paths
 from .spaces import HVector, inner, zero_vector
 from .systems import DisturbedSystem, TwoInputSystem, closed_loop
 
@@ -277,15 +277,62 @@ def game_costs(
 class NashReport:
     """Unilateral-deviation audit of a solved game.
 
-    ``worst_j1_margin`` is the smallest J1(x0, u*, v) - J1(x0, u*, v*) over
-    the sampled disturbance deviations (nonnegative at an equilibrium), and
-    ``worst_j2_margin`` the control-side counterpart.
+    ``j1_star`` and ``j2_star`` are the equilibrium values, enumerated over
+    the sign tree.  ``worst_j1_margin`` is the smallest J1(x0, u*, v) -
+    J1(x0, u*, v*) over the sampled disturbance deviations (nonnegative at
+    an equilibrium), and ``worst_j2_margin`` the control-side counterpart;
+    both margins are exact closed-loop values, not samples of the noise.
     """
 
     j1_star: float
     j2_star: float
     worst_j1_margin: float
     worst_j2_margin: float
+
+
+def _closed_terms(view, weights, gains) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Gram-form (Rk, G) of each step for one player's index along w = K x.
+
+    They are the completion terms of the closed-loop iterates, walked back
+    from zero as the coupled pass walks them, with ``gains[k]`` the matrix
+    of K(k).
+    """
+    scratch = StepScratch(view.state_space.dim)
+    terms, current = [None] * view.steps, None
+    for k in range(view.steps - 1, -1, -1):
+        q, rk, gk = _completion_arrays(view, weights, current, k, scratch)
+        terms[k] = rk, gk
+        current = _closed_gram(q, gk, rk, gains[k], scratch.spare)
+    return terms
+
+
+def _deviation_margins(view, terms, gains, offsets, x0) -> np.ndarray:
+    """J(K, f) - J(K, 0) for one player's index, one value per deviation, from one pass.
+
+    Under w = K x + f the expected index is the affine-quadratic value
+    <P(0)x0, x0> + 2 pi_0.x0 + c_0, whose quadratic part is the closed-loop
+    iterate of K alone, so each margin is 2 pi_0.x0 + c_0.  ``terms`` are
+    that player's ``_closed_terms``, ``offsets[k]`` holds f(k) of one
+    deviation per row, and pi_k is one Gram-form row per deviation.
+    Walking back from zero,
+
+        pi_k = pi_{k+1} A + (pi_{k+1} B) K + f (G + Rk K),
+        c_k  = c_{k+1} + f Rk f + 2 pi_{k+1} B f.
+
+    Nothing assumes that K is stationary, so a wrong gain shows its margin.
+    """
+    pi, c = None, 0.0
+    for k in range(view.steps - 1, -1, -1):
+        (rk, gk), f, gain = terms[k], offsets[k], gains[k]
+        f_rk = f @ rk
+        c = c + np.einsum("di,di->d", f, f_rk)
+        pi_k = f @ gk + f_rk @ gain
+        if pi is not None:  # pi is zero at the last step
+            b = view.b(k)
+            c = c + 2.0 * np.einsum("di,di->d", pi, b.apply_rows(f))
+            pi_k += view.a(k).rmatmul(pi) + b.rmatmul(pi) @ gain
+        pi = pi_k
+    return 2.0 * (pi @ x0.coords) + c
 
 
 def verify_nash_equilibrium(
@@ -298,11 +345,17 @@ def verify_nash_equilibrium(
 ) -> NashReport:
     """Check the two equilibrium inequalities against sampled deviations of scale 0.5.
 
-    All expectations are enumerated exactly, so a genuinely negative margin
-    beyond round-off disproves the equilibrium rather than sampling error.
+    Each deviation adds a random open-loop schedule of one player's input to
+    the solution's feedback.  The equilibrium values are enumerated exactly,
+    and every margin is the exact expected change of the index, from one
+    backward pass per player over the solution's gains (its iterates are not
+    read), so a negative margin beyond round-off disproves the equilibrium
+    rather than sampling error.  The deviations are scored in blocks, so
+    memory does not grow with their number.  ``deviations`` is an integer
+    of at least 1 and ``seed`` a non-negative one.
     """
-    if deviations < 1:
-        raise DimensionError(f"deviations must be at least 1, got {deviations!r}")
+    deviations = _checked_int("deviations", deviations, low=1)
+    seed = _checked_int("seed", seed)
     if not solution.solved:
         raise GameDomainError(solution.failing_step or 0, "cannot audit an unsolved game")
     view = sys2.as_controlled()
@@ -311,18 +364,22 @@ def verify_nash_equilibrium(
         for kv, ku in zip(solution.v_gains, solution.u_gains)
     ]
     j1_star, j2_star = game_costs(sys2, params, x0, Policy(view, gains))
+    mats = [g.matrix for g in gains]
+    terms = [_closed_terms(view, w, mats) for w in _player_weights(sys2, params)]
     rng = np.random.default_rng(seed)
-    steps = sys2.steps
-    dv, du = sys2.disturbance_space.dim, sys2.control_space.dim
-    zv, zu = np.zeros(dv), np.zeros(du)
+    steps, dv, dw = sys2.steps, sys2.disturbance_space.dim, view.control_space.dim
+    # a deviation holds a state row of pi and steps * dw offsets
+    block = max(1, _BLOCK_BYTES // (8 * (sys2.state_space.dim + steps * dw)))
     worst1 = worst2 = np.inf
-    for _ in range(deviations):
-        v_off = [np.concatenate([0.5 * rng.standard_normal(dv), zu]) for _ in range(steps)]
-        u_off = [np.concatenate([zv, 0.5 * rng.standard_normal(du)]) for _ in range(steps)]
-        j1_dev, _ = game_costs(sys2, params, x0, Policy(view, gains, v_off))
-        _, j2_dev = game_costs(sys2, params, x0, Policy(view, gains, u_off))
-        worst1 = min(worst1, j1_dev - j1_star)
-        worst2 = min(worst2, j2_dev - j2_star)
+    for start in range(0, deviations, block):
+        count = min(block, deviations - start)
+        # each deviation draws its v offsets for every step, then its u offsets
+        draws = 0.5 * rng.standard_normal((count, steps * dw))
+        v_off, u_off = (np.zeros((steps, count, dw)) for _ in range(2))
+        v_off[..., :dv] = draws[:, : steps * dv].reshape(count, steps, dv).transpose(1, 0, 2)
+        u_off[..., dv:] = draws[:, steps * dv :].reshape(count, steps, dw - dv).transpose(1, 0, 2)
+        worst1 = np.minimum(worst1, _deviation_margins(view, terms[0], mats, v_off, x0).min())
+        worst2 = np.minimum(worst2, _deviation_margins(view, terms[1], mats, u_off, x0).min())
     return NashReport(j1_star, j2_star, float(worst1), float(worst2))
 
 

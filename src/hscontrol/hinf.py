@@ -248,6 +248,9 @@ def _reachable_view(dsys: DisturbedSystem) -> DisturbedSystem | None:
     decided at that image's own scale, so a weak input is not lost beside a
     strong one; a direction weak inside one image is dropped, and
     ``hinf_norm`` certifies the view's bracket on the full plant for that.
+    A and C, when they map R_k and when they are compressed, and Cbar act
+    through their row products, so a monomial plant builds no n x n
+    matrix; B1 and D1 are thin and are read as matrices.
 
     None when the dimension of V passes ``operators.RANK_MAX_SHARE`` of the
     state dimension, checked at every step, when nothing is reachable, or
@@ -255,12 +258,11 @@ def _reachable_view(dsys: DisturbedSystem) -> DisturbedSystem | None:
     """
     hs, ds, zs = dsys.state_space, dsys.disturbance_space, dsys.output_space
     growth = range(dsys.steps - 1)  # step N maps into R_{N+1}, which is not needed
-    families = (dsys.a, dsys.b1, dsys.c, dsys.d1)
-    a, b1, c, d1 = (step_matrices(f(k) for k in growth) for f in families)
+    b1, d1 = (step_matrices(f(k) for k in growth) for f in (dsys.b1, dsys.d1))
     root_w = np.sqrt(hs.weights)[:, None]  # frame coordinates are root_w * x
     reach = basis = np.zeros((hs.dim, 0))  # frame bases of R_k and of R_0 + ... + R_k
     for k in growth:
-        images = [root_w * (m[k] @ (reach / root_w)) for m in (a, c)]
+        images = [root_w * _times(op, reach / root_w) for op in (dsys.a(k), dsys.c(k))]
         images += [root_w * m[k] for m in (b1, d1)]
         if not all(np.isfinite(image).all() for image in images):
             return None
@@ -274,20 +276,25 @@ def _reachable_view(dsys: DisturbedSystem) -> DisturbedSystem | None:
     vs = euclidean(v.shape[1])
 
     def compress(family, f, domain, codomain):  # once per distinct operator
-        return _once_per_operator(lambda op: DenseOperator(f(op.matrix), domain, codomain), family)
+        return _once_per_operator(lambda op: DenseOperator(f(op), domain, codomain), family)
 
     return DisturbedSystem(
         vs,
         ds,
         zs,
         dsys.horizon,
-        compress(dsys.a, lambda m: vw @ (m @ v), vs, vs),
-        compress(dsys.b1, lambda m: vw @ m, ds, vs),
-        compress(dsys.c, lambda m: vw @ (m @ v), vs, vs),
-        compress(dsys.d1, lambda m: vw @ m, ds, vs),
-        compress(dsys.cbar, lambda m: m @ v, vs, zs),
+        compress(dsys.a, lambda op: vw @ _times(op, v), vs, vs),
+        compress(dsys.b1, lambda op: vw @ op.matrix, ds, vs),
+        compress(dsys.c, lambda op: vw @ _times(op, v), vs, vs),
+        compress(dsys.d1, lambda op: vw @ op.matrix, ds, vs),
+        compress(dsys.cbar, lambda op: _times(op, v), vs, zs),
         list(dsys.dbar),
     )
+
+
+def _times(op: Operator, x: np.ndarray) -> np.ndarray:
+    """M x for a thin x, through the operator's row product: native for structured ones."""
+    return op.apply_rows(x.T).T
 
 
 @dataclass(frozen=True)
@@ -385,11 +392,27 @@ def _bisect(
 _NOISE_RTOL = 1e-14
 
 
+def _frame_values(op: Operator) -> np.ndarray | None:
+    """|entries| of a monomial operator's orthonormal-frame matrix, one per column, else None."""
+    columns = _monomial_columns(op)
+    if columns is None:
+        return None
+    rows, values = columns
+    return np.abs(values) * np.sqrt(op.codomain.weights[rows] / op.domain.weights)
+
+
 def _opnorm_bounds(op: Operator) -> tuple[float, float]:
     """(lo, hi) around ``opnorm(op)``: |S|_F / sqrt(min(shape)) <= |S| <= |S|_F."""
-    s = _sframe(op.matrix, op.codomain.weights, op.domain.weights)
+    values = _frame_values(op)
+    s = _sframe(op.matrix, op.codomain.weights, op.domain.weights) if values is None else values
     fro = float(np.linalg.norm(s))
-    return fro / np.sqrt(min(s.shape)), fro
+    return fro / np.sqrt(min(op.domain.dim, op.codomain.dim)), fro
+
+
+def _exact_norm(op: Operator) -> float:
+    """``opnorm(op)``; a monomial operator's is its largest frame value."""
+    values = _frame_values(op)
+    return opnorm(op) if values is None else float(values.max(initial=0.0))
 
 
 def _check_noise_free(dsys: DisturbedSystem) -> None:
@@ -398,7 +421,8 @@ def _check_noise_free(dsys: DisturbedSystem) -> None:
     scale = max_k |A(k)| + |B1(k)|.  Frobenius norms bound both sides, so a
     refusal they prove needs no SVD; the exact norms run only when the bounds
     leave the decision open, and the decision is the same either way.  Each
-    kind of norm reads each distinct operator's matrix once.
+    kind of norm reads each distinct operator's matrix once, and a monomial
+    operator's frame values instead of its matrix.
     """
     n = dsys.steps
     ops = [op for family in (dsys.a, dsys.b1, dsys.c, dsys.d1) for op in family]
@@ -407,7 +431,7 @@ def _check_noise_free(dsys: DisturbedSystem) -> None:
     bound = _BOUND_MARGIN * _NOISE_RTOL * (1.0 + scale_hi)
     noisy = any(lo > bound for lo, _ in bounds[2 * n :])
     if not noisy:
-        norms = _once_per_operator(opnorm, ops)
+        norms = _once_per_operator(_exact_norm, ops)
         scale = max(a + b1 for a, b1 in zip(norms[:n], norms[n : 2 * n]))
         noisy = any(norm > _NOISE_RTOL * (1.0 + scale) for norm in norms[2 * n :])
     if noisy:

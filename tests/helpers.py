@@ -459,13 +459,19 @@ def feasible_design(sys2, ladder=GAMMA_LADDER):
     return None
 
 
-def solvable_game(rng, horizon_max=5, rho_choices=(0.0, 0.5, 1.0), weighted=False):
-    """A random plant, level, and start with a solved coupled recursion."""
+def solvable_game(rng, horizon_max=5, rho_choices=(0.0, 0.5, 1.0), weighted=False,
+                  rho_share=None):
+    """A random plant, level, and start with a solved coupled recursion.
+
+    rho is drawn from ``rho_choices``, or is ``rho_share`` times gamma when given.
+    """
     for _ in range(50):
         sys2 = random_two_input(rng, horizon_max=horizon_max, weighted=weighted)
         rho = float(rng.choice(rho_choices))
         x0 = random_x0(rng, sys2.state_space)
         for gamma in GAMMA_LADDER:
+            if rho_share is not None:
+                rho = rho_share * gamma
             if gamma < rho:
                 continue
             params = hc.GameParams(gamma=gamma, rho=rho)
@@ -473,3 +479,31 @@ def solvable_game(rng, horizon_max=5, rho_choices=(0.0, 0.5, 1.0), weighted=Fals
             if sol.solved:
                 return sys2, params, x0, sol
     raise AssertionError("generator failed to produce a solvable game")
+
+
+def enumerated_nash_margins(sys2, params, sol, x0, deviations, seed):
+    """The Nash audit by enumeration: one ``game_costs`` per sampled deviation.
+
+    The deviations are drawn as ``verify_nash_equilibrium`` draws them; each
+    deviation's index is enumerated over the sign tree and the equilibrium
+    value subtracted.  Returns a ``NashReport``.
+    """
+    view = sys2.as_controlled()
+    gains = [
+        hc.DenseOperator(np.vstack([kv.matrix, ku.matrix]), sys2.state_space, view.control_space)
+        for kv, ku in zip(sol.v_gains, sol.u_gains)
+    ]
+    j1_star, j2_star = hc.game_costs(sys2, params, x0, hc.Policy(view, gains))
+    rng = np.random.default_rng(seed)
+    steps = sys2.steps
+    dv, du = sys2.disturbance_space.dim, sys2.control_space.dim
+    zv, zu = np.zeros(dv), np.zeros(du)
+    worst1 = worst2 = np.inf
+    for _ in range(deviations):
+        v_off = [np.concatenate([0.5 * rng.standard_normal(dv), zu]) for _ in range(steps)]
+        u_off = [np.concatenate([zv, 0.5 * rng.standard_normal(du)]) for _ in range(steps)]
+        j1_dev, _ = hc.game_costs(sys2, params, x0, hc.Policy(view, gains, v_off))
+        _, j2_dev = hc.game_costs(sys2, params, x0, hc.Policy(view, gains, u_off))
+        worst1 = min(worst1, j1_dev - j1_star)
+        worst2 = min(worst2, j2_dev - j2_star)
+    return hc.NashReport(j1_star, j2_star, float(worst1), float(worst2))

@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from hscontrol.examples import build_coupled_game, closed_game_forms
 from helpers import (
     GAMMA_LADDER,
     assert_pinned,
+    enumerated_nash_margins,
     feasible_design,
     open_loop_view,
     perturbation_gain,
@@ -115,15 +119,95 @@ def test_solve_refuses_a_start_state_off_the_state_space(rank_one_game):
         hc.solve_coupled_riccati(sys2, hc.GameParams(2.0, 0.5), x0)
 
 
-@pytest.mark.parametrize("kwargs", [{"deviations": 0}, {"deviations": -3}])
-def test_audit_refuses_vacuous_deviations(rank_one_game, kwargs):
-    # no deviation reported a passing margin of inf
+@pytest.mark.parametrize("kwargs", [{"deviations": 0}, {"deviations": -3},
+                                    {"deviations": 2.5}, {"seed": -1}, {"seed": 1.5}])
+def test_audit_refuses_vacuous_deviations(rank_one_game, kwargs, monkeypatch):
+    # no deviation reported a passing margin of inf; a bad argument is
+    # refused before the equilibrium values are enumerated
     sys2, x0 = rank_one_game
     params = hc.GameParams(2.0, 0.5)
     sol = hc.solve_coupled_riccati(sys2, params, x0)
     (name, _), = kwargs.items()
+    batches = []
+    monkeypatch.setattr(game, "run_batch", lambda *args: batches.append(args))
     with pytest.raises(hc.DimensionError, match=f"^{name} must be "):
         hc.verify_nash_equilibrium(sys2, params, sol, x0, **kwargs)
+    assert batches == []
+
+
+def _audited_games():
+    """Twelve solved random games, unit and weighted, at rho = 0, gamma/2 and gamma."""
+    rng = np.random.default_rng(2901)
+    return [solvable_game(rng, weighted=weighted, rho_share=share)
+            for weighted in (False, True) for share in (0.0, 0.5, 1.0) for _ in range(2)]
+
+
+def _assert_audits_agree(sys2, params, sol, x0, seed):
+    got = hc.verify_nash_equilibrium(sys2, params, sol, x0, deviations=6, seed=seed)
+    want = enumerated_nash_margins(sys2, params, sol, x0, 6, seed)
+    assert (got.j1_star, got.j2_star) == (want.j1_star, want.j2_star)
+    for margin, ref, value in ((got.worst_j1_margin, want.worst_j1_margin, want.j1_star),
+                               (got.worst_j2_margin, want.worst_j2_margin, want.j2_star)):
+        assert abs(margin - ref) <= 1e-9 * (1.0 + abs(value))
+    return got
+
+
+def test_audit_margins_match_enumeration():
+    for seed, (sys2, params, x0, sol) in enumerate(_audited_games()):
+        report = _assert_audits_agree(sys2, params, sol, x0, seed)
+        assert min(report.worst_j1_margin, report.worst_j2_margin) >= -1e-8
+
+
+def test_audit_of_wrong_gains_matches_enumeration():
+    # the pass assumes no stationarity, so a control gain off the solution
+    # shows the same negative margins as enumeration
+    margins = []
+    for seed, (sys2, params, x0, sol) in enumerate(_audited_games()):
+        wrong = [hc.DenseOperator(-3.0 * g.matrix, g.domain, g.codomain) for g in sol.u_gains]
+        report = _assert_audits_agree(
+            sys2, params, dataclasses.replace(sol, u_gains=wrong), x0, seed
+        )
+        margins += [report.worst_j1_margin, report.worst_j2_margin]
+    assert min(margins) < -1.0
+
+
+def test_audit_in_blocks_of_two_deviations_matches_enumeration(monkeypatch):
+    sys2, params, x0, sol = _audited_games()[7]
+    dw = sys2.disturbance_space.dim + sys2.control_space.dim
+    monkeypatch.setattr(game, "_BLOCK_BYTES", 16 * (sys2.state_space.dim + sys2.steps * dw))
+    _assert_audits_agree(sys2, params, sol, x0, 7)
+
+
+def test_audit_memory_does_not_grow_with_deviations(rank_one_game):
+    # 10^5 deviations at once would hold 12.8 MB of pi rows alone
+    sys2, x0 = rank_one_game
+    params = hc.GameParams(2.0, 0.5)
+    sol = hc.solve_coupled_riccati(sys2, params, x0)
+    tracemalloc.start()
+    try:
+        report = hc.verify_nash_equilibrium(sys2, params, sol, x0, deviations=10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert min(report.worst_j1_margin, report.worst_j2_margin) >= -1e-8
+
+
+def test_audit_hands_run_batch_one_batch(rank_one_game, monkeypatch):
+    sys2, x0 = rank_one_game
+    params = hc.GameParams(2.0, 0.5)
+    sol = hc.solve_coupled_riccati(sys2, params, x0)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return hc.sim.run_batch(*args)
+
+    monkeypatch.setattr(game, "run_batch", counted)
+    # no upper cap on the seed: numpy's generator takes any non-negative int
+    report = hc.verify_nash_equilibrium(sys2, params, sol, x0, deviations=30, seed=2**130)
+    assert len(calls) == 1
+    assert min(report.worst_j1_margin, report.worst_j2_margin) >= -1e-8
 
 
 def test_one_condition_cap_decides_game_lq_and_level_test(monkeypatch):

@@ -935,14 +935,60 @@ def test_level_test_on_a_2048_dim_network_builds_no_state_sized_matrix(monkeypat
 
 
 def test_oracle_scope_reads_each_distinct_operator_once(monkeypatch):
-    # the network's A, B1, C and D1 are four operators (C = A and D1 = B1);
-    # structured operators keep no matrix, so a second read would build
-    # another
+    # the network's operators are monomial, so their norms come from their
+    # column values and no state-sized matrix is built
     dsys = hc.examples.build_shift_network(64)
     built = record_matrix_builds(monkeypatch)
     with pytest.raises(hc.OracleScopeError):
         hinf._check_noise_free(dsys)
+    assert [op for op in built if op.domain.dim == op.codomain.dim == 64] == []
+    # a dense plant's A, B1, C and D1 are two operators (C = A and D1 = B1);
+    # scaled dense operators keep no matrix, so a second read would build
+    # another
+    rng = np.random.default_rng(2903)
+    hs, vs = hc.euclidean(8), hc.euclidean(2)
+    a = hc.ScaledOperator(0.5, dense(rng, hs, hs))
+    b1 = hc.ScaledOperator(0.5, dense(rng, vs, hs))
+    dsys = hc.DisturbedSystem(hs, vs, hs, 2, [a] * 3, [b1] * 3, [a] * 3, [b1] * 3,
+                              hc.IdentityOperator(hs), hc.ZeroOperator(vs, hs))
+    built.clear()
+    with pytest.raises(hc.OracleScopeError):
+        hinf._check_noise_free(dsys)
     ids = [id(op) for op in built]
     assert len(ids) == len(set(ids))
-    assert len({id(op) for f in (dsys.a, dsys.b1, dsys.c, dsys.d1) for op in f}) == 4
-    assert {id(op) for op in dsys.a} | {id(op) for op in dsys.b1} <= set(ids)
+    assert {id(a), id(b1)} <= set(ids)
+
+
+def test_monomial_norms_come_from_column_values(monkeypatch):
+    # the frame values give the Frobenius bounds and the exact norm of the
+    # matrix, on weighted spaces too, without building it
+    rng = np.random.default_rng(2904)
+    for hs in (hc.euclidean(12), hc.l2_line(1.0, 0.1)):
+        zs = space(rng, hs.dim + 2, weighted=True)
+        ops = [hc.RightShiftOperator(hs, zs), hc.FillingOperator(hs, zs, 5),
+               hc.ScaledOperator(-1.3, hc.RightShiftOperator(hs, zs)),
+               hc.ScaledOperator(0.4, hc.DiagonalOperator(rng.standard_normal(hs.dim), hs)),
+               hc.IdentityOperator(hs), hc.ZeroOperator(hs, zs)]
+        want = []
+        for op in ops:
+            s = hc.operators._sframe(op.matrix, op.codomain.weights, op.domain.weights)
+            fro = np.linalg.norm(s)
+            want.append((fro / np.sqrt(min(s.shape)), fro, hc.operators.opnorm(op)))
+        built = record_matrix_builds(monkeypatch)
+        for op, (lo, hi, norm) in zip(ops, want):
+            assert hinf._opnorm_bounds(op) == pytest.approx((lo, hi), rel=1e-14, abs=0.0)
+            assert hinf._exact_norm(op) == pytest.approx(norm, rel=1e-14, abs=0.0)
+        assert built == []
+        monkeypatch.undo()
+
+
+def test_gain_search_on_a_2048_dim_network_builds_no_state_sized_matrix(monkeypatch):
+    # the reachable view grows and compresses through row products, and the
+    # oracle's scope check reads column values
+    want = hc.hinf_norm(hc.examples.build_shift_network(64))
+    dsys = hc.examples.build_shift_network(2048)
+    built = record_matrix_builds(monkeypatch)
+    est = hc.hinf_norm(dsys)
+    assert [op for op in built if op.domain.dim == op.codomain.dim == 2048] == []
+    assert (est.value, est.lo, est.hi, est.iterations) == (
+        want.value, want.lo, want.hi, want.iterations)
