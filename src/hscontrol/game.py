@@ -53,8 +53,9 @@ from .riccati import (
     StageWeights,
     StepScratch,
     _closed_gram,
-    _completion_arrays,
+    _completion_terms,
     _require_finite,
+    _state_term,
 )
 from .sim import _BLOCK_BYTES, Policy, _checked_int, run_batch, sign_paths
 from .spaces import HVector, inner, zero_vector
@@ -77,7 +78,7 @@ class GameParams:
 
 
 def _solve_coupling(r1, s12, s21, r2, g1, g2, k):
-    """Gains K1, K2 from the stacked stationarity system, and its relative residual.
+    """Gains [K1; K2] from the stacked stationarity system, and its relative residual.
 
     Solves [[r1, s12], [s21, r2]] [K1; K2] = -[g1; g2].  A stack that is
     numerically singular, or whose solution leaves a residual above 1e-8, is
@@ -85,8 +86,10 @@ def _solve_coupling(r1, s12, s21, r2, g1, g2, k):
     """
     dv = r1.shape[0]
     scale = 1.0 + max(np.linalg.norm(g1), np.linalg.norm(g2))
+    lhs = np.empty((dv + r2.shape[0],) * 2)
+    lhs[:dv, :dv], lhs[:dv, dv:], lhs[dv:, :dv], lhs[dv:, dv:] = r1, s12, s21, r2
     try:
-        stacked = np.linalg.solve(np.block([[r1, s12], [s21, r2]]), -np.vstack([g1, g2]))
+        stacked = np.linalg.solve(lhs, -np.vstack([g1, g2]))
     except np.linalg.LinAlgError as exc:
         raise CouplingSingularError(k, f"gain coupling at step {k} is singular") from exc
     k1, k2 = stacked[:dv], stacked[dv:]
@@ -98,7 +101,7 @@ def _solve_coupling(r1, s12, s21, r2, g1, g2, k):
         raise CouplingSingularError(
             k, f"gain coupling at step {k} leaves residual {resid:.3e} above 1e-8"
         )
-    return k1, k2, float(resid)
+    return stacked, float(resid)
 
 
 def _player_weights(sys2: TwoInputSystem, params: GameParams) -> tuple[StageWeights, StageWeights]:
@@ -112,8 +115,12 @@ def _player_weights(sys2: TwoInputSystem, params: GameParams) -> tuple[StageWeig
     return (lambda k: (neg_cbar_sq[k], zero, r1)), (lambda k: (cbar_sq[k], zero, r2))
 
 
-def _certify_weight(mat: np.ndarray, w: np.ndarray, label: str, k: int):
-    """Certificate of a player's effective weight; GameDomainError unless it is in the domain."""
+def _certify_weight(mat: np.ndarray, w: np.ndarray | None, label: str, k: int):
+    """Certificate of a player's effective weight; GameDomainError unless it is in the domain.
+
+    ``w`` None stands for unit weights, where ``mat``, a diagonal block of a
+    symmetrized Rk, is certified without the frame round trip.
+    """
     cert = _selfadjoint_eigs(mat, w)[0]
     tol = positivity_tolerance(cert.norm)
     if cert.min_eig <= tol:
@@ -188,15 +195,18 @@ def solve_coupled_riccati(
     detail = None
     worst_resid = 0.0
     wv, wu = vs.weights, us.weights
+    # None: unit weights, certified without the frame round trip
+    unit_v, unit_u = (None if (w == 1.0).all() else w for w in (wv, wu))
     v, u = slice(None, vs.dim), slice(vs.dim, None)
     view, weights = sys2.as_controlled(), _player_weights(sys2, params)
-    # both players' Q are alive at once, so each gets its own scratch
-    scratch1, scratch2 = StepScratch(dh), StepScratch(dh)
+    # each player's Q is formed and read before the other's, in one scratch
+    scratch = StepScratch(dh)
     for k in range(steps - 1, -1, -1):
         # the terminal iterates are zero, which costs no congruence
-        next1, next2 = (None, None) if k == steps - 1 else (grams1[k + 1], grams2[k + 1])
-        q1, rk1, gk1 = _completion_arrays(view, weights[0], next1, k, scratch1)
-        q2, rk2, gk2 = _completion_arrays(view, weights[1], next2, k, scratch2)
+        nexts = (None, None) if k == steps - 1 else (grams1[k + 1], grams2[k + 1])
+        (rk1, gk1), (rk2, gk2) = (
+            _completion_terms(view, w, p, k) for w, p in zip(weights, nexts)
+        )
         # before the eigendecompositions and the coupling solve, which would
         # read a non-finite term as a verdict
         for player, rk, gk in ((1, rk1, gk1), (2, rk2, gk2)):
@@ -204,17 +214,19 @@ def solve_coupled_riccati(
             _require_finite(gk, f"player {player} completion term G", k)
         r1, r2 = rk1[v, v] / wv[:, None], rk2[u, u] / wu[:, None]
         try:
-            cert1 = _certify_weight(r1, wv, "disturbance weight", k)
-            cert2 = _certify_weight(r2, wu, "control weight", k)
+            cert1 = _certify_weight(r1, unit_v, "disturbance weight", k)
+            cert2 = _certify_weight(r2, unit_u, "control weight", k)
         except GameDomainError as err:
             status, failing, detail = STATUS_DOMAIN_FAILURE, err.step, str(err)
             break
         s12, s21 = rk1[v, u] / wv[:, None], rk2[u, v] / wu[:, None]
         g1, g2 = gk1[v] / wv[:, None], gk2[u] / wu[:, None]
-        k1, k2, resid = _solve_coupling(r1, s12, s21, r2, g1, g2, k)
-        gain = np.vstack([k1, k2])
-        grams1[k] = _closed_gram(q1, gk1, rk1, gain, scratch1.spare)
-        grams2[k] = _closed_gram(q2, gk2, rk2, gain, scratch2.spare)
+        gain, resid = _solve_coupling(r1, s12, s21, r2, g1, g2, k)
+        k1, k2 = gain[: vs.dim], gain[vs.dim :]
+        grams1[k], grams2[k] = (
+            _closed_gram(_state_term(view, w, p, k, scratch), gk, rk, gain, scratch.spare)
+            for w, p, rk, gk in zip(weights, nexts, (rk1, rk2), (gk1, gk2))
+        )
         _require_finite(grams1[k], "player 1 iterate P1", k)
         _require_finite(grams2[k], "player 2 iterate P2", k)
         v_gains[k], u_gains[k] = DenseOperator(k1, hs, vs), DenseOperator(k2, hs, us)
@@ -300,9 +312,10 @@ def _closed_terms(view, weights, gains) -> list[tuple[np.ndarray, np.ndarray]]:
     scratch = StepScratch(view.state_space.dim)
     terms, current = [None] * view.steps, None
     for k in range(view.steps - 1, -1, -1):
-        q, rk, gk = _completion_arrays(view, weights, current, k, scratch)
-        terms[k] = rk, gk
-        current = _closed_gram(q, gk, rk, gains[k], scratch.spare)
+        rk, gk = terms[k] = _completion_terms(view, weights, current, k)
+        if k > 0:  # the iterate of step 0 is not read
+            q = _state_term(view, weights, current, k, scratch)
+            current = _closed_gram(q, gk, rk, gains[k], scratch.spare)
     return terms
 
 

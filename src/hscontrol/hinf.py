@@ -55,7 +55,8 @@ from .riccati import (
     _backward_pass,
     _low_rank_pass,
     _low_rank_plan,
-    _step_congruences,
+    _state_sum,
+    _thin_sums,
 )
 from .spaces import euclidean
 from .systems import ControlledSystem, DisturbedSystem
@@ -87,15 +88,18 @@ class _LevelTerms:
 
     The controlled view, the Gram forms W_h (-Cbar*Cbar) and W_v Dbar*Dbar of
     every step, each computed once per distinct operator, and the pass the
-    walks take.  ``hinf_norm`` builds it once for all its tests.  The plan
-    reads only the types of the weights and the plant's A and C, which gamma
-    does not change: when ``riccati._low_rank_plan`` accepts the view, every
-    walk is the low-rank pass.  Otherwise every walk is the n x n pass in
-    one ``scratch``, with a head: the congruence sums of step N-1, which do
-    not depend on gamma, since from the zero terminal weight G(N) = L = 0
+    walks take.  ``hinf_norm`` builds it once for all its tests.  A walk
+    builds its level weights gamma^2 W_v - W_v Dbar*Dbar once per distinct
+    Dbar.  The plan reads only the types of the weights and the plant's A and
+    C, which gamma does not change: when ``riccati._low_rank_plan`` accepts
+    the view, every walk is the low-rank pass.  Otherwise every walk is the
+    n x n pass in one ``scratch``, with a head: the sums of step N-1, which
+    do not depend on gamma, since from the zero terminal weight G(N) = L = 0
     and P(N) = sym(-Cbar*Cbar(N)) at every level.  The first walk to reach
-    step N-1 computes them from its P(N); every walk adds its weights to
-    them and only reads them.
+    step N-1 computes them from its P(N), A*PA + C*PC, B*PB + D*PD and
+    B*PA + D*PC; every walk adds its weights to them and only reads them.
+    A bisection test forms no Q at its failing step nor at step 0 (see
+    ``riccati``).
     """
 
     view: ControlledSystem
@@ -117,12 +121,10 @@ class _LevelTerms:
         """The LQ weights M = -Cbar*Cbar, L = 0, R = gamma^2 I - Dbar*Dbar in Gram form."""
         vs = self.view.control_space
         zero = np.zeros((vs.dim, self.view.state_space.dim))
+        level = (gamma**2) * np.diag(vs.weights)
         # W_v (gamma^2 I - Dbar*Dbar) from W_v Dbar*Dbar
-        return lambda k: (
-            self.neg_cbar_sq[k],
-            zero,
-            (gamma**2) * np.diag(vs.weights) - self.dbar_sq[k],
-        )
+        rs = _once_per_operator(lambda sq: level - sq, self.dbar_sq)
+        return lambda k: (self.neg_cbar_sq[k], zero, rs[k])
 
     def walk(self, gamma: float, stop_at_failure: bool) -> RiccatiSolution:
         """The level recursion at gamma, from the zero terminal weight."""
@@ -149,7 +151,8 @@ class _LevelTerms:
     def head_sums(self, gram_last: np.ndarray) -> tuple:
         if self.head is None:  # the walk's spare and work are free at this point
             k, out, s = self.view.steps - 2, np.empty_like(gram_last), self.scratch
-            self.head = _step_congruences(self.view, gram_last, k, out, s.spare, s.work)
+            q_sum = _state_sum(self.view, gram_last, k, out, s.spare, s.work)
+            self.head = (q_sum, *_thin_sums(self.view, gram_last, k))
         return self.head
 
 

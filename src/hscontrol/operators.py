@@ -542,15 +542,28 @@ def _symmetry_residual(s: np.ndarray) -> float:
     return np.linalg.norm(s - s.T, "fro") / (1.0 + np.linalg.norm(s, "fro"))
 
 
-def _selfadjoint_eigs(m: np.ndarray, w: np.ndarray):
-    """Certificate and eigenpairs of a self-adjoint coordinate matrix, in the symmetric frame."""
-    s = _sframe(m, w, w)
-    resid = _symmetry_residual(s)
-    if resid > SYM_RTOL:
-        raise NotSelfAdjointError(f"symmetrization residual {resid:.3e} exceeds {SYM_RTOL:.1e}")
-    eigvals, eigvecs = np.linalg.eigh(0.5 * (s + s.T))
-    small = float(np.min(np.abs(eigvals)))
-    big = float(np.max(np.abs(eigvals)))
+def _selfadjoint_eigs(m: np.ndarray, w: np.ndarray | None):
+    """Certificate and eigenpairs of a self-adjoint coordinate matrix, in the symmetric frame.
+
+    ``w`` None stands for unit weights and an ``m`` that is exactly symmetric
+    with entries below 2^1023 in magnitude, as 0.5 (x + x^T) of a finite x
+    and its diagonal blocks are.  There the frame matrix is ``m``, its
+    residual is 0.0 and 0.5 (m + m^T) is ``m``, so all three are skipped
+    with the same bits.
+    """
+    if w is None:
+        resid, s = 0.0, m
+    else:
+        s = _sframe(m, w, w)
+        resid = _symmetry_residual(s)
+        if resid > SYM_RTOL:
+            raise NotSelfAdjointError(
+                f"symmetrization residual {resid:.3e} exceeds {SYM_RTOL:.1e}"
+            )
+        s = 0.5 * (s + s.T)
+    eigvals, eigvecs = np.linalg.eigh(s)
+    size = np.abs(eigvals)
+    small, big = float(size.min()), float(size.max())
     cond = np.inf if small == 0.0 else big / small
     return SelfAdjointCert(float(eigvals[0]), float(eigvals[-1]), cond, resid), eigvals, eigvecs
 
@@ -565,12 +578,20 @@ def certified_inverse(m: np.ndarray, w: np.ndarray) -> tuple[SelfAdjointCert, np
 
     With S = W^(1/2) M W^(-1/2) = V diag(eigvals) V^T the inverse is
     U diag(1/eigvals) U^T for U = W^(-1/2) V, so it maps the Gram form W b of a
-    right-hand side to the coordinates of M^-1 b.
+    right-hand side to the coordinates of M^-1 b.  On unit weights an exactly
+    symmetric ``m`` with entries below 2^1023 skips the frame round trip,
+    which would change no bit.
     """
+    unit = (w == 1.0).all() and np.array_equal(m, m.T) and np.abs(m).max(initial=0.0) < 2.0**1023
+    return _certified_inverse(m, None if unit else w)
+
+
+def _certified_inverse(m: np.ndarray, w: np.ndarray | None):
+    """``certified_inverse`` with ``w`` None for the unit case of ``_selfadjoint_eigs``."""
     cert, eigvals, eigvecs = _selfadjoint_eigs(m, w)
     if not cert.cond <= KAPPA_MAX:
         return cert, None
-    u = eigvecs / np.sqrt(w)[:, None]
+    u = eigvecs if w is None else eigvecs / np.sqrt(w)[:, None]
     return cert, (u / eigvals[None, :]) @ u.T
 
 

@@ -41,17 +41,25 @@ so a walk never switches passes.  The two agree to rounding, not to the
 bit.  ``solve_backward_riccati`` and the bounded-real test of ``hinf``
 choose their pass by that one plan; the games call the n x n pass directly.
 
+An n x n step takes its thin terms first: one right product Y_B = P^T B
+and one Y_D = P^T D give both B*PB + D*PD and B*PA + D*PC (``_thin_sums``)
+at O(n^2 du).  Rk is certified next, and only then is Q = M + A*PA + C*PC
+formed (``_state_term``): the step's two n^3 congruences, each one
+operator's two-sided product, native for structured operators.  So no walk
+forms Q where it stops, and a walk that keeps no iterates (every bisection
+test of ``hinf``) forms none at step 0, whose iterate nothing reads.  A
+congruence with a zero factor is skipped, and a step whose next iterate is
+zero (the zero terminal weight of the level test, the games and LQ) skips
+all of them: there Q = M, Rk = R and G = L.  On unit input weights,
+decided once per walk, Rk is certified without the frame round trip, which
+would change no bit.
+
 The n x n pass owns its scratch: Q, the G* K product and the inner products
 of the congruences go into state-sized arrays of a ``StepScratch``
 allocated once and overwritten at every step, in the order of operations of
-the plain expressions, so the values are the same as with fresh arrays.
-The congruences A*PA, C*PC, B*PB and D*PD are each one operator's two-sided
-product, native for structured operators.  A congruence with a zero factor
-is skipped, and a step whose next iterate is zero (the zero terminal weight
-of the level test, the games and LQ) skips all of them: there Q = M, Rk = R
-and G = L.  A walk that stops at the first non-positive
-completion term keeps no iterates: it alternates between two arrays and
-returns none.
+the plain expressions, so the values are the same as with fresh arrays.  A
+walk that stops at the first non-positive completion term keeps no
+iterates: it alternates between two arrays and returns none.
 """
 
 from __future__ import annotations
@@ -68,10 +76,10 @@ from .operators import (
     RANK_MAX_SHARE,
     SelfAdjointCert,
     ZeroOperator,
+    _certified_inverse,
     _diagonal_entries,
     _monomial_columns,
     _once_per_operator,
-    certified_inverse,
     congruence,
     coordinate_operators,
     positivity_tolerance,
@@ -157,65 +165,87 @@ class StepScratch:
         self.iterates = (np.empty((dim, dim)), np.empty((dim, dim)))
 
 
-def _congruence_sum(first, second, x, out=None, spare=None, work=None):
-    """L1^T X R1 + L2^T X R2 for the pairs (L1, R1) and (L2, R2), or None if both vanish.
+def _state_sum(system: ControlledSystem, gram, k: int, out, spare, work):
+    """A*PA + C*PC of step k for the Gram form ``gram`` of P, or None if it vanishes.
 
-    The sum is taken in the order of that expression, with the congruences
-    written into ``out`` and ``spare`` and their inner products into
-    ``work`` (each allocated when None).  A pair with a ZeroOperator factor
-    vanishes and is skipped, and so do both when X is None, a zero iterate.
+    The first congruence goes into ``out`` and a second into ``spare``, with
+    their inner products in ``work`` (each allocated when None), and the sum
+    is taken in that order.  A ZeroOperator factor is skipped, and so are
+    both when ``gram`` is None, a zero iterate.
     """
-    pairs = [] if x is None else [
-        (left, right)
-        for left, right in (first, second)
-        if not isinstance(left, ZeroOperator) and not isinstance(right, ZeroOperator)
-    ]
-    if not pairs:
+    if gram is None:
         return None
-    (left, right), *rest = pairs
-    total = congruence(left, x, right, out=out, work=work)
-    for left, right in rest:
-        total += congruence(left, x, right, out=spare, work=work)
+    total = None
+    for op in (system.a(k), system.c(k)):
+        if isinstance(op, ZeroOperator):
+            continue
+        if total is None:
+            total = congruence(op, gram, op, out=out, work=work)
+        else:
+            total += congruence(op, gram, op, out=spare, work=work)
     return total
 
 
-def _step_congruences(system: ControlledSystem, gram_next, k: int, out, spare, work):
-    """The sums A*PA + C*PC (into ``out``), B*PB + D*PD and B*PA + D*PC of step k.
+def _thin_sums(system: ControlledSystem, gram, k: int):
+    """B*PB + D*PD and B*PA + D*PC of step k for the Gram form ``gram`` of P.
 
-    P is the Gram form ``gram_next``, None when zero; a sum that vanishes is None.
+    Y_B = P^T B and Y_D = P^T D are each one right product and serve both
+    sums, which are then the products ``congruence`` would take: L^T P L is
+    Y_L^T L (or L's native two-sided product, for a structured L) and
+    L^T P R is Y_L^T R.  A term with a ZeroOperator factor is skipped, and a
+    sum without terms, as every sum of a zero ``gram`` (None), is None.
     """
-    a, b, c, d = system.a(k), system.b(k), system.c(k), system.d(k)
-    return (
-        _congruence_sum((a, a), (c, c), gram_next, out, spare, work),
-        _congruence_sum((b, b), (d, d), gram_next),
-        _congruence_sum((b, a), (d, c), gram_next),
-    )
+    if gram is None:
+        return None, None
+    r_sum = g_sum = None
+    for inp, state in ((system.b(k), system.a(k)), (system.d(k), system.c(k))):
+        if isinstance(inp, ZeroOperator):
+            continue
+        native = type(inp).sandwich is not Operator.sandwich
+        unread = state is inp or isinstance(state, ZeroOperator)
+        thin = None if native and unread else inp.rmatmul(gram.T).T
+        r = inp.sandwich(gram) if native else inp.rmatmul(thin)
+        r_sum = r if r_sum is None else np.add(r_sum, r, out=r_sum)
+        if isinstance(state, ZeroOperator):
+            continue
+        g = r.copy() if state is inp else state.rmatmul(thin)  # L^T P L both times
+        g_sum = g if g_sum is None else np.add(g_sum, g, out=g_sum)
+    return r_sum, g_sum
 
 
-def _completion_arrays(
+def _completion_terms(
+    system: ControlledSystem, weights: StageWeights, gram_next, k: int, sums=None
+):
+    """W_u Rk and W_u G of step k for the next Gram iterate ``gram_next`` (None: zero).
+
+    Each is its stage weight plus its sum from ``_thin_sums``, or plus 0 when
+    the sum vanishes, and Rk x is then symmetrized as 0.5 (x + x^T).
+    ``sums`` are those sums if the caller holds them, and are only read.
+    """
+    _, l, r = weights(k)
+    r_sum, g_sum = _thin_sums(system, gram_next, k) if sums is None else sums
+    rk = np.add(r, 0.0 if r_sum is None else r_sum)
+    return 0.5 * (rk + rk.T), np.add(l, 0.0 if g_sum is None else g_sum)
+
+
+def _state_term(
     system: ControlledSystem,
     weights: StageWeights,
-    gram_next: np.ndarray | None,
+    gram_next,
     k: int,
     scratch: StepScratch,
-    sums: tuple | None = None,
+    q_sum=None,
 ):
-    """Gram forms W_h Q, W_u Rk (symmetrized) and W_u G for the next iterate W_h P.
+    """W_h Q = W_h M + A*PA + C*PC of step k, written into ``scratch.q``.
 
-    Q = M + A*PA + C*PC is the state part of the step, P(k) = Q - G* Rk^-1 G.
-    Each term is its stage weight plus its congruence sum, or plus 0 when the
-    sum vanishes; ``sums`` are those of ``gram_next`` if the caller holds
-    them, and are only read.  Q is written into ``scratch.q``, which
-    ``gram_next`` must not share memory with, nor with ``scratch.spare`` or
+    Q is the state part of the step, P(k) = Q - G* Rk^-1 G; ``q_sum`` is its
+    congruence sum if the caller holds it, and is only read.  ``gram_next``
+    must not share memory with ``scratch.q``, ``scratch.spare`` or
     ``scratch.work``.
     """
-    m, l, r = weights(k)
-    if sums is None:
-        sums = _step_congruences(system, gram_next, k, scratch.q, scratch.spare, scratch.work)
-    q_sum, r_sum, g_sum = sums
-    rk = np.add(r, 0.0 if r_sum is None else r_sum)
-    q = _plus_weight(m, q_sum, scratch.q)
-    return q, 0.5 * (rk + rk.T), np.add(l, 0.0 if g_sum is None else g_sum)
+    if q_sum is None:
+        q_sum = _state_sum(system, gram_next, k, scratch.q, scratch.spare, scratch.work)
+    return _plus_weight(weights(k)[0], q_sum, scratch.q)
 
 
 def _require_finite(arr: np.ndarray, what: str, k: int) -> None:
@@ -233,16 +263,15 @@ def _symmetrized(g: np.ndarray, out: np.ndarray | None) -> np.ndarray:
     return out
 
 
-def _advance(q, gk, rk_inverse, spare, out):
-    """Gain -Rk^-1 G and the new Gram iterate W_h (Q - G* Rk^-1 G), symmetrized.
+def _advance(q, gk, gain, spare, out):
+    """The new Gram iterate W_h (Q + G* K) for the gain K = -Rk^-1 G, symmetrized.
 
     The product G* K goes into ``spare`` and the iterate into ``out``, or a
     new array when None.
     """
-    gain = -rk_inverse @ gk
     g = np.matmul(gk.T, gain, out=spare)
     g += q
-    return gain, _symmetrized(g, out)
+    return _symmetrized(g, out)
 
 
 def _closed_gram(q, gk, rk, gain, spare):
@@ -303,20 +332,24 @@ class RiccatiSolution:
 def _walk(system: ControlledSystem, start, complete, advance, stop_at_nonpositive=False):
     """The backward loop of both passes: certify each completion term and step.
 
-    ``complete(k, current)`` gives the Q, W_u Rk (symmetrized) and W_u G of
-    step k from the next iterate ``current``, and ``advance(q, gk,
-    rk_inverse, k)`` the gain and the iterate of step k; the walk starts
-    from ``start``.  Each step certifies its completion term; the walk stops
-    where that term has no bounded inverse, and with ``stop_at_nonpositive``
-    also at the first term that is not uniformly positive.  Indefinite but
-    invertible terms are otherwise walked through, so every reached step
-    reports its spectrum.  A non-finite Rk raises ResolutionError before its
-    eigendecomposition.  Returns the iterates of steps 0..N, None where the
-    walk did not reach, and the record without them (``p`` is None).
+    ``complete(k, current)`` gives W_u Rk, symmetrized as 0.5 (x + x^T),
+    W_u G and a carry of step k from the next iterate ``current``;
+    ``advance(carry, gk, gain, rk_inverse, k)`` forms the iterate of step k
+    once Rk is certified.  The walk starts from ``start``.  It stops where Rk
+    has no bounded inverse, and with ``stop_at_nonpositive`` also at the
+    first Rk that is not uniformly positive; indefinite but invertible terms
+    are otherwise walked through, so every reached step reports its
+    spectrum.  A non-finite Rk raises ResolutionError before its
+    eigendecomposition.  A walk with ``stop_at_nonpositive`` keeps no
+    iterates, so it forms none at step 0 and refuses a non-finite gain
+    there instead.  On unit input weights Rk is its Gram form, exactly
+    symmetric, and is certified without the frame round trip.  Returns the
+    iterates of steps 0..N, None where the walk formed none, and the record
+    without them (``p`` is None).
     """
     steps = system.steps
     hs, us = system.state_space, system.control_space
-    wu = us.weights
+    w = None if (us.weights == 1.0).all() else us.weights
     iterates: list = [None] * steps
     gains: list[Operator | None] = [None] * steps
     rk_ops: list[Operator | None] = [None] * steps
@@ -324,10 +357,11 @@ def _walk(system: ControlledSystem, start, complete, advance, stop_at_nonpositiv
     breakdown = nonpositive = None
     current = start
     for k in range(steps - 1, -1, -1):
-        q, rk, gk = complete(k, current)
+        rk, gk, carry = complete(k, current)
         _require_finite(rk, "completion term Rk", k)  # before its eigendecomposition
-        rk /= wu[:, None]
-        cert, rk_inverse = certified_inverse(rk, wu)
+        if w is not None:
+            rk /= w[:, None]
+        cert, rk_inverse = _certified_inverse(rk, w)
         certs[k] = cert
         if nonpositive is None and cert.min_eig <= positivity_tolerance(cert.norm):
             nonpositive = k
@@ -336,8 +370,11 @@ def _walk(system: ControlledSystem, start, complete, advance, stop_at_nonpositiv
         if rk_inverse is None:
             breakdown = k
             break
-        gain, current = advance(q, gk, rk_inverse, k)
-        iterates[k] = current
+        gain = -rk_inverse @ gk
+        if k > 0 or not stop_at_nonpositive:
+            current = iterates[k] = advance(carry, gk, gain, rk_inverse, k)
+        else:
+            _require_finite(gain, "gain", k)  # the iterate that would show it is not formed
         gains[k] = DenseOperator(gain, hs, us)
         rk_ops[k] = DenseOperator(rk, us)
     return iterates, RiccatiSolution(None, gains, rk_ops, certs, breakdown, nonpositive)
@@ -353,26 +390,31 @@ def _backward_pass(
 ) -> RiccatiSolution:
     """The n x n pass: walk back from the terminal Gram form W_h P(N+1) towards step 0.
 
-    The walk and its stopping rules are those of ``_walk``.  A non-finite
-    iterate, which overflow leaves, raises ResolutionError at the step where
-    it first appears.  A walk with ``stop_at_nonpositive`` keeps no iterates
-    (``p`` is None).  The step arrays live in ``scratch``, allocated here
-    when None.  At step N-1 the walk takes its congruence sums from
-    ``head(W_h P(N))`` when given.
+    The walk and its stopping rules are those of ``_walk``.  Each step takes
+    its thin terms Rk and G first, and forms Q only once Rk is certified and
+    the walk goes on.  A non-finite iterate, which overflow leaves, raises
+    ResolutionError at the step where it first appears.  A walk with
+    ``stop_at_nonpositive`` keeps no iterates (``p`` is None).  The step
+    arrays live in ``scratch``, allocated here when None.  At step N-1 the
+    walk takes its sums (A*PA + C*PC, B*PB + D*PD, B*PA + D*PC) from
+    ``head(W_h P(N))`` when given, unless that returns None.
     """
     steps = system.steps
     scratch = StepScratch(system.state_space.dim) if scratch is None else scratch
     keep = not stop_at_nonpositive
 
     def complete(k, current):
-        sums = head(current) if head is not None and k == steps - 2 else None
-        return _completion_arrays(system, weights, current, k, scratch, sums)
+        held = head(current) if head is not None and k == steps - 2 else None
+        q_sum, sums = (None, None) if held is None else (held[0], held[1:])
+        rk, gk = _completion_terms(system, weights, current, k, sums)
+        return rk, gk, (current, q_sum)
 
-    def advance(q, gk, rk_inverse, k):
-        out = None if keep else scratch.iterates[k % 2]
-        gain, current = _advance(q, gk, rk_inverse, scratch.spare, out)
+    def advance(carry, gk, gain, rk_inverse, k):
+        current, q_sum = carry
+        q = _state_term(system, weights, current, k, scratch, q_sum)
+        current = _advance(q, gk, gain, scratch.spare, None if keep else scratch.iterates[k % 2])
         _require_finite(current, "iterate P", k)  # a non-finite G or Q shows here too
-        return gain, current
+        return current
 
     start = terminal_gram if terminal_gram.any() else None  # None: zero, no congruences
     grams, sol = _walk(system, start, complete, advance, stop_at_nonpositive)
@@ -516,14 +558,14 @@ def _low_rank_pass(
             if e is not None:
                 rows, values = e
                 gk += bm.T[:, rows] * (d[rows] * values) + bu_s @ e_u.T
-        return (q_diag, q_u, q_s), 0.5 * (rk + rk.T), gk
+        return 0.5 * (rk + rk.T), gk, (q_diag, q_u, q_s)
 
-    def advance(q, gk, rk_inverse, k):
+    def advance(q, gk, gain, rk_inverse, k):
         q_diag, q_u, q_s = q
         u, s = np.hstack([q_u, gk.T]), _block_diag(q_s, -rk_inverse)
         for arr in (u, s, q_diag + np.einsum("ij,ij->i", u @ s, u)):
             _require_finite(arr, "iterate P", k)
-        return -rk_inverse @ gk, (q_diag, u, s)
+        return q_diag, u, s
 
     start = (terminal.diag, np.zeros((hs.dim, 0)), np.zeros((0, 0)))
     iterates, sol = _walk(system, start, complete, advance, stop_at_nonpositive)

@@ -241,7 +241,7 @@ def _quad(op: Operator, w: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarr
     # holds whether or not op is self-adjoint
     if isinstance(op, ZeroOperator):
         return np.zeros(y.shape[0])
-    yw = y * w[None, :]
+    yw = y if (w == 1.0).all() else y * w[None, :]  # y * 1.0 is y to the bit
     if isinstance(op, IdentityOperator):
         return np.einsum("pi,pi->p", yw, z)  # rmatmul would only copy yw
     return np.einsum("pi,pi->p", op.rmatmul(yw), z)

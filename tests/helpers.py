@@ -211,13 +211,14 @@ def completion_reference(q, g, r):
     return q.matrix + g.adjoint().matrix @ gain, gain
 
 
-def explicit_zero_completion(system, weights, gram_next, k, scratch, sums=None):
+def explicit_zero_completion(system, weights, gram_next, k):
     """One backward step as written before a zero next iterate skipped its congruences.
 
-    A stand-in for ``riccati._completion_arrays``: every congruence without a
-    ZeroOperator factor runs, on an explicit zero array when the next
-    iterate is zero (None), and each term is (first + second) + weight.
-    Congruence sums the caller already holds are ignored.
+    The (Q, Rk, G) of a step: every congruence without a ZeroOperator
+    factor runs, each as its own two-sided product, on an explicit zero
+    array when the next iterate is zero (None), and each term is
+    (first + second) + weight.  ``explicit_zero_steps`` puts it in place
+    of a module's step functions.
     """
     dim = system.state_space.dim
     x = np.zeros((dim, dim)) if gram_next is None else gram_next
@@ -237,6 +238,44 @@ def explicit_zero_completion(system, weights, gram_next, k, scratch, sums=None):
 
     rk = term(r, (b, b), (d, d))
     return term(m, (a, a), (c, c)), 0.5 * (rk + rk.T), term(l, (b, a), (d, c))
+
+
+def explicit_zero_steps(monkeypatch, module):
+    """Run ``module``'s backward steps on ``explicit_zero_completion``.
+
+    Its Rk and G stand in for ``_completion_terms`` and its Q for
+    ``_state_term``; the sums a caller holds are ignored.
+    """
+    def terms(system, weights, gram, k, sums=None):
+        return explicit_zero_completion(system, weights, gram, k)[1:]
+
+    def state(system, weights, gram, k, scratch, q_sum=None):
+        return explicit_zero_completion(system, weights, gram, k)[0]
+
+    monkeypatch.setattr(module, "_completion_terms", terms)
+    monkeypatch.setattr(module, "_state_term", state)
+
+
+def frame_certified_inverse(m, w):
+    """``operators.certified_inverse`` as written before unit weights skipped the frame.
+
+    Every matrix goes to the frame W^(1/2) M W^(-1/2) and back, and the
+    residual is always taken from the norms.
+    """
+    root = np.sqrt(w)
+    s = m * (root[:, None] / root[None, :])
+    resid = np.linalg.norm(s - s.T, "fro") / (1.0 + np.linalg.norm(s, "fro"))
+    if resid > hc.operators.SYM_RTOL:
+        raise hc.NotSelfAdjointError(f"symmetrization residual {resid:.3e}")
+    eigvals, eigvecs = np.linalg.eigh(0.5 * (s + s.T))
+    small = float(np.min(np.abs(eigvals)))
+    big = float(np.max(np.abs(eigvals)))
+    cond = np.inf if small == 0.0 else big / small
+    cert = hc.SelfAdjointCert(float(eigvals[0]), float(eigvals[-1]), cond, resid)
+    if not cert.cond <= hc.operators.KAPPA_MAX:
+        return cert, None
+    u = eigvecs / np.sqrt(w)[:, None]
+    return cert, (u / eigvals[None, :]) @ u.T
 
 
 def assert_same_bits(got, want):

@@ -11,7 +11,7 @@ from helpers import (
     assert_same_bits,
     completion_reference,
     dense,
-    explicit_zero_completion,
+    explicit_zero_steps,
     family,
     fixed_feedback_iterates,
     perturbation_gain,
@@ -409,11 +409,76 @@ def test_level_tests_of_a_search_equal_fresh_and_explicit_zero_checks(monkeypatc
     fresh = [[real(d, level, stop_at_failure=stop) for stop in (True, False)]
              for d, level, _ in tested]
     assert_same_bits([run for *_, run in tested], [stop for stop, _ in fresh])
-    monkeypatch.setattr(riccati, "_completion_arrays", explicit_zero_completion)
+    explicit_zero_steps(monkeypatch, riccati)
     monkeypatch.setattr(hinf._LevelTerms, "head_sums", lambda terms, gram_last: None)
     want = [[real(d, level, stop_at_failure=stop) for stop in (True, False)]
             for d, level, _ in tested]
     assert_same_bits(fresh, want)
+
+
+def test_bisection_walks_form_no_state_term_where_they_stop_or_at_step_0(monkeypatch):
+    # Q = M + A*PA + C*PC is formed only to step on past a certified Rk: a
+    # stop-at-failure walk forms none at its failing step nor at step 0,
+    # whose iterate it does not keep, and a full walk forms every one and
+    # returns P(0) with the bits of the step that forms Q first
+    rng = np.random.default_rng(54)
+    for weighted in (False, True):
+        dsys = next(d for d in iter(lambda: random_disturbed(rng, horizon_max=7,
+                                                             weighted=weighted), None)
+                    if d.horizon >= 5 and d.state_space.dim >= 3)
+        n = dsys.horizon
+        terms = hinf._level_terms(dsys)
+        assert terms.plan is None  # the n x n pass
+        levels = {}
+        for level in np.geomspace(1e-2, 1e2, 400):
+            failing = hc.brl_check(dsys, level).failing_step
+            kind = "feasible" if failing is None else "step 0" if failing == 0 else (
+                "inside" if failing < n - 1 else "late")
+            levels.setdefault(kind, (level, failing))
+        assert {"feasible", "step 0", "inside"} <= set(levels)
+        terms.walk(levels["feasible"][0], stop_at_failure=True)  # computes the head
+        formed, products = [], []
+        real_term, real_congruence = riccati._state_term, riccati.congruence
+        monkeypatch.setattr(riccati, "_state_term",
+                            lambda *a: formed.append(a[3]) or real_term(*a))
+        monkeypatch.setattr(riccati, "congruence",
+                            lambda *a, **kw: products.append(1) or real_congruence(*a, **kw))
+        for kind, (level, failing) in levels.items():
+            formed.clear()
+            products.clear()
+            sol = terms.walk(level, stop_at_failure=True)
+            assert sol.failing_step == failing
+            last = 1 if failing is None else failing + 1
+            assert formed == list(range(n, last - 1, -1))
+            # none at step N (zero P(N+1)) nor at N-1 (the head), A and C at the rest
+            assert len(products) == 2 * len([k for k in formed if k < n - 1])
+        formed.clear()
+        full = terms.walk(levels["step 0"][0], stop_at_failure=False)
+        assert formed == list(range(n, -1, -1))
+        monkeypatch.undo()
+        explicit_zero_steps(monkeypatch, riccati)
+        monkeypatch.setattr(hinf._LevelTerms, "head_sums", lambda terms, gram_last: None)
+        want = hinf._level_terms(dsys).walk(levels["step 0"][0], stop_at_failure=False)
+        monkeypatch.undo()
+        assert_same_bits(full.p[0], want.p[0])
+        assert_same_bits(full, want)
+
+
+def test_level_test_refuses_a_gain_that_overflows_at_step_0():
+    # P(1) = -1e306 and B = 1e-153 give Rk(0) = 3, but G(0) = B*P(1)A(0)
+    # overflows; a bisection test forms no P(0), where that would show, so
+    # it refuses the gain itself
+    e = hc.euclidean(1)
+
+    def scalar(x):
+        return hc.DenseOperator(np.array([[x]]), e)
+
+    dsys = hc.DisturbedSystem(e, e, e, 1, [scalar(1e300), scalar(1.0)], scalar(1e-153),
+                              hc.ZeroOperator(e), hc.ZeroOperator(e), scalar(1e153),
+                              hc.ZeroOperator(e))
+    for stop in (True, False):
+        with pytest.raises(hc.ResolutionError, match="at step 0 is not finite"):
+            hc.brl_check(dsys, 2.0, stop_at_failure=stop)
 
 
 def test_search_head_is_computed_once_and_never_written(monkeypatch):
@@ -421,8 +486,9 @@ def test_search_head_is_computed_once_and_never_written(monkeypatch):
     systems += [d for d in _level_test_systems(np.random.default_rng(52)) if d.horizon > 0]
     levels = (0.5, 1.2, 1.7, 2.0)
     made = []
-    real = hinf._step_congruences
-    monkeypatch.setattr(hinf, "_step_congruences", lambda *a: made.append(real(*a)) or made[-1])
+    # the head's thin sums: the walks take theirs through the riccati module
+    real = hinf._thin_sums
+    monkeypatch.setattr(hinf, "_thin_sums", lambda *a: made.append(real(*a)) or made[-1])
     for dsys in systems:
         made.clear()
         terms = hinf._level_terms(dsys)

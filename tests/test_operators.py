@@ -5,6 +5,7 @@ import pytest
 
 import hscontrol as hc
 from hscontrol import examples
+from helpers import assert_same_bits, frame_certified_inverse
 
 
 def pairing_residual(op, rng, trials=5):
@@ -332,6 +333,39 @@ def test_certified_inverse_indefinite():
     assert np.allclose(inv @ np.diag(entries), np.eye(4))
     cert, inv = hc.operators.certified_inverse(np.diag([1.0, 0.0, 1.0, 1.0]), EUC.weights)
     assert inv is None and cert.cond == np.inf
+
+
+def test_certified_inverse_on_unit_weights_has_the_bits_of_the_frame_path():
+    # exactly symmetric inputs below 2^1023 skip the frame, the residual and
+    # the re-symmetrization; nearly symmetric and larger ones keep them;
+    # indefinite and ill-conditioned ones included
+    rng = np.random.default_rng(8)
+    inputs = []
+    for dim in (1, 3, 8):
+        a = rng.standard_normal((dim, dim))
+        inputs.append(0.5 * (a + a.T))  # indefinite
+        v = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+        ill = (v * np.geomspace(1.0, 1e-14, dim)) @ v.T  # cond > KAPPA_MAX beyond dim 1
+        inputs.append(0.5 * (ill + ill.T))
+        near = a + a.T
+        near[0, -1] += 1e-12
+        inputs.append(near)
+        top = np.full((dim, dim), 8.9e307)
+        inputs.append(0.5 * (top + top.T))  # the largest a symmetrized term holds
+    inputs += [np.diag([1.0, 0.0, -0.0]), np.zeros((2, 2)), np.diag([2.0**1023, 1.0])]
+    conds, resids = [], []
+    with np.errstate(over="ignore", invalid="ignore"):  # the frame path overflows 2^1023
+        for m in inputs:
+            w = np.ones(m.shape[0])
+            got, want = hc.operators.certified_inverse(m, w), frame_certified_inverse(m, w)
+            assert_same_bits(got[0], want[0])
+            assert (got[1] is None) == (want[1] is None)
+            if want[1] is not None:
+                assert_same_bits(got[1], want[1])
+            conds.append(want[0].cond)
+            resids.append(want[0].sym_residual)
+    assert any(c > hc.operators.KAPPA_MAX for c in conds)
+    assert any(r > 0.0 for r in resids)
 
 
 def test_positivity_tolerance_scales_with_norm():

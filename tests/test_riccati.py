@@ -7,7 +7,7 @@ from helpers import (
     assert_pinned,
     assert_same_bits,
     completion_reference,
-    explicit_zero_completion,
+    explicit_zero_steps,
     heat_weight_problems,
     random_controlled,
     random_disturbed,
@@ -278,7 +278,7 @@ def test_zero_terminal_step_skips_its_congruences_with_the_same_bits(monkeypatch
     rng = np.random.default_rng(41)
     problems = _zero_terminal_problems(rng)
     got = [hc.solve_backward_riccati(system, cost) for system, cost in problems]
-    monkeypatch.setattr(riccati, "_completion_arrays", explicit_zero_completion)
+    explicit_zero_steps(monkeypatch, riccati)
     want = [hc.solve_backward_riccati(system, cost) for system, cost in problems]
     assert_same_bits(got, want)
 
@@ -305,7 +305,7 @@ def test_coupled_solve_from_zero_terminals_keeps_its_bits(monkeypatch):
     rng = np.random.default_rng(43)
     games = [solvable_game(rng, weighted=weighted)[:3] for weighted in (False, True, False, True)]
     got = [hc.solve_coupled_riccati(*g) for g in games]
-    monkeypatch.setattr(game, "_completion_arrays", explicit_zero_completion)
+    explicit_zero_steps(monkeypatch, game)
     want = [hc.solve_coupled_riccati(*g) for g in games]
     assert_same_bits(got, want)
 
