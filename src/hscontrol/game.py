@@ -40,8 +40,8 @@ from .operators import (
     DenseOperator,
     Operator,
     SelfAdjointCert,
+    _gram_spectrum,
     _once_per_operator,
-    _selfadjoint_eigs,
     coordinate_operators,
     gram,
     positivity_tolerance,
@@ -80,7 +80,8 @@ class GameParams:
 def _solve_coupling(r1, s12, s21, r2, g1, g2, k):
     """Gains [K1; K2] from the stacked stationarity system, and its relative residual.
 
-    Solves [[r1, s12], [s21, r2]] [K1; K2] = -[g1; g2].  A stack that is
+    Solves [[r1, s12], [s21, r2]] [K1; K2] = -[g1; g2], whose rows may be
+    scaled (the players' Gram-form rows) with the same gains.  A stack that is
     numerically singular, or whose solution leaves a residual above 1e-8, is
     refused with CouplingSingularError.
     """
@@ -115,13 +116,12 @@ def _player_weights(sys2: TwoInputSystem, params: GameParams) -> tuple[StageWeig
     return (lambda k: (neg_cbar_sq[k], zero, r1)), (lambda k: (cbar_sq[k], zero, r2))
 
 
-def _certify_weight(mat: np.ndarray, w: np.ndarray | None, label: str, k: int):
+def _certify_weight(gram: np.ndarray, root: np.ndarray, label: str, k: int):
     """Certificate of a player's effective weight; GameDomainError unless it is in the domain.
 
-    ``w`` None stands for unit weights, where ``mat``, a diagonal block of a
-    symmetrized Rk, is certified without the frame round trip.
+    ``gram``, its Gram form, is a diagonal block of a symmetrized Rk.
     """
-    cert = _selfadjoint_eigs(mat, w)[0]
+    cert = _gram_spectrum(gram, root, f"{label} at step {k}")[0]
     tol = positivity_tolerance(cert.norm)
     if cert.min_eig <= tol:
         raise GameDomainError(
@@ -143,7 +143,8 @@ class CoupledSolution:
     <P2(0)x0, x0>; both are None unless the status is solved.  On a domain
     failure, the iterates, gains and weight certificates at and below the
     failing step are None, and ``failing_detail`` names the step, the weight
-    and its offending eigenvalue or condition number.
+    and its offending eigenvalue or condition number.  ``coupling_residual``
+    is the largest of the coupling solves, on the players' Gram-form rows.
     """
 
     status: str
@@ -194,9 +195,7 @@ def solve_coupled_riccati(
     failing = None
     detail = None
     worst_resid = 0.0
-    wv, wu = vs.weights, us.weights
-    # None: unit weights, certified without the frame round trip
-    unit_v, unit_u = (None if (w == 1.0).all() else w for w in (wv, wu))
+    root_v, root_u = np.sqrt(vs.weights), np.sqrt(us.weights)
     v, u = slice(None, vs.dim), slice(vs.dim, None)
     view, weights = sys2.as_controlled(), _player_weights(sys2, params)
     # each player's Q is formed and read before the other's, in one scratch
@@ -212,16 +211,13 @@ def solve_coupled_riccati(
         for player, rk, gk in ((1, rk1, gk1), (2, rk2, gk2)):
             _require_finite(rk, f"player {player} completion term Rk", k)
             _require_finite(gk, f"player {player} completion term G", k)
-        r1, r2 = rk1[v, v] / wv[:, None], rk2[u, u] / wu[:, None]
         try:
-            cert1 = _certify_weight(r1, unit_v, "disturbance weight", k)
-            cert2 = _certify_weight(r2, unit_u, "control weight", k)
+            cert1 = _certify_weight(rk1[v, v], root_v, "disturbance weight", k)
+            cert2 = _certify_weight(rk2[u, u], root_u, "control weight", k)
         except GameDomainError as err:
             status, failing, detail = STATUS_DOMAIN_FAILURE, err.step, str(err)
             break
-        s12, s21 = rk1[v, u] / wv[:, None], rk2[u, v] / wu[:, None]
-        g1, g2 = gk1[v] / wv[:, None], gk2[u] / wu[:, None]
-        gain, resid = _solve_coupling(r1, s12, s21, r2, g1, g2, k)
+        gain, resid = _solve_coupling(rk1[v, v], rk1[v, u], rk2[u, v], rk2[u, u], gk1[v], gk2[u], k)
         k1, k2 = gain[: vs.dim], gain[vs.dim :]
         grams1[k], grams2[k] = (
             _closed_gram(_state_term(view, w, p, k, scratch), gk, rk, gain, scratch.spare)

@@ -49,7 +49,7 @@ from typing import Callable, Iterable, TypeVar
 
 import numpy as np
 
-from .errors import DimensionError, NotSelfAdjointError
+from .errors import DimensionError, NotSelfAdjointError, ResolutionError
 from .spaces import KIND_L2_INTERVAL, KIND_L2_LINE, HVector, Space
 
 KAPPA_MAX = 1e12  # condition cap for a bounded inverse, read at each call
@@ -525,7 +525,11 @@ def opnorm(op: Operator) -> float:
 
 @dataclass(frozen=True)
 class SelfAdjointCert:
-    """Spectral certificate for a self-adjoint operator on the truncation."""
+    """Spectral certificate for a self-adjoint operator on the truncation.
+
+    ``sym_residual`` is 0.0 for every term a pass certifies, whose Gram form
+    is exactly symmetric; only ``min_eig_selfadjoint`` measures one.
+    """
 
     min_eig: float
     max_eig: float
@@ -537,30 +541,24 @@ class SelfAdjointCert:
         return max(abs(self.min_eig), abs(self.max_eig))
 
 
-def _symmetry_residual(s: np.ndarray) -> float:
-    """|S - S^T|_F / (1 + |S|_F) for a matrix S in the symmetric (orthonormal) frame."""
-    return np.linalg.norm(s - s.T, "fro") / (1.0 + np.linalg.norm(s, "fro"))
+def _checked_frame(op: Operator, tol: float, what: str) -> tuple[np.ndarray, float]:
+    """The orthonormal-frame matrix S of a square operator, and |S - S^T|_F / (1 + |S|_F).
 
-
-def _selfadjoint_eigs(m: np.ndarray, w: np.ndarray | None):
-    """Certificate and eigenpairs of a self-adjoint coordinate matrix, in the symmetric frame.
-
-    ``w`` None stands for unit weights and an ``m`` that is exactly symmetric
-    with entries below 2^1023 in magnitude, as 0.5 (x + x^T) of a finite x
-    and its diagonal blocks are.  There the frame matrix is ``m``, its
-    residual is 0.0 and 0.5 (m + m^T) is ``m``, so all three are skipped
-    with the same bits.
+    NotSelfAdjointError, led by ``what``, refuses a residual above ``tol``
+    or not finite, as once a norm overflows, with no numpy warning.
     """
-    if w is None:
-        resid, s = 0.0, m
-    else:
-        s = _sframe(m, w, w)
-        resid = _symmetry_residual(s)
-        if resid > SYM_RTOL:
-            raise NotSelfAdjointError(
-                f"symmetrization residual {resid:.3e} exceeds {SYM_RTOL:.1e}"
-            )
-        s = 0.5 * (s + s.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = _sframe(op.matrix, op.codomain.weights, op.domain.weights)
+        resid = np.linalg.norm(s - s.T, "fro") / (1.0 + np.linalg.norm(s, "fro"))
+    if not resid <= tol:
+        raise NotSelfAdjointError(
+            f"{what}symmetrization residual {resid:.3e} is not within {tol:.1e}"
+        )
+    return s, resid
+
+
+def _spectrum(s: np.ndarray, resid: float):
+    """Certificate and eigenpairs of an exactly symmetric frame matrix S."""
     eigvals, eigvecs = np.linalg.eigh(s)
     size = np.abs(eigvals)
     small, big = float(size.min()), float(size.max())
@@ -568,38 +566,48 @@ def _selfadjoint_eigs(m: np.ndarray, w: np.ndarray | None):
     return SelfAdjointCert(float(eigvals[0]), float(eigvals[-1]), cond, resid), eigvals, eigvecs
 
 
-def certified_inverse(m: np.ndarray, w: np.ndarray) -> tuple[SelfAdjointCert, np.ndarray | None]:
-    """Spectral certificate of a self-adjoint M, and (W M)^-1 when cond <= KAPPA_MAX.
+def _gram_spectrum(gram: np.ndarray, root: np.ndarray, what: str):
+    """Certificate and eigenpairs of a self-adjoint M from its Gram form W M.
 
-    ``m`` holds the coordinates of M for the weights ``w``.  The inverse is
-    None when the condition number exceeds ``KAPPA_MAX`` (the truncation
-    surrogate for a bounded inverse).  No sign is required: each caller
-    applies its own positivity rule to the certificate.
-
-    With S = W^(1/2) M W^(-1/2) = V diag(eigvals) V^T the inverse is
-    U diag(1/eigvals) U^T for U = W^(-1/2) V, so it maps the Gram form W b of a
-    right-hand side to the coordinates of M^-1 b.  On unit weights an exactly
-    symmetric ``m`` with entries below 2^1023 skips the frame round trip,
-    which would change no bit.
+    ``gram`` is exactly symmetric, as every symmetrized completion term and
+    its diagonal blocks are, and ``root`` is sqrt(w) for the diagonal
+    weights.  S = gram / (root root^T) represents M in the orthonormal
+    frame and is exactly symmetric, so it needs no residual and no
+    re-symmetrization; on unit weights it has the bits of ``gram``.  An S
+    that overflows, as a finite ``gram`` can on small weights, raises
+    ResolutionError naming ``what`` (the passes call this under an
+    ``np.errstate`` that keeps numpy quiet).  No sign is required.
     """
-    unit = (w == 1.0).all() and np.array_equal(m, m.T) and np.abs(m).max(initial=0.0) < 2.0**1023
-    return _certified_inverse(m, None if unit else w)
+    s = gram / (root[:, None] * root)
+    if not np.isfinite(s).all():
+        raise ResolutionError(
+            f"{what} is not finite in the orthonormal frame: the floating-point range overflows"
+        )
+    return _spectrum(s, 0.0)
 
 
-def _certified_inverse(m: np.ndarray, w: np.ndarray | None):
-    """``certified_inverse`` with ``w`` None for the unit case of ``_selfadjoint_eigs``."""
-    cert, eigvals, eigvecs = _selfadjoint_eigs(m, w)
+def certified_inverse(gram: np.ndarray, root: np.ndarray, what: str = "Gram form"):
+    """The certificate of ``_gram_spectrum``, and (W M)^-1 if cond <= KAPPA_MAX, else None.
+
+    With S = V diag(eigvals) V^T the inverse is U diag(1/eigvals) U^T for
+    U = V / root: it maps W b to M^-1 b.
+    """
+    cert, eigvals, eigvecs = _gram_spectrum(gram, root, what)
     if not cert.cond <= KAPPA_MAX:
         return cert, None
-    u = eigvecs if w is None else eigvecs / np.sqrt(w)[:, None]
+    u = eigvecs / root[:, None]
     return cert, (u / eigvals[None, :]) @ u.T
 
 
 def min_eig_selfadjoint(op: Operator) -> SelfAdjointCert:
-    """Minimum eigenvalue and conditioning of a self-adjoint square operator."""
+    """Minimum eigenvalue and conditioning of a self-adjoint square operator.
+
+    Its frame matrix is checked (``_checked_frame``) and symmetrized first.
+    """
     if not op.is_square():
         raise DimensionError("spectral certificate requires a square operator")
-    return _selfadjoint_eigs(op.matrix, op.domain.weights)[0]
+    s, resid = _checked_frame(op, SYM_RTOL, "")
+    return _spectrum(0.5 * (s + s.T), resid)[0]
 
 
 def positivity_tolerance(cert_norm: float) -> float:

@@ -50,9 +50,8 @@ forms Q where it stops, and a walk that keeps no iterates (every bisection
 test of ``hinf``) forms none at step 0, whose iterate nothing reads.  A
 congruence with a zero factor is skipped, and a step whose next iterate is
 zero (the zero terminal weight of the level test, the games and LQ) skips
-all of them: there Q = M, Rk = R and G = L.  On unit input weights,
-decided once per walk, Rk is certified without the frame round trip, which
-would change no bit.
+all of them: there Q = M, Rk = R and G = L.  Rk is certified from its
+Gram form W_u Rk (``operators.certified_inverse``).
 
 The n x n pass owns its scratch: Q, the G* K product and the inner products
 of the congruences go into state-sized arrays of a ``StepScratch``
@@ -76,10 +75,10 @@ from .operators import (
     RANK_MAX_SHARE,
     SelfAdjointCert,
     ZeroOperator,
-    _certified_inverse,
     _diagonal_entries,
     _monomial_columns,
     _once_per_operator,
+    certified_inverse,
     congruence,
     coordinate_operators,
     positivity_tolerance,
@@ -339,17 +338,16 @@ def _walk(system: ControlledSystem, start, complete, advance, stop_at_nonpositiv
     has no bounded inverse, and with ``stop_at_nonpositive`` also at the
     first Rk that is not uniformly positive; indefinite but invertible terms
     are otherwise walked through, so every reached step reports its
-    spectrum.  A non-finite Rk raises ResolutionError before its
-    eigendecomposition.  A walk with ``stop_at_nonpositive`` keeps no
-    iterates, so it forms none at step 0 and refuses a non-finite gain
-    there instead.  On unit input weights Rk is its Gram form, exactly
-    symmetric, and is certified without the frame round trip.  Returns the
-    iterates of steps 0..N, None where the walk formed none, and the record
-    without them (``p`` is None).
+    spectrum.  Rk is certified from its Gram form (``certified_inverse``,
+    which refuses an Rk that overflows the orthonormal frame) and divided
+    into coordinates for the record afterwards.  A walk with
+    ``stop_at_nonpositive`` keeps no iterates, so it forms none at step 0
+    and refuses a non-finite gain there instead.  Returns the iterates of
+    steps 0..N (None where not formed) and the record (``p`` is None).
     """
     steps = system.steps
     hs, us = system.state_space, system.control_space
-    w = None if (us.weights == 1.0).all() else us.weights
+    root = np.sqrt(us.weights)
     iterates: list = [None] * steps
     gains: list[Operator | None] = [None] * steps
     rk_ops: list[Operator | None] = [None] * steps
@@ -358,10 +356,7 @@ def _walk(system: ControlledSystem, start, complete, advance, stop_at_nonpositiv
     current = start
     for k in range(steps - 1, -1, -1):
         rk, gk, carry = complete(k, current)
-        _require_finite(rk, "completion term Rk", k)  # before its eigendecomposition
-        if w is not None:
-            rk /= w[:, None]
-        cert, rk_inverse = _certified_inverse(rk, w)
+        cert, rk_inverse = certified_inverse(rk, root, f"completion term Rk at step {k}")
         certs[k] = cert
         if nonpositive is None and cert.min_eig <= positivity_tolerance(cert.norm):
             nonpositive = k
@@ -376,7 +371,7 @@ def _walk(system: ControlledSystem, start, complete, advance, stop_at_nonpositiv
         else:
             _require_finite(gain, "gain", k)  # the iterate that would show it is not formed
         gains[k] = DenseOperator(gain, hs, us)
-        rk_ops[k] = DenseOperator(rk, us)
+        rk_ops[k] = DenseOperator(np.divide(rk, us.weights[:, None], out=rk), us)
     return iterates, RiccatiSolution(None, gains, rk_ops, certs, breakdown, nonpositive)
 
 

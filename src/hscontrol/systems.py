@@ -13,15 +13,15 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import AssumptionError, DimensionError, NotSelfAdjointError
+from .errors import AssumptionError, DimensionError
 from .operators import (
     DenseOperator,
     Operator,
     ZeroOperator,
     _BOUND_MARGIN,
+    _checked_frame,
     _diagonal_entries,
     _sframe,
-    _symmetry_residual,
 )
 from .spaces import KIND_EUCLIDEAN, Space
 
@@ -58,14 +58,6 @@ class OperatorFamily:
 
     def __len__(self):
         return self.steps
-
-
-def _check_selfadjoint(op: Operator, what: str) -> None:
-    resid = _symmetry_residual(_sframe(op.matrix, op.codomain.weights, op.domain.weights))
-    if resid > SELFADJOINT_TOL:
-        raise NotSelfAdjointError(
-            f"{what}: symmetrization residual {resid:.3e} exceeds {SELFADJOINT_TOL:.1e}"
-        )
 
 
 def _family(domain: str, codomain: str):
@@ -154,9 +146,9 @@ class CostSpec:
                 # an operator diagonal by type is self-adjoint, and builds no matrix
                 if id(op) not in checked and _diagonal_entries(op) is None:
                     checked.add(id(op))
-                    _check_selfadjoint(op, f"{name}({k})")
+                    _checked_frame(op, SELFADJOINT_TOL, f"{name}({k}): ")
         if _diagonal_entries(terminal) is None:
-            _check_selfadjoint(terminal, "terminal weight")
+            _checked_frame(terminal, SELFADJOINT_TOL, "terminal weight: ")
 
 
 def _check_orthogonality(left: Operator, right: Operator, what: str) -> None:

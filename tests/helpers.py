@@ -257,10 +257,14 @@ def explicit_zero_steps(monkeypatch, module):
 
 
 def frame_certified_inverse(m, w):
-    """``operators.certified_inverse`` as written before unit weights skipped the frame.
+    """Independent reference for ``operators.certified_inverse``, from the coordinates ``m`` of M.
 
-    Every matrix goes to the frame W^(1/2) M W^(-1/2) and back, and the
-    residual is always taken from the norms.
+    M goes to the frame W^(1/2) M W^(-1/2), its residual is taken from the
+    norms, the frame matrix is re-symmetrized, and the inverse mapped back.
+    ``certified_inverse`` takes the Gram form W M instead: it agrees with
+    this reference on m = gram / w to rounding, and on unit weights, for an
+    exactly symmetric ``m`` whose re-symmetrization does not overflow, to
+    the bit.
     """
     root = np.sqrt(w)
     s = m * (root[:, None] / root[None, :])

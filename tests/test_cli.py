@@ -199,6 +199,14 @@ def _overflowing_specs(tmp_path):
                   "control_space": e1, "a": zero, "b": zero,
                   "c": {"variant": "dense", "matrix": [[9e76]]}, "d": zero},
         "x1": {"coords": [1.0]},
+        # two inputs of weight 1e-10 (a trapezoid grid of one 2e-10 step)
+        # driven through 1e149: W_u Rk(1) is about 2e298, Rk(1) about 2e308
+        "tiny_inputs": {"type": "controlled", "horizon": 1, "state_space": e2,
+                        "control_space": {"kind": "l2_line", "half_width": 1e-10,
+                                          "spacing": 2e-10},
+                        "a": {"variant": "scaled", "factor": 0.5, "of": {"variant": "identity"}},
+                        "b": {"variant": "dense", "matrix": [[1e149, 1e149], [1e149, 1e149]]},
+                        "c": zero, "d": zero},
     }
     for name, spec in specs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(spec))
@@ -214,6 +222,7 @@ def _overflowing_specs(tmp_path):
     ["h2hinf-design", "--system", "two_input", "--gamma", "2", "--x0", "x0"],
     ["simulate", "--system", "disturbed", "--x0", "x0"],
     ["simulate", "--system", "noisy", "--cost", DEMO_COST, "--x0", "x1", "--seed", "0"],
+    ["lq-solve", "--system", "tiny_inputs", "--cost", DEMO_COST, "--x0", "x0"],
 ])
 def test_overflow_exits_with_limits(tmp_path, capsys, argv):
     # overflow is refused with the step or block named, before any verdict,
@@ -490,3 +499,26 @@ def test_h2hinf_design_reports_the_level_diagnostic(tmp_path, capsys):
     assert code == EXIT_OK
     assert "note: level 1e+06 is effectively infinite" in capsys.readouterr().out
     assert read_report(out)["diagnostic"].startswith("level 1e+06 is effectively infinite")
+
+
+def _write(tmp_path, name, spec):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(spec))
+    return str(path)
+
+
+def test_a_weight_whose_residual_overflows_is_bad_input(tmp_path, capsys):
+    e2 = {"kind": "euclidean", "dim": 2}
+    ident, zero = {"variant": "identity"}, {"variant": "zero"}
+    system = _write(tmp_path, "system", {
+        "type": "controlled", "horizon": 1, "state_space": e2, "control_space": e2,
+        "a": ident, "b": ident, "c": zero, "d": zero})
+    cost = _write(tmp_path, "cost", {
+        "m": ident, "l": zero, "terminal": ident,
+        "r": {"variant": "dense", "matrix": [[1.0, 1e160], [0.0, 1.0]]}})
+    x0 = _write(tmp_path, "x0", {"coords": [1.0, 1.0]})
+    code = main(["lq-solve", "--system", system, "--cost", cost, "--x0", x0,
+                 "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == EXIT_BAD_INPUT
+    assert "R(0)" in err and "RuntimeWarning" not in err

@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -459,3 +460,30 @@ def test_each_player_recursion_is_a_plain_pass(weighted):
         for k in range(sys2.steps):
             assert_pinned(sol.v_gains[k].matrix, run.worst_gains[k].matrix)
             assert_pinned(sol.u_gains[k].matrix, lq.gains[k].matrix)
+
+
+@pytest.mark.parametrize("small,label", [("v", "disturbance"), ("u", "control")])
+def test_a_player_weight_that_overflows_its_frame_is_refused(small, label):
+    # one input of weight 1e-10 driven through 1e149 (1, 1)^T: its Gram-form
+    # weight at step 0 is finite, about 2e298, and 2e308 in the frame
+    hs, zs = hc.euclidean(2), hc.euclidean(3)
+    tiny = hc.Space(hc.spaces.KIND_EUCLIDEAN, 1, np.array([1e-10]))
+    vs, us = (tiny, hc.euclidean(1)) if small == "v" else (hc.euclidean(1), tiny)
+    gbar = np.zeros((3, 1))
+    gbar[2, 0] = np.sqrt(us.weights[0])  # isometric for the control weight
+
+    def drive(space, factor):
+        return hc.DenseOperator(factor * np.ones((2, 1)), space, hs)
+
+    zero = hc.ZeroOperator
+    sys2 = hc.TwoInputSystem(
+        hs, vs, us, zs, 1, hc.DenseOperator(0.5 * np.eye(2), hs),
+        drive(vs, 1e149 if small == "v" else 1.0), drive(us, 1e149 if small == "u" else 1.0),
+        zero(hs), zero(vs, hs), zero(us, hs), hc.FillingOperator(hs, zs, 2),
+        hc.DenseOperator(gbar, us, zs),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(hc.ResolutionError,
+                           match=f"^{label} weight at step 0 is not finite"):
+            hc.solve_coupled_riccati(sys2, hc.GameParams(2.0, 0.5), None)

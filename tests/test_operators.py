@@ -335,37 +335,50 @@ def test_certified_inverse_indefinite():
     assert inv is None and cert.cond == np.inf
 
 
-def test_certified_inverse_on_unit_weights_has_the_bits_of_the_frame_path():
-    # exactly symmetric inputs below 2^1023 skip the frame, the residual and
-    # the re-symmetrization; nearly symmetric and larger ones keep them;
-    # indefinite and ill-conditioned ones included
+def test_certified_inverse_of_a_gram_form_matches_the_frame_reference():
+    # exactly symmetric Gram forms, indefinite and ill-conditioned ones
+    # included: on unit weights the bits of the frame reference, on others
+    # that reference applied to the coordinates gram / w, to 1e-13 relative
     rng = np.random.default_rng(8)
-    inputs = []
+    inputs, weighted = [], []
     for dim in (1, 3, 8):
         a = rng.standard_normal((dim, dim))
         inputs.append(0.5 * (a + a.T))  # indefinite
+        weighted.append((inputs[-1], rng.uniform(0.1, 10.0, dim)))
         v = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
         ill = (v * np.geomspace(1.0, 1e-14, dim)) @ v.T  # cond > KAPPA_MAX beyond dim 1
         inputs.append(0.5 * (ill + ill.T))
-        near = a + a.T
-        near[0, -1] += 1e-12
-        inputs.append(near)
         top = np.full((dim, dim), 8.9e307)
         inputs.append(0.5 * (top + top.T))  # the largest a symmetrized term holds
-    inputs += [np.diag([1.0, 0.0, -0.0]), np.zeros((2, 2)), np.diag([2.0**1023, 1.0])]
-    conds, resids = [], []
-    with np.errstate(over="ignore", invalid="ignore"):  # the frame path overflows 2^1023
+    inputs += [np.diag([1.0, 0.0, -0.0]), np.zeros((2, 2))]
+    weighted.append((np.diag([2.0, -3.0, 0.5]) + 0.1, LINE.weights[:3]))
+    conds = []
+    with np.errstate(over="ignore"):  # the reference's norms overflow at 8.9e307
         for m in inputs:
             w = np.ones(m.shape[0])
             got, want = hc.operators.certified_inverse(m, w), frame_certified_inverse(m, w)
-            assert_same_bits(got[0], want[0])
-            assert (got[1] is None) == (want[1] is None)
-            if want[1] is not None:
-                assert_same_bits(got[1], want[1])
+            assert_same_bits(got, want)
             conds.append(want[0].cond)
-            resids.append(want[0].sym_residual)
     assert any(c > hc.operators.KAPPA_MAX for c in conds)
-    assert any(r > 0.0 for r in resids)
+    for gram, w in weighted:
+        (cert, inv), (ref, ref_inv) = (
+            hc.operators.certified_inverse(gram, np.sqrt(w)),
+            frame_certified_inverse(gram / w[:, None], w),
+        )
+        assert cert.sym_residual == 0.0
+        for got, want in ((cert.min_eig, ref.min_eig), (cert.max_eig, ref.max_eig),
+                          (cert.cond, ref.cond)):
+            assert abs(got - want) <= 1e-13 * abs(want)
+        assert np.max(np.abs(inv - ref_inv)) <= 1e-13 * np.max(np.abs(ref_inv))
+    # 2^1023 is not re-symmetrized (2^1023 + 2^1023 overflows), so its
+    # certificate stays finite
+    cert, inv = hc.operators.certified_inverse(np.diag([2.0**1023, 1.0]), np.ones(2))
+    assert cert.max_eig == 2.0**1023 and cert.min_eig == 1.0 and cert.sym_residual == 0.0
+    assert cert.cond > hc.operators.KAPPA_MAX and inv is None
+    # 1e300 on a weight of 1e-10 is 1e310 in the orthonormal frame
+    with np.errstate(over="ignore"), pytest.raises(hc.ResolutionError,
+                                                   match="^weight at step 2 is not finite"):
+        hc.operators.certified_inverse(np.array([[1e300]]), np.array([1e-5]), "weight at step 2")
 
 
 def test_positivity_tolerance_scales_with_norm():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -465,3 +467,40 @@ def test_a_rank_past_the_share_runs_the_n_by_n_pass_with_its_bits():
         assert_same_bits(got, hc.solve_lq(_dense_reference(problem)))
         shorter = _diagonal_plant(rng, hs, horizon=2, noise=True, feedthrough=True)
         assert isinstance(hc.solve_lq(shorter).p[0], riccati.DiagonalPlusLowRank)  # 7 columns
+
+
+def _small_input_weight_plant(b, r):
+    """A = I/2 on two unit-weight states, one input of weight 1e-10 through
+    B = b (1, 1)^T, C = D = 0, M = I, L = 0, R = r, terminal I; horizon 1."""
+    hs = hc.euclidean(2)
+    us = hc.Space(hc.spaces.KIND_EUCLIDEAN, 1, np.array([1e-10]))
+    system = hc.ControlledSystem(hs, us, 1, hc.DenseOperator(0.5 * np.eye(2), hs),
+                                 hc.DenseOperator(b * np.ones((2, 1)), us, hs),
+                                 hc.ZeroOperator(hs), hc.ZeroOperator(us, hs))
+    cost = hc.CostSpec(system, hc.IdentityOperator(hs), hc.ZeroOperator(hs, us),
+                       hc.DenseOperator(np.array([[r]]), us), hc.IdentityOperator(hs))
+    return system, cost
+
+
+def test_a_term_finite_in_gram_form_but_not_in_its_frame_is_refused():
+    # W_u Rk(1) = 1e-10 + 2e298 is finite, Rk(1) = 2e308 is not: an
+    # overflow, not a domain failure
+    system, cost = _small_input_weight_plant(1e149, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(hc.ResolutionError,
+                           match="^completion term Rk at step 1 is not finite"):
+            hc.solve_backward_riccati(system, cost)
+
+
+def test_a_term_above_2_to_1023_in_coordinates_is_certified():
+    # Rk = 1.5e308 is finite: its Gram form 1.5e298 certifies it, where the
+    # frame round trip overflowed in 0.5 (s + s^T)
+    system, cost = _small_input_weight_plant(1.0, 1.5e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = hc.solve_backward_riccati(system, cost)
+    assert sol.solved
+    for cert in sol.rk_certs:
+        assert cert.min_eig == pytest.approx(1.5e308, rel=1e-12)
+        assert cert.max_eig == cert.min_eig and cert.sym_residual == 0.0

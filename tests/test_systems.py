@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import hscontrol as hc
 from hscontrol import systems
-from hscontrol.operators import _diagonal_entries
+from hscontrol.operators import _checked_frame, _diagonal_entries
 from helpers import random_two_input, record_matrix_builds
 
 
@@ -102,7 +104,7 @@ def test_weights_selfadjoint_by_construction_skip_the_check(monkeypatch):
     ]
     for op in exempt:
         assert _diagonal_entries(op) is not None
-        systems._check_selfadjoint(op, "M(0)")
+        _checked_frame(op, systems.SELFADJOINT_TOL, "M(0): ")
     for op in (hc.ZeroOperator(hs, hc.euclidean(3)), hc.DenseOperator(np.eye(3), hs),
                hc.ScaledOperator(1.0, hc.DenseOperator(np.eye(3), hs))):
         assert _diagonal_entries(op) is None
@@ -279,3 +281,22 @@ def test_disturbed_as_controlled_round_trip():
     for k in range(dsys.steps):
         assert np.allclose(ctrl.a(k).matrix, dsys.a(k).matrix)
         assert np.allclose(ctrl.b(k).matrix, dsys.b1(k).matrix)
+
+
+@pytest.mark.parametrize("off", [1e160, 1e200])
+def test_a_weight_whose_residual_overflows_is_refused(off):
+    # |S - S^T|_F and |S|_F overflow together, and their quotient is NaN
+    sys_ = hc.ControlledSystem(HS, US, 1, hc.IdentityOperator(HS), hc.ZeroOperator(US, HS),
+                               hc.ZeroOperator(HS), hc.ZeroOperator(US, HS))
+    r = hc.DenseOperator(np.array([[1.0, off], [0.0, 1.0]]), US)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(hc.NotSelfAdjointError, match=r"^R\(0\): symmetrization residual"):
+            hc.CostSpec(sys_, hc.IdentityOperator(HS), hc.ZeroOperator(HS, US), r,
+                        hc.IdentityOperator(HS))
+        with pytest.raises(hc.NotSelfAdjointError):
+            hc.min_eig_selfadjoint(r)
+        # an exactly symmetric weight of the same size has residual 0
+        big = hc.DenseOperator(np.array([[1.0, off], [off, 1.0]]), US)
+        hc.CostSpec(sys_, hc.IdentityOperator(HS), hc.ZeroOperator(HS, US), big,
+                    hc.IdentityOperator(HS))
