@@ -51,7 +51,6 @@ from .riccati import (
     STATUS_DOMAIN_FAILURE,
     STATUS_SOLVED,
     StageWeights,
-    StepScratch,
     _closed_gram,
     _completion_terms,
     _require_finite,
@@ -198,8 +197,6 @@ def solve_coupled_riccati(
     root_v, root_u = np.sqrt(vs.weights), np.sqrt(us.weights)
     v, u = slice(None, vs.dim), slice(vs.dim, None)
     view, weights = sys2.as_controlled(), _player_weights(sys2, params)
-    # each player's Q is formed and read before the other's, in one scratch
-    scratch = StepScratch(dh)
     for k in range(steps - 1, -1, -1):
         # the terminal iterates are zero, which costs no congruence
         nexts = (None, None) if k == steps - 1 else (grams1[k + 1], grams2[k + 1])
@@ -220,7 +217,7 @@ def solve_coupled_riccati(
         gain, resid = _solve_coupling(rk1[v, v], rk1[v, u], rk2[u, v], rk2[u, u], gk1[v], gk2[u], k)
         k1, k2 = gain[: vs.dim], gain[vs.dim :]
         grams1[k], grams2[k] = (
-            _closed_gram(_state_term(view, w, p, k, scratch), gk, rk, gain, scratch.spare)
+            _closed_gram(_state_term(view, w, p, k), gk, rk, gain)
             for w, p, rk, gk in zip(weights, nexts, (rk1, rk2), (gk1, gk2))
         )
         _require_finite(grams1[k], "player 1 iterate P1", k)
@@ -305,13 +302,11 @@ def _closed_terms(view, weights, gains) -> list[tuple[np.ndarray, np.ndarray]]:
     from zero as the coupled pass walks them, with ``gains[k]`` the matrix
     of K(k).
     """
-    scratch = StepScratch(view.state_space.dim)
     terms, current = [None] * view.steps, None
     for k in range(view.steps - 1, -1, -1):
         rk, gk = terms[k] = _completion_terms(view, weights, current, k)
         if k > 0:  # the iterate of step 0 is not read
-            q = _state_term(view, weights, current, k, scratch)
-            current = _closed_gram(q, gk, rk, gains[k], scratch.spare)
+            current = _closed_gram(_state_term(view, weights, current, k), gk, rk, gains[k])
     return terms
 
 

@@ -51,7 +51,6 @@ from .riccati import (
     DiagonalGram,
     RiccatiSolution,
     StageWeights,
-    StepScratch,
     _backward_pass,
     _low_rank_pass,
     _low_rank_plan,
@@ -93,9 +92,9 @@ class _LevelTerms:
     Dbar.  The plan reads only the types of the weights and the plant's A and
     C, which gamma does not change: when ``riccati._low_rank_plan`` accepts
     the view, every walk is the low-rank pass.  Otherwise every walk is the
-    n x n pass in one ``scratch``, with a head: the sums of step N-1, which
-    do not depend on gamma, since from the zero terminal weight G(N) = L = 0
-    and P(N) = sym(-Cbar*Cbar(N)) at every level.  The first walk to reach
+    n x n pass with a head: the sums of step N-1, which do not depend on
+    gamma, since from the zero terminal weight G(N) = L = 0 and
+    P(N) = sym(-Cbar*Cbar(N)) at every level.  The first walk to reach
     step N-1 computes them from its P(N), A*PA + C*PC, B*PB + D*PD and
     B*PA + D*PC; every walk adds its weights to them and only reads them.
     A bisection test forms no Q at its failing step nor at step 0 (see
@@ -106,13 +105,10 @@ class _LevelTerms:
     neg_cbar_sq: list[np.ndarray | DiagonalGram]
     dbar_sq: list[np.ndarray]
     plan: list | None = field(init=False)
-    scratch: StepScratch | None = field(init=False)
     head: tuple | None = None
 
     def __post_init__(self):
         self.plan = _low_rank_plan(self.view, self.weights(1.0), self._zero_terminal())
-        dim = self.view.state_space.dim
-        self.scratch = None if self.plan is not None else StepScratch(dim)
 
     def _zero_terminal(self) -> DiagonalGram:
         return DiagonalGram(np.zeros(self.view.state_space.dim), 0.0)
@@ -139,7 +135,6 @@ class _LevelTerms:
             weights,
             np.zeros((dim, dim)),
             stop_at_nonpositive=stop_at_failure,
-            scratch=self.scratch,
             head=self.head_sums,
         )
 
@@ -149,10 +144,9 @@ class _LevelTerms:
         return sol.nonpositive is None and sol.breakdown is None
 
     def head_sums(self, gram_last: np.ndarray) -> tuple:
-        if self.head is None:  # the walk's spare and work are free at this point
-            k, out, s = self.view.steps - 2, np.empty_like(gram_last), self.scratch
-            q_sum = _state_sum(self.view, gram_last, k, out, s.spare, s.work)
-            self.head = (q_sum, *_thin_sums(self.view, gram_last, k))
+        if self.head is None:
+            k = self.view.steps - 2
+            self.head = (_state_sum(self.view, gram_last, k), *_thin_sums(self.view, gram_last, k))
         return self.head
 
 

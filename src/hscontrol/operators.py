@@ -29,9 +29,7 @@ two-sided product M^T G M that the congruences A*PA of the backward
 recursions reduce to.  Structured variants compute them natively (scaling or
 slicing rows and columns), at O(n^2) and reading G once in memory order;
 dense and composite variants multiply by their matrix, and their two-sided
-product is two right products.  The products, and ``congruence``, take
-optional output buffers, so a backward pass can run every step in arrays it
-allocates once.
+product is two right products.  Every product returns a new array.
 
 ``matrix`` keeps the coordinate matrix only where it is data or costly to
 build: a dense operator keeps the array it was given, and sums, compositions,
@@ -73,9 +71,9 @@ def _unsframe(s: np.ndarray, w_cod: np.ndarray, w_dom: np.ndarray) -> np.ndarray
     return s * (1.0 / s_c[:, None]) * s_d[None, :]
 
 
-def _scaled_rows_and_columns(g, e, out):
+def _scaled_rows_and_columns(g, e):
     """(g_ij e_i) e_j: diag(e) G diag(e), in the order of two right products."""
-    out = np.multiply(g, e[:, None], out=out)
+    out = g * e[:, None]
     out *= e[None, :]
     return out
 
@@ -109,38 +107,28 @@ class Operator:
                 self._matrix_cache = cached
         return cached
 
-    def rmatmul(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def rmatmul(self, x: np.ndarray) -> np.ndarray:
         """The right product x @ M for a 2-D array x with codomain.dim columns.
 
-        The product is written into ``out`` when given, a C-contiguous array
-        of shape (rows of x, domain.dim) that does not overlap x, and ``out``
-        is returned; otherwise into a new array.  The values are the same
-        either way, and the result is never x or a cached matrix.
+        The result is a new array, never x or a cached matrix.
         """
-        return np.matmul(x, self.matrix, out=out)
+        return x @ self.matrix
 
-    def apply_rows(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def apply_rows(self, x: np.ndarray) -> np.ndarray:
         """The product x @ M^T, M applied to each row of a 2-D array x with domain.dim columns.
 
-        ``out``, when given, is a C-contiguous array of shape (rows of x,
-        codomain.dim) that does not overlap x; the values are the same either
-        way.  This default multiplies by the matrix; structured variants copy
-        or scale columns instead.
+        This default multiplies by the matrix; structured variants copy or
+        scale columns instead.
         """
-        return np.matmul(x, self.matrix.T, out=out)
+        return x @ self.matrix.T
 
-    def sandwich(
-        self, g: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None
-    ) -> np.ndarray:
+    def sandwich(self, g: np.ndarray) -> np.ndarray:
         """M^T G M for a square array G with codomain.dim rows.
 
-        The result goes into ``out`` (shape (domain.dim, domain.dim)) when
-        given, else into a new array; it is never G or a cached matrix.  This
-        default takes two right products, the first into ``work`` (shape
-        (codomain.dim, domain.dim)) when given.  The buffers must not overlap
-        each other or G.
+        The result is a new array, never G or a cached matrix.  This default
+        takes two right products.
         """
-        return self.rmatmul(self.rmatmul(g.T, out=work).T, out=out)
+        return self.rmatmul(self.rmatmul(g.T).T)
 
     def adjoint(self) -> "Operator":
         return AdjointOperator(self)
@@ -171,18 +159,20 @@ class ScaledOperator(Operator):
     def _build_matrix(self):
         return self.factor * self.inner_op.matrix
 
-    def rmatmul(self, x, out=None):
-        inner = self.inner_op.rmatmul(x, out=out)
-        return np.multiply(inner, self.factor, out=inner)
+    def rmatmul(self, x):
+        inner = self.inner_op.rmatmul(x)
+        inner *= self.factor
+        return inner
 
-    def apply_rows(self, x, out=None):
-        inner = self.inner_op.apply_rows(x, out=out)
-        return np.multiply(inner, self.factor, out=inner)
+    def apply_rows(self, x):
+        inner = self.inner_op.apply_rows(x)
+        inner *= self.factor
+        return inner
 
-    def sandwich(self, g, out=None, work=None):
+    def sandwich(self, g):
         # (g' f) f for the inner g': the bits of two scaled right products
         # when the inner product only copies entries
-        inner = self.inner_op.sandwich(g, out=out, work=work)
+        inner = self.inner_op.sandwich(g)
         inner *= self.factor
         inner *= self.factor
         return inner
@@ -215,13 +205,13 @@ class DiagonalOperator(Operator):
     def _build_matrix(self):
         return np.diag(self.entries)
 
-    def rmatmul(self, x, out=None):
-        return np.multiply(x, self.entries[None, :], out=out)
+    def rmatmul(self, x):
+        return x * self.entries[None, :]
 
     apply_rows = rmatmul  # the matrix is its own transpose
 
-    def sandwich(self, g, out=None, work=None):
-        return _scaled_rows_and_columns(g, self.entries, out)
+    def sandwich(self, g):
+        return _scaled_rows_and_columns(g, self.entries)
 
 
 class _CoordinateCopy(Operator):
@@ -247,27 +237,22 @@ class _CoordinateCopy(Operator):
         m[self.start + idx, idx] = 1.0
         return m
 
-    def rmatmul(self, x, out=None):
+    def rmatmul(self, x):
         s, c = self.start, self.count
-        out = np.empty((x.shape[0], self.domain.dim)) if out is None else out
+        out = np.zeros((x.shape[0], self.domain.dim))
         out[:, :c] = x[:, s : s + c]
-        out[:, c:] = 0.0
         return out
 
-    def apply_rows(self, x, out=None):
+    def apply_rows(self, x):
         s, c = self.start, self.count
-        out = np.empty((x.shape[0], self.codomain.dim)) if out is None else out
-        out[:, :s] = 0.0
+        out = np.zeros((x.shape[0], self.codomain.dim))
         out[:, s : s + c] = x[:, :c]
-        out[:, s + c :] = 0.0
         return out
 
-    def sandwich(self, g, out=None, work=None):
+    def sandwich(self, g):
         s, c, n = self.start, self.count, self.domain.dim
-        out = np.empty((n, n)) if out is None else out
+        out = np.zeros((n, n))
         out[:c, :c] = g[s : s + c, s : s + c]
-        out[:c, c:] = 0.0
-        out[c:] = 0.0
         return out
 
 
@@ -408,25 +393,15 @@ class AdjointOperator(Operator):
         return self.inner_op
 
 
-def congruence(
-    left: Operator,
-    g: np.ndarray,
-    right: Operator,
-    out: np.ndarray | None = None,
-    work: np.ndarray | None = None,
-) -> np.ndarray:
-    """L^T G R for a coordinate array G.
+def congruence(left: Operator, g: np.ndarray, right: Operator) -> np.ndarray:
+    """L^T G R for a coordinate array G, as a new array.
 
     When ``left is right`` this is ``left.sandwich``, native for structured
-    operators; otherwise it takes two right products, the inner product
-    G^T L into ``work`` (shape (G columns, left.domain.dim)).  The result
-    goes into ``out`` (shape (left.domain.dim, right.domain.dim)); either
-    buffer is allocated when None and may go unused.  The two buffers must
-    not overlap each other or G.
+    operators; otherwise it takes two right products.
     """
     if left is right:
-        return left.sandwich(g, out=out, work=work)
-    return right.rmatmul(left.rmatmul(g.T, out=work).T, out=out)
+        return left.sandwich(g)
+    return right.rmatmul(left.rmatmul(g.T).T)
 
 
 def _diagonal_entries(op: Operator) -> tuple[np.ndarray, float] | None:
@@ -607,7 +582,7 @@ def min_eig_selfadjoint(op: Operator) -> SelfAdjointCert:
     if not op.is_square():
         raise DimensionError("spectral certificate requires a square operator")
     s, resid = _checked_frame(op, SYM_RTOL, "")
-    return _spectrum(0.5 * (s + s.T), resid)[0]
+    return _spectrum(0.5 * s + 0.5 * s.T, resid)[0]  # halved first: s + s^T may overflow
 
 
 def positivity_tolerance(cert_norm: float) -> float:
@@ -618,4 +593,4 @@ def positivity_tolerance(cert_norm: float) -> float:
 def weighted_symmetrize(m: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Project a coordinate matrix onto the self-adjoint part for weights w."""
     s = _sframe(m, w, w)
-    return _unsframe(0.5 * (s + s.T), w, w)
+    return _unsframe(0.5 * s + 0.5 * s.T, w, w)  # halved first: s + s^T may overflow

@@ -51,14 +51,9 @@ test of ``hinf``) forms none at step 0, whose iterate nothing reads.  A
 congruence with a zero factor is skipped, and a step whose next iterate is
 zero (the zero terminal weight of the level test, the games and LQ) skips
 all of them: there Q = M, Rk = R and G = L.  Rk is certified from its
-Gram form W_u Rk (``operators.certified_inverse``).
-
-The n x n pass owns its scratch: Q, the G* K product and the inner products
-of the congruences go into state-sized arrays of a ``StepScratch``
-allocated once and overwritten at every step, in the order of operations of
-the plain expressions, so the values are the same as with fresh arrays.  A
-walk that stops at the first non-positive completion term keeps no
-iterates: it alternates between two arrays and returns none.
+Gram form W_u Rk (``operators.certified_inverse``).  Each step takes fresh
+arrays.  A walk that stops at the first non-positive completion term keeps
+no iterates: it drops each one once the next is formed and returns none.
 """
 
 from __future__ import annotations
@@ -130,47 +125,27 @@ def _cost_weights(system: ControlledSystem, cost: CostSpec) -> StageWeights:
     return lambda k: (ms[k], ls[k], rs[k])
 
 
-def _plus_weight(m, total, out):
-    """W_h M + ``total`` into ``out``, for a Gram array or a DiagonalGram; None is zero.
+def _plus_weight(m, total):
+    """W_h M + ``total`` as a new array, for a Gram array or a DiagonalGram; None is zero.
 
     A DiagonalGram adds its off-diagonal zero to every entry and its diagonal
     onto the diagonal of ``total``, which are the bits of the sum with its
-    array.  ``total`` may be ``out``.
+    array.
     """
     if isinstance(m, np.ndarray):
-        return np.add(m, 0.0 if total is None else total, out=out)
+        return m + (0.0 if total is None else total)
     if total is None:
-        out.fill(0.0)
-        np.fill_diagonal(out, m.diag + 0.0)
-        return out
-    diag = m.diag + np.diagonal(total)  # read before ``out`` overwrites it
-    np.add(total, m.off, out=out)
-    np.fill_diagonal(out, diag)
+        return m.array() + 0.0
+    out = total + m.off
+    np.fill_diagonal(out, m.diag + np.diagonal(total))
     return out
 
 
-class StepScratch:
-    """The state-sized arrays a backward pass overwrites at every step.
-
-    ``q`` receives Q, ``spare`` a second congruence and then the G* K
-    product, ``work`` the inner product of a congruence, and ``iterates`` are
-    the two arrays a walk that keeps no iterates alternates between.  A
-    scratch serves one recursion at a time: values read after the next step
-    are copied out first.
-    """
-
-    def __init__(self, dim: int):
-        self.q, self.spare, self.work = (np.empty((dim, dim)) for _ in range(3))
-        self.iterates = (np.empty((dim, dim)), np.empty((dim, dim)))
-
-
-def _state_sum(system: ControlledSystem, gram, k: int, out, spare, work):
+def _state_sum(system: ControlledSystem, gram, k: int):
     """A*PA + C*PC of step k for the Gram form ``gram`` of P, or None if it vanishes.
 
-    The first congruence goes into ``out`` and a second into ``spare``, with
-    their inner products in ``work`` (each allocated when None), and the sum
-    is taken in that order.  A ZeroOperator factor is skipped, and so are
-    both when ``gram`` is None, a zero iterate.
+    A ZeroOperator factor is skipped, and so are both when ``gram`` is None,
+    a zero iterate.
     """
     if gram is None:
         return None
@@ -178,10 +153,8 @@ def _state_sum(system: ControlledSystem, gram, k: int, out, spare, work):
     for op in (system.a(k), system.c(k)):
         if isinstance(op, ZeroOperator):
             continue
-        if total is None:
-            total = congruence(op, gram, op, out=out, work=work)
-        else:
-            total += congruence(op, gram, op, out=spare, work=work)
+        term = congruence(op, gram, op)
+        total = term if total is None else np.add(total, term, out=total)
     return total
 
 
@@ -227,24 +200,15 @@ def _completion_terms(
     return 0.5 * (rk + rk.T), np.add(l, 0.0 if g_sum is None else g_sum)
 
 
-def _state_term(
-    system: ControlledSystem,
-    weights: StageWeights,
-    gram_next,
-    k: int,
-    scratch: StepScratch,
-    q_sum=None,
-):
-    """W_h Q = W_h M + A*PA + C*PC of step k, written into ``scratch.q``.
+def _state_term(system: ControlledSystem, weights: StageWeights, gram_next, k: int, q_sum=None):
+    """W_h Q = W_h M + A*PA + C*PC of step k.
 
     Q is the state part of the step, P(k) = Q - G* Rk^-1 G; ``q_sum`` is its
-    congruence sum if the caller holds it, and is only read.  ``gram_next``
-    must not share memory with ``scratch.q``, ``scratch.spare`` or
-    ``scratch.work``.
+    congruence sum if the caller holds it, and is only read.
     """
     if q_sum is None:
-        q_sum = _state_sum(system, gram_next, k, scratch.q, scratch.spare, scratch.work)
-    return _plus_weight(weights(k)[0], q_sum, scratch.q)
+        q_sum = _state_sum(system, gram_next, k)
+    return _plus_weight(weights(k)[0], q_sum)
 
 
 def _require_finite(arr: np.ndarray, what: str, k: int) -> None:
@@ -255,34 +219,31 @@ def _require_finite(arr: np.ndarray, what: str, k: int) -> None:
         )
 
 
-def _symmetrized(g: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    """0.5 (g + g^T) into ``out``, or into a new array when None."""
-    out = np.add(g, g.T, out=out)
+def _symmetrized(g: np.ndarray) -> np.ndarray:
+    """0.5 (g + g^T) as a new array."""
+    out = g + g.T
     out *= 0.5
     return out
 
 
-def _advance(q, gk, gain, spare, out):
+def _advance(q, gk, gain):
     """The new Gram iterate W_h (Q + G* K) for the gain K = -Rk^-1 G, symmetrized.
 
-    The product G* K goes into ``spare`` and the iterate into ``out``, or a
-    new array when None.
+    Overwrites ``q``, the W_h Q of the step.
     """
-    g = np.matmul(gk.T, gain, out=spare)
-    g += q
-    return _symmetrized(g, out)
+    q += gk.T @ gain
+    return _symmetrized(q)
 
 
-def _closed_gram(q, gk, rk, gain, spare):
+def _closed_gram(q, gk, rk, gain):
     """Gram iterate W_h (Q + G* K + K* G + K* Rk K), the cost along u = K x, symmetrized.
 
-    Overwrites ``q`` and ``spare``; the iterate is a new array.
+    Overwrites ``q``, the W_h Q of the step.
     """
-    y = np.matmul(gain.T, gk, out=spare)
-    y += q
-    y += np.matmul(gk.T, gain, out=q)
-    y += np.matmul(gain.T @ rk, gain, out=q)
-    return _symmetrized(y, None)
+    q += gain.T @ gk
+    q += gk.T @ gain
+    q += (gain.T @ rk) @ gain
+    return _symmetrized(q)
 
 
 @dataclass
@@ -343,7 +304,7 @@ def _walk(system: ControlledSystem, start, complete, advance, stop_at_nonpositiv
     into coordinates for the record afterwards.  A walk with
     ``stop_at_nonpositive`` keeps no iterates, so it forms none at step 0
     and refuses a non-finite gain there instead.  Returns the iterates of
-    steps 0..N (None where not formed) and the record (``p`` is None).
+    steps 0..N (None where not kept) and the record (``p`` is None).
     """
     steps = system.steps
     hs, us = system.state_space, system.control_space
@@ -367,7 +328,9 @@ def _walk(system: ControlledSystem, start, complete, advance, stop_at_nonpositiv
             break
         gain = -rk_inverse @ gk
         if k > 0 or not stop_at_nonpositive:
-            current = iterates[k] = advance(carry, gk, gain, rk_inverse, k)
+            current = advance(carry, gk, gain, rk_inverse, k)
+            if not stop_at_nonpositive:  # a stopping walk drops it at the next step
+                iterates[k] = current
         else:
             _require_finite(gain, "gain", k)  # the iterate that would show it is not formed
         gains[k] = DenseOperator(gain, hs, us)
@@ -380,7 +343,6 @@ def _backward_pass(
     weights: StageWeights,
     terminal_gram: np.ndarray,
     stop_at_nonpositive: bool = False,
-    scratch: StepScratch | None = None,
     head: Callable[[np.ndarray], tuple] | None = None,
 ) -> RiccatiSolution:
     """The n x n pass: walk back from the terminal Gram form W_h P(N+1) towards step 0.
@@ -389,14 +351,11 @@ def _backward_pass(
     its thin terms Rk and G first, and forms Q only once Rk is certified and
     the walk goes on.  A non-finite iterate, which overflow leaves, raises
     ResolutionError at the step where it first appears.  A walk with
-    ``stop_at_nonpositive`` keeps no iterates (``p`` is None).  The step
-    arrays live in ``scratch``, allocated here when None.  At step N-1 the
-    walk takes its sums (A*PA + C*PC, B*PB + D*PD, B*PA + D*PC) from
+    ``stop_at_nonpositive`` keeps no iterates (``p`` is None).  At step N-1
+    the walk takes its sums (A*PA + C*PC, B*PB + D*PD, B*PA + D*PC) from
     ``head(W_h P(N))`` when given, unless that returns None.
     """
     steps = system.steps
-    scratch = StepScratch(system.state_space.dim) if scratch is None else scratch
-    keep = not stop_at_nonpositive
 
     def complete(k, current):
         held = head(current) if head is not None and k == steps - 2 else None
@@ -406,14 +365,13 @@ def _backward_pass(
 
     def advance(carry, gk, gain, rk_inverse, k):
         current, q_sum = carry
-        q = _state_term(system, weights, current, k, scratch, q_sum)
-        current = _advance(q, gk, gain, scratch.spare, None if keep else scratch.iterates[k % 2])
+        current = _advance(_state_term(system, weights, current, k, q_sum), gk, gain)
         _require_finite(current, "iterate P", k)  # a non-finite G or Q shows here too
         return current
 
     start = terminal_gram if terminal_gram.any() else None  # None: zero, no congruences
     grams, sol = _walk(system, start, complete, advance, stop_at_nonpositive)
-    if keep:
+    if not stop_at_nonpositive:
         sol.p = coordinate_operators([*grams, terminal_gram], system.state_space)
     return sol
 
@@ -443,16 +401,12 @@ class DiagonalPlusLowRank(Operator):
     def apply_array(self, x):
         return (self._gram_product(x).T / self.domain.weights).T
 
-    def rmatmul(self, x, out=None):
+    def rmatmul(self, x):
         # x W^-1 (diag(d) + U S U^T), the transpose of the Gram form times (x W^-1)^T
-        product = self._gram_product((x / self.codomain.weights).T).T
-        if out is None:
-            return product
-        out[...] = product
-        return out
+        return self._gram_product((x / self.codomain.weights).T).T
 
     def _build_matrix(self):
-        out = _symmetrized(self.u @ self.s @ self.u.T, None)
+        out = _symmetrized(self.u @ self.s @ self.u.T)
         out[np.diag_indices_from(out)] += self.d
         return out / self.domain.weights[:, None]
 

@@ -44,9 +44,10 @@ from .spaces import (
 )
 from .systems import ControlledSystem, CostSpec, DisturbedSystem, TwoInputSystem
 
-# Size caps, checked before anything is allocated.  The recursions keep one
-# dense dim x dim iterate per step, so the caps bound that memory by
-# (MAX_HORIZON + 1) * MAX_DIM**2 * 8 bytes = 256 * 1024**2 * 8 B = 2 GiB.
+# Size caps, checked before anything is allocated.  A dense LQ or bounded-real
+# pass keeps one dim x dim iterate per step, so the caps bound that memory by
+# (MAX_HORIZON + 1) * MAX_DIM**2 * 8 bytes = 256 * 1024**2 * 8 B = 2 GiB; the
+# coupled game keeps two per step (P1 and P2), 4 GiB.
 MAX_DIM = 1024  # every space dimension: dim, modes, or l2_line grid points
 MAX_HORIZON = 255
 

@@ -249,7 +249,7 @@ def explicit_zero_steps(monkeypatch, module):
     def terms(system, weights, gram, k, sums=None):
         return explicit_zero_completion(system, weights, gram, k)[1:]
 
-    def state(system, weights, gram, k, scratch, q_sum=None):
+    def state(system, weights, gram, k, q_sum=None):
         return explicit_zero_completion(system, weights, gram, k)[0]
 
     monkeypatch.setattr(module, "_completion_terms", terms)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from helpers import (
     record_matrix_builds,
     solvable_game,
     space,
+    split_output_families,
 )
 
 SHIFT_SPEC = Path(__file__).resolve().parent.parent / "specs" / "shift_network.json"
@@ -462,6 +464,31 @@ def test_bisection_walks_form_no_state_term_where_they_stop_or_at_step_0(monkeyp
         monkeypatch.undo()
         assert_same_bits(full.p[0], want.p[0])
         assert_same_bits(full, want)
+
+
+def test_a_stop_at_failure_walk_holds_a_bounded_number_of_state_squares():
+    # the walk drops each iterate once the next one is formed, so its peak
+    # stays a few n x n arrays at any horizon; keeping every iterate would
+    # read about 12 and 70 of them here
+    rng = np.random.default_rng(3201)
+    hs, vs, zs = hc.euclidean(96), hc.euclidean(1), hc.euclidean(97)
+    for horizon in (8, 64):
+        steps, s = horizon + 1, 0.8 / np.sqrt(hs.dim)
+        cbar, dbar = split_output_families(rng, hs, vs, steps, hs.dim, vs.dim, zs,
+                                           state_scale=1.0 / np.sqrt(hs.dim))
+        a, b1 = family(rng, hs, hs, steps, s), family(rng, vs, hs, steps, s)
+        c, d1 = family(rng, hs, hs, steps, 0.4 * s), family(rng, vs, hs, steps, 0.4 * s)
+        dsys = hc.DisturbedSystem(hs, vs, zs, horizon, a, b1, c, d1, cbar, dbar)
+        terms = hinf._level_terms(dsys)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            run = hc.brl_check(dsys, 10.0, stop_at_failure=True, terms=terms)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert run.feasible and run.y is None
+        assert peak < 8 * 8 * hs.dim**2
 
 
 def test_level_test_refuses_a_gain_that_overflows_at_step_0():
@@ -909,7 +936,7 @@ def test_low_rank_level_walk_matches_the_n_by_n_pass(monkeypatch):
     outcomes = set()
     for noise, dsys in _monomial_plants():
         terms = hinf._level_terms(dsys)
-        assert terms.plan is not None and terms.scratch is None
+        assert terms.plan is not None
         gain = hc.hinf_norm(dsys, tol=1e-6).value
         for gamma in (0.6 * gain, 0.95 * gain, 1.05 * gain, 1.5 * gain):
             for stop in (False, True):

@@ -329,10 +329,8 @@ def test_diagonal_weights_add_with_the_bits_of_their_arrays():
         gram = riccati._state_gram(op, hs.weights)
         assert isinstance(gram, riccati.DiagonalGram)
         assert_same_bits(gram.array(), as_array)
-        assert_same_bits(riccati._plus_weight(gram, None, np.empty((5, 5))), as_array + 0.0)
-        assert_same_bits(riccati._plus_weight(gram, term, np.empty((5, 5))), as_array + term)
-        in_place = term.copy()
-        assert_same_bits(riccati._plus_weight(gram, in_place, in_place), as_array + term)
+        assert_same_bits(riccati._plus_weight(gram, None), as_array + 0.0)
+        assert_same_bits(riccati._plus_weight(gram, term), as_array + term)
     dense = hc.DenseOperator(np.diag(np.ones(5)), hs)
     assert isinstance(riccati._state_gram(dense, hs.weights), np.ndarray)
 
@@ -449,9 +447,6 @@ def test_low_rank_iterates_multiply_as_their_matrices():
     assert_pinned(p.apply_array(x[:, 0]), matrix @ x[:, 0], rtol=1e-13)
     assert_pinned(p.apply_array(x), matrix @ x, rtol=1e-13)
     assert_pinned(p.rmatmul(x.T), x.T @ matrix, rtol=1e-13)
-    out = np.empty((3, 41))
-    assert p.rmatmul(x.T, out=out) is out
-    assert_pinned(out, x.T @ matrix, rtol=1e-13)
     g = rng.standard_normal((41, 41))
     assert_pinned(p.sandwich(g), matrix.T @ g @ matrix, rtol=1e-12)
     assert p.matrix is not matrix  # built on request, not kept

@@ -314,7 +314,7 @@ def test_identity_weight_stage_cost_makes_no_copy(monkeypatch):
     u = np.random.default_rng(2).standard_normal((7, 2))
     want = stage_cost_batch(cost, 0, x, u), terminal_cost_batch(cost, x)
 
-    def refused(self, x, out=None):
+    def refused(self, x):
         raise AssertionError("identity rmatmul called")
 
     monkeypatch.setattr(hc.IdentityOperator, "rmatmul", refused)
