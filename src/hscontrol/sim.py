@@ -22,6 +22,15 @@ draws and hands over one block of replications at a time, so its memory is
 O(block·steps) for the paths plus one value per replication, however many
 replications there are.
 
+A plant whose every A(k) keeps its matrix (dense, sum, composition) has
+the affine policy u = Kx + f folded into its step maps once per
+``run_batch`` call, while those 2·steps n x n maps take at most 4 MiB:
+each step advances on (A + BK)^T and (C + DK)^T and the offset rows Bf
+and Df, with no input products.  The folded values can differ from the
+open products x A^T + u B^T in their last bits.  Any other plant (heat,
+shift, filling, diagonal, or a larger dense one) keeps the native row
+products of its operators; a structured one builds no n x n matrix.
+
 Replication r's noise is a pure function of (seed, r, steps): a
 counter-based Philox stream keyed by the seed, read from r's own counter
 block, so any block of rows is one vectorized draw and no row depends on
@@ -49,6 +58,10 @@ ENUMERATION_MAX_STEPS = 17
 _BLOCK_BYTES = 512 * 1024
 # _noise_rows transforms this many rows at a time
 _NOISE_CHUNK_ROWS = 4096
+# run_batch folds the policy into its step maps only while the 2·steps
+# n x n maps of one call take at most this many bytes; past that, building
+# and holding them costs more than a short rollout saves
+_FOLD_MAX_BYTES = 4 * 1024 * 1024
 
 
 class Policy:
@@ -90,12 +103,14 @@ class Policy:
 
     def control_batch(self, k: int, x_batch: np.ndarray) -> np.ndarray:
         """Controls for a (paths, dim) batch of states at step k."""
-        u = np.zeros((x_batch.shape[0], self.system.control_space.dim))
         if self._gain_mats is not None:
-            u += x_batch @ self._gain_mats[k].T
+            u = x_batch @ self._gain_mats[k].T
+            if self._inputs is not None:
+                u += self._inputs[k][None, :]
+            return u
         if self._inputs is not None:
-            u += self._inputs[k][None, :]
-        return u
+            return np.tile(self._inputs[k], (x_batch.shape[0], 1))
+        return np.zeros((x_batch.shape[0], self.system.control_space.dim))
 
 
 @dataclass
@@ -177,8 +192,11 @@ def _noise_rows(seed: int, start: int, stop: int, steps: int) -> np.ndarray:
         halves = (words >> np.uint64(11)).reshape(count, 2 * blocks, 2)[:, :pairs]
         radius = np.sqrt(-2.0 * np.log((halves[..., 0] + 1.0) * 2.0**-53))
         angle = 2.0 * np.pi * 2.0**-53 * halves[..., 1]
-        normals = np.stack((radius * np.cos(angle), radius * np.sin(angle)), axis=-1)
-        out[first : first + count] = normals.reshape(count, 2 * pairs)[:, :steps]
+        # cosines fill the even columns and sines the odd ones; an odd
+        # number of steps drops the last pair's sine
+        chunk, sines = out[first : first + count], steps // 2
+        np.multiply(radius, np.cos(angle), out=chunk[:, 0::2])
+        np.multiply(radius[:, :sines], np.sin(angle[:, :sines]), out=chunk[:, 1::2])
     return out
 
 
@@ -252,7 +270,8 @@ def stage_cost_batch(cost: CostSpec, k: int, x: np.ndarray, u: np.ndarray) -> np
     wh = cost.m(k).domain.weights
     wu = cost.r(k).domain.weights
     val = _quad(cost.m(k), wh, x, x)
-    val += 2.0 * _quad(cost.l(k), wu, u, x)
+    if not isinstance(cost.l(k), ZeroOperator):
+        val += 2.0 * _quad(cost.l(k), wu, u, x)
     val += _quad(cost.r(k), wu, u, u)
     return val
 
@@ -286,6 +305,14 @@ def run_batch(
     The result holds one total per row of ``noise_paths``, in input order.
     A NaN or infinite noise factor is refused with a DimensionError.
 
+    The policy is folded into the step maps once per call when every A(k)
+    keeps its matrix and the maps take at most 4 MiB
+    (``_closed_loop_maps``): the states then advance on (A + BK)^T and
+    (C + DK)^T plus the rows Bf and Df, and the totals can differ from the
+    open products in their last bits.  The controls are still formed for
+    ``stage``.  Any other plant advances on its operators' native row
+    products, and a structured one builds no n x n matrix.
+
     Memory is O(block·dim) for the states plus O(rows·steps) for the paths;
     a caller with more paths than it wants to hold at once passes them a
     block at a time, as ``monte_carlo_expectation`` does.  The 2^N sign
@@ -302,56 +329,98 @@ def run_batch(
         raise DimensionError(f"noise path {r} holds {noise_paths[r, k]} at step {k}: not finite")
     reps = noise_paths.shape[0]
     block_rows = max(1, _BLOCK_BYTES // (8 * system.state_space.dim))
+    maps = _closed_loop_maps(system, policy)
     # an empty batch still runs one empty block, so the result takes the
     # shape of the stage's values
     totals = []
     for start in range(0, max(reps, 1), block_rows):
         noise = np.ascontiguousarray(noise_paths[start : start + block_rows].T)  # (steps, rows)
-        totals.append(_run_block(system, policy, x0, noise, stage, terminal))
+        totals.append(_run_block(system, policy, maps, x0, noise, stage, terminal))
     return np.concatenate(totals)
 
 
-def _run_block(system, policy, x0, noise, stage, terminal) -> np.ndarray:
+def _closed_loop_maps(system: ControlledSystem, policy: Policy) -> list | None:
+    """Step k's ((A + BK)^T, (C + DK)^T, offsets) under u = Kx + f, or None.
+
+    None, for the native row products, unless every A(k) keeps its matrix
+    (dense, sum, composition) and the maps fit in ``_FOLD_MAX_BYTES``: the
+    choice reads types and sizes only, so a row's total still depends only
+    on its block.  Without gains the maps are A^T and C^T themselves.
+    ``offsets`` is the pair of rows (Bf, Df), or None without inputs.
+    """
+    n = system.state_space.dim
+    if 2 * system.steps * n * n * 8 > _FOLD_MAX_BYTES:
+        return None
+    if not all(a._keeps_matrix for a in system.a):
+        return None
+    maps = []
+    for k in range(system.steps):
+        b, d = system.b(k), system.d(k)
+        drift, diff = system.a(k).matrix.T, system.c(k).matrix.T
+        if policy._gain_mats is not None:
+            kt = policy._gain_mats[k].T  # (BK)^T = K^T B^T, native for a structured B
+            drift = drift + b.apply_rows(kt)
+            diff = diff + d.apply_rows(kt)
+        offsets = None
+        if policy._inputs is not None:
+            f = policy._inputs[k][None, :]
+            offsets = b.apply_rows(f), d.apply_rows(f)
+        maps.append((drift, diff, offsets))
+    return maps
+
+
+def _run_block(system, policy, maps, x0, noise, stage, terminal) -> np.ndarray:
     """Per-row totals for one block of paths, given as noise columns.
 
-    Each step advances the states through the row products of its A, B, C
-    and D, native for structured operators.  A row shares the state of the
-    row before it while their noise prefixes are equal; nothing else is
-    shared.
+    Each step advances the states through its folded maps (two n x n row
+    products), or, when ``maps`` is None, through the native row products
+    of its A, B, C and D.  A row shares the state of the row before it
+    while their noise prefixes are equal; nothing else is shared.  Once
+    every row has its own state, the prefix bookkeeping stops.
     """
     rows = noise.shape[1]
     fresh = np.zeros(rows, dtype=bool)  # row starts a new state
     fresh[:1] = True
-    owner = np.zeros(rows, dtype=np.intp)  # row -> its state
+    # row -> its state; None once every row has its own
+    owner = np.zeros(rows, dtype=np.intp) if rows > 1 else None
     x = np.tile(x0.coords, (min(rows, 1), 1))
     total = 0.0  # takes the shape of the first stage's values
     for k in range(system.steps):
-        a, b, c, d = system.a(k), system.b(k), system.c(k), system.d(k)
         u = policy.control_batch(k, x)
-        total += stage(k, x, u)[owner]
-        drift = a.apply_rows(x)
-        drift += b.apply_rows(u)
-        diff = c.apply_rows(x)
-        diff += d.apply_rows(u)
-        del x, u
-        fresh[1:] |= noise[k, 1:] != noise[k, :-1]
-        firsts = np.flatnonzero(fresh)
-        factors = noise[k, firsts][:, None]
-        if firsts.size == drift.shape[0]:
-            # no prefix splits: every state has one successor
-            diff *= factors
-            drift += diff
-            x = drift
+        values = stage(k, x, u)
+        total += values if owner is None else values[owner]
+        if maps is None:
+            drift = system.a(k).apply_rows(x)
+            drift += system.b(k).apply_rows(u)
+            diff = system.c(k).apply_rows(x)
+            diff += system.d(k).apply_rows(u)
         else:
-            parents = owner[firsts]
-            diff = diff[parents]
-            diff *= factors
-            x = drift[parents]
-            x += diff
-            owner = np.cumsum(fresh) - 1
+            drift_map, diff_map, offsets = maps[k]
+            drift = x @ drift_map
+            diff = x @ diff_map
+            if offsets is not None:
+                drift += offsets[0]
+                diff += offsets[1]
+        del x, u, values
+        if owner is None:
+            factors = noise[k][:, None]
+        else:
+            fresh[1:] |= noise[k, 1:] != noise[k, :-1]
+            firsts = np.flatnonzero(fresh)
+            factors = noise[k, firsts][:, None]
+            if firsts.size != drift.shape[0]:
+                # a prefix split: each row takes its parent's successor
+                parents = owner[firsts]
+                diff = diff[parents]
+                drift = drift[parents]
+                owner = None if firsts.size == rows else np.cumsum(fresh) - 1
+        diff *= factors
+        drift += diff
+        x = drift
         del drift, diff
     if terminal is not None:
-        total += terminal(x)[owner]
+        values = terminal(x)
+        total += values if owner is None else values[owner]
     return total
 
 

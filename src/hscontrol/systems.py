@@ -261,7 +261,8 @@ class TwoInputSystem(_System):
 
         def stack(left: OperatorFamily, right: OperatorFamily) -> list[Operator]:
             pairs = zip(left, right)
-            return [DenseOperator(np.hstack([p.matrix, q.matrix]), ws, hs) for p, q in pairs]
+            stacked = (np.concatenate([p.matrix, q.matrix], axis=1) for p, q in pairs)
+            return [DenseOperator(m, ws, hs) for m in stacked]
 
         b, d = stack(self.b1, self.b2), stack(self.d1, self.d2)
         return ControlledSystem(hs, ws, self.horizon, list(self.a), b, list(self.c), d)

@@ -451,6 +451,103 @@ def check_run_batch_against_per_path(rng, weighted):
         assert run_batch(sys_, pol, x0, empty, pair_stage).shape == (0, 2)
 
 
+@pytest.mark.parametrize("block_bytes", [None, 8 * 3])
+@pytest.mark.parametrize("parts", ["gains", "inputs", "both", "neither"])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_folded_rollout_matches_native_and_per_path(weighted, parts, block_bytes, monkeypatch):
+    """Dense plants roll out on (A + BK, C + DK) and the offset rows (Bf, Df).
+
+    The totals agree with the native row products of A, B, C and D and with
+    the per-path recursion to 1e-13 relative, but not to the bit.  A tiny
+    block budget puts one to three rows in a block.
+    """
+    if block_bytes is not None:
+        monkeypatch.setattr(sim, "_BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(len(parts) + 10 * weighted)
+    for _ in range(4):
+        sys_ = random_controlled(rng, horizon_max=5, weighted=weighted)
+        hs, us = sys_.state_space, sys_.control_space
+        cost = random_psd_cost(rng, sys_)
+        x0 = random_x0(rng, hs)
+        has_gains, has_inputs = parts in ("gains", "both"), parts in ("inputs", "both")
+        gains = [0.3 * rng.standard_normal((us.dim, hs.dim)) if has_gains
+                 else np.zeros((us.dim, hs.dim)) for _ in range(sys_.steps)]
+        inputs = [rng.standard_normal(us.dim) if has_inputs else np.zeros(us.dim)
+                  for _ in range(sys_.steps)]
+        pol = hc.Policy(sys_, [hc.DenseOperator(g, hs, us) for g in gains] if has_gains else None,
+                        inputs if has_inputs else None)
+        assert sim._closed_loop_maps(sys_, pol) is not None
+
+        def stage(k, x, u):
+            return stage_cost_batch(cost, k, x, u)
+
+        def terminal(x):
+            return terminal_cost_batch(cost, x)
+
+        for paths in (hc.sign_paths(sys_.steps), rng.standard_normal((30, sys_.steps))):
+            folded = run_batch(sys_, pol, x0, paths, stage, terminal)
+            with monkeypatch.context() as native:
+                native.setattr(sim, "_closed_loop_maps", lambda system, policy: None)
+                opened = run_batch(sys_, pol, x0, paths, stage, terminal)
+            want = per_path_totals(sys_, gains, inputs, x0, paths, stage, terminal)
+            np.testing.assert_allclose(folded, opened, rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(folded, want, rtol=1e-13, atol=0.0)
+
+
+def test_closed_loop_maps_are_built_once_per_run_batch_call(monkeypatch):
+    monkeypatch.setattr(sim, "_BLOCK_BYTES", 8 * 5 * 7)  # dim 5: seven rows a block
+    sys_, cost, pol, x0 = affine_plant(5)
+    calls = {"maps": 0, "blocks": 0}
+
+    def counted(name, f):
+        def wrapped(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapped
+
+    monkeypatch.setattr(sim, "_closed_loop_maps", counted("maps", sim._closed_loop_maps))
+    monkeypatch.setattr(sim, "_run_block", counted("blocks", sim._run_block))
+    run_batch(sys_, pol, x0, hc.sign_paths(sys_.steps),
+              lambda k, x, u: stage_cost_batch(cost, k, x, u))
+    assert calls == {"maps": 1, "blocks": 3}  # 16 sign paths in blocks of 7
+
+
+def test_dense_plants_fold_only_while_the_maps_fit_the_cap(monkeypatch):
+    # 2·steps maps of n x n doubles: a dense plant past the cap rolls out
+    # on its native row products, with the same totals to rounding
+    sys_, cost, pol, x0 = affine_plant(6, steps=3)
+    size = 2 * 3 * 6 * 6 * 8
+    paths = hc.sign_paths(3)
+
+    def run():
+        return run_batch(sys_, pol, x0, paths, lambda k, x, u: stage_cost_batch(cost, k, x, u))
+
+    monkeypatch.setattr(sim, "_FOLD_MAX_BYTES", size)
+    assert sim._closed_loop_maps(sys_, pol) is not None
+    folded = run()
+    monkeypatch.setattr(sim, "_FOLD_MAX_BYTES", size - 1)
+    assert sim._closed_loop_maps(sys_, pol) is None
+    np.testing.assert_allclose(run(), folded, rtol=1e-13, atol=0.0)
+
+
+def test_expected_cost_of_a_large_heat_rod_builds_no_state_sized_matrix(monkeypatch):
+    # the heat semigroup does not keep a matrix, so the rollout keeps its
+    # native row products: an n x n array at 4096 modes would take 128 MiB
+    modes = 4096
+    problem = hc.examples.build_heat_problem(1, modes=modes)
+    policy = hc.optimal_policy(problem, hc.solve_lq(problem))
+    assert sim._closed_loop_maps(problem.system, policy) is None
+    built = record_matrix_builds(monkeypatch)
+    tracemalloc.start()
+    try:
+        hc.expected_cost(problem, policy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [op for op in built if op.domain.dim == op.codomain.dim == modes] == []
+    assert peak < 8 * modes * modes // 16  # a sixteenth of one n x n array
+
+
 def test_run_batch_advances_each_distinct_prefix_once():
     def rows_seen(paths):
         sys_ = scalar_system(paths.shape[1] - 1, a=0.9, c=0.5)
